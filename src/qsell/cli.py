@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 def _build_distribution(spec, grid_override=None):
     family = spec.get("family")
     if family == "uniform":
-        m = int(grid_override or spec.get("m", 1024))
+        m = int(grid_override if grid_override is not None else spec.get("m", 1024))
         return dist.make_uniform(float(spec["lo"]), float(spec["hi"]), m=m)
     if family == "table":
         return dist.make_from_table(
@@ -215,6 +215,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
+    if args.ic_grid < 2:
+        raise ConfigError(f"--ic-grid must be at least 2, got {args.ic_grid}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     feas = check_feasibility(inst, m, tol=args.tol)
@@ -280,13 +282,16 @@ def _cmd_compare(args):
 
 
 def _cmd_info(args):
-    inst = load_instance(args.config, args.grid)
-    m = build_optimal_mechanism(inst)
-    if not 0 <= args.buyer < inst.n_buyers:
-        raise ConfigError(f"buyer index {args.buyer} out of range")
     types = None
     if args.types:
-        types = np.asarray([float(x) for x in args.types.split(",")])
+        try:
+            types = np.asarray([float(x) for x in args.types.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--types must be comma-separated numbers: {exc}") from exc
+    inst = load_instance(args.config, args.grid)
+    if not 0 <= args.buyer < inst.n_buyers:
+        raise ConfigError(f"buyer index {args.buyer} out of range")
+    m = build_optimal_mechanism(inst)
     rows = partition_summary(inst, m, args.buyer, types=types, n_types=args.n_types)
     if args.out:
         partition_summary_csv(rows, args.out)

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,7 +203,7 @@ class Signal:
         return self.buyer is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdMechanism:
     """A solved mechanism: threshold curves plus tabulated interim data.
 
@@ -211,6 +212,13 @@ class ThresholdMechanism:
     there).  ``active_from[i]`` is the first grid index with positive win
     probability, or -1 when the buyer never wins.  ``degenerate`` is set
     when nobody ever wins; that is a valid mechanism, not an error.
+
+    ``tables`` holds the per-buyer ``InterimTable`` objects the solve
+    computed, so revenue, simulation, verification and pointwise payments
+    reuse them instead of recomputing.  They depend only on the instance
+    and the threshold curves, so ``dataclasses.replace`` with new payments
+    keeps them valid.  They are not serialized: a mechanism loaded from
+    JSON has ``tables=None`` and consumers rebuild them on demand.
     """
 
     curves: list
@@ -223,6 +231,7 @@ class ThresholdMechanism:
     type_factor_deriv: Optional[list] = None
     active_from: Optional[list] = None
     degenerate: bool = False
+    tables: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_buyers(self):
@@ -322,30 +331,19 @@ class _QualitySide:
         """Integral of reserve * g over {xi <= c}."""
         return dist.sublevel_integral(self.grid, self.xi, self.rg, c, include_equal)
 
-    def atom_levels(self):
-        """Values where the xi distribution carries an atom (flat stretches)."""
-        flat = self.xi[:-1] == self.xi[1:]
-        if not np.any(flat):
-            return []
-        candidates = np.unique(self.xi[:-1][flat])
-        out = []
-        for v in candidates:
-            if self.B(v, True) - self.B(v, False) > ATOM_TOL:
-                out.append(float(v))
-        return out
 
+def _atom_levels(level_vals, mass):
+    """Levels carrying positive probability mass (flat stretches of a curve).
 
-def _curve_atom_levels(d, curve_vals):
-    """Levels where a buyer's threshold curve has positive probability mass."""
-    flat = curve_vals[:-1] == curve_vals[1:]
+    ``mass(v, include_equal)`` is the measure of {curve <= v}, or of
+    {curve < v} when include_equal is False.
+    """
+    flat = level_vals[:-1] == level_vals[1:]
     if not np.any(flat):
         return []
-    candidates = np.unique(curve_vals[:-1][flat])
     out = []
-    for v in candidates:
-        w = dist.sublevel_mass(d, curve_vals, v, True)
-        s = dist.sublevel_mass(d, curve_vals, v, False)
-        if w - s > ATOM_TOL:
+    for v in np.unique(level_vals[:-1][flat]):
+        if mass(v, True) - mass(v, False) > ATOM_TOL:
             out.append(float(v))
     return out
 
@@ -393,7 +391,7 @@ def _first_reach(grid, vals, level, side):
 # interim tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterimTable:
     """Per-buyer interim quantities on the type grid plus augmented points.
 
@@ -429,12 +427,12 @@ class InterimTable:
 
 def _critical_levels(inst, curves, i, qs):
     """Levels at which buyer i's interim quantities can jump."""
-    levels = set(qs.atom_levels())
-    for j in range(inst.n_buyers):
+    levels = set(_atom_levels(qs.xi, qs.B))
+    for j, d in enumerate(inst.buyers):
         if j == i:
             continue
-        for v in _curve_atom_levels(inst.buyers[j], curves[j].phi_ironed):
-            levels.add(v)
+        vals = curves[j].phi_ironed
+        levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
     return sorted(levels)
 
 
@@ -604,46 +602,34 @@ def _envelope_integral_at(table, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def payment(inst, curves, win_weight_curve, i, t_i):
+def _tables_of(inst, m):
+    """The mechanism's interim tables; rebuilt when it carries none (JSON loads)."""
+    if m.tables is not None:
+        return m.tables
+    return interim_tables(inst, m.curves)
+
+
+def payment(inst, m, i, t_i):
     """Envelope payment of buyer i at type t_i.
 
     Charges the interim expected value minus accumulated information
     rents, divided by the interim win probability; undefined (raises)
     where that probability is below 1e-12.  The envelope integral uses
-    the tabulated win-weight curve.
+    the mechanism's interim table.
     """
     qs = _QualitySide(inst)
-    b_fn, bp_fn = _type_factor_fns(inst)
+    b_fn, _ = _type_factor_fns(inst)
     d = inst.buyers[i]
-    if not np.array_equal(win_weight_curve.grid, d.grid):
-        raise ValidationError("win weight curve must live on the buyer's type grid")
-    table = _table_for_buyer(inst, curves, i, win_weight_curve.vals)
-    c = float(np.interp(t_i, d.grid, curves[i].phi_ironed))
-    opp = _opponent_product(inst, curves, i, c, "at")
+    c = float(np.interp(t_i, d.grid, m.curves[i].phi_ironed))
+    opp = _opponent_product(inst, m.curves, i, c, "at")
     W = opp * qs.B(c, True)
     if W <= WIN_PROB_FLOOR:
         raise UndefinedPaymentError(
             f"buyer {i} has zero win probability at type {t_i}"
         )
     value_term = float(b_fn(np.asarray([t_i]))[0]) * opp * qs.A(c, True)
-    rent = _envelope_integral_at(table, t_i)
+    rent = _envelope_integral_at(_tables_of(inst, m)[i], t_i)
     return float((value_term - rent) / W)
-
-
-def _table_for_buyer(inst, curves, i, r_node_vals=None):
-    """Interim table for one buyer (optionally overriding node win weights)."""
-    tables = interim_tables(inst, curves)
-    table = tables[i]
-    if r_node_vals is not None and not np.allclose(
-        r_node_vals, table.R, rtol=0.0, atol=1e-9
-    ):
-        # trust the caller's tabulated curve for the envelope integral
-        R_comb = np.interp(table.t_comb, inst.buyers[i].grid, r_node_vals)
-        seg = 0.5 * (R_comb[1:] + R_comb[:-1]) * np.diff(table.t_comb)
-        table.R_comb = R_comb
-        table.int_R_comb = np.concatenate(([0.0], np.cumsum(seg)))
-        table.int_R = table.int_R_comb[table.node_pos]
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +671,9 @@ def _threshold_curves(inst):
 
 
 def build_optimal_mechanism(inst):
-    """Solve the instance: threshold curves, win weights, and payments.
+    """Solve the instance: threshold curves, interim tables, win weights, payments.
 
+    The interim tables stay on the returned mechanism for its consumers.
     Ironing is applied per buyer exactly when their raw virtual value is
     not monotone.  A mechanism in which nobody ever wins is returned with
     ``degenerate=True`` rather than treated as an error.
@@ -730,6 +717,7 @@ def build_optimal_mechanism(inst):
         type_factor_deriv=tfd,
         active_from=active_from,
         degenerate=all(a < 0 for a in active_from),
+        tables=tuple(tables),
     )
 
 

@@ -12,6 +12,7 @@ binary disclosure) complete the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,12 +21,11 @@ from . import dist
 from .errors import ValidationError
 from .mechanism import (
     WIN_PROB_FLOOR,
-    _opponent_product,
+    _atom_levels,
     _QualitySide,
+    _tables_of,
     _type_factor_fns,
     allocate_many,
-    interim_tables,
-    xi_at,
 )
 
 __all__ = [
@@ -63,10 +63,9 @@ def _no_sale_quality_integral(inst, curves):
         return out
 
     atom_levels = set()
-    from .mechanism import _curve_atom_levels
-
     for j, d in enumerate(inst.buyers):
-        atom_levels.update(_curve_atom_levels(d, curves[j].phi_ironed))
+        vals = curves[j].phi_ironed
+        atom_levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
 
     base_vals = rg * mass_prod(xi, False)
     pts_t = list(qgrid)
@@ -110,7 +109,7 @@ def _no_sale_quality_integral(inst, curves):
 
 def revenue_direct(inst, m):
     """Expected revenue as payments collected plus reserve value retained."""
-    tables = interim_tables(inst, m.curves)
+    tables = _tables_of(inst, m)
     total = _no_sale_quality_integral(inst, m.curves)
     for i in range(inst.n_buyers):
         if m.active_from is None or m.active_from[i] < 0:
@@ -133,7 +132,7 @@ def revenue_virtual(inst, m):
     """
     qs = _QualitySide(inst)
     total = float(np.trapezoid(qs.rg, qs.grid))
-    tables = interim_tables(inst, m.curves)
+    tables = _tables_of(inst, m)
     for i in range(inst.n_buyers):
         tab = tables[i]
         integrand = tab.f_comb * tab.opp_comb * (
@@ -194,7 +193,7 @@ def simulate(inst, m, n_samples, seed):
     winners = allocate_many(m, types, qualities)
     revenue = inst.quality.reserve.value_at(qualities).copy()
 
-    tables = interim_tables(inst, m.curves)
+    tables = _tables_of(inst, m)
     b_fn, _ = _type_factor_fns(inst)
     alloc_freq = [float(np.mean(winners < 0))]
     utility_mean = []

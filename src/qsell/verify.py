@@ -20,9 +20,9 @@ from .mechanism import (
     WIN_PROB_FLOOR,
     _opponent_product,
     _QualitySide,
+    _tables_of,
     _type_factor_fns,
     allocate_many,
-    interim_tables,
 )
 
 __all__ = [
@@ -68,7 +68,8 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
     identity), that the lowest type earns nothing, and that sampled
     interim win probabilities are genuine probabilities.
     """
-    tables = interim_tables(inst, m.curves)
+    tables = _tables_of(inst, m)
+    qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -91,7 +92,6 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
         u = rng.random(n_samples)
         t_samp = dist.quantile(d, u)
         c = np.interp(t_samp, d.grid, m.curves[i].phi_ironed)
-        qs = _QualitySide(inst)
         W_samp = _opponent_product(inst, m.curves, i, c, "at") * qs.B(c, True)
         prob_i = float(
             max(0.0, np.max(W_samp) - 1.0, np.max(-W_samp))
@@ -241,7 +241,7 @@ def obedience_check(inst, m, n_check=512):
     """
     qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
-    tables = interim_tables(inst, m.curves)
+    tables = _tables_of(inst, m)
     min_s = np.inf
     marginal = []
     any_defined = False
@@ -264,34 +264,20 @@ def obedience_check(inst, m, n_check=512):
             )
             min_s = min(min_s, float(np.min(s)))
 
-        # entry point: the exact type where the win probability becomes
-        # positive, located by bisection (a jump is found immediately, a
-        # continuous crossing to ~1e-10).  Both the expected item value
-        # per unit of win probability and the stored payment (NaN below
-        # entry) are extended down to the entry point from the first two
-        # winning nodes, so the reported surplus is the right-hand limit
-        # at the marginal winning type.
+        # entry point: the first tabulated type with positive win
+        # probability.  interim_tables places a point exactly there: the
+        # upper point of a one-sided pair at a jump, or its own knot at a
+        # continuous crossing.  Both the expected item value per unit of
+        # win probability and the stored payment (NaN below entry) are
+        # extended down to the entry point from the first two winning
+        # nodes, so the reported surplus is the right-hand limit at the
+        # marginal winning type.
         tab = tables[i]
         pos = tab.W_comb > WIN_PROB_FLOOR
         if not pos.any():
             marginal.append(None)
             continue
-        idx = int(np.argmax(pos))
-        t_entry = float(tab.t_comb[idx])
-        if idx > 0:
-            lo_t, hi_t = float(tab.t_comb[idx - 1]), t_entry
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                c_mid = np.interp(mid, d.grid, m.curves[i].phi_ironed)
-                w_mid = float(
-                    _opponent_product(inst, m.curves, i, c_mid, "at")
-                    * qs.B(c_mid, True)
-                )
-                if w_mid > WIN_PROB_FLOOR:
-                    hi_t = mid
-                else:
-                    lo_t = mid
-            t_entry = hi_t
+        t_entry = float(tab.t_comb[int(np.argmax(pos))])
         pay, pgrid = m.payment[i].vals, m.payment[i].grid
         kk = np.nonzero(np.isfinite(pay) & (pgrid >= t_entry - 1e-9))[0]
         if kk.size == 0:
@@ -464,22 +450,13 @@ def discrete_threshold_revenue(dinst):
     return total
 
 
-def _best_suffix_table(weights):
-    """sbest[m+1] = best (possibly empty) suffix sum starting strictly after m."""
-    K = weights.size
-    S = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))  # S[c] = sum_{k>=c}
-    sbest = np.empty(K + 1)
-    running = 0.0
-    for c in range(K, -1, -1):
-        running = max(running, S[c])
-        sbest[c] = running
-    return sbest  # index by c = m + 1, m in [-1, K-1]
-
-
 def _best_suffix_argmax(weights):
-    """Like _best_suffix_table but also the start index attaining each max.
+    """Best (possibly empty) suffix sum starting at or after each index.
 
-    Ties pick the larger start (the smaller winning set).
+    Returns (sbest, abest): sbest[c] = max over c' >= c of sum_{k>=c'},
+    with the empty suffix (value 0, start K) included, and abest[c] the
+    start attaining it.  Ties pick the larger start (the smaller winning
+    set).
     """
     K = weights.size
     S = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))
@@ -527,7 +504,7 @@ def _dp_two_buyers(u1, p1, u2, p2):
     w1 = p1 * u1
     tail1 = np.concatenate((np.cumsum(w1[::-1])[::-1], [0.0]))  # tail1[c] = sum_{k1>=c}
     w2 = p2 * u2
-    sbest2 = _best_suffix_table(w2)  # sbest2[m+1]
+    sbest2 = _best_suffix_argmax(w2)[0]  # sbest2[m+1]
     P1 = np.concatenate(([0.0], np.cumsum(p1)))  # P1[k] = sum of p1 below k
 
     NEG = -np.inf

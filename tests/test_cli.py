@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import bimodal_density
+from qsell import cli
 from qsell.cli import main
 
 
@@ -275,9 +276,37 @@ def test_info_writes_partition_csv(tmp_path, capsys):
     assert float(got[0]["posterior_mean"]) == pytest.approx(0.25, abs=1e-9)
 
 
-def test_info_bad_buyer_index_exits_2(tmp_path):
+def _no_solve(inst):
+    raise AssertionError("bad input must be rejected before the solve")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--buyer", "5"],
+        ["--buyer", "-1"],
+        ["--types", "abc"],
+        ["--types", "0.5,,0.7"],
+    ],
+    ids=["buyer-5", "buyer-neg", "types-abc", "types-empty-item"],
+)
+def test_info_bad_buyer_index_exits_2(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
     cfg = _two_uniform_config(tmp_path)
-    assert main(["info", "--config", cfg, "--buyer", "5"]) == 2
+    assert main(["info", "--config", cfg, *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--grid", "0"], ["verify", "--ic-grid", "1"]],
+    ids=["solve-grid-0", "verify-ic-grid-1"],
+)
+def test_bad_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    cfg = _two_uniform_config(tmp_path)
+    assert main([*argv, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_grid_override_changes_resolution(tmp_path, capsys):

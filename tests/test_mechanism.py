@@ -1,5 +1,6 @@
 """Mechanism construction: allocation, win weights, payments, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_win_weight_reserve_ramp():
 def test_payment_posted_price_is_constant(posted_price):
     inst, m = posted_price
     for t in np.linspace(0.5, 1.0, 7):
-        assert qsell.payment(inst, m.curves, m.win_weight[0], 0, float(t)) == (
+        assert qsell.payment(inst, m, 0, float(t)) == (
             pytest.approx(0.5, abs=1e-9)
         )
 
@@ -145,7 +146,7 @@ def test_payment_posted_price_is_constant(posted_price):
 def test_payment_undefined_below_threshold(posted_price):
     inst, m = posted_price
     with pytest.raises(UndefinedPaymentError):
-        qsell.payment(inst, m.curves, m.win_weight[0], 0, 0.25)
+        qsell.payment(inst, m, 0, 0.25)
 
 
 def test_payment_two_uniform_analytic(two_uniform):
@@ -153,7 +154,7 @@ def test_payment_two_uniform_analytic(two_uniform):
     # p(t) = t/2 + 1/(8t): second-price value conditional on winning at reserve 1/2
     for t in [0.5, 0.7, 0.9, 1.0]:
         want = t / 2.0 + 1.0 / (8.0 * t)
-        got = qsell.payment(inst, m.curves, m.win_weight[0], 0, t)
+        got = qsell.payment(inst, m, 0, t)
         assert got == pytest.approx(want, abs=1e-6), t
 
 
@@ -164,7 +165,7 @@ def test_payment_tabulated_matches_formula(two_uniform):
     for k in [512, 700, 1024]:
         t = float(grid[k])
         assert m.payment_at(0, t) == pytest.approx(
-            qsell.payment(inst, m.curves, m.win_weight[0], 0, t), abs=1e-12
+            qsell.payment(inst, m, 0, t), abs=1e-12
         )
 
 
@@ -308,6 +309,27 @@ def test_interim_jump_points_present(two_uniform):
     j = np.searchsorted(tab.t_comb, 0.5, side="left")
     w_around = tab.W_comb[max(0, j - 1) : j + 3]
     assert np.min(w_around) <= 1e-12 and np.max(w_around) >= 0.45
+
+
+def test_mechanism_shares_its_interim_tables(solved_suite):
+    inst, m = solved_suite["bimodal-inverse-v"]
+    fresh = qsell.interim_tables(inst, m.curves)
+    assert len(m.tables) == len(fresh) == inst.n_buyers
+    for kept, new in zip(m.tables, fresh):
+        for f in dataclasses.fields(new):
+            a, b = getattr(kept, f.name), getattr(new, f.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+
+    repriced = dataclasses.replace(m, payment=list(m.payment))
+    assert repriced.tables is m.tables
+
+    # a JSON-loaded mechanism carries no tables and rebuilds them on demand
+    m2 = qsell.mechanism_from_json_dict(json.loads(json.dumps(qsell.mechanism_to_json_dict(m))))
+    assert m2.tables is None
+    assert qsell.revenue_direct(inst, m2) == qsell.revenue_direct(inst, m)
+    assert qsell.revenue_virtual(inst, m2) == qsell.revenue_virtual(inst, m)
+    assert qsell.check_feasibility(inst, m2) == qsell.check_feasibility(inst, m)
+    assert qsell.obedience_check(inst, m2) == qsell.obedience_check(inst, m)
 
 
 def test_win_weight_constant_on_ironed_plateau():

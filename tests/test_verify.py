@@ -153,11 +153,14 @@ def test_asked_buyers_want_to_buy(solved_suite):
         assert rep.min_surplus >= -1e-6, (name, rep.min_surplus)
 
 
-def test_marginal_buyer_is_indifferent(posted_price):
-    inst, mech = posted_price
+@pytest.mark.parametrize("name", ["posted-price", "reserve-ramp"])
+def test_marginal_buyer_is_indifferent(solved_suite, name):
+    # posted-price enters by a jump in the win probability at t = 1/2,
+    # reserve-ramp (r(q) = q) by a continuous crossing at the same type
+    inst, mech = solved_suite[name]
     rep = qsell.obedience_check(inst, mech)
     entry, surplus = rep.marginal[0]
-    assert entry == pytest.approx(0.5, abs=1e-2)
+    assert entry == pytest.approx(0.5, abs=1e-9)
     assert surplus == pytest.approx(0.0, abs=1e-3)
 
 
