@@ -288,6 +288,10 @@ def _cmd_info(args):
             types = np.asarray([float(x) for x in args.types.split(",")])
         except ValueError as exc:
             raise ConfigError(f"--types must be comma-separated numbers: {exc}") from exc
+        if not np.all(np.isfinite(types)):
+            raise ConfigError(f"--types must be finite numbers, got {args.types}")
+    if args.n_types < 1:
+        raise ConfigError(f"--n-types must be at least 1, got {args.n_types}")
     inst = load_instance(args.config, args.grid)
     if not 0 <= args.buyer < inst.n_buyers:
         raise ConfigError(f"buyer index {args.buyer} out of range")

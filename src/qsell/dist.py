@@ -5,7 +5,10 @@ Every other module works with bounded, atomless distributions stored as
 of grid.  The helpers here also provide the two sublevel-set primitives
 the mechanism machinery is built on: the probability mass of
 ``{x : curve(x) <= c}`` under a distribution, and the integral of a
-tabulated integrand over ``{q : level(q) <= c}``.
+tabulated integrand over ``{q : level(q) <= c}``.  Both share one
+sort-based kernel: k queries against an m-node curve cost
+O((m + k) log m) for the cells wholly inside the set, plus one exactly
+integrated straddling cell per monotone run of the curve and query.
 """
 
 from __future__ import annotations
@@ -260,52 +263,81 @@ def integrate(f, lo, hi):
     return float(np.trapezoid(ys, xs))
 
 
-def _cell_fractions(a, b, c):
-    """Fraction lambda in [0,1] where the linear segment (a -> b) crosses c.
-
-    Works for rising and falling segments; callers combine it with the
-    orientation to pick the included sub-interval.  Flat segments are left
-    to the caller (division yields inf/nan and is masked out there).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (c - a) / (b - a)
-    return np.clip(lam, 0.0, 1.0)
+def _sorted_prefix(keys, vals, c, side):
+    """Sum of vals over the entries whose key is <= c (side='right') or < c."""
+    order = np.argsort(keys)
+    cum = np.concatenate(([0.0], np.cumsum(vals[order])))
+    return cum[np.searchsorted(keys[order], c, side=side)]
 
 
 def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     """Integral of a tabulated integrand over the sublevel set {level <= c}.
 
     Both ``level_vals`` and ``integrand_vals`` are treated as piecewise
-    linear on ``grid``.  Partial cells are integrated exactly for the
-    piecewise-linear model, so step-like level curves do not smear.  With
-    ``include_equal=False`` flat stretches sitting exactly at c are
-    excluded (the strict sublevel set {level < c}).
+    linear on ``grid``; ``integrand_vals`` may also be a scalar.  Partial
+    cells are integrated exactly for the piecewise-linear model, so
+    step-like level curves do not smear.  With ``include_equal=False``
+    flat stretches sitting exactly at c are excluded (the strict sublevel
+    set {level < c}).
 
-    Vectorized over c; returns a scalar for scalar c.
+    Cells wholly inside the set come from two sorted prefix sums (flat
+    cells by level, sloped cells by their upper end).  The sloped cells
+    split into monotone runs, and in each run at most one cell strictly
+    straddles c; it is found by ``searchsorted`` and integrated exactly.
+    For m grid nodes, k queries and R monotone runs this costs
+    O((m + k) log m) plus O(k R) for the straddling cells, and never
+    builds a (queries x cells) array.
+
+    Vectorized over c; returns a scalar for scalar c.  A NaN query is a
+    validation error.
     """
     grid = np.asarray(grid, dtype=float)
     lv = np.asarray(level_vals, dtype=float)
-    iv = np.asarray(integrand_vals, dtype=float)
-    c_arr = np.atleast_1d(np.asarray(c, dtype=float))[:, None]
+    iv = np.broadcast_to(np.asarray(integrand_vals, dtype=float), lv.shape)
+    cq = np.atleast_1d(_validated_query(c))
 
-    a, b = lv[:-1][None, :], lv[1:][None, :]
-    w0, w1 = iv[:-1][None, :], iv[1:][None, :]
-    dq = np.diff(grid)[None, :]
-
-    flat = np.isclose(a, b, rtol=0.0, atol=0.0)
-    lam = _cell_fractions(a, b, c_arr)
-    wlam = w0 + (w1 - w0) * lam
-
-    rising = 0.5 * lam * dq * (w0 + wlam)
-    falling = 0.5 * (1.0 - lam) * dq * (wlam + w1)
-    sloped = np.where(b > a, rising, falling)
-
+    a, b = lv[:-1], lv[1:]
+    w0, w1 = iv[:-1], iv[1:]
+    dq = np.diff(grid)
     full = 0.5 * dq * (w0 + w1)
-    inside = (a <= c_arr) if include_equal else (a < c_arr)
-    flat_part = np.where(inside, full, 0.0)
 
-    contrib = np.where(flat, flat_part, sloped)
-    out = contrib.sum(axis=1)
+    flat = a == b
+    out = _sorted_prefix(a[flat], full[flat], cq, "right" if include_equal else "left")
+
+    sl = np.nonzero(~flat)[0]
+    if sl.size:
+        lo = np.minimum(a[sl], b[sl])
+        hi = np.maximum(a[sl], b[sl])
+        out = out + _sorted_prefix(hi, full[sl], cq, "right")
+
+        # Number the monotone runs, then order the cells by (run, lower
+        # end).  Lower ends enter as exact integer ranks among all lower
+        # ends, so one searchsorted finds, for every (query, run) pair,
+        # the run's last cell with lo < c; it straddles c iff c < hi.
+        rising = b[sl] > a[sl]
+        starts = np.ones(sl.size, dtype=bool)
+        starts[1:] = (np.diff(sl) != 1) | (rising[1:] != rising[:-1])
+        run = np.cumsum(starts) - 1
+        runs = np.arange(run[-1] + 1)
+        lo_sorted = np.sort(lo)
+        stride = sl.size + 1
+        key = run * stride + np.searchsorted(lo_sorted, lo, side="left")
+        order = np.argsort(key)
+        q_key = runs * stride + np.searchsorted(lo_sorted, cq, side="left")[:, None]
+        pos = np.searchsorted(key[order], q_key, side="left") - 1
+        cell = order[np.maximum(pos, 0)]
+        qi, ri = np.nonzero((pos >= 0) & (run[cell] == runs) & (cq[:, None] < hi[cell]))
+        cell = cell[qi, ri]
+
+        k = sl[cell]
+        lam = (cq[qi] - a[k]) / (b[k] - a[k])
+        wlam = w0[k] + (w1[k] - w0[k]) * lam
+        part = np.where(
+            rising[cell],
+            0.5 * lam * dq[k] * (w0[k] + wlam),
+            0.5 * (1.0 - lam) * dq[k] * (wlam + w1[k]),
+        )
+        out = out + np.bincount(qi, weights=part, minlength=cq.size)
     return float(out[0]) if np.isscalar(c) or np.asarray(c).ndim == 0 else out
 
 
@@ -317,23 +349,11 @@ def sublevel_mass(d, curve_vals, c, include_equal=True):
     curve sitting exactly at level c contribute their probability mass,
     which is how ties at ironed plateaus get split between buyers.
 
+    This is ``sublevel_integral`` of a unit integrand over the cdf
+    values: a cell crossed at fraction lambda contributes lambda * dF.
     Vectorized over c; returns a scalar for scalar c.
     """
     cv = np.asarray(curve_vals, dtype=float)
     if cv.size != d.grid.size:
         raise ValidationError("curve table must match the distribution grid")
-    c_arr = np.atleast_1d(np.asarray(c, dtype=float))[:, None]
-
-    a, b = cv[:-1][None, :], cv[1:][None, :]
-    dF = np.diff(d.cdf_vals)[None, :]
-
-    flat = np.isclose(a, b, rtol=0.0, atol=0.0)
-    lam = _cell_fractions(a, b, c_arr)
-    sloped = np.where(b > a, lam, 1.0 - lam) * dF
-
-    inside = (a <= c_arr) if include_equal else (a < c_arr)
-    flat_part = np.where(inside, dF, 0.0)
-
-    contrib = np.where(flat, flat_part, sloped)
-    out = contrib.sum(axis=1)
-    return float(out[0]) if np.isscalar(c) or np.asarray(c).ndim == 0 else out
+    return sublevel_integral(d.cdf_vals, cv, 1.0, c, include_equal)

@@ -341,11 +341,8 @@ def _atom_levels(level_vals, mass):
     flat = level_vals[:-1] == level_vals[1:]
     if not np.any(flat):
         return []
-    out = []
-    for v in np.unique(level_vals[:-1][flat]):
-        if mass(v, True) - mass(v, False) > ATOM_TOL:
-            out.append(float(v))
-    return out
+    cand = np.unique(level_vals[:-1][flat])
+    return [float(v) for v in cand[mass(cand, True) - mass(cand, False) > ATOM_TOL]]
 
 
 def _opponent_product(inst, curves, i, c, mode):
@@ -482,45 +479,50 @@ def interim_tables(inst, curves):
         # positive; a plain trapezoid across that cell would accumulate
         # rent as if R grew from the cell's left edge, so pin the crossing
         # with an extra knot (R is continuous there, no one-sided pair).
+        # Each round evaluates W at 64 evenly spaced probes up to hi_t in
+        # one kernel call and keeps the sub-bracket ending at the first
+        # probe above the floor; ten rounds shrink the entry cell by 2**-60.
         pos_w = W > WIN_PROB_FLOOR
         if pos_w.any():
             k_first = int(np.argmax(pos_w))
             if k_first > 0 and not pos_w[k_first - 1]:
                 lo_t, hi_t = float(grid[k_first - 1]), float(grid[k_first])
-                for _ in range(60):
-                    mid = 0.5 * (lo_t + hi_t)
-                    c_mid = float(np.interp(mid, grid, vals))
-                    w_mid = float(
-                        _opponent_product(inst, curves, i, c_mid, "at")
-                        * qs.B(c_mid, True)
+                for _ in range(10):
+                    t_probe = np.linspace(lo_t, hi_t, 65)
+                    c_probe = np.interp(t_probe[1:], grid, vals)
+                    w_probe = _opponent_product(inst, curves, i, c_probe, "at") * qs.B(
+                        c_probe, True
                     )
-                    if w_mid > WIN_PROB_FLOOR:
-                        hi_t = mid
-                    else:
-                        lo_t = mid
+                    j = int(np.argmax(w_probe > WIN_PROB_FLOOR))
+                    lo_t, hi_t = float(t_probe[j]), float(t_probe[j + 1])
                 c_star = float(np.interp(hi_t, grid, vals))
                 cross_pts.append((hi_t, 0, c_star, "at"))
 
-        n_extra = len(cross_pts)
-        t_all = np.concatenate((grid, [p[0] for p in cross_pts])) if n_extra else grid
-        rank_all = np.concatenate(
-            (np.ones(grid.size, dtype=int), [p[1] for p in cross_pts])
-        ) if n_extra else np.ones(grid.size, dtype=int)
+        # One kernel call per one-sided mode evaluates every extra point.
+        t_x = np.array([p[0] for p in cross_pts], dtype=float)
+        lev_x = np.array([p[2] for p in cross_pts], dtype=float)
+        mode_x = np.array([p[3] for p in cross_pts], dtype=str)
+        opp_x, A_x, B_x, C_x = (np.zeros(t_x.size) for _ in range(4))
+        for mode in ("below", "at", "above"):
+            sel = mode_x == mode
+            if sel.any():
+                include = mode != "below"
+                opp_x[sel] = _opponent_product(inst, curves, i, lev_x[sel], mode)
+                A_x[sel] = qs.A(lev_x[sel], include)
+                B_x[sel] = qs.B(lev_x[sel], include)
+                C_x[sel] = qs.C(lev_x[sel], include)
+        bp_x = bp_fn(t_x) if t_x.size else t_x
 
-        lev_all = np.concatenate((vals, [p[2] for p in cross_pts])) if n_extra else vals
-        opp_all = np.concatenate((opp, np.zeros(n_extra)))
-        A_all = np.concatenate((A, np.zeros(n_extra)))
-        B_all = np.concatenate((B, np.zeros(n_extra)))
-        C_all = np.concatenate((C, np.zeros(n_extra)))
-        bp_all = np.concatenate((bp, np.zeros(n_extra)))
-        for k, (t_star, _rank, lev, mode) in enumerate(cross_pts):
-            include = mode != "below"
-            pos = grid.size + k
-            opp_all[pos] = _opponent_product(inst, curves, i, lev, mode)
-            A_all[pos] = qs.A(lev, include)
-            B_all[pos] = qs.B(lev, include)
-            C_all[pos] = qs.C(lev, include)
-            bp_all[pos] = bp_fn(np.asarray([t_star]))[0]
+        t_all = np.concatenate((grid, t_x))
+        rank_all = np.concatenate(
+            (np.ones(grid.size, dtype=int), np.array([p[1] for p in cross_pts], dtype=int))
+        )
+        lev_all = np.concatenate((vals, lev_x))
+        opp_all = np.concatenate((opp, opp_x))
+        A_all = np.concatenate((A, A_x))
+        B_all = np.concatenate((B, B_x))
+        C_all = np.concatenate((C, C_x))
+        bp_all = np.concatenate((bp, bp_x))
 
         order = np.lexsort((rank_all, t_all))
         t_comb = t_all[order]

@@ -71,9 +71,8 @@ def _no_sale_quality_integral(inst, curves):
     pts_t = list(qgrid)
     pts_rank = [1] * len(qgrid)
     pts_val = list(base_vals)
-    for lev in sorted(atom_levels):
-        strict = mass_prod(np.asarray([lev]), False)[0]
-        weak = mass_prod(np.asarray([lev]), True)[0]
+    levels = np.asarray(sorted(atom_levels), dtype=float)
+    for lev, strict, weak in zip(levels, mass_prod(levels, False), mass_prod(levels, True)):
         if weak - strict <= 1e-14:
             continue
         for k in range(qgrid.size - 1):
@@ -357,15 +356,17 @@ class ConstantPriceBaseline:
     revenue: float
 
 
-def _constant_price_revenue(inst, qs, prices, cutoff):
-    """Revenue of each posted price after announcing whether xi(q) <= cutoff."""
+_CUTOFF_TIE_RTOL = 1e-12
+
+
+def _constant_price_revenue(inst, prices, A1, B1, C1, A_tot, C_tot):
+    """Revenue of each posted price after announcing whether xi(q) <= cutoff.
+
+    A1, B1 and C1 are the quality side's A, B and C at the cutoff; A_tot
+    and C_tot are A and C over the whole quality support.
+    """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     b_fn, _ = _type_factor_fns(inst)
-    B1 = qs.B(cutoff, True)
-    A1 = qs.A(cutoff, True)
-    A_tot = qs.A(qs.xi_max, True)
-    C1 = qs.C(cutoff, True)
-    C_tot = qs.C(qs.xi_max, True)
     total = np.zeros_like(prices)
     for mass, alpha_mean, retained in (
         (B1, A1 / B1 if B1 > 1e-12 else 0.0, C1),
@@ -399,25 +400,37 @@ def best_constant_price(inst, n_price=241):
     with one local refinement, so the reported revenue is a lower bound
     on what this restricted family can achieve; the family itself is
     incentive compatible, hence never better than the optimal mechanism.
+    Cutoffs whose revenues agree to a relative 1e-12 count as tied, and
+    the lowest tied cutoff is reported, so the choice does not hinge on
+    rounding.
     """
     qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     cutoffs = np.unique(
         np.concatenate((qs.xi, [qs.xi_min - 1.0, qs.xi_max + 1.0]))
     )
+    A1, B1, C1 = qs.A(cutoffs, True), qs.B(cutoffs, True), qs.C(cutoffs, True)
+    A_tot, C_tot = qs.A(qs.xi_max, True), qs.C(qs.xi_max, True)
     alpha_max = float(np.max(inst.quality.alpha.vals))
     p_hi = max(float(np.max(b_fn(d.grid))) for d in inst.buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, n_price)
 
-    def sweep(price_grid, best):
-        for cut in cutoffs:
-            revs = _constant_price_revenue(inst, qs, price_grid, float(cut))
-            j = int(np.argmax(revs))
-            if revs[j] > best[2]:
-                best = (float(price_grid[j]), float(cut), float(revs[j]))
-        return best
+    def sweep(price_grid, best=None):
+        top = np.empty(cutoffs.size)
+        arg = np.empty(cutoffs.size, dtype=int)
+        for k in range(cutoffs.size):
+            revs = _constant_price_revenue(
+                inst, price_grid, A1[k], B1[k], C1[k], A_tot, C_tot
+            )
+            arg[k] = int(np.argmax(revs))
+            top[k] = revs[arg[k]]
+        peak = float(np.max(top))
+        if best is not None and peak <= best[2] + _CUTOFF_TIE_RTOL * abs(best[2]):
+            return best
+        k = int(np.argmax(top >= peak - _CUTOFF_TIE_RTOL * abs(peak)))
+        return (float(price_grid[arg[k]]), float(cutoffs[k]), float(top[k]))
 
-    best = sweep(prices, (0.0, float(cutoffs[-1]), -np.inf))
+    best = sweep(prices)
 
     # one refinement pass around the best price
     step = prices[1] - prices[0] if n_price > 1 else 1.0

@@ -287,8 +287,15 @@ def _no_solve(inst):
         ["--buyer", "-1"],
         ["--types", "abc"],
         ["--types", "0.5,,0.7"],
+        ["--types", "nan"],
+        ["--types", "0.5,inf"],
+        ["--n-types", "0"],
+        ["--n-types", "-1"],
     ],
-    ids=["buyer-5", "buyer-neg", "types-abc", "types-empty-item"],
+    ids=[
+        "buyer-5", "buyer-neg", "types-abc", "types-empty-item",
+        "types-nan", "types-inf", "n-types-0", "n-types-neg",
+    ],
 )
 def test_info_bad_buyer_index_exits_2(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)

@@ -133,6 +133,96 @@ def test_sublevel_integral_vector_levels():
     c = np.array([-1.0, 0.3, 0.6, 2.0])
     got = dist.sublevel_integral(grid, xi, np.ones_like(grid), c, include_equal=True)
     assert np.allclose(got, [0.0, 0.3, 0.6, 1.0], atol=1e-12)
+    with pytest.raises(ValidationError):
+        dist.sublevel_integral(grid, xi, np.ones_like(grid), [0.3, float("nan")])
+
+
+def test_falling_cell_at_its_upper_end_counts_once():
+    # A falling cell whose upper end equals c lies wholly inside {level <= c};
+    # it must not also be taken as the cell straddling c.
+    assert dist.sublevel_integral([0.0, 1.0], [1.0, 0.0], 1.0, 1.0) == 1.0
+    assert dist.sublevel_integral([0.0, 1.0, 2.0], [2.0, 1.0, 0.0], 1.0, 1.0) == 1.0
+    assert dist.sublevel_integral([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], 1.0, 1.0) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# sort-based kernel against the dense (levels x cells) broadcast
+
+
+def _dense_sublevel_integral(grid, level_vals, integrand_vals, c, include_equal):
+    """Every query against every cell at once: O(k m) time and memory."""
+    lv = np.asarray(level_vals, dtype=float)
+    iv = np.asarray(integrand_vals, dtype=float)
+    c_arr = np.atleast_1d(np.asarray(c, dtype=float))[:, None]
+    a, b = lv[:-1][None, :], lv[1:][None, :]
+    w0, w1 = iv[:-1][None, :], iv[1:][None, :]
+    dq = np.diff(np.asarray(grid, dtype=float))[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.clip((c_arr - a) / (b - a), 0.0, 1.0)
+    wlam = w0 + (w1 - w0) * lam
+    sloped = np.where(
+        b > a, 0.5 * lam * dq * (w0 + wlam), 0.5 * (1.0 - lam) * dq * (wlam + w1)
+    )
+    inside = (a <= c_arr) if include_equal else (a < c_arr)
+    flat_part = np.where(inside, 0.5 * dq * (w0 + w1), 0.0)
+    return np.where(a == b, flat_part, sloped).sum(axis=1)
+
+
+def _level_curve(shape, rng, m):
+    x = np.linspace(0.0, 1.0, m)
+    if shape == "increasing":
+        return np.cumsum(rng.uniform(0.01, 1.0, m))
+    if shape == "decreasing":
+        return -np.cumsum(rng.uniform(0.01, 1.0, m))
+    if shape == "v":
+        return np.abs(x - rng.uniform(0.0, 1.0))
+    if shape == "plateaued":
+        return np.round(x * rng.integers(1, 6)) / 4.0
+    if shape == "wiggly":
+        return np.abs(np.sin(rng.uniform(3.0, 40.0) * x + rng.uniform(0.0, 3.0)))
+    return np.round(rng.uniform(-1.0, 1.0, m), 1)  # random with repeats
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    shape=st.sampled_from(
+        ["increasing", "decreasing", "v", "plateaued", "wiggly", "repeats"]
+    ),
+    m=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.01, 1.0, m)) / m
+    lv = _level_curve(shape, rng, m)
+    iv = rng.uniform(-0.5, 2.0, m)
+    span = lv.max() - lv.min() + 1.0
+    c = np.concatenate(
+        (
+            lv,  # exact node levels
+            [lv.min() - span, lv.max() + span, -np.inf, np.inf],
+            rng.uniform(lv.min() - 0.1 * span, lv.max() + 0.1 * span, 16),
+        )
+    )
+    for include_equal in (True, False):
+        want = _dense_sublevel_integral(grid, lv, iv, c, include_equal)
+        got = dist.sublevel_integral(grid, lv, iv, c, include_equal)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        one_by_one = [dist.sublevel_integral(grid, lv, iv, float(x), include_equal) for x in c]
+        np.testing.assert_allclose(one_by_one, got, rtol=0.0, atol=1e-12)
+
+    d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
+    for include_equal in (True, False):
+        mass = dist.sublevel_mass(d, lv, c, include_equal)
+        assert np.array_equal(
+            mass, dist.sublevel_integral(d.cdf_vals, lv, 1.0, c, include_equal)
+        )
+        np.testing.assert_allclose(
+            mass,
+            _dense_sublevel_integral(d.cdf_vals, lv, np.ones(m), c, include_equal),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 # ---------------------------------------------------------------------------

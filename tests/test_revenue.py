@@ -171,6 +171,22 @@ def test_best_constant_price_single_buyer_equals_optimum(posted_price):
     assert qsell.revenue_direct(inst, mech) >= base.revenue - 1e-9
 
 
+@pytest.mark.parametrize(
+    "reserve", [0.3, lambda q: q], ids=["constant-xi", "linear-xi-constant-alpha"]
+)
+def test_best_constant_price_reports_the_lowest_tied_cutoff(reserve):
+    # With constant xi every cutoff pools all qualities into one
+    # announcement; with constant alpha no announcement moves the buyers'
+    # expected value.  Either way all cutoffs tie (the second only up to
+    # rounding), and the lowest one must be reported.
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, reserve)
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm
+    )
+    base = qsell.best_constant_price(inst)
+    assert base.cutoff == float(np.min(qm.xi.vals)) - 1.0
+
+
 def test_optimal_mechanism_dominates_constant_price(solved_suite):
     for name, (inst, mech) in solved_suite.items():
         base = qsell.best_constant_price(inst)
