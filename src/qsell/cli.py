@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 import time
 
@@ -147,6 +149,12 @@ def load_instance(path, grid_override=None):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_out_file(path, flag):
+    """Reject an output file that could not be written, before any solve."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"{flag} must name a file in an existing directory, got {path}")
+
+
 def _write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -158,6 +166,9 @@ def _write_json(doc, path):
 
 
 def _cmd_solve(args):
+    _check_out_file(args.out, "--out")
+    if args.csv_dir and not os.path.isdir(args.csv_dir):
+        raise ConfigError(f"--csv-dir must be an existing directory, got {args.csv_dir}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     rev_d = revenue_direct(inst, m)
@@ -189,6 +200,7 @@ def _cmd_solve(args):
 
 
 def _cmd_simulate(args):
+    _check_out_file(args.out, "--out")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     report = simulate(inst, m, n_samples=args.samples, seed=args.seed)
@@ -217,6 +229,8 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     if args.ic_grid < 2:
         raise ConfigError(f"--ic-grid must be at least 2, got {args.ic_grid}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     feas = check_feasibility(inst, m, tol=args.tol)
@@ -247,6 +261,7 @@ def _cmd_verify(args):
 
 
 def _cmd_compare(args):
+    _check_out_file(args.out, "--out")
     inst = load_instance(args.config, args.grid)
     rows = []
 
@@ -282,6 +297,7 @@ def _cmd_compare(args):
 
 
 def _cmd_info(args):
+    _check_out_file(args.out, "--out")
     types = None
     if args.types:
         try:

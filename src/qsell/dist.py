@@ -9,6 +9,7 @@ tabulated integrand over ``{q : level(q) <= c}``.  Both share one
 sort-based kernel: k queries against an m-node curve cost
 O((m + k) log m) for the cells wholly inside the set, plus one exactly
 integrated straddling cell per monotone run of the curve and query.
+A stack of integrands over one level curve shares that sort and search.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ def integrate(f, lo, hi):
 
 
 def _sorted_prefix(keys, vals, c, side):
-    """Sum of vals over the entries whose key is <= c (side='right') or < c."""
+    """Sum of vals (along axis 0) over entries with key <= c (side='right') or < c."""
     order = np.argsort(keys)
-    cum = np.concatenate(([0.0], np.cumsum(vals[order])))
+    cum = np.cumsum(vals[order], axis=0)
+    cum = np.concatenate((np.zeros((1,) + vals.shape[1:]), cum))
     return cum[np.searchsorted(keys[order], c, side=side)]
 
 
@@ -280,6 +282,12 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     flat stretches sitting exactly at c are excluded (the strict sublevel
     set {level < c}).
 
+    ``integrand_vals`` may also be a stack of p integrands, shape (p, m):
+    one sort of the level curve and one straddle search then serve every
+    row, and the result gains a leading axis of length p (shape (p, k)
+    for k queries, (p,) for a scalar c).  Each row equals, bit for bit,
+    the call with that row alone.
+
     Cells wholly inside the set come from two sorted prefix sums (flat
     cells by level, sloped cells by their upper end).  The sloped cells
     split into monotone runs, and in each run at most one cell strictly
@@ -288,17 +296,22 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     O((m + k) log m) plus O(k R) for the straddling cells, and never
     builds a (queries x cells) array.
 
-    Vectorized over c; returns a scalar for scalar c.  A NaN query is a
-    validation error.
+    Vectorized over c; returns a scalar for scalar c and a 1-D integrand.
+    A NaN query is a validation error.
     """
     grid = np.asarray(grid, dtype=float)
     lv = np.asarray(level_vals, dtype=float)
-    iv = np.broadcast_to(np.asarray(integrand_vals, dtype=float), lv.shape)
+    iv = np.asarray(integrand_vals, dtype=float)
+    stacked = iv.ndim == 2
+    # Grid along axis 0: (m,) for one integrand, (m, p) for a stack, and
+    # per-cell factors get a trailing axis (col) to broadcast over rows.
+    iv = iv.T if stacked else np.broadcast_to(iv, lv.shape)
+    col = (slice(None),) + (None,) * stacked
     cq = np.atleast_1d(_validated_query(c))
 
     a, b = lv[:-1], lv[1:]
     w0, w1 = iv[:-1], iv[1:]
-    dq = np.diff(grid)
+    dq = np.diff(grid)[col]
     full = 0.5 * dq * (w0 + w1)
 
     flat = a == b
@@ -330,15 +343,21 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
         cell = cell[qi, ri]
 
         k = sl[cell]
-        lam = (cq[qi] - a[k]) / (b[k] - a[k])
+        lam = ((cq[qi] - a[k]) / (b[k] - a[k]))[col]
         wlam = w0[k] + (w1[k] - w0[k]) * lam
         part = np.where(
-            rising[cell],
+            rising[cell][col],
             0.5 * lam * dq[k] * (w0[k] + wlam),
             0.5 * (1.0 - lam) * dq[k] * (wlam + w1[k]),
         )
-        out = out + np.bincount(qi, weights=part, minlength=cq.size)
-    return float(out[0]) if np.isscalar(c) or np.asarray(c).ndim == 0 else out
+        if stacked:  # one bincount for all rows: query j, row r goes to bin j * p + r
+            p = iv.shape[1]
+            qi = (qi[:, None] * p + np.arange(p)).ravel()
+        part = np.bincount(qi, weights=part.ravel(), minlength=out.size)
+        out = out + part.reshape(out.shape)
+    if np.ndim(c) == 0:
+        return out[0] if stacked else float(out[0])
+    return out.T if stacked else out
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,6 +80,12 @@ class QualityModel:
     reserve: dist.GriddedFunction
     xi: dist.GriddedFunction
 
+    @cached_property
+    def integrands(self):
+        """alpha * g, g and reserve * g stacked: the weights of A, B and C."""
+        g = self.G.pdf_vals
+        return np.stack((self.alpha.vals * g, g, self.reserve.vals * g))
+
 
 def _curve_on(grid, curve, name):
     if isinstance(curve, dist.GriddedFunction):
@@ -97,6 +103,9 @@ def make_quality_model(G, alpha, reserve):
     """Assemble a QualityModel; alpha/reserve may be scalars, callables or tables."""
     alpha_f = _curve_on(G.grid, alpha, "alpha")
     reserve_f = _curve_on(G.grid, reserve, "reserve")
+    for name, curve in (("alpha", alpha_f), ("reserve", reserve_f)):
+        if not np.all(np.isfinite(curve.vals)):
+            raise ValidationError(f"{name} must be finite on the quality grid")
     if np.any(alpha_f.vals <= 0.0):
         raise ValidationError("alpha must be strictly positive on the quality grid")
     xi = dist.GriddedFunction(G.grid, reserve_f.vals / alpha_f.vals)
@@ -302,34 +311,14 @@ def allocate_many(m, types, qualities):
 
 
 # ---------------------------------------------------------------------------
-# quality-side and opponent-side sublevel helpers
+# interim quantities at threshold levels
 
 
-class _QualitySide:
-    """Cached integrands over the quality grid for sublevel integrals."""
-
-    def __init__(self, inst):
-        qm = inst.quality
-        self.grid = qm.G.grid
-        self.xi = qm.xi.vals
-        g = qm.G.pdf_vals
-        self.ag = qm.alpha.vals * g
-        self.g = g
-        self.rg = qm.reserve.vals * g
-        self.xi_min = float(np.min(self.xi))
-        self.xi_max = float(np.max(self.xi))
-
-    def A(self, c, include_equal=True):
-        """Integral of alpha * g over {xi <= c}."""
-        return dist.sublevel_integral(self.grid, self.xi, self.ag, c, include_equal)
-
-    def B(self, c, include_equal=True):
-        """G-mass of {xi <= c}."""
-        return dist.sublevel_integral(self.grid, self.xi, self.g, c, include_equal)
-
-    def C(self, c, include_equal=True):
-        """Integral of reserve * g over {xi <= c}."""
-        return dist.sublevel_integral(self.grid, self.xi, self.rg, c, include_equal)
+def _quality_integrals(qm, c, include_equal):
+    """(A, B, C): alpha * g, g, reserve * g over {xi <= c} (or {xi < c}), in one call."""
+    return tuple(
+        dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands, c, include_equal)
+    )
 
 
 def _atom_levels(level_vals, mass):
@@ -350,22 +339,51 @@ def _opponent_product(inst, curves, i, c, mode):
 
     mode 'at' uses the mechanism's tie split (strict for j < i, weak for
     j > i); 'below'/'above' give the one-sided limits used at jumps.
+    With i None the product runs over every buyer (one-sided modes only).
     """
     c_arr = np.atleast_1d(np.asarray(c, dtype=float))
     out = np.ones_like(c_arr)
     for j in range(inst.n_buyers):
         if j == i:
             continue
-        if mode == "below":
-            include = False
-        elif mode == "above":
-            include = True
-        else:
-            include = j > i
+        include = j > i if mode == "at" else mode == "above"
         out = out * dist.sublevel_mass(
             inst.buyers[j], curves[j].phi_ironed, c_arr, include
         )
     return float(out[0]) if np.ndim(c) == 0 else out
+
+
+def _interim_at(inst, curves, i, c, mode):
+    """(opp, A, B, C) of buyer i at threshold levels c.
+
+    Buyer i is asked exactly when the quality lies in {xi <= c} and every
+    opponent's threshold lies below c, so each interim quantity is opp
+    times a quality integral.  mode is as in ``_opponent_product``; the
+    quality side is strict only for 'below'.
+    """
+    opp = _opponent_product(inst, curves, i, c, mode)
+    return (opp, *_quality_integrals(inst.quality, c, mode != "below"))
+
+
+def _win_probability(inst, curves, i, c):
+    """opp * B of ``_interim_at(..., 'at')`` from one kernel row, not three."""
+    qm = inst.quality
+    B = dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands[1], c, True)
+    return _opponent_product(inst, curves, i, c, "at") * B
+
+
+def _merge_one_sided(nodes, t_x, rank_x, *columns):
+    """Merge grid nodes with one-sided points: (abscissae, node positions, columns).
+
+    Rank 0 sorts before a node at the same abscissa and rank 2 after it,
+    so the trapezoid rule treats each jump exactly.  Each column is a
+    (node values, point values) pair.
+    """
+    t_all = np.concatenate((nodes, t_x))
+    rank_all = np.concatenate((np.ones(nodes.size, dtype=int), rank_x))
+    order = np.lexsort((rank_all, t_all))
+    node_pos = np.nonzero(rank_all[order] == 1)[0]
+    return t_all[order], node_pos, [np.concatenate(col)[order] for col in columns]
 
 
 def _first_reach(grid, vals, level, side):
@@ -422,58 +440,56 @@ class InterimTable:
     crossings: list
 
 
-def _critical_levels(inst, curves, i, qs):
-    """Levels at which buyer i's interim quantities can jump."""
-    levels = set(_atom_levels(qs.xi, qs.B))
+def _buyer_atom_levels(inst, curves, i=None):
+    """Levels where a buyer other than i has a threshold plateau carrying mass."""
+    levels = set()
     for j, d in enumerate(inst.buyers):
-        if j == i:
-            continue
-        vals = curves[j].phi_ironed
-        levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
-    return sorted(levels)
+        if j != i:
+            vals = curves[j].phi_ironed
+            levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
+    return levels
+
+
+def _critical_levels(inst, curves, i):
+    """Levels at which buyer i's interim quantities can jump."""
+    qm = inst.quality
+    levels = _atom_levels(qm.xi.vals, lambda v, inc: _quality_integrals(qm, v, inc)[1])
+    return sorted(_buyer_atom_levels(inst, curves, i).union(levels))
 
 
 def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
-    qs = _QualitySide(inst)
     b_fn, bp_fn = _type_factor_fns(inst)
     tables = []
     for i, d in enumerate(inst.buyers):
         grid = d.grid
         vals = curves[i].phi_ironed
         bp = bp_fn(grid)
-        b = b_fn(grid)
 
-        opp = _opponent_product(inst, curves, i, vals, "at")
-        A = qs.A(vals, True)
-        B = qs.B(vals, True)
-        C = qs.C(vals, True)
+        opp, A, B, C = _interim_at(inst, curves, i, vals, "at")
         R = bp * opp * A
         W = opp * B
 
         # Collect one-sided evaluation points where R or W jumps.
         cross_pts = []  # (t, rank, level, mode)
         crossings = []
-        for lev in _critical_levels(inst, curves, i, qs):
+        for lev in _critical_levels(inst, curves, i):
             if lev > vals[-1]:
                 continue
             t_lo = _first_reach(grid, vals, lev, "left")
             t_hi = _first_reach(grid, vals, lev, "right")
             if t_lo is None:
                 continue
-            if t_hi is not None and t_hi > t_lo:
-                # The curve sits exactly at this level over [t_lo, t_hi].
-                if t_lo > grid[0]:
-                    cross_pts.append((t_lo, 0, lev, "below"))
-                    cross_pts.append((t_lo, 2, lev, "at"))
-                cross_pts.append((t_hi, 0, lev, "at"))
-                cross_pts.append((t_hi, 2, lev, "above"))
+            # On a plateau the curve sits exactly at this level over [t_lo, t_hi].
+            plateau = t_hi is not None and t_hi > t_lo
+            if t_lo > grid[0]:
+                upper = "at" if plateau else "above"
+                cross_pts += [(t_lo, 0, lev, "below"), (t_lo, 2, lev, upper)]
+            if plateau:
+                cross_pts += [(t_hi, 0, lev, "at"), (t_hi, 2, lev, "above")]
                 crossings.append((lev, t_lo, t_hi))
-            else:
-                if t_lo > grid[0]:
-                    cross_pts.append((t_lo, 0, lev, "below"))
-                    cross_pts.append((t_lo, 2, lev, "above"))
-                    crossings.append((lev, t_lo, t_lo))
+            elif t_lo > grid[0]:
+                crossings.append((lev, t_lo, t_lo))
 
         # The rent integrand R kinks where the win probability first turns
         # positive; a plain trapezoid across that cell would accumulate
@@ -490,55 +506,37 @@ def interim_tables(inst, curves):
                 for _ in range(10):
                     t_probe = np.linspace(lo_t, hi_t, 65)
                     c_probe = np.interp(t_probe[1:], grid, vals)
-                    w_probe = _opponent_product(inst, curves, i, c_probe, "at") * qs.B(
-                        c_probe, True
-                    )
+                    w_probe = _win_probability(inst, curves, i, c_probe)
                     j = int(np.argmax(w_probe > WIN_PROB_FLOOR))
                     lo_t, hi_t = float(t_probe[j]), float(t_probe[j + 1])
                 c_star = float(np.interp(hi_t, grid, vals))
                 cross_pts.append((hi_t, 0, c_star, "at"))
 
         # One kernel call per one-sided mode evaluates every extra point.
-        t_x = np.array([p[0] for p in cross_pts], dtype=float)
-        lev_x = np.array([p[2] for p in cross_pts], dtype=float)
-        mode_x = np.array([p[3] for p in cross_pts], dtype=str)
+        t_x, rank_x, lev_x, mode_x = (
+            np.array([p[k] for p in cross_pts], dtype=dt)
+            for k, dt in enumerate((float, int, float, str))
+        )
         opp_x, A_x, B_x, C_x = (np.zeros(t_x.size) for _ in range(4))
         for mode in ("below", "at", "above"):
             sel = mode_x == mode
             if sel.any():
-                include = mode != "below"
-                opp_x[sel] = _opponent_product(inst, curves, i, lev_x[sel], mode)
-                A_x[sel] = qs.A(lev_x[sel], include)
-                B_x[sel] = qs.B(lev_x[sel], include)
-                C_x[sel] = qs.C(lev_x[sel], include)
+                opp_x[sel], A_x[sel], B_x[sel], C_x[sel] = _interim_at(
+                    inst, curves, i, lev_x[sel], mode
+                )
         bp_x = bp_fn(t_x) if t_x.size else t_x
 
-        t_all = np.concatenate((grid, t_x))
-        rank_all = np.concatenate(
-            (np.ones(grid.size, dtype=int), np.array([p[1] for p in cross_pts], dtype=int))
+        t_comb, node_pos, (level_comb, opp_comb, A_comb, B_comb, C_comb, bp_comb) = (
+            _merge_one_sided(
+                grid, t_x, rank_x,
+                (vals, lev_x), (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (bp, bp_x),
+            )
         )
-        lev_all = np.concatenate((vals, lev_x))
-        opp_all = np.concatenate((opp, opp_x))
-        A_all = np.concatenate((A, A_x))
-        B_all = np.concatenate((B, B_x))
-        C_all = np.concatenate((C, C_x))
-        bp_all = np.concatenate((bp, bp_x))
-
-        order = np.lexsort((rank_all, t_all))
-        t_comb = t_all[order]
-        rank_comb = rank_all[order]
-        level_comb = lev_all[order]
-        opp_comb = opp_all[order]
-        A_comb = A_all[order]
-        B_comb = B_all[order]
-        C_comb = C_all[order]
-        R_comb = bp_all[order] * opp_comb * A_comb
+        R_comb = bp_comb * opp_comb * A_comb
         W_comb = opp_comb * B_comb
 
         seg = 0.5 * (R_comb[1:] + R_comb[:-1]) * np.diff(t_comb)
         int_R_comb = np.concatenate(([0.0], np.cumsum(seg)))
-
-        node_pos = np.nonzero(rank_comb == 1)[0]
         int_R = int_R_comb[node_pos]
 
         f_comb = dist.pdf(d, t_comb)
@@ -581,11 +579,10 @@ def win_weight(inst, curves, i, t_i):
     the slope of the buyer's utility envelope and must be non-decreasing
     for the mechanism to be implementable.
     """
-    qs = _QualitySide(inst)
     _b, bp_fn = _type_factor_fns(inst)
     c = float(np.interp(t_i, inst.buyers[i].grid, curves[i].phi_ironed))
-    opp = _opponent_product(inst, curves, i, c, "at")
-    return float(bp_fn(np.asarray([t_i]))[0] * opp * qs.A(c, True))
+    opp, A, _, _ = _interim_at(inst, curves, i, c, "at")
+    return float(bp_fn(np.asarray([t_i]))[0] * opp * A)
 
 
 def _envelope_integral_at(table, t):
@@ -619,17 +616,16 @@ def payment(inst, m, i, t_i):
     where that probability is below 1e-12.  The envelope integral uses
     the mechanism's interim table.
     """
-    qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     d = inst.buyers[i]
     c = float(np.interp(t_i, d.grid, m.curves[i].phi_ironed))
-    opp = _opponent_product(inst, m.curves, i, c, "at")
-    W = opp * qs.B(c, True)
+    opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
+    W = opp * B
     if W <= WIN_PROB_FLOOR:
         raise UndefinedPaymentError(
             f"buyer {i} has zero win probability at type {t_i}"
         )
-    value_term = float(b_fn(np.asarray([t_i]))[0]) * opp * qs.A(c, True)
+    value_term = float(b_fn(np.asarray([t_i]))[0]) * opp * A
     rent = _envelope_integral_at(_tables_of(inst, m)[i], t_i)
     return float((value_term - rent) / W)
 

@@ -12,7 +12,6 @@ binary disclosure) complete the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -21,8 +20,10 @@ from . import dist
 from .errors import ValidationError
 from .mechanism import (
     WIN_PROB_FLOOR,
-    _atom_levels,
-    _QualitySide,
+    _buyer_atom_levels,
+    _merge_one_sided,
+    _opponent_product,
+    _quality_integrals,
     _tables_of,
     _type_factor_fns,
     allocate_many,
@@ -47,62 +48,43 @@ __all__ = [
 def _no_sale_quality_integral(inst, curves):
     """Integral over quality of reserve * g * P(nobody clears xi(q)).
 
-    The probability factor jumps where xi crosses a level at which some
-    buyer's threshold curve carries probability mass, so those crossings
-    are inserted as one-sided points before applying the trapezoid rule.
+    The probability factor jumps where xi meets a level at which some
+    buyer's threshold curve carries probability mass: it is the strict
+    product below the level and the weak one at and above it.  Crossings
+    inside cells and touches at nodes enter as one-sided points before
+    the trapezoid rule is applied.
     """
-    qs = _QualitySide(inst)
-    qgrid, xi, rg = qs.grid, qs.xi, qs.rg
+    qm = inst.quality
+    qgrid, xi, rg = qm.G.grid, qm.xi.vals, qm.integrands[2]
+    levels = np.asarray(sorted(_buyer_atom_levels(inst, curves)), dtype=float)
+    strict = _opponent_product(inst, curves, None, levels, "below")
+    weak = _opponent_product(inst, curves, None, levels, "above")
+    keep = weak - strict > 1e-14
+    levels, strict, weak = levels[keep], strict[keep], weak[keep]
 
-    def mass_prod(levels, include_equal):
-        out = np.ones_like(np.atleast_1d(levels), dtype=float)
-        for j, d in enumerate(inst.buyers):
-            out = out * dist.sublevel_mass(
-                d, curves[j].phi_ironed, np.atleast_1d(levels), include_equal
-            )
-        return out
+    # Every (level, cell) pair where xi crosses, leaves or reaches the
+    # level, level-major; each fills a rank-0 slot, a rank-2 slot or both.
+    lev, a, b = levels[:, None], xi[:-1], xi[1:]
+    rise, fall = (a < lev) & (lev < b), (a > lev) & (lev > b)
+    leave, reach = (a == lev) & (b > lev), (b == lev) & (a > lev)
+    L, K = np.nonzero(rise | fall | leave | reach)
+    rise, fall, leave, reach = rise[L, K], fall[L, K], leave[L, K], reach[L, K]
+    a, b, lv = a[K], b[K], levels[L]
+    frac = np.where(rise, (lv - a) / (b - a), (a - lv) / (a - b))
+    q_star = qgrid[K] + frac * (qgrid[K + 1] - qgrid[K])
+    node = K + reach
+    crosses = rise | fall
+    t = np.where(crosses, q_star, qgrid[node])
+    rg_t = np.where(crosses, np.interp(q_star, qgrid, rg), rg[node])
+    s, w = strict[L], weak[L]
+    slots = np.stack((np.where(rise, s, w), np.where(fall, s, w)), axis=1)
+    used = np.stack((~leave, ~reach), axis=1).ravel()
+    t_x = np.repeat(t, 2)[used]
+    rank_x = np.tile([0, 2], L.size)[used]
+    v_x = (rg_t[:, None] * slots).ravel()[used]
 
-    atom_levels = set()
-    for j, d in enumerate(inst.buyers):
-        vals = curves[j].phi_ironed
-        atom_levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
-
-    base_vals = rg * mass_prod(xi, False)
-    pts_t = list(qgrid)
-    pts_rank = [1] * len(qgrid)
-    pts_val = list(base_vals)
-    levels = np.asarray(sorted(atom_levels), dtype=float)
-    for lev, strict, weak in zip(levels, mass_prod(levels, False), mass_prod(levels, True)):
-        if weak - strict <= 1e-14:
-            continue
-        for k in range(qgrid.size - 1):
-            a, b = xi[k], xi[k + 1]
-            r_at = None
-            if a < lev < b:
-                frac = (lev - a) / (b - a)
-                q_star = qgrid[k] + frac * (qgrid[k + 1] - qgrid[k])
-                rg_star = np.interp(q_star, qgrid, rg)
-                pts_t += [q_star, q_star]
-                pts_rank += [0, 2]
-                pts_val += [rg_star * strict, rg_star * weak]
-            elif a > lev > b:
-                frac = (a - lev) / (a - b)
-                q_star = qgrid[k] + frac * (qgrid[k + 1] - qgrid[k])
-                rg_star = np.interp(q_star, qgrid, rg)
-                pts_t += [q_star, q_star]
-                pts_rank += [0, 2]
-                pts_val += [rg_star * weak, rg_star * strict]
-            elif a == lev and b > lev:
-                pts_t.append(qgrid[k])
-                pts_rank.append(2)
-                pts_val.append(rg[k] * weak)
-            elif b == lev and a > lev:
-                pts_t.append(qgrid[k + 1])
-                pts_rank.append(0)
-                pts_val.append(rg[k + 1] * weak)
-    order = np.lexsort((np.asarray(pts_rank), np.asarray(pts_t)))
-    t = np.asarray(pts_t)[order]
-    v = np.asarray(pts_val)[order]
+    base_vals = rg * _opponent_product(inst, curves, None, xi, "below")
+    t, _, (v,) = _merge_one_sided(qgrid, t_x, rank_x, (base_vals, v_x))
     return float(np.trapezoid(v, t))
 
 
@@ -129,8 +111,8 @@ def revenue_virtual(inst, m):
     ranks by the ironed one; over each ironed interval the two integrate
     identically against the type density, so the routes must agree.
     """
-    qs = _QualitySide(inst)
-    total = float(np.trapezoid(qs.rg, qs.grid))
+    qm = inst.quality
+    total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
     tables = _tables_of(inst, m)
     for i in range(inst.n_buyers):
         tab = tables[i]
@@ -404,13 +386,12 @@ def best_constant_price(inst, n_price=241):
     the lowest tied cutoff is reported, so the choice does not hinge on
     rounding.
     """
-    qs = _QualitySide(inst)
+    xi = inst.quality.xi.vals
     b_fn, _ = _type_factor_fns(inst)
-    cutoffs = np.unique(
-        np.concatenate((qs.xi, [qs.xi_min - 1.0, qs.xi_max + 1.0]))
-    )
-    A1, B1, C1 = qs.A(cutoffs, True), qs.B(cutoffs, True), qs.C(cutoffs, True)
-    A_tot, C_tot = qs.A(qs.xi_max, True), qs.C(qs.xi_max, True)
+    cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
+    A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
+    # the last cutoff lies above xi everywhere: A and C over the whole support
+    A_tot, C_tot = A1[-1], C1[-1]
     alpha_max = float(np.max(inst.quality.alpha.vals))
     p_hi = max(float(np.max(b_fn(d.grid))) for d in inst.buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, n_price)

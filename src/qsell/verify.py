@@ -18,10 +18,10 @@ from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
 from .mechanism import (
     WIN_PROB_FLOOR,
-    _opponent_product,
-    _QualitySide,
+    _interim_at,
     _tables_of,
     _type_factor_fns,
+    _win_probability,
     allocate_many,
 )
 
@@ -69,7 +69,6 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
     interim win probabilities are genuine probabilities.
     """
     tables = _tables_of(inst, m)
-    qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -92,7 +91,7 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
         u = rng.random(n_samples)
         t_samp = dist.quantile(d, u)
         c = np.interp(t_samp, d.grid, m.curves[i].phi_ironed)
-        W_samp = _opponent_product(inst, m.curves, i, c, "at") * qs.B(c, True)
+        W_samp = _win_probability(inst, m.curves, i, c)
         prob_i = float(
             max(0.0, np.max(W_samp) - 1.0, np.max(-W_samp))
         )
@@ -138,13 +137,10 @@ class ICReport:
 
 def _utility_matrix(inst, m, i, true_types, reports):
     """Expected utility of each (true type, reported type) pair for buyer i."""
-    qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     d = inst.buyers[i]
     c = np.interp(reports, d.grid, m.curves[i].phi_ironed)
-    opp = _opponent_product(inst, m.curves, i, c, "at")
-    A = qs.A(c, True)
-    B = qs.B(c, True)
+    opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
     if m.active_from is not None and m.active_from[i] >= 0:
         pay = m.payment_at(i, reports)
     else:
@@ -239,7 +235,6 @@ def obedience_check(inst, m, n_check=512):
     threshold, which should vanish for an optimal mechanism: the entry
     type pays exactly its expected value of the item.
     """
-    qs = _QualitySide(inst)
     b_fn, _ = _type_factor_fns(inst)
     tables = _tables_of(inst, m)
     min_s = np.inf
@@ -251,11 +246,8 @@ def obedience_check(inst, m, n_check=512):
             continue
         t_eval = np.linspace(d.grid[0], d.grid[-1], n_check)
         c = np.interp(t_eval, d.grid, m.curves[i].phi_ironed)
-        opp = _opponent_product(inst, m.curves, i, c, "at")
-        B = qs.B(c, True)
-        A = qs.A(c, True)
-        W = opp * B
-        defined = W > WIN_PROB_FLOOR
+        opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
+        defined = opp * B > WIN_PROB_FLOOR
         if defined.any():
             any_defined = True
             s = (
@@ -283,18 +275,13 @@ def obedience_check(inst, m, n_check=512):
         if kk.size == 0:
             marginal.append((t_entry, float("nan")))
             continue
-        j0 = int(tab.node_pos[int(kk[0])])
-        v0 = float(tab.b_comb[j0] * tab.A_comb[j0] / tab.B_comb[j0])
-        s0 = v0 - float(pay[int(kk[0])])
-        if kk.size >= 2:
-            j1 = int(tab.node_pos[int(kk[1])])
-            v1 = float(tab.b_comb[j1] * tab.A_comb[j1] / tab.B_comb[j1])
-            s1 = v1 - float(pay[int(kk[1])])
-            t0, t1 = float(pgrid[int(kk[0])]), float(pgrid[int(kk[1])])
-            s_star = s0 + (s1 - s0) / (t1 - t0) * (t_entry - t0)
-        else:
-            s_star = s0
-        marginal.append((t_entry, s_star))
+        kk = kk[:2]
+        j = tab.node_pos[kk]
+        surplus = tab.b_comb[j] * tab.A_comb[j] / tab.B_comb[j] - pay[kk]
+        if kk.size == 2:
+            (t0, t1), (s0, s1) = pgrid[kk], surplus
+            surplus = [s0 + (s1 - s0) / (t1 - t0) * (t_entry - t0)]
+        marginal.append((t_entry, float(surplus[0])))
 
     return ObedienceReport(
         min_surplus=float(min_s) if any_defined else 0.0,
@@ -312,12 +299,11 @@ def posterior_belief(inst, m, i, t):
     """
     if m.active_from is None or m.active_from[i] < 0:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
-    w = float(np.interp(t, m.win_weight[i].grid, m.win_weight[i].vals))
-    if w <= 1e-12:
+    level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))
+    if _win_probability(inst, m.curves, i, level) <= WIN_PROB_FLOOR:
         raise UndefinedPosteriorError(
             f"buyer {i} at type {t} is asked with probability ~0"
         )
-    level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))
     s = info.acceptance_set(m.quality, level)
     if s.is_empty:
         raise UndefinedPosteriorError(

@@ -306,14 +306,44 @@ def test_info_bad_buyer_index_exits_2(tmp_path, capsys, monkeypatch, flags):
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "--grid", "0"], ["verify", "--ic-grid", "1"]],
-    ids=["solve-grid-0", "verify-ic-grid-1"],
+    [
+        ["solve", "--grid", "0"],
+        ["verify", "--ic-grid", "1"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol=-1"],
+        ["solve", "--out", "missing/m.json"],
+        ["solve", "--csv-dir", "missing"],
+        ["solve", "--out", "."],
+        ["compare", "--out", "missing/c.csv"],
+        ["simulate", "--out", "missing/s.json"],
+        ["info", "--out", "missing/i.csv"],
+    ],
+    ids=[
+        "solve-grid-0", "verify-ic-grid-1", "verify-tol-nan", "verify-tol-neg",
+        "solve-out-missing-dir", "solve-csv-dir-missing", "solve-out-is-dir",
+        "compare-out-missing-dir", "simulate-out-missing-dir", "info-out-missing-dir",
+    ],
 )
 def test_bad_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    monkeypatch.chdir(tmp_path)  # output paths above are relative to tmp_path
     cfg = _two_uniform_config(tmp_path)
     assert main([*argv, "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_reserve_table_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    grid = [0.0, 0.5, 1.0]
+    reserve = {"family": "table", "grid": grid, "values": [0.0, float("inf"), 0.5]}
+    cfg = _write(
+        tmp_path,
+        "inf_reserve.json",
+        {"schema_version": 1, "buyers": [_uniform_buyer()], "quality": _quality(reserve)},
+    )
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "reserve" in err
 
 
 def test_grid_override_changes_resolution(tmp_path, capsys):

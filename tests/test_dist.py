@@ -211,6 +211,17 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
         one_by_one = [dist.sublevel_integral(grid, lv, iv, float(x), include_equal) for x in c]
         np.testing.assert_allclose(one_by_one, got, rtol=0.0, atol=1e-12)
 
+        # A stack of integrands: each row is the 1-D call, bit for bit.
+        stack = np.stack((iv, 1.0 - iv * grid, np.ones(m)))
+        rows = dist.sublevel_integral(grid, lv, stack, c, include_equal)
+        assert rows.shape == (3, c.size)
+        for row, integrand in zip(rows, stack):
+            assert np.array_equal(
+                row, dist.sublevel_integral(grid, lv, integrand, c, include_equal)
+            )
+        at_one = dist.sublevel_integral(grid, lv, stack, float(c[-1]), include_equal)
+        assert np.array_equal(at_one, rows[:, -1])
+
     d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
     for include_equal in (True, False):
         mass = dist.sublevel_mass(d, lv, c, include_equal)

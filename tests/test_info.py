@@ -248,6 +248,29 @@ def test_posterior_is_truncated_prior(solved_suite):
     assert post.grid[-1] <= 0.5 + 1e-6
 
 
+@pytest.mark.parametrize("name, t", [("posted-price", 0.9), ("reserve-ramp", 0.75)])
+def test_posterior_ignores_the_scale_of_alpha_and_reserve(solved_suite, name, t):
+    # Scaling alpha and reserve together leaves xi, hence the mechanism's
+    # allocation and every posterior, unchanged; only values and payments
+    # scale.  The win-probability floor must not see the scale.
+    inst, mech = solved_suite[name]
+    qm = inst.quality
+    scaled = qsell.ProblemInstance(
+        buyers=inst.buyers,
+        quality=qsell.make_quality_model(
+            qm.G,
+            qsell.GriddedFunction(qm.G.grid, 1e-13 * qm.alpha.vals),
+            qsell.GriddedFunction(qm.G.grid, 1e-13 * qm.reserve.vals),
+        ),
+    )
+    mech_s = qsell.build_optimal_mechanism(scaled)
+    assert mech_s.active_from == mech.active_from
+    want = qsell.posterior_belief(inst, mech, 0, t)
+    got = qsell.posterior_belief(scaled, mech_s, 0, t)
+    np.testing.assert_allclose(got.grid, want.grid, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(got.vals, want.vals, rtol=1e-12, atol=0.0)
+
+
 def test_posterior_no_information_equals_prior(posted_price):
     inst, mech = posted_price
     post = qsell.posterior_belief(inst, mech, 0, 0.9)

@@ -42,6 +42,16 @@ def test_quality_model_rejects_nonpositive_alpha():
         qsell.make_quality_model(G, 0.0, 0.0)
     with pytest.raises(ValidationError):
         qsell.make_quality_model(G, lambda q: np.asarray(q, float) - 0.5, 0.0)
+    # NaN passes a "<= 0" test, and inf would make xi 0 or revenues inf/NaN
+    with pytest.raises(ValidationError, match="alpha"):
+        qsell.make_quality_model(G, np.nan, 0.0)
+    with pytest.raises(ValidationError, match="alpha"):
+        qsell.make_quality_model(G, np.inf, 0.0)
+    reserve = np.where(G.grid > 0.5, np.inf, G.grid)
+    with pytest.raises(ValidationError, match="reserve"):
+        qsell.make_quality_model(G, 1.0, qsell.GriddedFunction(G.grid, reserve))
+    with pytest.raises(ValidationError, match="reserve"):
+        qsell.make_quality_model(G, 1.0, np.nan)
 
 
 # ---------------------------------------------------------------------------

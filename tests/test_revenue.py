@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import qsell
+from conftest import make_bimodal
 
 
 def _degenerate_instance():
@@ -53,6 +54,31 @@ def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
     direct = qsell.revenue_direct(inst, mech)
     virtual = qsell.revenue_virtual(inst, mech)
     assert direct == pytest.approx(virtual, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2])
+def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
+    # The bimodal buyer's ironed plateau at level L carries probability
+    # mass, so P(nobody clears xi(q)) jumps wherever xi meets L.  The
+    # reserve table (alpha = 1, knots on quality nodes) makes xi rise
+    # through L inside a cell, reach L at a node from above, leave it
+    # upwards at the same node, fall through it inside a cell and rise
+    # through it again: every one-sided branch of the direct route's
+    # no-sale integral is exercised.
+    buyer = make_bimodal(1025)
+    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
+    (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
+    table = qsell.GriddedFunction(
+        np.linspace(0.0, 1.0, 9),
+        L + np.array([-0.2, 0.1, 0.3, 0.0, 0.2, -0.1, -0.3, 0.05, 0.1]),
+    )
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=129), 1.0, table)
+    xi = qm.xi.vals
+    assert np.sum(xi == L) == 1 and np.sum((xi[:-1] - L) * (xi[1:] - L) < 0) == 3
+    inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
+    mech = qsell.build_optimal_mechanism(inst)
+    direct = qsell.revenue_direct(inst, mech)
+    assert direct == pytest.approx(qsell.revenue_virtual(inst, mech), abs=1e-4)
 
 
 def test_degenerate_mechanism_revenue_is_retained_value():
