@@ -201,6 +201,10 @@ def _cmd_solve(args):
 
 def _cmd_simulate(args):
     _check_out_file(args.out, "--out")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     report = simulate(inst, m, n_samples=args.samples, seed=args.seed)

@@ -125,49 +125,36 @@ def classify_structure(qm):
     return "segments"
 
 
-def _threshold_level(m, i, t):
-    c = m.curves[i]
-    return float(np.interp(t, c.type_grid, c.phi_ironed))
-
-
-def _set_mass_and_mean(qm, s):
-    """Prior G-measure of the set and the posterior mean quality on it."""
-    if s.is_empty:
-        return 0.0, math.nan
-    g = dist.GriddedFunction(qm.G.grid, qm.G.pdf_vals)
-    qg = dist.GriddedFunction(qm.G.grid, qm.G.grid * qm.G.pdf_vals)
-    mass = sum(dist.integrate(g, a, b) for a, b in s.intervals)
-    if mass <= 1e-15:
-        return float(mass), math.nan
-    mean = sum(dist.integrate(qg, a, b) for a, b in s.intervals) / mass
-    return float(mass), float(mean)
-
-
 def partition_summary(inst, m, i=0, types=None, n_types=21):
     """Sweep winner types and tabulate what acceptance reveals.
 
     One row per type: the threshold level, the acceptance set written
     as "lo:hi" segments, its prior mass, and the posterior mean quality
-    (NaN when the type is never asked).
+    (NaN when the type is never asked).  Mass and mean come from one
+    stacked sublevel integral of g and q * g over every probed level.
     """
-    grid = m.curves[i].type_grid
+    curve = m.curves[i]
     if types is None:
-        types = np.linspace(grid[0], grid[-1], n_types)
+        types = np.linspace(curve.type_grid[0], curve.type_grid[-1], n_types)
+    types = np.asarray(types, dtype=float)
+    levels = np.interp(types, curve.type_grid, curve.phi_ironed)
     qm = m.quality
+    g = qm.G.pdf_vals
+    masses, moments = dist.sublevel_integral(
+        qm.G.grid, qm.xi.vals, np.stack((g, qm.G.grid * g)), levels, True
+    )
     rows = []
-    for t in np.asarray(types, dtype=float):
-        level = _threshold_level(m, i, float(t))
+    for t, level, mass, moment in zip(types, levels, masses, moments):
         s = acceptance_set(qm, level)
-        mass, mean = _set_mass_and_mean(qm, s)
         rows.append(
             {
                 "type": float(t),
-                "phi_bar": level,
+                "phi_bar": float(level),
                 "segment_list": ";".join(
                     f"{a:.12g}:{b:.12g}" for a, b in s.intervals
                 ),
-                "mass": mass,
-                "posterior_mean": mean,
+                "mass": float(mass),
+                "posterior_mean": float(moment / mass) if mass > 1e-15 else math.nan,
             }
         )
     return rows

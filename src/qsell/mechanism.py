@@ -279,26 +279,13 @@ def xi_at(qm, q):
     return qm.xi.value_at(q)
 
 
-def allocate(m, t_profile, q):
-    """Run the experiment at one profile: returns the realized Signal.
-
-    Ties on the threshold value go to the lowest buyer index; the item is
-    sold at equality with xi(q).
-    """
-    t_profile = np.asarray(t_profile, dtype=float)
-    if t_profile.size != m.n_buyers:
-        raise ValidationError("profile length must match the number of buyers")
-    levels = np.array(
-        [m.curves[i].phi_ironed_at(t_profile[i]) for i in range(m.n_buyers)]
-    )
-    winner = int(np.argmax(levels))
-    if levels[winner] >= xi_at(m.quality, q):
-        return Signal.ask(winner)
-    return Signal.no_sale()
-
-
 def allocate_many(m, types, qualities):
-    """Vectorized allocation: winner index per sample, -1 for no sale."""
+    """Run the experiment at many profiles: winner index per sample, -1 for no sale.
+
+    ``types`` has one row per sample and one column per buyer.  Ties on
+    the threshold value go to the lowest buyer index; the item is sold at
+    equality with xi(q).
+    """
     types = np.asarray(types, dtype=float)
     qualities = np.asarray(qualities, dtype=float)
     levels = np.column_stack(
@@ -308,6 +295,15 @@ def allocate_many(m, types, qualities):
     best = levels[np.arange(levels.shape[0]), winners]
     sold = best >= xi_at(m.quality, qualities)
     return np.where(sold, winners, -1)
+
+
+def allocate(m, t_profile, q):
+    """Run the experiment at one profile: ``allocate_many`` on one row, as a Signal."""
+    t_profile = np.asarray(t_profile, dtype=float)
+    if t_profile.size != m.n_buyers:
+        raise ValidationError("profile length must match the number of buyers")
+    winner = int(allocate_many(m, t_profile.reshape(1, -1), [q])[0])
+    return Signal.ask(winner) if winner >= 0 else Signal.no_sale()
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +407,21 @@ class InterimTable:
     """Per-buyer interim quantities on the type grid plus augmented points.
 
     The ``*_comb`` arrays interleave the grid nodes with one-sided values
-    at every level where the win weight jumps; integrating them with the
-    trapezoid rule treats the jumps exactly.  ``node_pos`` maps grid node
-    k to its position inside the combined arrays.
+    at every level where the win weight jumps, and a knot at a continuous
+    entry; integrating them with the trapezoid rule treats the jumps
+    exactly.  ``node_pos`` maps grid node k to its position inside the
+    combined arrays.  ``entry`` is the lowest type with positive win
+    probability as a right-hand limit (W is zero there and positive
+    above), or None when the buyer never wins.
     """
 
-    levels: np.ndarray
     opp: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
     R: np.ndarray
     int_R: np.ndarray
     W: np.ndarray
     t_comb: np.ndarray
-    level_comb: np.ndarray
     opp_comb: np.ndarray
     A_comb: np.ndarray
     B_comb: np.ndarray
@@ -438,6 +434,7 @@ class InterimTable:
     b_comb: np.ndarray
     node_pos: np.ndarray
     crossings: list
+    entry: Optional[float]
 
 
 def _buyer_atom_levels(inst, curves, i=None):
@@ -473,7 +470,8 @@ def interim_tables(inst, curves):
         # Collect one-sided evaluation points where R or W jumps.
         cross_pts = []  # (t, rank, level, mode)
         crossings = []
-        for lev in _critical_levels(inst, curves, i):
+        critical = _critical_levels(inst, curves, i)
+        for lev in critical:
             if lev > vals[-1]:
                 continue
             t_lo = _first_reach(grid, vals, lev, "left")
@@ -491,26 +489,25 @@ def interim_tables(inst, curves):
             elif t_lo > grid[0]:
                 crossings.append((lev, t_lo, t_lo))
 
-        # The rent integrand R kinks where the win probability first turns
-        # positive; a plain trapezoid across that cell would accumulate
-        # rent as if R grew from the cell's left edge, so pin the crossing
-        # with an extra knot (R is continuous there, no one-sided pair).
-        # Each round evaluates W at 64 evenly spaced probes up to hi_t in
-        # one kernel call and keeps the sub-bracket ending at the first
-        # probe above the floor; ten rounds shrink the entry cell by 2**-60.
-        pos_w = W > WIN_PROB_FLOOR
-        if pos_w.any():
-            k_first = int(np.argmax(pos_w))
-            if k_first > 0 and not pos_w[k_first - 1]:
-                lo_t, hi_t = float(grid[k_first - 1]), float(grid[k_first])
-                for _ in range(10):
-                    t_probe = np.linspace(lo_t, hi_t, 65)
-                    c_probe = np.interp(t_probe[1:], grid, vals)
-                    w_probe = _win_probability(inst, curves, i, c_probe)
-                    j = int(np.argmax(w_probe > WIN_PROB_FLOOR))
-                    lo_t, hi_t = float(t_probe[j]), float(t_probe[j + 1])
-                c_star = float(np.interp(hi_t, grid, vals))
-                cross_pts.append((hi_t, 0, c_star, "at"))
+        # W = opp * B turns positive once the level passes both the lowest
+        # reserve ratio and every opponent's lowest threshold: below c_entry
+        # B or an opponent's mass is zero, above it no factor is (densities
+        # are at least EPS_DENSITY).  At c_entry itself W is positive only on
+        # an atom, and then a plateau of buyer i at c_entry already wins.
+        c_entry = max(
+            [inst.quality.xi.vals.min()]
+            + [c.phi_ironed.min() for j, c in enumerate(curves) if j != i]
+        )
+        entry = _first_reach(grid, vals, c_entry, "right")
+        if np.any(W[vals == c_entry] > 0.0):
+            entry = _first_reach(grid, vals, c_entry, "left")
+        elif entry is not None and entry > grid[0] and c_entry not in critical:
+            # The rent integrand R kinks where W turns positive; a plain
+            # trapezoid across that cell would accumulate rent as if R grew
+            # from the cell's left edge, so pin the entry with a knot (R is
+            # continuous there, no one-sided pair).  At a jump the pair
+            # above already sits at the entry.
+            cross_pts.append((entry, 0, c_entry, "at"))
 
         # One kernel call per one-sided mode evaluates every extra point.
         t_x, rank_x, lev_x, mode_x = (
@@ -526,11 +523,8 @@ def interim_tables(inst, curves):
                 )
         bp_x = bp_fn(t_x) if t_x.size else t_x
 
-        t_comb, node_pos, (level_comb, opp_comb, A_comb, B_comb, C_comb, bp_comb) = (
-            _merge_one_sided(
-                grid, t_x, rank_x,
-                (vals, lev_x), (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (bp, bp_x),
-            )
+        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb, bp_comb) = _merge_one_sided(
+            grid, t_x, rank_x, (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (bp, bp_x)
         )
         R_comb = bp_comb * opp_comb * A_comb
         W_comb = opp_comb * B_comb
@@ -545,16 +539,13 @@ def interim_tables(inst, curves):
 
         tables.append(
             InterimTable(
-                levels=vals,
                 opp=opp,
                 A=A,
                 B=B,
-                C=C,
                 R=R,
                 int_R=int_R,
                 W=W,
                 t_comb=t_comb,
-                level_comb=level_comb,
                 opp_comb=opp_comb,
                 A_comb=A_comb,
                 B_comb=B_comb,
@@ -567,6 +558,7 @@ def interim_tables(inst, curves):
                 b_comb=b_comb,
                 node_pos=node_pos,
                 crossings=crossings,
+                entry=entry,
             )
         )
     return tables

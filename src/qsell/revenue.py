@@ -158,6 +158,8 @@ def simulate(inst, m, n_samples, seed):
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     n = inst.n_buyers
     children = np.random.SeedSequence(seed).spawn(n + 1)
     types = np.column_stack(

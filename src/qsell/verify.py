@@ -150,13 +150,14 @@ def _utility_matrix(inst, m, i, true_types, reports):
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
-def ic_deviation_search(inst, m, n_grid=101, refine=True):
+def ic_deviation_search(inst, m, n_grid=101):
     """Search misreports (and exit) for profitable deviations.
 
     Utilities are computed exactly at every grid point from the interim
-    quantities; regret is the best deviation gain found.  A broken
-    mechanism shows up as a large positive regret, a sound one stays at
-    numerical-noise level.
+    quantities, and the best (type, report) pair is refined on an 11 x 11
+    grid one step around it; regret is the best deviation gain found.  A
+    broken mechanism shows up as a large positive regret, a sound one
+    stays at numerical-noise level.
     """
     worst = (0.0, -1, float("nan"), float("nan"))
     per_buyer = []
@@ -172,7 +173,7 @@ def ic_deviation_search(inst, m, n_grid=101, refine=True):
         r_i, c_i = divmod(k, n_grid)
         best = float(regret_mat[r_i, c_i])
 
-        if refine and n_grid > 2:
+        if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
             tt_f = np.linspace(
                 max(lo, tt[r_i] - step), min(hi, tt[r_i] + step), 11
@@ -256,20 +257,17 @@ def obedience_check(inst, m, n_check=512):
             )
             min_s = min(min_s, float(np.min(s)))
 
-        # entry point: the first tabulated type with positive win
-        # probability.  interim_tables places a point exactly there: the
-        # upper point of a one-sided pair at a jump, or its own knot at a
-        # continuous crossing.  Both the expected item value per unit of
-        # win probability and the stored payment (NaN below entry) are
-        # extended down to the entry point from the first two winning
+        # entry point: the lowest type with positive win probability, as
+        # the interim table records it.  Both the expected item value per
+        # unit of win probability and the stored payment (NaN below entry)
+        # are extended down to the entry point from the first two winning
         # nodes, so the reported surplus is the right-hand limit at the
         # marginal winning type.
         tab = tables[i]
-        pos = tab.W_comb > WIN_PROB_FLOOR
-        if not pos.any():
+        t_entry = tab.entry
+        if t_entry is None:
             marginal.append(None)
             continue
-        t_entry = float(tab.t_comb[int(np.argmax(pos))])
         pay, pgrid = m.payment[i].vals, m.payment[i].grid
         kk = np.nonzero(np.isfinite(pay) & (pgrid >= t_entry - 1e-9))[0]
         if kk.size == 0:

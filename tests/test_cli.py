@@ -317,11 +317,14 @@ def test_info_bad_buyer_index_exits_2(tmp_path, capsys, monkeypatch, flags):
         ["compare", "--out", "missing/c.csv"],
         ["simulate", "--out", "missing/s.json"],
         ["info", "--out", "missing/i.csv"],
+        ["simulate", "--seed=-1"],
+        ["simulate", "--samples", "0"],
     ],
     ids=[
         "solve-grid-0", "verify-ic-grid-1", "verify-tol-nan", "verify-tol-neg",
         "solve-out-missing-dir", "solve-csv-dir-missing", "solve-out-is-dir",
         "compare-out-missing-dir", "simulate-out-missing-dir", "info-out-missing-dir",
+        "simulate-seed-neg", "simulate-samples-0",
     ],
 )
 def test_bad_flag_value_exits_2(tmp_path, capsys, monkeypatch, argv):

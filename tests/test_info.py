@@ -190,15 +190,26 @@ def test_partition_row_uniform_ramp(solved_suite):
 
 
 def test_partition_rows_match_acceptance_sets(solved_suite):
-    inst, mech = solved_suite["three-v-shape"]
-    rows = qsell.partition_summary(inst, mech, 1, n_types=15)
-    seen_segments = 0
-    for row in rows:
-        s = qsell.acceptance_set(inst.quality, row["phi_bar"])
-        expect = ";".join(f"{a:.12g}:{b:.12g}" for a, b in s.intervals)
-        assert row["segment_list"] == expect
-        seen_segments = max(seen_segments, len(s.intervals))
-    assert seen_segments >= 1
+    # Mass and mean against trapezoid integrals of g and q * g over the
+    # acceptance set's intervals, one interval at a time.
+    for name, buyer in (("three-v-shape", 1), ("bimodal-inverse-v", 0)):
+        inst, mech = solved_suite[name]
+        G = inst.quality.G
+        g = qsell.GriddedFunction(G.grid, G.pdf_vals)
+        qg = qsell.GriddedFunction(G.grid, G.grid * G.pdf_vals)
+        rows = qsell.partition_summary(inst, mech, buyer, n_types=15)
+        seen_segments = 0
+        for row in rows:
+            s = qsell.acceptance_set(inst.quality, row["phi_bar"])
+            expect = ";".join(f"{a:.12g}:{b:.12g}" for a, b in s.intervals)
+            assert row["segment_list"] == expect
+            seen_segments = max(seen_segments, len(s.intervals))
+            mass = sum(qsell.integrate(g, a, b) for a, b in s.intervals)
+            assert row["mass"] == pytest.approx(mass, abs=1e-12)
+            if mass > 1e-9:
+                mean = sum(qsell.integrate(qg, a, b) for a, b in s.intervals) / mass
+                assert row["posterior_mean"] == pytest.approx(mean, abs=1e-12)
+        assert seen_segments >= 1
 
 
 def test_partition_rows_two_segment_shape(solved_suite):

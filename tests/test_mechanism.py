@@ -321,6 +321,43 @@ def test_interim_jump_points_present(two_uniform):
     assert np.min(w_around) <= 1e-12 and np.max(w_around) >= 0.45
 
 
+@pytest.mark.parametrize(
+    "name, buyer, expected",
+    [
+        ("reserve-ramp", 0, 0.5),  # continuous entry where phi = 2t - 1 meets min xi = 0
+        ("three-v-shape", 0, 0.5),
+        ("three-v-shape", 1, 0.5),
+        ("three-v-shape", 2, 0.5),
+        ("mixed-decreasing", 0, 0.75),  # min xi = 1/2, the rival's phi starts far below
+        ("posted-price", 0, 0.5),  # entry by a jump: xi == 0 is an atom
+    ],
+)
+def test_table_records_the_entry_type(solved_suite, name, buyer, expected):
+    _assert_entry(solved_suite[name][1].tables[buyer], expected)
+
+
+def test_entry_waits_for_the_rivals_lowest_threshold():
+    # The rival's phi = 2t - 1 on [0.6, 1] starts at 0.2, above min xi = 0,
+    # so buyer 0 (phi = 2t - 1 on [0, 1]) first wins inside a cell at 0.6,
+    # while the rival wins from its bottom type.
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: np.asarray(q, float)
+    )
+    buyers = (qsell.make_uniform(0.0, 1.0, m=513), qsell.make_uniform(0.6, 1.0, m=257))
+    tabs = qsell.build_optimal_mechanism(qsell.ProblemInstance(buyers, qm)).tables
+    _assert_entry(tabs[0], 0.6)
+    assert tabs[1].entry == 0.6
+
+
+def _assert_entry(tab, expected):
+    assert tab.entry == pytest.approx(expected, abs=1e-12)
+    # W is zero at the entry (the left point of a pair at a jump) and
+    # positive at every combined point above it
+    at = np.nonzero(tab.t_comb == tab.entry)[0]
+    assert at.size and tab.W_comb[at[0]] == 0.0
+    assert np.all(tab.W_comb[tab.t_comb > tab.entry] > 0.0)
+
+
 def test_mechanism_shares_its_interim_tables(solved_suite):
     inst, m = solved_suite["bimodal-inverse-v"]
     fresh = qsell.interim_tables(inst, m.curves)

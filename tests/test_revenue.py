@@ -109,6 +109,13 @@ def test_simulation_depends_on_seed(two_uniform):
     assert a.revenue_mean != b.revenue_mean
 
 
+@pytest.mark.parametrize("n_samples, seed", [(0, 7), (2000, -1)])
+def test_simulation_rejects_bad_sample_count_and_seed(two_uniform, n_samples, seed):
+    inst, mech = two_uniform
+    with pytest.raises(qsell.ValidationError):
+        qsell.simulate(inst, mech, n_samples=n_samples, seed=seed)
+
+
 def test_simulation_matches_exact_revenue(two_uniform):
     inst, mech = two_uniform
     rep = qsell.simulate(inst, mech, n_samples=50_000, seed=11)

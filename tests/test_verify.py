@@ -160,7 +160,7 @@ def test_marginal_buyer_is_indifferent(solved_suite, name):
     inst, mech = solved_suite[name]
     rep = qsell.obedience_check(inst, mech)
     entry, surplus = rep.marginal[0]
-    assert entry == pytest.approx(0.5, abs=1e-9)
+    assert entry == pytest.approx(0.5, abs=1e-12)
     assert surplus == pytest.approx(0.0, abs=1e-3)
 
 
