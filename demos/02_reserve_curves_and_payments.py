@@ -21,8 +21,9 @@ def describe(name, reserve, alpha=1.0):
     )
     mech = qsell.build_optimal_mechanism(inst)
     rev = qsell.revenue_direct(inst, mech)
-    k0 = mech.active_from[0]
-    entry = mech.curves[0].type_grid[k0] if k0 >= 0 else float("nan")
+    entry = mech.tables[0].entry
+    if entry is None:
+        entry = float("nan")
     shape = qsell.classify_structure(inst.quality)
     print(f"{name:<22} revenue {rev:.5f}  entry type {entry:.4f}  "
           f"acceptance shape: {shape}")

@@ -42,8 +42,6 @@ def main():
           + ", ".join(f"{w:.4f}" for w in report.allocation_frequency[1:]))
     print(f"mean utilities:       "
           + ", ".join(f"{u:.4f}" for u in report.per_buyer_utility_mean))
-    print(f"obedience violations: {report.obedience_violations} "
-          f"of {report.n_samples}")
 
     print("\nfeasibility certificates:")
     feas = qsell.check_feasibility(inst, mech)

@@ -180,9 +180,8 @@ def _cmd_solve(args):
     print(f"buyers: {inst.n_buyers}")
     print(f"degenerate: {m.degenerate}")
     print(f"reserve_shape: {classify_structure(inst.quality)}")
-    for i, curve in enumerate(m.curves):
-        k0 = m.active_from[i] if m.active_from is not None else -1
-        cutoff = f"{curve.type_grid[k0]:.6f}" if k0 >= 0 else "never"
+    for i, (curve, tab) in enumerate(zip(m.curves, m.tables)):
+        cutoff = "never" if tab.entry is None else f"{tab.entry:.6f}"
         ivs = ";".join(
             f"{curve.type_grid[a]:.6g}:{curve.type_grid[b]:.6g}"
             for a, b in curve.ironed_intervals
@@ -215,7 +214,6 @@ def _cmd_simulate(args):
         "revenue_stderr": report.revenue_stderr,
         "per_buyer_utility_mean": list(report.per_buyer_utility_mean),
         "allocation_frequency": list(report.allocation_frequency),
-        "obedience_violations": report.obedience_violations,
     }
     if args.out:
         _write_json(doc, args.out)
@@ -226,7 +224,6 @@ def _cmd_simulate(args):
         zip(report.allocation_frequency[1:], report.per_buyer_utility_mean)
     ):
         print(f"buyer {i}: win_frequency {wf:.6f}  utility_mean {um:.6f}")
-    print(f"obedience_violations: {report.obedience_violations}")
     return EXIT_OK
 
 

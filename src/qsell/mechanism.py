@@ -216,17 +216,21 @@ class Signal:
 class ThresholdMechanism:
     """A solved mechanism: threshold curves plus tabulated interim data.
 
-    ``payment[i]`` is tabulated on buyer i's type grid and holds NaN where
-    the interim win probability is at most 1e-12 (payments are undefined
-    there).  ``active_from[i]`` is the first grid index with positive win
-    probability, or -1 when the buyer never wins.  ``degenerate`` is set
-    when nobody ever wins; that is a valid mechanism, not an error.
+    ``payment[i]`` is buyer i's envelope payment tabulated on their type
+    grid; it holds NaN where the interim win probability is at most 1e-12
+    (payments are undefined there).  The function ``payment``, revenue,
+    simulation and the verifiers all read it together with the interim
+    table's jump and entry points, so they share one payment rule.
+    ``degenerate`` is set when nobody ever wins; that is a valid
+    mechanism, not an error.
 
     ``tables`` holds the per-buyer ``InterimTable`` objects the solve
     computed, so revenue, simulation, verification and pointwise payments
-    reuse them instead of recomputing.  They depend only on the instance
-    and the threshold curves, so ``dataclasses.replace`` with new payments
-    keeps them valid.  They are not serialized: a mechanism loaded from
+    reuse them instead of recomputing.  Each table's ``entry`` is the
+    lowest type at which that buyer is asked.  The tables depend only on
+    the instance and the threshold curves, so ``dataclasses.replace``
+    with new payments keeps them valid, and the new node table is what
+    the consumers read.  They are not serialized: a mechanism loaded from
     JSON has ``tables=None`` and consumers rebuild them on demand.
     """
 
@@ -238,27 +242,12 @@ class ThresholdMechanism:
     valuation_kind: str = "linear"
     type_factor: Optional[list] = None
     type_factor_deriv: Optional[list] = None
-    active_from: Optional[list] = None
     degenerate: bool = False
     tables: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_buyers(self):
         return len(self.curves)
-
-    def payment_at(self, i, t):
-        """Interpolated payment, clamped to the defined part of the grid.
-
-        Raises UndefinedPaymentError when the buyer never wins at all.
-        """
-        if self.active_from is None or self.active_from[i] < 0:
-            raise UndefinedPaymentError(f"buyer {i} never wins; no payment defined")
-        k0 = self.active_from[i]
-        grid = self.payment[i].grid[k0:]
-        vals = self.payment[i].vals[k0:]
-        t_arr = np.asarray(t, dtype=float)
-        out = np.interp(np.clip(t_arr, grid[0], grid[-1]), grid, vals)
-        return float(out) if out.ndim == 0 else out
 
     def type_factor_at(self, i, t):
         if self.type_factor is None:
@@ -413,28 +402,31 @@ class InterimTable:
     combined arrays.  ``entry`` is the lowest type with positive win
     probability as a right-hand limit (W is zero there and positive
     above), or None when the buyer never wins.
+
+    ``pay_comb`` is the envelope payment (b * opp * A - int_R) / W at the
+    combined abscissae, NaN where W is at most 1e-12, except at the entry
+    point, which carries the right-hand limit.  That limit is
+    ``entry_value``: the entry type's expected value of the item per unit
+    of win probability, b * A / B just above the entry.
     """
 
     opp: np.ndarray
     A: np.ndarray
-    B: np.ndarray
     R: np.ndarray
     int_R: np.ndarray
     W: np.ndarray
     t_comb: np.ndarray
     opp_comb: np.ndarray
     A_comb: np.ndarray
-    B_comb: np.ndarray
     C_comb: np.ndarray
-    R_comb: np.ndarray
     W_comb: np.ndarray
-    int_R_comb: np.ndarray
+    pay_comb: np.ndarray
     f_comb: np.ndarray
     phiraw_comb: np.ndarray
-    b_comb: np.ndarray
     node_pos: np.ndarray
     crossings: list
     entry: Optional[float]
+    entry_value: Optional[float]
 
 
 def _buyer_atom_levels(inst, curves, i=None):
@@ -454,6 +446,23 @@ def _critical_levels(inst, curves, i):
     return sorted(_buyer_atom_levels(inst, curves, i).union(levels))
 
 
+def _alpha_at_min_xi(qm):
+    """Limit of A(c) / B(c) as c falls to min xi, where {xi = min xi} has no mass.
+
+    Near an isolated minimizing node the sublevel set {xi <= c} reaches
+    (c - min xi) / |xi'| into each neighbouring cell, so the limit is alpha
+    averaged over the minimizing nodes with weights g / |xi'|.
+    """
+    q, xi = qm.G.grid, qm.xi.vals
+    k = np.nonzero(xi == xi.min())[0]
+    reach = np.zeros(k.size)
+    for nb in (k - 1, k + 1):
+        on = (nb >= 0) & (nb < xi.size)
+        reach[on] += np.abs(q[nb[on]] - q[k[on]]) / (xi[nb[on]] - xi[k[on]])
+    alpha_g, g = qm.integrands[:2, k] @ reach
+    return alpha_g / g
+
+
 def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
     b_fn, bp_fn = _type_factor_fns(inst)
@@ -461,7 +470,7 @@ def interim_tables(inst, curves):
     for i, d in enumerate(inst.buyers):
         grid = d.grid
         vals = curves[i].phi_ironed
-        bp = bp_fn(grid)
+        b, bp = b_fn(grid), bp_fn(grid)
 
         opp, A, B, C = _interim_at(inst, curves, i, vals, "at")
         R = bp * opp * A
@@ -501,13 +510,15 @@ def interim_tables(inst, curves):
         entry = _first_reach(grid, vals, c_entry, "right")
         if np.any(W[vals == c_entry] > 0.0):
             entry = _first_reach(grid, vals, c_entry, "left")
-        elif entry is not None and entry > grid[0] and c_entry not in critical:
+        elif entry is not None and vals[0] <= c_entry and c_entry not in critical:
             # The rent integrand R kinks where W turns positive; a plain
             # trapezoid across that cell would accumulate rent as if R grew
             # from the cell's left edge, so pin the entry with a knot (R is
-            # continuous there, no one-sided pair).  At a jump the pair
-            # above already sits at the entry.
-            cross_pts.append((entry, 0, c_entry, "at"))
+            # continuous there, no one-sided pair).  The knot sorts after a
+            # node at the same type, because it carries the payment's
+            # right-hand limit.  At a jump the pair above already sits at
+            # the entry.
+            cross_pts.append((entry, 2, c_entry, "at"))
 
         # One kernel call per one-sided mode evaluates every extra point.
         t_x, rank_x, lev_x, mode_x = (
@@ -521,44 +532,60 @@ def interim_tables(inst, curves):
                 opp_x[sel], A_x[sel], B_x[sel], C_x[sel] = _interim_at(
                     inst, curves, i, lev_x[sel], mode
                 )
-        bp_x = bp_fn(t_x) if t_x.size else t_x
+        b_x, bp_x = (b_fn(t_x), bp_fn(t_x)) if t_x.size else (t_x, t_x)
 
-        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb, bp_comb) = _merge_one_sided(
-            grid, t_x, rank_x, (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (bp, bp_x)
+        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb, b_comb, bp_comb) = (
+            _merge_one_sided(
+                grid, t_x, rank_x,
+                (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (b, b_x), (bp, bp_x),
+            )
         )
         R_comb = bp_comb * opp_comb * A_comb
         W_comb = opp_comb * B_comb
 
         seg = 0.5 * (R_comb[1:] + R_comb[:-1]) * np.diff(t_comb)
         int_R_comb = np.concatenate(([0.0], np.cumsum(seg)))
-        int_R = int_R_comb[node_pos]
 
-        f_comb = dist.pdf(d, t_comb)
-        phiraw_comb = np.interp(t_comb, grid, curves[i].phi)
-        b_comb = b_fn(t_comb)
+        defined = W_comb > WIN_PROB_FLOOR
+        pay_comb = np.full(t_comb.size, np.nan)
+        np.divide(
+            b_comb * opp_comb * A_comb - int_R_comb, W_comb, out=pay_comb, where=defined
+        )
+        entry_value = None
+        if entry is not None:
+            # The point a query at the entry reads: the knot, the upper
+            # point of a jump pair, or a node.  Where W is still zero there,
+            # the payment is its right-hand limit b * A / B, with A / B
+            # taken to its limit when the entry level is an isolated
+            # minimum of xi (B = 0).
+            k = np.searchsorted(t_comb, entry, side="right") - 1
+            if B_comb[k] > 0.0:
+                ratio = A_comb[k] / B_comb[k]
+            else:
+                ratio = _alpha_at_min_xi(inst.quality)
+            entry_value = float(b_comb[k] * ratio)
+            if not defined[k]:
+                pay_comb[k] = entry_value
 
         tables.append(
             InterimTable(
                 opp=opp,
                 A=A,
-                B=B,
                 R=R,
-                int_R=int_R,
+                int_R=int_R_comb[node_pos],
                 W=W,
                 t_comb=t_comb,
                 opp_comb=opp_comb,
                 A_comb=A_comb,
-                B_comb=B_comb,
                 C_comb=C_comb,
-                R_comb=R_comb,
                 W_comb=W_comb,
-                int_R_comb=int_R_comb,
-                f_comb=f_comb,
-                phiraw_comb=phiraw_comb,
-                b_comb=b_comb,
+                pay_comb=pay_comb,
+                f_comb=dist.pdf(d, t_comb),
+                phiraw_comb=np.interp(t_comb, grid, curves[i].phi),
                 node_pos=node_pos,
                 crossings=crossings,
                 entry=entry,
+                entry_value=entry_value,
             )
         )
     return tables
@@ -577,22 +604,6 @@ def win_weight(inst, curves, i, t_i):
     return float(bp_fn(np.asarray([t_i]))[0] * opp * A)
 
 
-def _envelope_integral_at(table, t):
-    """Integral of the win weight from the bottom type up to t (jump-aware)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = np.searchsorted(table.t_comb, t_arr, side="right") - 1
-    idx = np.clip(idx, 0, table.t_comb.size - 2)
-    t0 = table.t_comb[idx]
-    r0 = table.R_comb[idx]
-    r1 = table.R_comb[idx + 1]
-    t1 = table.t_comb[idx + 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(t1 > t0, (t_arr - t0) / (t1 - t0), 0.0)
-    r_at = r0 + (r1 - r0) * frac
-    out = table.int_R_comb[idx] + 0.5 * (r0 + r_at) * (t_arr - t0)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def _tables_of(inst, m):
     """The mechanism's interim tables; rebuilt when it carries none (JSON loads)."""
     if m.tables is not None:
@@ -600,26 +611,46 @@ def _tables_of(inst, m):
     return interim_tables(inst, m.curves)
 
 
+def _payment_column(m, i, tab):
+    """Buyer i's payments at the table's combined abscissae.
+
+    The mechanism's node table is written over the node positions, so a
+    mechanism whose payment table was replaced is read as it states.
+    """
+    pay = tab.pay_comb.copy()
+    pay[tab.node_pos] = m.payment[i].vals
+    return pay
+
+
+def _payment_at(m, i, tab, t):
+    """Buyer i's payment at types t, interpolated on the payment column.
+
+    A query at a jump or at the entry reads the right-hand value; below
+    the entry, and for a buyer who never wins, the result is NaN.
+    """
+    pay = _payment_column(m, i, tab)
+    tc = tab.t_comb
+    t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
+    k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    t0, t1 = tc[k], tc[k + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 1.0)
+    return pay[k] + (pay[k + 1] - pay[k]) * frac
+
+
 def payment(inst, m, i, t_i):
     """Envelope payment of buyer i at type t_i.
 
-    Charges the interim expected value minus accumulated information
-    rents, divided by the interim win probability; undefined (raises)
-    where that probability is below 1e-12.  The envelope integral uses
-    the mechanism's interim table.
+    Interim expected value minus accumulated information rents, divided
+    by the interim win probability, as the solve tabulated it at the grid
+    nodes and at the jump and entry points of the interim table.  At a
+    jump and at the entry type it is the right-hand limit; below the
+    entry it is undefined and raises.
     """
-    b_fn, _ = _type_factor_fns(inst)
-    d = inst.buyers[i]
-    c = float(np.interp(t_i, d.grid, m.curves[i].phi_ironed))
-    opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
-    W = opp * B
-    if W <= WIN_PROB_FLOOR:
-        raise UndefinedPaymentError(
-            f"buyer {i} has zero win probability at type {t_i}"
-        )
-    value_term = float(b_fn(np.asarray([t_i]))[0]) * opp * A
-    rent = _envelope_integral_at(_tables_of(inst, m)[i], t_i)
-    return float((value_term - rent) / W)
+    pay = float(_payment_at(m, i, _tables_of(inst, m)[i], t_i))
+    if np.isnan(pay):
+        raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
+    return pay
 
 
 # ---------------------------------------------------------------------------
@@ -670,25 +701,12 @@ def build_optimal_mechanism(inst):
     """
     curves = _threshold_curves(inst)
     tables = interim_tables(inst, curves)
-    b_fn, _ = _type_factor_fns(inst)
 
-    win_curves = []
-    pay_curves = []
-    active_from = []
-    for i, d in enumerate(inst.buyers):
-        tab = tables[i]
-        win_curves.append(dist.GriddedFunction(d.grid, tab.R))
-        defined = tab.W > WIN_PROB_FLOOR
-        pay = np.full(d.grid.size, np.nan)
-        b_nodes = b_fn(d.grid)
-        np.divide(
-            b_nodes * tab.opp * tab.A - tab.int_R,
-            tab.W,
-            out=pay,
-            where=defined,
-        )
-        pay_curves.append(dist.GriddedFunction(d.grid, pay))
-        active_from.append(int(np.argmax(defined)) if defined.any() else -1)
+    win_curves = [dist.GriddedFunction(d.grid, t.R) for d, t in zip(inst.buyers, tables)]
+    pay_curves = [
+        dist.GriddedFunction(d.grid, t.pay_comb[t.node_pos])
+        for d, t in zip(inst.buyers, tables)
+    ]
 
     tf = tfd = None
     if inst.valuation.kind == "general":
@@ -705,8 +723,7 @@ def build_optimal_mechanism(inst):
         valuation_kind=inst.valuation.kind,
         type_factor=tf,
         type_factor_deriv=tfd,
-        active_from=active_from,
-        degenerate=all(a < 0 for a in active_from),
+        degenerate=all(t.entry is None for t in tables),
         tables=tuple(tables),
     )
 
@@ -722,6 +739,7 @@ def _arr(x):
 def mechanism_to_json_dict(m):
     buyers = []
     for i, c in enumerate(m.curves):
+        pay = [None if np.isnan(v) else float(v) for v in m.payment[i].vals]
         entry = {
             "type_grid": _arr(c.type_grid),
             "phi": _arr(c.phi),
@@ -729,10 +747,9 @@ def mechanism_to_json_dict(m):
             "ironed_intervals": [[int(a), int(b)] for a, b in c.ironed_intervals],
             "regular": bool(c.regular),
             "win_weight": _arr(m.win_weight[i].vals),
-            "payment": [
-                None if np.isnan(v) else float(v) for v in m.payment[i].vals
-            ],
-            "active_from": int(m.active_from[i]),
+            "payment": pay,
+            # the first node with a payment; written for readers, not read back
+            "active_from": next((k for k, v in enumerate(pay) if v is not None), -1),
         }
         if m.type_factor is not None:
             entry["type_factor"] = _arr(m.type_factor[i].vals)
@@ -778,7 +795,6 @@ def mechanism_from_json_dict(doc):
     curves = []
     win_curves = []
     pay_curves = []
-    active = []
     tf = []
     tfd = []
     has_tf = False
@@ -800,7 +816,6 @@ def mechanism_from_json_dict(doc):
             [np.nan if v is None else float(v) for v in entry["payment"]]
         )
         pay_curves.append(dist.GriddedFunction(tg, pay))
-        active.append(int(entry["active_from"]))
         if "type_factor" in entry:
             has_tf = True
             tf.append(dist.GriddedFunction(tg, np.asarray(entry["type_factor"], dtype=float)))
@@ -816,7 +831,6 @@ def mechanism_from_json_dict(doc):
         valuation_kind=doc["valuation_kind"],
         type_factor=tf if has_tf else None,
         type_factor_deriv=tfd if has_tf else None,
-        active_from=active,
         degenerate=bool(doc.get("degenerate", False)),
     )
 

@@ -19,10 +19,11 @@ import numpy as np
 from . import dist
 from .errors import ValidationError
 from .mechanism import (
-    WIN_PROB_FLOOR,
     _buyer_atom_levels,
     _merge_one_sided,
     _opponent_product,
+    _payment_at,
+    _payment_column,
     _quality_integrals,
     _tables_of,
     _type_factor_fns,
@@ -89,18 +90,15 @@ def _no_sale_quality_integral(inst, curves):
 
 
 def revenue_direct(inst, m):
-    """Expected revenue as payments collected plus reserve value retained."""
-    tables = _tables_of(inst, m)
+    """Expected revenue as payments collected plus reserve value retained.
+
+    Payments are the mechanism's payment column; where it is undefined
+    (NaN) the win probability is at most 1e-12 and nothing is collected.
+    """
     total = _no_sale_quality_integral(inst, m.curves)
-    for i in range(inst.n_buyers):
-        if m.active_from is None or m.active_from[i] < 0:
-            continue
-        tab = tables[i]
-        pay = m.payment_at(i, tab.t_comb)
-        integrand = np.where(
-            tab.W_comb > WIN_PROB_FLOOR, pay * tab.W_comb * tab.f_comb, 0.0
-        )
-        total += float(np.trapezoid(integrand, tab.t_comb))
+    for i, tab in enumerate(_tables_of(inst, m)):
+        pay = np.nan_to_num(_payment_column(m, i, tab))
+        total += float(np.trapezoid(pay * tab.W_comb * tab.f_comb, tab.t_comb))
     return total
 
 
@@ -142,7 +140,6 @@ class SimulationReport:
     revenue_stderr: float
     per_buyer_utility_mean: tuple
     allocation_frequency: tuple
-    obedience_violations: int
 
     @property
     def sale_frequency(self):
@@ -177,10 +174,8 @@ def simulate(inst, m, n_samples, seed):
     revenue = inst.quality.reserve.value_at(qualities).copy()
 
     tables = _tables_of(inst, m)
-    b_fn, _ = _type_factor_fns(inst)
     alloc_freq = [float(np.mean(winners < 0))]
     utility_mean = []
-    violations = 0
     for i in range(n):
         mask = winners == i
         alloc_freq.append(float(np.mean(mask)))
@@ -188,26 +183,10 @@ def simulate(inst, m, n_samples, seed):
             utility_mean.append(0.0)
             continue
         t_won = types[mask, i]
-        pay = m.payment_at(i, t_won)
+        pay = _payment_at(m, i, tables[i], t_won)
         revenue[mask] = pay
         value = m.value_of(i, t_won, qualities[mask])
         utility_mean.append(float(np.sum(value - pay)) / n_samples)
-        # expected surplus of an asked buyer, interpolated from grid nodes
-        tab = tables[i]
-        defined = tab.W > WIN_PROB_FLOOR
-        grid = inst.buyers[i].grid
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s_nodes = np.where(
-                defined,
-                b_fn(grid) * tab.A / np.where(defined, tab.B, 1.0)
-                - m.payment[i].vals,
-                np.nan,
-            )
-        g_def = grid[defined]
-        s_def = s_nodes[defined]
-        if g_def.size:
-            s_won = np.interp(np.clip(t_won, g_def[0], g_def[-1]), g_def, s_def)
-            violations += int(np.sum(s_won < -1e-9))
 
     mean = float(np.mean(revenue))
     se = float(np.std(revenue, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -218,7 +197,6 @@ def simulate(inst, m, n_samples, seed):
         revenue_stderr=se,
         per_buyer_utility_mean=tuple(utility_mean),
         allocation_frequency=tuple(alloc_freq),
-        obedience_violations=int(violations),
     )
 
 

@@ -19,6 +19,7 @@ from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationErr
 from .mechanism import (
     WIN_PROB_FLOOR,
     _interim_at,
+    _payment_at,
     _tables_of,
     _type_factor_fns,
     _win_probability,
@@ -135,16 +136,14 @@ class ICReport:
     per_buyer: tuple
 
 
-def _utility_matrix(inst, m, i, true_types, reports):
+def _utility_matrix(inst, m, i, tab, true_types, reports):
     """Expected utility of each (true type, reported type) pair for buyer i."""
     b_fn, _ = _type_factor_fns(inst)
     d = inst.buyers[i]
     c = np.interp(reports, d.grid, m.curves[i].phi_ironed)
     opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
-    if m.active_from is not None and m.active_from[i] >= 0:
-        pay = m.payment_at(i, reports)
-    else:
-        pay = np.zeros_like(reports)
+    # a report below the entry is never asked and pays nothing (NaN payment)
+    pay = np.nan_to_num(_payment_at(m, i, tab, reports))
     win_value = opp * A                      # multiplies b(true type)
     win_cost = opp * B * pay                 # independent of the true type
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
@@ -159,12 +158,14 @@ def ic_deviation_search(inst, m, n_grid=101):
     broken mechanism shows up as a large positive regret, a sound one
     stays at numerical-noise level.
     """
+    tables = _tables_of(inst, m)
     worst = (0.0, -1, float("nan"), float("nan"))
     per_buyer = []
     for i, d in enumerate(inst.buyers):
+        tab = tables[i]
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
-        U = _utility_matrix(inst, m, i, tt, tt)
+        U = _utility_matrix(inst, m, i, tab, tt, tt)
         truth = np.diag(U)
         regret_mat = U - truth[:, None]
         # walking away is always available
@@ -181,8 +182,8 @@ def ic_deviation_search(inst, m, n_grid=101):
             rr_f = np.linspace(
                 max(lo, tt[c_i] - step), min(hi, tt[c_i] + step), 11
             )
-            U_f = _utility_matrix(inst, m, i, tt_f, rr_f)
-            truth_f = np.diag(_utility_matrix(inst, m, i, tt_f, tt_f))
+            U_f = _utility_matrix(inst, m, i, tab, tt_f, rr_f)
+            truth_f = np.diag(_utility_matrix(inst, m, i, tab, tt_f, tt_f))
             reg_f = U_f - truth_f[:, None]
             k_f = int(np.argmax(reg_f))
             rf, cf = divmod(k_f, 11)
@@ -232,57 +233,33 @@ class ObedienceReport:
 def obedience_check(inst, m, n_check=512):
     """Expected surplus of an asked buyer must be non-negative at every type.
 
-    Also reports the surplus just above each buyer's participation
-    threshold, which should vanish for an optimal mechanism: the entry
-    type pays exactly its expected value of the item.
+    Also reports the surplus at each buyer's entry type (the lowest type
+    that is asked, as a right-hand limit), which should vanish for an
+    optimal mechanism: the entry type pays exactly its expected value of
+    the item.
     """
     b_fn, _ = _type_factor_fns(inst)
     tables = _tables_of(inst, m)
     min_s = np.inf
     marginal = []
-    any_defined = False
     for i, d in enumerate(inst.buyers):
-        if m.active_from is None or m.active_from[i] < 0:
+        tab = tables[i]
+        if tab.entry is None:
             marginal.append(None)
             continue
         t_eval = np.linspace(d.grid[0], d.grid[-1], n_check)
         c = np.interp(t_eval, d.grid, m.curves[i].phi_ironed)
         opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
-        defined = opp * B > WIN_PROB_FLOOR
-        if defined.any():
-            any_defined = True
-            s = (
-                b_fn(t_eval[defined]) * A[defined] / B[defined]
-                - m.payment_at(i, t_eval[defined])
-            )
+        asked = opp * B > WIN_PROB_FLOOR
+        if asked.any():
+            t_asked = t_eval[asked]
+            s = b_fn(t_asked) * A[asked] / B[asked] - _payment_at(m, i, tab, t_asked)
             min_s = min(min_s, float(np.min(s)))
-
-        # entry point: the lowest type with positive win probability, as
-        # the interim table records it.  Both the expected item value per
-        # unit of win probability and the stored payment (NaN below entry)
-        # are extended down to the entry point from the first two winning
-        # nodes, so the reported surplus is the right-hand limit at the
-        # marginal winning type.
-        tab = tables[i]
-        t_entry = tab.entry
-        if t_entry is None:
-            marginal.append(None)
-            continue
-        pay, pgrid = m.payment[i].vals, m.payment[i].grid
-        kk = np.nonzero(np.isfinite(pay) & (pgrid >= t_entry - 1e-9))[0]
-        if kk.size == 0:
-            marginal.append((t_entry, float("nan")))
-            continue
-        kk = kk[:2]
-        j = tab.node_pos[kk]
-        surplus = tab.b_comb[j] * tab.A_comb[j] / tab.B_comb[j] - pay[kk]
-        if kk.size == 2:
-            (t0, t1), (s0, s1) = pgrid[kk], surplus
-            surplus = [s0 + (s1 - s0) / (t1 - t0) * (t_entry - t0)]
-        marginal.append((t_entry, float(surplus[0])))
+        surplus = tab.entry_value - float(_payment_at(m, i, tab, tab.entry))
+        marginal.append((tab.entry, surplus))
 
     return ObedienceReport(
-        min_surplus=float(min_s) if any_defined else 0.0,
+        min_surplus=float(min_s) if np.isfinite(min_s) else 0.0,
         marginal=tuple(marginal),
     )
 
@@ -295,7 +272,7 @@ def posterior_belief(inst, m, i, t):
     this type.  The returned grid carries near-zero-width shoulder
     points so that plain trapezoid integration reproduces mass one.
     """
-    if m.active_from is None or m.active_from[i] < 0:
+    if _tables_of(inst, m)[i].entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
     level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))
     if _win_probability(inst, m.curves, i, level) <= WIN_PROB_FLOOR:

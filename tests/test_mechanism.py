@@ -159,6 +159,17 @@ def test_payment_undefined_below_threshold(posted_price):
         qsell.payment(inst, m, 0, 0.25)
 
 
+def test_payment_defined_at_the_bottom_type_when_every_type_wins():
+    # reserve -2 lies below phi(0) = -1: the buyer is asked at every type,
+    # never loses to the seller, and so pays nothing, the bottom type included
+    qm = _constant_quality(reserve=-2.0)
+    inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),), quality=qm)
+    m = qsell.build_optimal_mechanism(inst)
+    assert m.tables[0].entry == 0.0
+    for t in (0.0, 0.5, 1.0):
+        assert qsell.payment(inst, m, 0, t) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_payment_two_uniform_analytic(two_uniform):
     inst, m = two_uniform
     # p(t) = t/2 + 1/(8t): second-price value conditional on winning at reserve 1/2
@@ -170,12 +181,12 @@ def test_payment_two_uniform_analytic(two_uniform):
 
 def test_payment_tabulated_matches_formula(two_uniform):
     inst, m = two_uniform
-    # the mechanism's interpolated payment agrees with the exact formula at nodes
+    # the pointwise payment reads the mechanism's node table at nodes
     grid = inst.buyers[0].grid
     for k in [512, 700, 1024]:
         t = float(grid[k])
-        assert m.payment_at(0, t) == pytest.approx(
-            qsell.payment(inst, m, 0, t), abs=1e-12
+        assert qsell.payment(inst, m, 0, t) == pytest.approx(
+            m.payment[0].vals[k], abs=1e-12
         )
 
 
@@ -193,10 +204,10 @@ def test_degenerate_mechanism_flagged():
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
     m = qsell.build_optimal_mechanism(inst)
     assert m.degenerate
-    assert m.active_from == [-1]
+    assert m.tables[0].entry is None
     assert np.all(np.isnan(m.payment[0].vals))
     with pytest.raises(UndefinedPaymentError):
-        m.payment_at(0, 0.9)
+        qsell.payment(inst, m, 0, 0.9)
     sig = qsell.allocate(m, [1.0], 0.5)
     assert not sig.is_sale
 
@@ -272,7 +283,8 @@ def test_json_roundtrip_bitexact(two_uniform):
     assert np.array_equal(m2.curves[0].phi_ironed, m.curves[0].phi_ironed)
     assert np.array_equal(m2.win_weight[1].vals, m.win_weight[1].vals)
     assert np.array_equal(m2.payment[0].vals, m.payment[0].vals, equal_nan=True)
-    assert m2.active_from == m.active_from
+    # exported for readers: the first node with a payment, t = 1/2
+    assert doc["buyers"][0]["active_from"] == 512
     assert m2.tiebreak == m.tiebreak
 
 
@@ -365,7 +377,8 @@ def test_mechanism_shares_its_interim_tables(solved_suite):
     for kept, new in zip(m.tables, fresh):
         for f in dataclasses.fields(new):
             a, b = getattr(kept, f.name), getattr(new, f.name)
-            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+            same = np.array_equal(a, b, equal_nan=True) if isinstance(b, np.ndarray) else a == b
+            assert same, f.name
 
     repriced = dataclasses.replace(m, payment=list(m.payment))
     assert repriced.tables is m.tables

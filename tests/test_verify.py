@@ -161,7 +161,59 @@ def test_marginal_buyer_is_indifferent(solved_suite, name):
     rep = qsell.obedience_check(inst, mech)
     entry, surplus = rep.marginal[0]
     assert entry == pytest.approx(0.5, abs=1e-12)
-    assert surplus == pytest.approx(0.0, abs=1e-3)
+    assert surplus == pytest.approx(0.0, abs=1e-9)
+
+
+def _one_quality_model(m, alpha, reserve):
+    return qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=m), alpha, reserve)
+
+
+def test_types_just_above_a_node_entry_keep_their_surplus():
+    # The 7/12 canary (one uniform buyer, r(q) = q) on 257-node grids:
+    # the entry t = 1/2 is a grid node where W is still zero, so the
+    # payment between it and the next node comes from the entry's
+    # right-hand limit, not from the next node's payment.
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=257),),
+        quality=_one_quality_model(257, 1.0, lambda q: np.asarray(q, float)),
+    )
+    rep = qsell.obedience_check(inst, qsell.build_optimal_mechanism(inst))
+    assert rep.min_surplus >= -1e-9
+
+
+def test_entry_at_an_isolated_minimum_of_xi_is_indifferent():
+    # alpha = 1 + q, r = q (1 + q): xi = q has its minimum at q = 0 with
+    # no mass, so B = 0 at the entry t = 1/2, and the entry type pays the
+    # limit b * A / B = alpha(0) / 2 of its expected item value.
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=257),),
+        quality=_one_quality_model(
+            257,
+            lambda q: 1.0 + np.asarray(q, float),
+            lambda q: np.asarray(q, float) * (1.0 + np.asarray(q, float)),
+        ),
+    )
+    rep = qsell.obedience_check(inst, qsell.build_optimal_mechanism(inst))
+    entry, surplus = rep.marginal[0]
+    assert entry == pytest.approx(0.5, abs=1e-12)
+    assert abs(surplus) <= 1e-9
+    assert rep.min_surplus >= -1e-9
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2])
+def test_stepped_reserve_leaves_no_profitable_misreport(n_buyers):
+    # Each flat step of r is an atom of xi, so W jumps at every type whose
+    # threshold reaches a step level; payments must jump there too rather
+    # than blend the two one-sided values across a cell.
+    m = 65
+    q = np.linspace(0.0, 1.0, m)
+    steps = np.array([0.0, 0.25, 0.5, 0.75])[np.searchsorted([0.25, 0.5, 0.75], q, side="right")]
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=m),) * n_buyers,
+        quality=_one_quality_model(m, 1.0, qsell.GriddedFunction(q, steps)),
+    )
+    rep = qsell.ic_deviation_search(inst, qsell.build_optimal_mechanism(inst), n_grid=101)
+    assert rep.max_regret <= 1e-4
 
 
 def test_obedience_detects_overcharging(posted_price):
