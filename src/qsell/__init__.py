@@ -89,7 +89,6 @@ from .virtual import (
     generalized_virtual_value,
     iron,
     is_regular,
-    lower_convex_envelope,
     virtual_value,
     virtual_value_table,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "virtual_value_table",
     "is_regular",
     "iron",
-    "lower_convex_envelope",
     "VirtualValueCurve",
     "generalized_virtual_value",
     "check_assumptions",

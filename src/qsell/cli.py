@@ -238,26 +238,24 @@ def _cmd_verify(args):
     ic = ic_deviation_search(inst, m, n_grid=args.ic_grid)
     obed = obedience_check(inst, m)
 
-    ok = True
-    line = "PASS" if feas.monotonicity_violation <= args.tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] monotone win weights (violation {feas.monotonicity_violation:.3e})")
-    line = "PASS" if feas.envelope_residual <= args.tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] utility envelope (residual {feas.envelope_residual:.3e})")
-    line = "PASS" if feas.boundary_utility <= args.tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] zero rent at the bottom type (|U| {feas.boundary_utility:.3e})")
-    line = "PASS" if feas.probability_violation <= args.tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] win probabilities in [0,1] (violation {feas.probability_violation:.3e})")
     ic_tol = max(args.tol, 1e-3)
-    line = "PASS" if ic.max_regret <= ic_tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] no profitable misreport (regret {ic.max_regret:.3e})")
-    line = "PASS" if obed.min_surplus >= -args.tol else "FAIL"
-    ok &= line == "PASS"
-    print(f"[{line}] asked buyers want to buy (min surplus {obed.min_surplus:.3e})")
+    checks = [
+        (feas.monotonicity_violation <= args.tol,
+         f"monotone win weights (violation {feas.monotonicity_violation:.3e})"),
+        (feas.envelope_residual <= args.tol,
+         f"utility envelope (residual {feas.envelope_residual:.3e})"),
+        (feas.boundary_utility <= args.tol,
+         f"zero rent at the bottom type (|U| {feas.boundary_utility:.3e})"),
+        (feas.probability_violation <= args.tol,
+         f"win probabilities in [0,1] (violation {feas.probability_violation:.3e})"),
+        (ic.max_regret <= ic_tol,
+         f"no profitable misreport (regret {ic.max_regret:.3e})"),
+        (obed.min_surplus >= -args.tol,
+         f"asked buyers want to buy (min surplus {obed.min_surplus:.3e})"),
+    ]
+    for passed, text in checks:
+        print(f"[{'PASS' if passed else 'FAIL'}] {text}")
+    ok = all(passed for passed, _ in checks)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

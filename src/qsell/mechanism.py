@@ -32,7 +32,7 @@ from .errors import (
     UndefinedPaymentError,
     ValidationError,
 )
-from .virtual import VirtualValueCurve, check_assumptions, iron, virtual_value_table
+from .virtual import VirtualValueCurve, check_assumptions, iron
 
 __all__ = [
     "WIN_PROB_FLOOR",
@@ -658,36 +658,29 @@ def payment(inst, m, i, t_i):
 
 
 def _threshold_curves(inst):
-    """Per-buyer threshold curves: ironed virtual values, or the general w."""
-    if inst.valuation.kind == "linear":
-        return [iron(d, virtual_value_table(d)) for d in inst.buyers]
+    """Per-buyer ironed threshold curves w = b - b' * (1 - F) / f.
 
-    qm = inst.quality
-    probe = qm.G.grid[:: max(1, qm.G.grid.size // 16)]
-    curves = []
+    For the linear form w is the virtual value.  General forms must pass
+    their grid checks and have a monotone w, so ironing leaves them as is.
+    """
     b_fn, bp_fn = _type_factor_fns(inst)
+    curves = []
     for d in inst.buyers:
-        report = check_assumptions(inst.valuation, d, probe)
-        if not report.ok:
-            raise AssumptionViolationError(
-                "general valuation fails its grid checks", report.violations
-            )
         w = b_fn(d.grid) - bp_fn(d.grid) * (1.0 - d.cdf_vals) / d.pdf_vals
-        if np.any(np.diff(w) < -1e-9):
-            raise AssumptionViolationError(
-                "effective virtual value is not monotone; "
-                "ironing is not applied to general forms",
-                [("virtual-monotonicity", float(d.grid[int(np.argmin(np.diff(w)))]), float("nan"))],
-            )
-        curves.append(
-            VirtualValueCurve(
-                type_grid=d.grid.copy(),
-                phi=w,
-                phi_ironed=w.copy(),
-                ironed_intervals=[],
-                regular=True,
-            )
-        )
+        if inst.valuation.kind == "general":
+            grid = inst.quality.G.grid
+            report = check_assumptions(inst.valuation, d, grid[:: max(1, grid.size // 16)])
+            if not report.ok:
+                raise AssumptionViolationError(
+                    "general valuation fails its grid checks", report.violations
+                )
+            if np.any(np.diff(w) < -1e-9):
+                raise AssumptionViolationError(
+                    "effective virtual value is not monotone; "
+                    "ironing is not applied to general forms",
+                    [("virtual-monotonicity", float(d.grid[int(np.argmin(np.diff(w)))]), float("nan"))],
+                )
+        curves.append(iron(d, w))
     return curves
 
 

@@ -1,16 +1,17 @@
 """Virtual values, regularity detection, and ironing.
 
-The ironed curve is produced the classical way: transport the curve to
-quantile space, integrate it, take the lower convex envelope of the
-integral, and read the envelope's slopes back through the cdf.  On the
-type grid the result is assembled so that it exactly equals the raw curve
-outside the detected flat segments and is exactly constant inside them.
+Ironing works in quantile space: h(w) = psi(quantile(w)) is linear on
+every type cell, so its integral H is piecewise quadratic, and the lower
+convex envelope of H is built exactly by a monotone chain over the cells.
+On the type grid the ironed curve equals the raw curve outside the flat
+segments of that envelope and is exactly the envelope's slope inside them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "virtual_value_table",
     "is_regular",
     "iron",
-    "lower_convex_envelope",
     "generalized_virtual_value",
     "AssumptionReport",
     "check_assumptions",
@@ -31,7 +31,6 @@ __all__ = [
 
 MONOTONE_SLACK = 1e-9
 IRON_GAP_TOL = 1e-9
-DEFAULT_OMEGA_NODES = 2048
 
 
 @dataclass
@@ -40,10 +39,7 @@ class VirtualValueCurve:
 
     ``ironed_intervals`` holds (lo_idx, hi_idx) index pairs into
     ``type_grid``; ``phi_ironed`` is constant on each of them and equal to
-    ``phi`` everywhere else.  ``interp_residual`` is a diagnostic: the
-    largest gap between the assembled curve and the raw envelope-slope
-    composition, which grows when the quantile transform is poorly
-    resolved near the support edges.
+    ``phi`` everywhere else.
     """
 
     type_grid: np.ndarray
@@ -51,7 +47,6 @@ class VirtualValueCurve:
     phi_ironed: np.ndarray
     ironed_intervals: list
     regular: bool
-    interp_residual: float = field(default=0.0, compare=False)
 
     def phi_at(self, t):
         out = np.interp(t, self.type_grid, self.phi)
@@ -86,42 +81,59 @@ def is_regular(d):
     return bool(np.all(np.diff(virtual_value_table(d)) >= -MONOTONE_SLACK))
 
 
-def lower_convex_envelope(x, y):
-    """Indices of the lower convex hull vertices of the points (x, y).
+def _cell_support(cell, L):
+    """min of H(w) - L*w over one type cell: (value, contact, d contact/dL).
 
-    Monotone-chain construction: scan left to right, popping the stack
-    while the last turn is not strictly convex.  x must be increasing.
+    On a rising cell H is convex and the contact is where h = L, clamped
+    to the cell; on any other cell the lower hull is the chord, so the
+    contact is one of its ends.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hull = [0]
-    for k in range(1, x.size):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            cross = (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return np.asarray(hull, dtype=int)
+    f0, f1, H0, H1, h0, h1, s, _, _ = cell
+    if s > 0.0 and h0 < L < h1:
+        x = (L - h0) / s
+        return H0 - L * f0 - 0.5 * x * (L - h0), f0 + x, 1.0 / s
+    v0, v1 = H0 - L * f0, H1 - L * f1
+    return (v0, f0, 0.0) if v0 <= v1 else (v1, f1, 0.0)
 
 
-def _envelope_values(omega, hull_idx, H):
-    """Envelope values and per-cell slopes on the omega grid."""
-    L = np.interp(omega, omega[hull_idx], H[hull_idx])
-    slopes = np.diff(L) / np.diff(omega)
-    return L, slopes
+def _bridge(ci, cj):
+    """Slope of the common lower tangent of cell ci and a later cell cj.
+
+    g(L) = support_i(L) - support_j(L) rises with L and is quadratic
+    between the slopes where a contact reaches a cell end, so the root is
+    solved in closed form on the bracketing piece.
+    """
+    if ci[1] == cj[0] and ci[8] <= cj[7]:
+        return ci[8]  # both touch the shared node
+    lo = g_lo = None
+    for P in sorted(ci[7:] + cj[7:]):
+        g = _cell_support(ci, P)[0] - _cell_support(cj, P)[0]
+        if g == 0.0:
+            return P
+        if g > 0.0:
+            break
+        lo, g_lo = P, g
+    else:
+        return lo - g_lo / (cj[1] - ci[1])
+    if lo is None:
+        return P - g / (cj[0] - ci[0])
+    mid = 0.5 * (lo + P)
+    _, wi, ki = _cell_support(ci, mid)
+    _, wj, kj = _cell_support(cj, mid)
+    g1 = (wj - kj * (mid - lo)) - (wi - ki * (mid - lo))
+    g2 = 0.5 * (kj - ki)
+    den = g1 + math.sqrt(max(g1 * g1 - 4.0 * g2 * g_lo, 0.0))
+    return min(lo - 2.0 * g_lo / den, P) if den > 0.0 else P
 
 
-def iron(d, psi, n_omega=DEFAULT_OMEGA_NODES):
+def iron(d, psi):
     """Iron a curve psi given on d's type grid.
 
     Returns a VirtualValueCurve whose ``phi`` is psi sampled on the grid
-    and whose ``phi_ironed`` replaces each detected non-convex stretch by
-    the constant slope of the lower convex envelope.  Flat segments are
-    the maximal runs where the envelope sits more than 1e-9 below the
-    integrated curve; shallower wobbles are left alone.
+    and whose ``phi_ironed`` is the slope of the exact lower convex
+    envelope of H(w) = integral of psi(quantile(u)) du at every node a
+    flat segment covers.  Flats whose envelope sits no more than 1e-9
+    below H are left alone.
     """
     if isinstance(psi, dist.GriddedFunction):
         if psi.grid.size != d.grid.size or not np.allclose(psi.grid, d.grid):
@@ -131,77 +143,59 @@ def iron(d, psi, n_omega=DEFAULT_OMEGA_NODES):
         psi_vals = np.asarray(psi, dtype=float)
         if psi_vals.size != d.grid.size:
             raise ValidationError("psi table must match the distribution grid")
-
-    # Include the nodes' own quantile positions so a dip confined to a
-    # single type cell is always visible on the integration grid.
-    omega = np.union1d(np.linspace(0.0, 1.0, int(n_omega)), d.cdf_vals)
-    t_of_omega = dist.quantile(d, omega)
-    h = np.interp(t_of_omega, d.grid, psi_vals)
-    H = np.concatenate(([0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * np.diff(omega))))
-
-    hull_idx = lower_convex_envelope(omega, H)
-    L, slopes = _envelope_values(omega, hull_idx, H)
-    gap = H - L
-
-    # Maximal runs where the envelope is strictly below the integral.
-    above = gap > IRON_GAP_TOL
-    intervals = []
     phi_ironed = psi_vals.copy()
-    F_nodes = d.cdf_vals
-    k = 0
-    while k < above.size:
-        if not above[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < above.size and above[j + 1]:
-            j += 1
-        lo_w, hi_w = k - 1, j + 1  # contact nodes bracketing the run
-        w_a, w_b = omega[lo_w], omega[hi_w]
-        plateau = (L[hi_w] - L[lo_w]) / (w_b - w_a)
-        # Interior contacts are tangency points, so boundary grid nodes
-        # stay on the raw curve; at the support edges the envelope takes
-        # a chord without tangency and the edge node belongs inside.
-        lo_ok = F_nodes >= w_a if lo_w == 0 else F_nodes > w_a
-        hi_ok = F_nodes <= w_b if hi_w == omega.size - 1 else F_nodes < w_b
-        inside = np.nonzero(lo_ok & hi_ok)[0]
-        if inside.size:
-            lo_idx, hi_idx = int(inside[0]), int(inside[-1])
-        else:
-            # Run interior holds no node (the dip lives inside one type
-            # cell); start from an empty range so the expansion below can
-            # still pull in boundary nodes that contradict the plateau.
-            lo_idx = int(np.searchsorted(F_nodes, w_a, side="right"))
-            hi_idx = lo_idx - 1
-        # A contact can land exactly on (or within one omega cell of) a
-        # grid node.  A neighbor whose raw value contradicts the plateau
-        # ordering belongs inside the flat segment — the ironed curve is
-        # monotone — so swallow it rather than keep the raw value.
-        while lo_idx - 1 >= 0 and phi_ironed[lo_idx - 1] > plateau:
-            lo_idx -= 1
-        while hi_idx + 1 < phi_ironed.size and phi_ironed[hi_idx + 1] < plateau:
-            hi_idx += 1
-        if hi_idx >= lo_idx:
-            phi_ironed[lo_idx : hi_idx + 1] = plateau
-            intervals.append((lo_idx, hi_idx))
-        k = j + 1
+    intervals = []
+
+    if np.any(np.diff(psi_vals) < 0.0):
+        F = d.cdf_vals
+        dF = np.diff(F)
+        H = np.concatenate(([0.0], np.cumsum(0.5 * (psi_vals[1:] + psi_vals[:-1]) * dF)))
+        width = np.where(dF > 0.0, dF, 1.0)  # zero-width cells are dropped below
+        s = np.maximum(np.diff(psi_vals), 0.0) / width
+        chord = np.diff(H) / width
+        lam_lo = np.where(s > 0.0, psi_vals[:-1], chord)
+        lam_hi = np.where(s > 0.0, psi_vals[1:], chord)
+        # A cell: (F, F', H, H', h, h', slope of h if rising else 0,
+        # lowest and highest slope at which its contact moves).
+        cells = list(zip(F[:-1].tolist(), F[1:].tolist(), H[:-1].tolist(), H[1:].tolist(),
+                         psi_vals[:-1].tolist(), psi_vals[1:].tolist(), s.tolist(),
+                         lam_lo.tolist(), lam_hi.tolist()))
+        cells = [c for c, w in zip(cells, dF) if w > 0.0]
+
+        # Monotone chain over cells: pop the top while the tangent into it
+        # is at least as steep as the tangent from it to the new cell.
+        stack = []
+        for c in cells:
+            L = None
+            while stack:
+                L = _bridge(stack[-1][0], c)
+                if len(stack) > 1 and stack[-1][1] >= L:
+                    stack.pop()
+                else:
+                    break
+            stack.append((c, L))
+
+        m = F.size
+        for (ci, _), (cj, L) in zip(stack[:-1], stack[1:]):
+            c0, a, _ = _cell_support(ci, L)
+            b = _cell_support(cj, L)[1]
+            if b <= a:
+                continue
+            # Nodes strictly inside the flat; an edge node belongs to it.
+            lo = 0 if a <= F[0] else int(np.searchsorted(F, a, side="right"))
+            hi = m - 1 if b >= F[-1] else int(np.searchsorted(F, b, side="left")) - 1
+            if hi < lo or np.max(H[lo : hi + 1] - (c0 + L * F[lo : hi + 1])) <= IRON_GAP_TOL:
+                continue
+            phi_ironed[lo : hi + 1] = L
+            intervals.append((lo, hi))
 
     regular = bool(np.all(np.diff(psi_vals) >= -MONOTONE_SLACK))
-
-    slope_at_nodes = np.interp(
-        np.clip(F_nodes, omega[0], omega[-1]),
-        0.5 * (omega[:-1] + omega[1:]),
-        slopes,
-    )
-    residual = float(np.max(np.abs(slope_at_nodes - phi_ironed))) if F_nodes.size else 0.0
-
     return VirtualValueCurve(
         type_grid=d.grid.copy(),
         phi=psi_vals.copy(),
         phi_ironed=phi_ironed,
         ironed_intervals=intervals,
         regular=regular and not intervals,
-        interp_residual=residual,
     )
 
 

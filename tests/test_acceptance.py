@@ -18,7 +18,6 @@ import pytest
 
 import qsell
 from qsell.dist import quantile
-from qsell.virtual import DEFAULT_OMEGA_NODES
 
 from conftest import build_suite, make_bimodal
 
@@ -30,6 +29,11 @@ def _line(num, text):
 # ---------------------------------------------------------------------------
 # independent pieces used by the criteria
 # ---------------------------------------------------------------------------
+
+
+# The criterion-8 oracle's own quantile grid (plus the cdf nodes),
+# independent of how ``iron`` builds its envelope.
+ORACLE_OMEGA_NODES = 2**14
 
 
 def _jarvis_lower_hull(w, H):
@@ -210,7 +214,7 @@ def test_criterion_08_ironing_matches_independent_envelope(solved_suite):
     assert outside_dev <= 1e-6
 
     # independent envelope: same integral transform, different hull algorithm
-    omega = np.union1d(np.linspace(0.0, 1.0, DEFAULT_OMEGA_NODES), d.cdf_vals)
+    omega = np.union1d(np.linspace(0.0, 1.0, ORACLE_OMEGA_NODES), d.cdf_vals)
     h = np.interp(quantile(d, omega), d.grid, curve.phi)
     H = np.concatenate(([0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * np.diff(omega))))
     hull = _jarvis_lower_hull(omega, H)
@@ -225,7 +229,7 @@ def test_criterion_08_ironing_matches_independent_envelope(solved_suite):
         assert flat[k]
         seg = int(np.searchsorted(omega[hull], d.cdf_vals[k], side="right")) - 1
         seg = min(max(seg, 0), slopes.size - 1)
-        assert curve.phi_ironed[k] == pytest.approx(slopes[seg], abs=1e-6)
+        assert curve.phi_ironed[k] == pytest.approx(slopes[seg], abs=1e-7)
         checked += 1
     assert checked > 0
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsell
@@ -43,31 +43,6 @@ def test_shifted_uniform_virtual_value():
 
 
 # ---------------------------------------------------------------------------
-# lower convex envelope (hull of discrete points)
-
-
-def test_envelope_keeps_convex_points():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    y = np.array([0.0, -1.0, -1.0, 1.0])  # already convex
-    idx = qsell.lower_convex_envelope(x, y)
-    assert list(idx) == [0, 1, 2, 3]
-
-
-def test_envelope_removes_bumps():
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([0.0, 1.0, 0.0])  # middle point above the chord
-    idx = qsell.lower_convex_envelope(x, y)
-    assert list(idx) == [0, 2]
-
-
-def test_envelope_removes_collinear():
-    x = np.array([0.0, 1.0, 2.0])
-    y = np.array([0.0, 0.5, 1.0])
-    idx = qsell.lower_convex_envelope(x, y)
-    assert list(idx) == [0, 2]
-
-
-# ---------------------------------------------------------------------------
 # ironing
 
 
@@ -97,6 +72,16 @@ def test_iron_bimodal_single_plateau():
     assert np.array_equal(curve.phi_ironed[outside], phi[outside])
     # monotone overall
     assert np.all(np.diff(curve.phi_ironed) >= -1e-9)
+
+
+def test_iron_tent_plateau_is_exact():
+    # uniform cdf on 5 nodes, psi = [0, 1, 0, 1, 2]: h rises to 1 on
+    # [0, 1/4], falls back to 0 on [1/4, 1/2] and rises again, so the
+    # plateau is 1/2 with contacts where h = 1/2, at w = 1/8 and 5/8
+    d = qsell.make_uniform(0.0, 1.0, m=5)
+    curve = qsell.iron(d, np.array([0.0, 1.0, 0.0, 1.0, 2.0]))
+    assert curve.ironed_intervals == [(1, 2)]
+    assert np.max(np.abs(curve.phi_ironed - [0.0, 0.5, 0.5, 1.0, 2.0])) <= 1e-12
 
 
 def test_iron_idempotent():
@@ -192,13 +177,27 @@ def test_check_assumptions_flags_decreasing_value():
 # property tests
 
 
+def _contact(F, psi, k0, k1, L):
+    """Where h, linear from psi[k0] to psi[k1] on [F[k0], F[k1]], equals L."""
+    rise = psi[k1] - psi[k0]
+    frac = (L - psi[k0]) / rise if rise != 0.0 else 0.0
+    return F[k0] + min(max(frac, 0.0), 1.0) * (F[k1] - F[k0])
+
+
+def _h_integral(F, psi, a, b):
+    """Exact integral over [a, b] of h, the linear interpolant of psi on F."""
+    w = np.concatenate(([a], F[(F > a) & (F < b)], [b]))
+    return float(np.trapezoid(np.interp(w, F, psi), w))
+
+
 @settings(deadline=None, max_examples=40)
 @given(vals=st.lists(st.floats(0.05, 5.0), min_size=8, max_size=40))
+@example(vals=[1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 def test_ironed_curve_is_monotone_and_below_nothing(vals):
     grid = np.linspace(0.0, 1.0, len(vals))
     d = qsell.make_from_table(grid, np.asarray(vals))
     phi = qsell.virtual_value_table(d)
-    curve = qsell.iron(d, phi, n_omega=512)
+    curve = qsell.iron(d, phi)
     # wobbles below the run-detection tolerance survive ironing, so the
     # monotonicity guarantee is tol/cell-width, not exact
     assert np.all(np.diff(curve.phi_ironed) >= -5e-6)
@@ -207,6 +206,15 @@ def test_ironed_curve_is_monotone_and_below_nothing(vals):
     for lo, hi in curve.ironed_intervals:
         outside[lo : hi + 1] = False
     assert np.array_equal(curve.phi_ironed[outside], phi[outside])
+    # each plateau L is the mean of h = phi(quantile(w)) between the
+    # points a, b where h crosses L in the bracketing cells
+    F, m = d.cdf_vals, len(vals)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    for lo, hi in curve.ironed_intervals:
+        L = curve.phi_ironed[lo]
+        a = 0.0 if lo == 0 else _contact(F, phi, lo - 1, lo, L)
+        b = 1.0 if hi == m - 1 else _contact(F, phi, hi, hi + 1, L)
+        assert abs(_h_integral(F, phi, a, b) - L * (b - a)) <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=40)
@@ -214,6 +222,6 @@ def test_ironed_curve_is_monotone_and_below_nothing(vals):
 def test_iron_idempotent_property(vals):
     grid = np.linspace(0.0, 1.0, len(vals))
     d = qsell.make_from_table(grid, np.asarray(vals))
-    curve = qsell.iron(d, qsell.virtual_value_table(d), n_omega=512)
-    again = qsell.iron(d, curve.phi_ironed, n_omega=512)
+    curve = qsell.iron(d, qsell.virtual_value_table(d))
+    again = qsell.iron(d, curve.phi_ironed)
     assert np.allclose(again.phi_ironed, curve.phi_ironed, atol=1e-7)
