@@ -47,7 +47,6 @@ from .mechanism import (
     ThresholdMechanism,
     allocate,
     allocate_many,
-    as_joint_valuation,
     build_optimal_mechanism,
     interim_tables,
     make_quality_model,
@@ -83,10 +82,7 @@ from .verify import (
     posterior_belief,
 )
 from .virtual import (
-    AssumptionReport,
     VirtualValueCurve,
-    check_assumptions,
-    generalized_virtual_value,
     iron,
     is_regular,
     virtual_value,
@@ -117,9 +113,6 @@ __all__ = [
     "is_regular",
     "iron",
     "VirtualValueCurve",
-    "generalized_virtual_value",
-    "check_assumptions",
-    "AssumptionReport",
     # mechanism
     "QualityModel",
     "make_quality_model",
@@ -135,7 +128,6 @@ __all__ = [
     "payment",
     "build_optimal_mechanism",
     "interim_tables",
-    "as_joint_valuation",
     "mechanism_to_json_dict",
     "mechanism_from_json_dict",
     "write_mechanism_csv",

@@ -90,7 +90,8 @@ def _build_curve(spec):
     raise ConfigError(f"unknown curve family: {family!r}")
 
 
-def _build_valuation(spec, quality_model):
+def _build_valuation(spec):
+    """v = b(t) * alpha(q): linear has b(t) = t, power has b(t) = t ** exponent."""
     kind = spec.get("kind", "linear")
     if kind == "linear":
         return LinearValuation()
@@ -98,17 +99,7 @@ def _build_valuation(spec, quality_model):
         expo = float(spec["exponent"])
         if expo <= 0.0:
             raise ConfigError("power valuations need a positive exponent")
-        alpha = quality_model.alpha
-
-        def value(t, q):
-            return alpha.value_at(q) * np.asarray(t, dtype=float) ** expo
-
-        def deriv(t, q):
-            return alpha.value_at(q) * expo * np.asarray(t, dtype=float) ** (expo - 1.0)
-
         return GeneralValuation(
-            value=value,
-            deriv=deriv,
             type_factor=lambda t: np.asarray(t, dtype=float) ** expo,
             type_factor_deriv=lambda t: expo * np.asarray(t, dtype=float) ** (expo - 1.0),
         )
@@ -141,7 +132,7 @@ def load_instance(path, grid_override=None):
         qm = make_quality_model(
             G, _build_curve(qspec["alpha"]), _build_curve(qspec["reserve"])
         )
-        valuation = _build_valuation(doc.get("valuation", {"kind": "linear"}), qm)
+        valuation = _build_valuation(doc.get("valuation", {"kind": "linear"}))
         return ProblemInstance(buyers=buyers, quality=qm, valuation=valuation)
     except (KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"malformed config: {exc!r}") from exc

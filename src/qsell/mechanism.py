@@ -18,8 +18,6 @@ stay accurate near participation thresholds.
 from __future__ import annotations
 
 import csv
-import io
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -32,7 +30,7 @@ from .errors import (
     UndefinedPaymentError,
     ValidationError,
 )
-from .virtual import VirtualValueCurve, check_assumptions, iron
+from .virtual import VirtualValueCurve, iron
 
 __all__ = [
     "WIN_PROB_FLOOR",
@@ -54,7 +52,6 @@ __all__ = [
     "mechanism_to_json_dict",
     "mechanism_from_json_dict",
     "write_mechanism_csv",
-    "as_joint_valuation",
 ]
 
 WIN_PROB_FLOOR = 1e-12
@@ -113,29 +110,30 @@ def make_quality_model(G, alpha, reserve):
 
 
 @dataclass(frozen=True)
-class LinearValuation:
-    """v(t, q) = alpha(q) * t."""
-
-    kind: str = "linear"
-
-
-@dataclass(frozen=True)
 class GeneralValuation:
-    """v(t, q) with an explicitly supplied type derivative.
+    """v(t, q) = type_factor(t) * alpha(q), with b = type_factor and b' its derivative.
 
-    The engine builds mechanisms only for multiplicatively separable
-    forms v(t, q) = type_factor(t) * alpha(q): separability keeps the
-    ranking of buyers independent of q, which is what makes the
-    threshold reduction work.  ``value`` and ``deriv`` are the joint
-    callables used by the assumption checks; ``type_factor`` and its
-    derivative are required by ``build_optimal_mechanism``.
+    Separability keeps the ranking of buyers independent of q, which is
+    what makes the threshold reduction work: a buyer is a linear buyer in
+    s = b(t).  b must be increasing and convex with b' > 0 on every type
+    grid; the solve checks this.
     """
 
-    value: Callable
-    deriv: Callable
     type_factor: Optional[Callable] = None
     type_factor_deriv: Optional[Callable] = None
-    kind: str = "general"
+
+
+def _identity(t):
+    return np.asarray(t, dtype=float)
+
+
+def _unit(t):
+    return np.ones_like(np.asarray(t, dtype=float))
+
+
+def LinearValuation():
+    """v(t, q) = alpha(q) * t: the separable form with b(t) = t and b' = 1."""
+    return GeneralValuation(type_factor=_identity, type_factor_deriv=_unit)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class ProblemInstance:
 
     buyers: tuple
     quality: QualityModel
-    valuation: object = field(default_factory=LinearValuation)
+    valuation: GeneralValuation = field(default_factory=LinearValuation)
 
     def __post_init__(self):
         buyers = tuple(self.buyers)
@@ -153,44 +151,18 @@ class ProblemInstance:
         for b in buyers:
             if not isinstance(b, dist.GriddedDistribution):
                 raise ValidationError("buyers must be GriddedDistribution objects")
-        if self.valuation.kind == "general" and self.valuation.type_factor is None:
+        if not all(
+            callable(getattr(self.valuation, name, None))
+            for name in ("type_factor", "type_factor_deriv")
+        ):
             raise ValidationError(
-                "general valuations must supply type_factor (separable form)"
+                "a valuation must supply type_factor and type_factor_deriv callables"
             )
         object.__setattr__(self, "buyers", buyers)
 
     @property
     def n_buyers(self):
         return len(self.buyers)
-
-
-class _LinearJoint:
-    """Joint (t, q) view of the linear form, for the assumption checks."""
-
-    def __init__(self, qm):
-        self._alpha = qm.alpha
-
-    def value(self, t, q):
-        return self._alpha.value_at(q) * np.asarray(t, dtype=float)
-
-    def deriv(self, t, q):
-        a = self._alpha.value_at(q)
-        return np.full_like(np.asarray(t, dtype=float), a, dtype=float)
-
-
-def as_joint_valuation(inst):
-    """A value/deriv callable pair for either valuation kind."""
-    if inst.valuation.kind == "linear":
-        return _LinearJoint(inst.quality)
-    return inst.valuation
-
-
-def _type_factor_fns(inst):
-    """(b, b') callables; identity and one for the linear form."""
-    if inst.valuation.kind == "linear":
-        return (lambda t: np.asarray(t, dtype=float),
-                lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    return inst.valuation.type_factor, inst.valuation.type_factor_deriv
 
 
 @dataclass(frozen=True)
@@ -239,24 +211,12 @@ class ThresholdMechanism:
     win_weight: list
     payment: list
     tiebreak: str = TIEBREAK_LOWEST_INDEX
-    valuation_kind: str = "linear"
-    type_factor: Optional[list] = None
-    type_factor_deriv: Optional[list] = None
     degenerate: bool = False
     tables: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_buyers(self):
         return len(self.curves)
-
-    def type_factor_at(self, i, t):
-        if self.type_factor is None:
-            return np.asarray(t, dtype=float)
-        return self.type_factor[i].value_at(t)
-
-    def value_of(self, i, t, q):
-        """Realized value of buyer i with type t for quality q."""
-        return self.type_factor_at(i, t) * self.quality.alpha.value_at(q)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +425,7 @@ def _alpha_at_min_xi(qm):
 
 def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
-    b_fn, bp_fn = _type_factor_fns(inst)
+    b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
     tables = []
     for i, d in enumerate(inst.buyers):
         grid = d.grid
@@ -598,10 +558,9 @@ def win_weight(inst, curves, i, t_i):
     the slope of the buyer's utility envelope and must be non-decreasing
     for the mechanism to be implementable.
     """
-    _b, bp_fn = _type_factor_fns(inst)
     c = float(np.interp(t_i, inst.buyers[i].grid, curves[i].phi_ironed))
     opp, A, _, _ = _interim_at(inst, curves, i, c, "at")
-    return float(bp_fn(np.asarray([t_i]))[0] * opp * A)
+    return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
 
 
 def _tables_of(inst, m):
@@ -657,30 +616,43 @@ def payment(inst, m, i, t_i):
 # building the optimal mechanism
 
 
+def _check_type_factor(grid, b, bp):
+    """Raise unless b is non-decreasing and convex with b' > 0 on a type grid.
+
+    With alpha > 0 these are the checks on v = b * alpha in the type; a
+    convex b keeps the win weight b' * opp * A monotone once w is ironed.
+    Each violation is a (check, t, q) triple; q is NaN as b has none.  The
+    comparisons are written so that a NaN fails them.
+    """
+    violations = []
+    first = np.diff(b)
+    if not np.all(first >= -1e-9):
+        violations.append(("monotonicity", float(grid[int(np.argmin(first))]), float("nan")))
+    second = np.diff(first / np.diff(grid))
+    if not np.all(second >= -1e-7):
+        violations.append(("convexity", float(grid[int(np.argmin(second)) + 1]), float("nan")))
+    if not np.all(bp > 0.0):
+        violations.append(("positive-derivative", float(grid[int(np.argmin(bp))]), float("nan")))
+    if violations:
+        raise AssumptionViolationError(
+            "valuation type factor b is not increasing and convex on the type grid",
+            violations,
+        )
+
+
 def _threshold_curves(inst):
     """Per-buyer ironed threshold curves w = b - b' * (1 - F) / f.
 
-    For the linear form w is the virtual value.  General forms must pass
-    their grid checks and have a monotone w, so ironing leaves them as is.
+    A buyer with v = b(t) * alpha(q) is a linear buyer in s = b(t), and w
+    is that buyer's virtual value, so it is ironed exactly like phi; for
+    the linear form b(t) = t, w is phi.
     """
-    b_fn, bp_fn = _type_factor_fns(inst)
+    b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
     curves = []
     for d in inst.buyers:
-        w = b_fn(d.grid) - bp_fn(d.grid) * (1.0 - d.cdf_vals) / d.pdf_vals
-        if inst.valuation.kind == "general":
-            grid = inst.quality.G.grid
-            report = check_assumptions(inst.valuation, d, grid[:: max(1, grid.size // 16)])
-            if not report.ok:
-                raise AssumptionViolationError(
-                    "general valuation fails its grid checks", report.violations
-                )
-            if np.any(np.diff(w) < -1e-9):
-                raise AssumptionViolationError(
-                    "effective virtual value is not monotone; "
-                    "ironing is not applied to general forms",
-                    [("virtual-monotonicity", float(d.grid[int(np.argmin(np.diff(w)))]), float("nan"))],
-                )
-        curves.append(iron(d, w))
+        b, bp = b_fn(d.grid), bp_fn(d.grid)
+        _check_type_factor(d.grid, b, bp)
+        curves.append(iron(d, b - bp * (1.0 - d.cdf_vals) / d.pdf_vals))
     return curves
 
 
@@ -688,7 +660,7 @@ def build_optimal_mechanism(inst):
     """Solve the instance: threshold curves, interim tables, win weights, payments.
 
     The interim tables stay on the returned mechanism for its consumers.
-    Ironing is applied per buyer exactly when their raw virtual value is
+    Ironing is applied per buyer exactly when their threshold curve w is
     not monotone.  A mechanism in which nobody ever wins is returned with
     ``degenerate=True`` rather than treated as an error.
     """
@@ -701,21 +673,12 @@ def build_optimal_mechanism(inst):
         for d, t in zip(inst.buyers, tables)
     ]
 
-    tf = tfd = None
-    if inst.valuation.kind == "general":
-        b_fn, bp_fn = _type_factor_fns(inst)
-        tf = [dist.GriddedFunction(d.grid, b_fn(d.grid)) for d in inst.buyers]
-        tfd = [dist.GriddedFunction(d.grid, bp_fn(d.grid)) for d in inst.buyers]
-
     return ThresholdMechanism(
         curves=curves,
         quality=inst.quality,
         win_weight=win_curves,
         payment=pay_curves,
         tiebreak=TIEBREAK_LOWEST_INDEX,
-        valuation_kind=inst.valuation.kind,
-        type_factor=tf,
-        type_factor_deriv=tfd,
         degenerate=all(t.entry is None for t in tables),
         tables=tuple(tables),
     )
@@ -733,7 +696,7 @@ def mechanism_to_json_dict(m):
     buyers = []
     for i, c in enumerate(m.curves):
         pay = [None if np.isnan(v) else float(v) for v in m.payment[i].vals]
-        entry = {
+        buyers.append({
             "type_grid": _arr(c.type_grid),
             "phi": _arr(c.phi),
             "phi_ironed": _arr(c.phi_ironed),
@@ -743,17 +706,12 @@ def mechanism_to_json_dict(m):
             "payment": pay,
             # the first node with a payment; written for readers, not read back
             "active_from": next((k for k, v in enumerate(pay) if v is not None), -1),
-        }
-        if m.type_factor is not None:
-            entry["type_factor"] = _arr(m.type_factor[i].vals)
-            entry["type_factor_deriv"] = _arr(m.type_factor_deriv[i].vals)
-        buyers.append(entry)
+        })
     qm = m.quality
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "threshold-mechanism",
         "tiebreak": m.tiebreak,
-        "valuation_kind": m.valuation_kind,
         "degenerate": bool(m.degenerate),
         "buyers": buyers,
         "quality": {
@@ -767,63 +725,66 @@ def mechanism_to_json_dict(m):
 
 
 def mechanism_from_json_dict(doc):
+    """Rebuild a mechanism from ``mechanism_to_json_dict``'s document.
+
+    Raises ValidationError for a document it cannot honour: another
+    schema, a tie-break rule other than lowest-index, or a missing or
+    malformed field.  Keys it does not read (such as the valuation kind
+    and type-factor tables older writers added) are ignored.
+    """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("unsupported mechanism schema version")
     if doc.get("kind") != "threshold-mechanism":
         raise ValidationError("not a threshold mechanism document")
-    q = doc["quality"]
-    grid = np.asarray(q["grid"], dtype=float)
-    G = dist.GriddedDistribution(
-        support_lo=float(grid[0]),
-        support_hi=float(grid[-1]),
-        grid=grid,
-        pdf_vals=np.asarray(q["g_pdf"], dtype=float),
-        cdf_vals=np.asarray(q["g_cdf"], dtype=float),
-    )
-    qm = make_quality_model(
-        G,
-        dist.GriddedFunction(grid, np.asarray(q["alpha"], dtype=float)),
-        dist.GriddedFunction(grid, np.asarray(q["reserve"], dtype=float)),
-    )
-    curves = []
-    win_curves = []
-    pay_curves = []
-    tf = []
-    tfd = []
-    has_tf = False
-    for entry in doc["buyers"]:
-        tg = np.asarray(entry["type_grid"], dtype=float)
-        curves.append(
-            VirtualValueCurve(
-                type_grid=tg,
-                phi=np.asarray(entry["phi"], dtype=float),
-                phi_ironed=np.asarray(entry["phi_ironed"], dtype=float),
-                ironed_intervals=[tuple(p) for p in entry["ironed_intervals"]],
-                regular=bool(entry["regular"]),
+    if doc.get("tiebreak") != TIEBREAK_LOWEST_INDEX:
+        raise ValidationError(
+            f"unsupported tiebreak {doc.get('tiebreak')!r}; "
+            f"only {TIEBREAK_LOWEST_INDEX!r} is implemented"
+        )
+    try:
+        q = doc["quality"]
+        grid = np.asarray(q["grid"], dtype=float)
+        G = dist.GriddedDistribution(
+            support_lo=float(grid[0]),
+            support_hi=float(grid[-1]),
+            grid=grid,
+            pdf_vals=np.asarray(q["g_pdf"], dtype=float),
+            cdf_vals=np.asarray(q["g_cdf"], dtype=float),
+        )
+        qm = make_quality_model(
+            G,
+            dist.GriddedFunction(grid, np.asarray(q["alpha"], dtype=float)),
+            dist.GriddedFunction(grid, np.asarray(q["reserve"], dtype=float)),
+        )
+        curves = []
+        win_curves = []
+        pay_curves = []
+        for entry in doc["buyers"]:
+            tg = np.asarray(entry["type_grid"], dtype=float)
+            curves.append(
+                VirtualValueCurve(
+                    type_grid=tg,
+                    phi=np.asarray(entry["phi"], dtype=float),
+                    phi_ironed=np.asarray(entry["phi_ironed"], dtype=float),
+                    ironed_intervals=[tuple(p) for p in entry["ironed_intervals"]],
+                    regular=bool(entry["regular"]),
+                )
             )
-        )
-        win_curves.append(
-            dist.GriddedFunction(tg, np.asarray(entry["win_weight"], dtype=float))
-        )
-        pay = np.array(
-            [np.nan if v is None else float(v) for v in entry["payment"]]
-        )
-        pay_curves.append(dist.GriddedFunction(tg, pay))
-        if "type_factor" in entry:
-            has_tf = True
-            tf.append(dist.GriddedFunction(tg, np.asarray(entry["type_factor"], dtype=float)))
-            tfd.append(
-                dist.GriddedFunction(tg, np.asarray(entry["type_factor_deriv"], dtype=float))
+            win_curves.append(
+                dist.GriddedFunction(tg, np.asarray(entry["win_weight"], dtype=float))
             )
+            pay = np.array(
+                [np.nan if v is None else float(v) for v in entry["payment"]]
+            )
+            pay_curves.append(dist.GriddedFunction(tg, pay))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
     return ThresholdMechanism(
         curves=curves,
         quality=qm,
         win_weight=win_curves,
         payment=pay_curves,
-        tiebreak=doc["tiebreak"],
-        valuation_kind=doc["valuation_kind"],
-        type_factor=tf if has_tf else None,
-        type_factor_deriv=tfd if has_tf else None,
+        tiebreak=TIEBREAK_LOWEST_INDEX,
         degenerate=bool(doc.get("degenerate", False)),
     )
 

@@ -12,7 +12,6 @@ binary disclosure) complete the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .mechanism import (
     _payment_column,
     _quality_integrals,
     _tables_of,
-    _type_factor_fns,
     allocate_many,
 )
 
@@ -185,7 +183,7 @@ def simulate(inst, m, n_samples, seed):
         t_won = types[mask, i]
         pay = _payment_at(m, i, tables[i], t_won)
         revenue[mask] = pay
-        value = m.value_of(i, t_won, qualities[mask])
+        value = inst.valuation.type_factor(t_won) * m.quality.alpha.value_at(qualities[mask])
         utility_mean.append(float(np.sum(value - pay)) / n_samples)
 
     mean = float(np.mean(revenue))
@@ -241,7 +239,8 @@ def myerson_baseline(inst):
     Deliberately shares no code with the mechanism construction: virtual
     values, the allocation rule, and the revenue quadrature are inlined
     here so the benchmark is an independent witness.  Requires constant
-    alpha and reserve and regular buyers.
+    alpha and reserve, regular buyers and the linear form, read off the
+    valuation's values: b(t) = t and b'(t) = 1 on every type grid.
     """
     qm = inst.quality
     for name, curve in (("alpha", qm.alpha), ("reserve", qm.reserve)):
@@ -249,8 +248,11 @@ def myerson_baseline(inst):
             raise ValidationError(
                 f"quality-blind benchmark needs a constant {name} curve"
             )
-    if inst.valuation.kind != "linear":
-        raise ValidationError("quality-blind benchmark covers the linear form only")
+    for d in inst.buyers:
+        b = np.asarray(inst.valuation.type_factor(d.grid), dtype=float)
+        bp = np.asarray(inst.valuation.type_factor_deriv(d.grid), dtype=float)
+        if np.max(np.abs(b - d.grid)) > 1e-12 or np.max(np.abs(bp - 1.0)) > 1e-12:
+            raise ValidationError("quality-blind benchmark covers the linear form only")
     alpha_bar = float(qm.alpha.vals[0])
     reserve_bar = float(qm.reserve.vals[0])
     xi_bar = reserve_bar / alpha_bar
@@ -328,7 +330,7 @@ def _constant_price_revenue(inst, prices, A1, B1, C1, A_tot, C_tot):
     and C_tot are A and C over the whole quality support.
     """
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    b_fn, _ = _type_factor_fns(inst)
+    b_fn = inst.valuation.type_factor
     total = np.zeros_like(prices)
     for mass, alpha_mean, retained in (
         (B1, A1 / B1 if B1 > 1e-12 else 0.0, C1),
@@ -367,7 +369,7 @@ def best_constant_price(inst, n_price=241):
     rounding.
     """
     xi = inst.quality.xi.vals
-    b_fn, _ = _type_factor_fns(inst)
+    b_fn = inst.valuation.type_factor
     cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
     A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
     # the last cutoff lies above xi everywhere: A and C over the whole support

@@ -9,8 +9,7 @@ finite instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +20,7 @@ from .mechanism import (
     _interim_at,
     _payment_at,
     _tables_of,
-    _type_factor_fns,
     _win_probability,
-    allocate_many,
 )
 
 __all__ = [
@@ -70,7 +67,7 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
     interim win probabilities are genuine probabilities.
     """
     tables = _tables_of(inst, m)
-    b_fn, _ = _type_factor_fns(inst)
+    b_fn = inst.valuation.type_factor
     rng = np.random.Generator(np.random.PCG64(seed))
 
     mono = 0.0
@@ -138,7 +135,7 @@ class ICReport:
 
 def _utility_matrix(inst, m, i, tab, true_types, reports):
     """Expected utility of each (true type, reported type) pair for buyer i."""
-    b_fn, _ = _type_factor_fns(inst)
+    b_fn = inst.valuation.type_factor
     d = inst.buyers[i]
     c = np.interp(reports, d.grid, m.curves[i].phi_ironed)
     opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
@@ -238,7 +235,7 @@ def obedience_check(inst, m, n_check=512):
     optimal mechanism: the entry type pays exactly its expected value of
     the item.
     """
-    b_fn, _ = _type_factor_fns(inst)
+    b_fn = inst.valuation.type_factor
     tables = _tables_of(inst, m)
     min_s = np.inf
     marginal = []

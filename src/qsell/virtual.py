@@ -24,9 +24,6 @@ __all__ = [
     "virtual_value_table",
     "is_regular",
     "iron",
-    "generalized_virtual_value",
-    "AssumptionReport",
-    "check_assumptions",
 ]
 
 MONOTONE_SLACK = 1e-9
@@ -197,64 +194,3 @@ def iron(d, psi):
         ironed_intervals=intervals,
         regular=regular and not intervals,
     )
-
-
-def generalized_virtual_value(valuation, d, t, q):
-    """v / (dv/dt) - (1 - F) / f for a general valuation form.
-
-    Raises when the type derivative is not strictly positive at (t, q).
-    """
-    v = valuation.value(t, q)
-    dv = valuation.deriv(t, q)
-    if np.any(np.asarray(dv) <= 0.0):
-        raise ValidationError("valuation derivative in type must be positive")
-    return v / dv - (1.0 - dist.cdf(d, t)) / dist.pdf(d, t)
-
-
-@dataclass
-class AssumptionReport:
-    """Grid-check outcome for a general valuation form.
-
-    Each violation is a (check_name, t, q) triple located on the probe
-    grid, so callers can see where a form went wrong rather than just
-    that it did.
-    """
-
-    ok: bool
-    violations: list
-
-    def worst(self, name):
-        return [v for v in self.violations if v[0] == name]
-
-
-def check_assumptions(valuation, d, quality_grid, slack=1e-9):
-    """Check convexity/monotonicity in type and the no-ironing condition.
-
-    Three families of grid checks per quality node: the valuation must be
-    non-decreasing and convex in the type, and the generalized virtual
-    value must be non-decreasing in the type (the condition that lets the
-    build skip ironing entirely for general forms).
-    """
-    t = d.grid
-    violations = []
-    for q in np.atleast_1d(np.asarray(quality_grid, dtype=float)):
-        v = np.asarray(valuation.value(t, q), dtype=float)
-        dv = np.asarray(valuation.deriv(t, q), dtype=float)
-        dt = np.diff(t)
-        first = np.diff(v)
-        if np.any(first < -slack):
-            k = int(np.argmin(np.diff(v)))
-            violations.append(("monotonicity", float(t[k]), float(q)))
-        second = np.diff(first / dt)
-        if np.any(second < -1e-7):
-            k = int(np.argmin(second))
-            violations.append(("convexity", float(t[k + 1]), float(q)))
-        if np.any(dv <= 0.0):
-            k = int(np.argmin(dv))
-            violations.append(("positive-derivative", float(t[k]), float(q)))
-            continue
-        gv = v / dv - (1.0 - d.cdf_vals) / d.pdf_vals
-        if np.any(np.diff(gv) < -slack):
-            k = int(np.argmin(np.diff(gv)))
-            violations.append(("virtual-monotonicity", float(t[k]), float(q)))
-    return AssumptionReport(ok=not violations, violations=violations)

@@ -158,18 +158,25 @@ def test_solve_concave_valuation_exits_3(tmp_path, capsys):
     assert "assumption violation" in capsys.readouterr().err
 
 
-def test_solve_nonmonotone_general_virtual_value_exits_3(tmp_path):
-    cfg = _write(
+def test_solve_power_one_matches_linear(tmp_path, capsys):
+    # v = t ** 1.0 * alpha is the linear form: its non-monotone w is ironed
+    # like phi, and the solve prints exactly what the linear config prints
+    doc = {
+        "schema_version": 1,
+        "buyers": [_bimodal_buyer()],
+        "quality": _quality({"family": "constant", "value": 0.0}),
+    }
+    linear = _write(tmp_path, "linear_bimodal.json", doc)
+    power = _write(
         tmp_path,
         "power_bimodal.json",
-        {
-            "schema_version": 1,
-            "buyers": [_bimodal_buyer()],
-            "quality": _quality({"family": "constant", "value": 0.0}),
-            "valuation": {"kind": "power", "exponent": 1.0},
-        },
+        dict(doc, valuation={"kind": "power", "exponent": 1.0}),
     )
-    assert main(["solve", "--config", cfg]) == 3
+    assert main(["solve", "--config", linear]) == 0
+    want = capsys.readouterr().out
+    assert main(["solve", "--config", power]) == 0
+    assert capsys.readouterr().out == want
+    assert "ironed_intervals []" not in want
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,34 @@ def test_compare_constant_quality_matches_baseline(tmp_path, capsys):
     # deterministic artifacts: identical apart from the runtime column
     strip = lambda rs: [(r["mechanism"], r["revenue"]) for r in rs]
     assert strip(r1) == strip(r2)
+
+
+def test_compare_quality_blind_row_for_power_one(tmp_path, capsys):
+    # the baseline reads the linear form off b's values, not off a kind tag
+    doc = {
+        "schema_version": 1,
+        "buyers": [_uniform_buyer(), _uniform_buyer()],
+        "quality": _quality({"family": "constant", "value": 0.0}),
+    }
+    linear = _write(tmp_path, "linear.json", doc)
+    power_one = _write(
+        tmp_path, "power_one.json", dict(doc, valuation={"kind": "power", "exponent": 1.0})
+    )
+    shifted = {"distribution": {"family": "uniform", "lo": 1.0, "hi": 2.0, "m": 1025}}
+    power_two = _write(
+        tmp_path,
+        "power_two.json",
+        dict(doc, buyers=[shifted] * 2, valuation={"kind": "power", "exponent": 2.0}),
+    )
+
+    def rows(cfg):
+        assert main(["compare", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split(" (")[0] for line in lines]
+
+    assert rows(power_one) == rows(linear)
+    assert any(r.startswith("quality-blind:") for r in rows(power_one))
+    assert not any(r.startswith("quality-blind:") for r in rows(power_two))
 
 
 def test_compare_skips_baseline_for_varying_quality(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
+from conftest import bimodal_density
 from qsell import dist
 from qsell.errors import (
     AssumptionViolationError,
@@ -216,17 +217,18 @@ def test_degenerate_mechanism_flagged():
 # general valuations
 
 
-def _power_instance():
-    G = qsell.make_uniform(0.0, 1.0, m=257)
-    qm = qsell.make_quality_model(G, lambda q: 1.0 + np.asarray(q, float), 1.0)
-    val = qsell.GeneralValuation(
-        value=lambda t, q: qm.alpha.value_at(q) * np.asarray(t, float) ** 2,
-        deriv=lambda t, q: qm.alpha.value_at(q) * 2.0 * np.asarray(t, float),
+def _squared():
+    return qsell.GeneralValuation(
         type_factor=lambda t: np.asarray(t, float) ** 2,
         type_factor_deriv=lambda t: 2.0 * np.asarray(t, float),
     )
+
+
+def _power_instance():
+    G = qsell.make_uniform(0.0, 1.0, m=257)
+    qm = qsell.make_quality_model(G, lambda q: 1.0 + np.asarray(q, float), 1.0)
     d = qsell.make_uniform(1.0, 2.0, m=1025)
-    return qsell.ProblemInstance(buyers=(d,), quality=qm, valuation=val)
+    return qsell.ProblemInstance(buyers=(d,), quality=qm, valuation=_squared())
 
 
 def test_general_build_uses_effective_curve():
@@ -236,21 +238,26 @@ def test_general_build_uses_effective_curve():
     t = inst.buyers[0].grid
     want = 3.0 * t**2 - 4.0 * t
     assert np.allclose(m.curves[0].phi_ironed, want, atol=1e-9)
-    assert m.valuation_kind == "general"
-    assert m.type_factor is not None
+    # the win weight is b' * opp * A, with b' = 2t read off the valuation
+    tab = m.tables[0]
+    assert np.array_equal(m.win_weight[0].vals, 2.0 * t * tab.opp * tab.A)
+    # b is not copied onto the mechanism or into its JSON
+    doc = qsell.mechanism_to_json_dict(m)
+    assert "valuation_kind" not in doc
+    assert "type_factor" not in doc["buyers"][0]
 
 
 def test_general_requires_type_factor():
     G = qsell.make_uniform(0.0, 1.0, m=65)
     qm = qsell.make_quality_model(G, 1.0, 0.0)
-    val = qsell.GeneralValuation(
-        value=lambda t, q: np.asarray(t, float),
-        deriv=lambda t, q: np.ones_like(np.asarray(t, float)),
-    )
-    with pytest.raises(ValidationError):
-        qsell.ProblemInstance(
-            buyers=(qsell.make_uniform(0.0, 1.0, m=65),), quality=qm, valuation=val
-        )
+    d = qsell.make_uniform(0.0, 1.0, m=65)
+    for val in (
+        qsell.GeneralValuation(type_factor=lambda t: np.asarray(t, float)),
+        qsell.GeneralValuation(type_factor_deriv=lambda t: np.ones_like(t)),
+        object(),
+    ):
+        with pytest.raises(ValidationError):
+            qsell.ProblemInstance(buyers=(d,), quality=qm, valuation=val)
 
 
 def test_general_rejects_concave_value():
@@ -258,15 +265,75 @@ def test_general_rejects_concave_value():
     G = qsell.make_uniform(0.0, 1.0, m=65)
     qm = qsell.make_quality_model(G, lambda q: 1.0 + np.asarray(q, float), 0.5)
     val = qsell.GeneralValuation(
-        value=lambda t, q: qm.alpha.value_at(q) * np.sqrt(np.asarray(t, float)),
-        deriv=lambda t, q: qm.alpha.value_at(q) * 0.5 / np.sqrt(np.asarray(t, float)),
         type_factor=lambda t: np.sqrt(np.asarray(t, float)),
         type_factor_deriv=lambda t: 0.5 / np.sqrt(np.asarray(t, float)),
     )
     d = qsell.make_uniform(1.0, 2.0, m=257)
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm, valuation=val)
-    with pytest.raises(AssumptionViolationError):
+    with pytest.raises(AssumptionViolationError) as err:
         qsell.build_optimal_mechanism(inst)
+    [(check, t, q)] = err.value.violations
+    assert check == "convexity"
+    assert 1.0 < t < 2.0 and np.isnan(q)
+
+
+def test_linear_valuation_is_the_identity_type_factor():
+    val = qsell.LinearValuation()
+    t = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(val.type_factor(t), t)
+    assert np.array_equal(val.type_factor_deriv(t), np.ones(5))
+    assert val == qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=5),), quality=_constant_quality()
+    ).valuation
+
+
+def test_power_one_builds_the_linear_mechanism(solved_suite):
+    # b(t) = t ** 1.0 is the linear form: same curves, tables and revenues
+    inst, m = solved_suite["bimodal-inverse-v"]
+    twin = dataclasses.replace(
+        inst,
+        valuation=qsell.GeneralValuation(
+            type_factor=lambda t: np.asarray(t, float) ** 1.0,
+            type_factor_deriv=lambda t: np.asarray(t, float) ** 0.0,
+        ),
+    )
+    m2 = qsell.build_optimal_mechanism(twin)
+    assert json.dumps(qsell.mechanism_to_json_dict(m2)) == json.dumps(
+        qsell.mechanism_to_json_dict(m)
+    )
+    for tab, tab2 in zip(m.tables, m2.tables):
+        assert np.array_equal(tab.t_comb, tab2.t_comb)
+        assert np.array_equal(tab.pay_comb, tab2.pay_comb, equal_nan=True)
+        assert np.array_equal(tab.W_comb, tab2.W_comb)
+    assert qsell.revenue_direct(twin, m2) == qsell.revenue_direct(inst, m)
+    assert qsell.revenue_virtual(twin, m2) == qsell.revenue_virtual(inst, m)
+
+
+def _ironed_general_instance(n, m):
+    """b = t^2 on a bimodal buyer over [0.5, 1.5], alpha = 1, xi = q."""
+    d = qsell.make_from_density(
+        0.5, 1.5, lambda x: bimodal_density(np.asarray(x, float) - 0.5), m=m
+    )
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: np.asarray(q, float)
+    )
+    return qsell.ProblemInstance(buyers=(d,) * n, quality=qm, valuation=_squared())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ironed_general_instance_verifies_and_refines(n):
+    # w = b - b'(1 - F)/f dips between the bumps, so it is ironed like phi
+    gaps = {}
+    for m in (257, 1025):
+        inst = _ironed_general_instance(n, m)
+        mech = qsell.build_optimal_mechanism(inst)
+        gaps[m] = abs(qsell.revenue_direct(inst, mech) - qsell.revenue_virtual(inst, mech))
+    assert mech.curves[0].ironed_intervals
+    assert qsell.check_feasibility(inst, mech).ok
+    assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-4
+    assert qsell.obedience_check(inst, mech).min_surplus >= -1e-9
+    # 4(m - 1) + 1 refinement: the route gap must shrink at least threefold
+    assert gaps[1025] <= gaps[257] / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +361,37 @@ def test_json_rejects_wrong_schema(two_uniform):
     doc["schema_version"] = 999
     with pytest.raises(ValidationError):
         qsell.mechanism_from_json_dict(doc)
+
+
+def test_json_rejects_unsupported_tiebreak(two_uniform):
+    inst, m = two_uniform
+    doc = qsell.mechanism_to_json_dict(m)
+    doc["tiebreak"] = "random"
+    with pytest.raises(ValidationError):
+        qsell.mechanism_from_json_dict(doc)
+
+
+def test_json_rejects_missing_quality(two_uniform):
+    inst, m = two_uniform
+    doc = qsell.mechanism_to_json_dict(m)
+    del doc["quality"]
+    with pytest.raises(ValidationError):
+        qsell.mechanism_from_json_dict(doc)
+
+
+def test_json_loads_documents_with_valuation_keys(two_uniform):
+    # older writers added the valuation kind and per-buyer b and b' tables
+    inst, m = two_uniform
+    doc = qsell.mechanism_to_json_dict(m)
+    old = json.loads(json.dumps(doc))
+    old["valuation_kind"] = "general"
+    for entry in old["buyers"]:
+        entry["type_factor"] = entry["type_grid"]
+        entry["type_factor_deriv"] = [1.0] * len(entry["type_grid"])
+    m2 = qsell.mechanism_from_json_dict(old)
+    assert json.dumps(qsell.mechanism_to_json_dict(m2), sort_keys=True) == json.dumps(
+        doc, sort_keys=True
+    )
 
 
 def test_csv_export(tmp_path, posted_price):

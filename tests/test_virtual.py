@@ -1,4 +1,4 @@
-"""Virtual values, ironing, and the grid assumption checks."""
+"""Virtual values, ironing, and the checks on a valuation's type factor."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsell
-from qsell.errors import ValidationError
+from qsell.errors import AssumptionViolationError, ValidationError
 from conftest import make_bimodal
 
 
@@ -113,64 +113,78 @@ def test_iron_mismatched_grid_rejected():
 
 
 # ---------------------------------------------------------------------------
-# generalized virtual values and assumption checks
+# threshold curves of separable valuations and the checks on b
+
+
+def _threshold_curve(d, valuation):
+    G = qsell.make_uniform(0.0, 1.0, m=65)
+    qm = qsell.make_quality_model(G, lambda q: 1.0 + np.asarray(q, float), 0.0)
+    inst = qsell.ProblemInstance(buyers=(d,), quality=qm, valuation=valuation)
+    return qsell.build_optimal_mechanism(inst).curves[0]
+
+
+def _power(expo):
+    return qsell.GeneralValuation(
+        type_factor=lambda t: np.asarray(t, float) ** expo,
+        type_factor_deriv=lambda t: expo * np.asarray(t, float) ** (expo - 1.0),
+    )
 
 
 def test_generalized_matches_linear_for_alpha_one():
+    # b(t) = t: the threshold curve is phi itself, bit for bit
     d = qsell.make_uniform(0.0, 1.0, m=501)
-    G = qsell.make_uniform(0.0, 1.0, m=65)
-    qm = qsell.make_quality_model(G, 1.0, 0.0)
-    inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
-    joint = qsell.as_joint_valuation(inst)
-    for t in [0.3, 0.6, 0.9]:
-        for q in [0.1, 0.8]:
-            got = qsell.generalized_virtual_value(joint, d, t, q)
-            assert got == pytest.approx(qsell.virtual_value(d, t), abs=1e-12)
+    want = qsell.virtual_value_table(d)
+    assert np.array_equal(_threshold_curve(d, qsell.LinearValuation()).phi, want)
+    assert np.array_equal(_threshold_curve(d, _power(1.0)).phi, want)
 
 
 def test_generalized_power_form():
-    # v = q * t^2 on t in [1,2], uniform types: dv/dt = 2qt,
-    # w_gen = v/dv - (1-F)/f has the (1-F)/f term unscaled by q
+    # v = alpha(q) t^2 on t in [1,2], uniform types: w = b - b'(1-F)/f, and
+    # w / b' = v/v_t - (1-F)/f does not depend on q
     d = qsell.make_uniform(1.0, 2.0, m=501)
-    val = qsell.GeneralValuation(
-        value=lambda t, q: np.asarray(q, float) * np.asarray(t, float) ** 2,
-        deriv=lambda t, q: 2.0 * np.asarray(q, float) * np.asarray(t, float),
-    )
-    got = qsell.generalized_virtual_value(val, d, 1.5, 0.7)
-    want = 1.5 / 2.0 - (1.0 - 0.5) / 1.0
-    assert got == pytest.approx(want, abs=1e-9)
+    curve = _threshold_curve(d, _power(2.0))
+    w = curve.phi_at(1.5)
+    assert w == pytest.approx(1.5**2 - 2.0 * 1.5 * 0.5, abs=1e-9)
+    assert w / 3.0 == pytest.approx(1.5 / 2.0 - (1.0 - 0.5) / 1.0, abs=1e-9)
+
+
+def _violations(d, valuation):
+    with pytest.raises(AssumptionViolationError) as err:
+        _threshold_curve(d, valuation)
+    return {v[0] for v in err.value.violations}
 
 
 def test_nonpositive_derivative_rejected():
     d = qsell.make_uniform(0.0, 1.0, m=101)
-    val = qsell.GeneralValuation(
-        value=lambda t, q: -np.asarray(t, float),
-        deriv=lambda t, q: -np.ones_like(np.asarray(t, float)),
+    flat_start = qsell.GeneralValuation(
+        type_factor=lambda t: np.asarray(t, float) ** 2,
+        type_factor_deriv=lambda t: 2.0 * np.asarray(t, float),
     )
-    with pytest.raises(ValidationError):
-        qsell.generalized_virtual_value(val, d, 0.5, 0.5)
+    assert _violations(d, flat_start) == {"positive-derivative"}
+
+
+def test_non_finite_type_factor_rejected():
+    d = qsell.make_uniform(1.0, 2.0, m=129)
+    val = qsell.GeneralValuation(
+        type_factor=lambda t: np.where(np.asarray(t) > 1.5, np.nan, np.asarray(t, float) ** 2),
+        type_factor_deriv=lambda t: np.where(np.asarray(t) > 1.5, np.nan, 2.0 * np.asarray(t)),
+    )
+    assert _violations(d, val) == {"monotonicity", "convexity", "positive-derivative"}
 
 
 def test_check_assumptions_passes_separable_convex():
     d = qsell.make_uniform(1.0, 2.0, m=257)
-    val = qsell.GeneralValuation(
-        value=lambda t, q: (1.0 + np.asarray(q, float)) * np.asarray(t, float) ** 2,
-        deriv=lambda t, q: (1.0 + np.asarray(q, float)) * 2.0 * np.asarray(t, float),
-    )
-    report = qsell.check_assumptions(val, d, np.linspace(0, 1, 9))
-    assert report.ok, report.violations
+    curve = _threshold_curve(d, _power(2.0))
+    assert curve.regular
 
 
 def test_check_assumptions_flags_decreasing_value():
     d = qsell.make_uniform(0.0, 1.0, m=257)
     val = qsell.GeneralValuation(
-        value=lambda t, q: 1.0 - np.asarray(t, float),
-        deriv=lambda t, q: -np.ones_like(np.asarray(t, float)),
+        type_factor=lambda t: 1.0 - np.asarray(t, float),
+        type_factor_deriv=lambda t: -np.ones_like(np.asarray(t, float)),
     )
-    report = qsell.check_assumptions(val, d, np.linspace(0, 1, 5))
-    assert not report.ok
-    names = {v[0] for v in report.violations}
-    assert "monotonicity" in names or "positive-derivative" in names
+    assert _violations(d, val) == {"monotonicity", "positive-derivative"}
 
 
 # ---------------------------------------------------------------------------
