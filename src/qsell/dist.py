@@ -10,6 +10,8 @@ sort-based kernel: k queries against an m-node curve cost
 O((m + k) log m) for the cells wholly inside the set, plus one exactly
 integrated straddling cell per monotone run of the curve and query.
 A stack of integrands over one level curve shares that sort and search.
+``level_points`` finds where such a set's boundary lies: the one-sided
+points where a curve meets each of a set of levels.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "integrate",
     "sublevel_integral",
     "sublevel_mass",
+    "level_points",
 ]
 
 EPS_DENSITY = 1e-12
@@ -358,6 +361,58 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     if np.ndim(c) == 0:
         return out[0] if stacked else float(out[0])
     return out.T if stacked else out
+
+
+def level_points(x, vals, levels):
+    """One-sided points where a piecewise-linear curve meets each level.
+
+    Returns ``(t, rank, level, above)``, ordered by abscissa and rank.
+    A cell the curve crosses strictly inside gives two points at the
+    crossing: rank 0 takes the side of the cell's left end, rank 2 the
+    side of its right end.  A node exactly at a level gives a rank-0
+    point if its left neighbour is off the level and a rank-2 point if
+    its right neighbour is, each on that neighbour's side, at the node
+    itself.  ``above`` marks points whose side lies above the level.
+    Merged with the nodes by ``rank`` (0 before a node at the same
+    abscissa, 2 after it), they give the curve's sublevel indicator its
+    one-sided limits at every jump.
+
+    Each cell's crossed levels are one ``searchsorted`` range of the
+    sorted levels, so m nodes, k levels and P points cost O(m + k + P)
+    memory and O((m + k) log k + P log P) time.
+    """
+    x = np.asarray(x, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    levels = np.sort(np.asarray(levels, dtype=float))
+    under = np.searchsorted(levels, vals, side="left")  # levels below each node
+    upto = np.searchsorted(levels, vals, side="right")  # levels at or below it
+    a, b = vals[:-1], vals[1:]
+    rising = b > a
+
+    # crossings strictly inside cells: the levels strictly between the ends
+    lo_idx = np.where(rising, upto[:-1], upto[1:])
+    count = np.maximum(np.where(rising, under[1:], under[:-1]) - lo_idx, 0)
+    k = np.repeat(np.arange(a.size), count)
+    first = np.cumsum(count) - count
+    lev_c = levels[np.repeat(lo_idx - first, count) + np.arange(k.size)]
+    frac = np.where(
+        rising[k], (lev_c - a[k]) / (b[k] - a[k]), (a[k] - lev_c) / (a[k] - b[k])
+    )
+    t_c = x[k] + frac * (x[k + 1] - x[k])
+
+    # nodes exactly at a level, one point per neighbour off the level
+    on = upto > under
+    left = np.nonzero(on[1:] & (a != b))[0] + 1
+    right = np.nonzero(on[:-1] & (a != b))[0]
+
+    t = np.concatenate((t_c, t_c, x[left], x[right]))
+    rank = np.repeat([0, 2, 0, 2], (k.size, k.size, left.size, right.size))
+    level = np.concatenate((lev_c, lev_c, vals[left], vals[right]))
+    above = np.concatenate(
+        (~rising[k], rising[k], a[left - 1] > vals[left], b[right] > vals[right])
+    )
+    order = np.lexsort((rank, t))
+    return t[order], rank[order], level[order], above[order]
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

@@ -66,39 +66,15 @@ def acceptance_set(qm, v):
     Boundary points with xi(q) = v exactly are included, matching the
     weak inequality used by the allocation rule.
     """
-    qgrid = qm.xi.grid
-    xi = qm.xi.vals
-    c = float(v)
-
-    mask = xi <= c
-    if not mask.any():
+    qgrid, xi, c = qm.xi.grid, qm.xi.vals, float(v)
+    # An interval starts where xi comes down to c and ends where it goes
+    # up past c: the one-sided points whose outer side lies above c.
+    t, rank, _, above = dist.level_points(qgrid, xi, [c])
+    starts = np.append(qgrid[:1] if xi[0] <= c else [], t[above & (rank == 0)])
+    ends = np.append(t[above & (rank == 2)], qgrid[-1:] if xi[-1] <= c else [])
+    if not starts.size:
         return IntervalUnion(intervals=())
-
-    intervals = []
-    k = 0
-    n = qgrid.size
-    while k < n:
-        if not mask[k]:
-            k += 1
-            continue
-        # left endpoint: either the support edge or a crossing in cell k-1
-        if k == 0:
-            left = float(qgrid[0])
-        else:
-            a, b = xi[k - 1], xi[k]
-            frac = (a - c) / (a - b) if a != b else 0.0
-            left = float(qgrid[k - 1] + frac * (qgrid[k] - qgrid[k - 1]))
-        j = k
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        if j == n - 1:
-            right = float(qgrid[-1])
-        else:
-            a, b = xi[j], xi[j + 1]
-            frac = (c - a) / (b - a) if b != a else 1.0
-            right = float(qgrid[j] + frac * (qgrid[j + 1] - qgrid[j]))
-        intervals.append((left, right))
-        k = j + 1
+    intervals = [(float(a), float(b)) for a, b in zip(starts, ends)]
 
     # merge intervals that touch through numerical coincidence
     merged = [intervals[0]]

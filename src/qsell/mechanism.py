@@ -210,7 +210,6 @@ class ThresholdMechanism:
     quality: QualityModel
     win_weight: list
     payment: list
-    tiebreak: str = TIEBREAK_LOWEST_INDEX
     degenerate: bool = False
     tables: Optional[tuple] = field(default=None, compare=False, repr=False)
 
@@ -331,22 +330,6 @@ def _merge_one_sided(nodes, t_x, rank_x, *columns):
     return t_all[order], node_pos, [np.concatenate(col)[order] for col in columns]
 
 
-def _first_reach(grid, vals, level, side):
-    """Smallest t where a non-decreasing curve reaches (>=) or exceeds (>) level.
-
-    Returns None when the curve never does.  side='left' gives the >= point,
-    side='right' the > point; they differ exactly across plateaus at level.
-    """
-    idx = int(np.searchsorted(vals, level, side=side))
-    if idx == 0:
-        return float(grid[0])
-    if idx == vals.size:
-        return None
-    a, b = vals[idx - 1], vals[idx]
-    frac = (level - a) / (b - a)
-    return float(grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
-
-
 # ---------------------------------------------------------------------------
 # interim tables
 
@@ -384,26 +367,16 @@ class InterimTable:
     f_comb: np.ndarray
     phiraw_comb: np.ndarray
     node_pos: np.ndarray
-    crossings: list
     entry: Optional[float]
     entry_value: Optional[float]
 
 
-def _buyer_atom_levels(inst, curves, i=None):
-    """Levels where a buyer other than i has a threshold plateau carrying mass."""
-    levels = set()
-    for j, d in enumerate(inst.buyers):
-        if j != i:
-            vals = curves[j].phi_ironed
-            levels.update(_atom_levels(vals, partial(dist.sublevel_mass, d, vals)))
-    return levels
-
-
-def _critical_levels(inst, curves, i):
-    """Levels at which buyer i's interim quantities can jump."""
-    qm = inst.quality
-    levels = _atom_levels(qm.xi.vals, lambda v, inc: _quality_integrals(qm, v, inc)[1])
-    return sorted(_buyer_atom_levels(inst, curves, i).union(levels))
+def _buyer_atom_levels(inst, curves):
+    """Per buyer, the levels where their threshold curve has a plateau carrying mass."""
+    return [
+        _atom_levels(c.phi_ironed, partial(dist.sublevel_mass, d, c.phi_ironed))
+        for d, c in zip(inst.buyers, curves)
+    ]
 
 
 def _alpha_at_min_xi(qm):
@@ -426,6 +399,11 @@ def _alpha_at_min_xi(qm):
 def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
+    qm = inst.quality
+    xi_atoms = _atom_levels(
+        qm.xi.vals, partial(dist.sublevel_integral, qm.G.grid, qm.xi.vals, qm.G.pdf_vals)
+    )
+    buyer_atoms = _buyer_atom_levels(inst, curves)
     tables = []
     for i, d in enumerate(inst.buyers):
         grid = d.grid
@@ -436,40 +414,29 @@ def interim_tables(inst, curves):
         R = bp * opp * A
         W = opp * B
 
-        # Collect one-sided evaluation points where R or W jumps.
-        cross_pts = []  # (t, rank, level, mode)
-        crossings = []
-        critical = _critical_levels(inst, curves, i)
-        for lev in critical:
-            if lev > vals[-1]:
-                continue
-            t_lo = _first_reach(grid, vals, lev, "left")
-            t_hi = _first_reach(grid, vals, lev, "right")
-            if t_lo is None:
-                continue
-            # On a plateau the curve sits exactly at this level over [t_lo, t_hi].
-            plateau = t_hi is not None and t_hi > t_lo
-            if t_lo > grid[0]:
-                upper = "at" if plateau else "above"
-                cross_pts += [(t_lo, 0, lev, "below"), (t_lo, 2, lev, upper)]
-            if plateau:
-                cross_pts += [(t_hi, 0, lev, "at"), (t_hi, 2, lev, "above")]
-                crossings.append((lev, t_lo, t_hi))
-            elif t_lo > grid[0]:
-                crossings.append((lev, t_lo, t_lo))
+        # One-sided points where R or W jumps: where the curve meets a level
+        # at which the quality side or an opponent carries an atom.
+        critical = sorted(set(xi_atoms).union(*buyer_atoms[:i], *buyer_atoms[i + 1 :]))
+        t_x, rank_x, lev_x, above_x = dist.level_points(grid, vals, critical)
+        mode_x = np.where(above_x, "above", "below")
 
         # W = opp * B turns positive once the level passes both the lowest
         # reserve ratio and every opponent's lowest threshold: below c_entry
         # B or an opponent's mass is zero, above it no factor is (densities
         # are at least EPS_DENSITY).  At c_entry itself W is positive only on
         # an atom, and then a plateau of buyer i at c_entry already wins.
+        # The curve reaches c_entry at the rank-0 point and passes it at the
+        # rank-2 point, or at the first node when it starts there or above.
         c_entry = max(
             [inst.quality.xi.vals.min()]
             + [c.phi_ironed.min() for j, c in enumerate(curves) if j != i]
         )
-        entry = _first_reach(grid, vals, c_entry, "right")
+        t_e, rank_e, _, _ = dist.level_points(grid, vals, [c_entry])
+        reach = t_e[rank_e == 0] if vals[0] < c_entry else grid[:1]
+        passed = t_e[rank_e == 2] if vals[0] <= c_entry else grid[:1]
+        entry = float(passed[0]) if passed.size else None
         if np.any(W[vals == c_entry] > 0.0):
-            entry = _first_reach(grid, vals, c_entry, "left")
+            entry = float(reach[0])
         elif entry is not None and vals[0] <= c_entry and c_entry not in critical:
             # The rent integrand R kinks where W turns positive; a plain
             # trapezoid across that cell would accumulate rent as if R grew
@@ -478,13 +445,10 @@ def interim_tables(inst, curves):
             # node at the same type, because it carries the payment's
             # right-hand limit.  At a jump the pair above already sits at
             # the entry.
-            cross_pts.append((entry, 2, c_entry, "at"))
+            t_x, rank_x = np.append(t_x, entry), np.append(rank_x, 2)
+            lev_x, mode_x = np.append(lev_x, c_entry), np.append(mode_x, "at")
 
         # One kernel call per one-sided mode evaluates every extra point.
-        t_x, rank_x, lev_x, mode_x = (
-            np.array([p[k] for p in cross_pts], dtype=dt)
-            for k, dt in enumerate((float, int, float, str))
-        )
         opp_x, A_x, B_x, C_x = (np.zeros(t_x.size) for _ in range(4))
         for mode in ("below", "at", "above"):
             sel = mode_x == mode
@@ -543,7 +507,6 @@ def interim_tables(inst, curves):
                 f_comb=dist.pdf(d, t_comb),
                 phiraw_comb=np.interp(t_comb, grid, curves[i].phi),
                 node_pos=node_pos,
-                crossings=crossings,
                 entry=entry,
                 entry_value=entry_value,
             )
@@ -678,7 +641,6 @@ def build_optimal_mechanism(inst):
         quality=inst.quality,
         win_weight=win_curves,
         payment=pay_curves,
-        tiebreak=TIEBREAK_LOWEST_INDEX,
         degenerate=all(t.entry is None for t in tables),
         tables=tuple(tables),
     )
@@ -711,7 +673,7 @@ def mechanism_to_json_dict(m):
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "threshold-mechanism",
-        "tiebreak": m.tiebreak,
+        "tiebreak": TIEBREAK_LOWEST_INDEX,
         "degenerate": bool(m.degenerate),
         "buyers": buyers,
         "quality": {
@@ -784,7 +746,6 @@ def mechanism_from_json_dict(doc):
         quality=qm,
         win_weight=win_curves,
         payment=pay_curves,
-        tiebreak=TIEBREAK_LOWEST_INDEX,
         degenerate=bool(doc.get("degenerate", False)),
     )
 

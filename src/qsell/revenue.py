@@ -49,38 +49,21 @@ def _no_sale_quality_integral(inst, curves):
 
     The probability factor jumps where xi meets a level at which some
     buyer's threshold curve carries probability mass: it is the strict
-    product below the level and the weak one at and above it.  Crossings
-    inside cells and touches at nodes enter as one-sided points before
-    the trapezoid rule is applied.
+    product at and below the level and the weak one above it.  The
+    one-sided points of ``dist.level_points`` enter before the trapezoid
+    rule is applied.
     """
     qm = inst.quality
     qgrid, xi, rg = qm.G.grid, qm.xi.vals, qm.integrands[2]
-    levels = np.asarray(sorted(_buyer_atom_levels(inst, curves)), dtype=float)
+    levels = np.asarray(sorted(set().union(*_buyer_atom_levels(inst, curves))), dtype=float)
     strict = _opponent_product(inst, curves, None, levels, "below")
     weak = _opponent_product(inst, curves, None, levels, "above")
     keep = weak - strict > 1e-14
     levels, strict, weak = levels[keep], strict[keep], weak[keep]
 
-    # Every (level, cell) pair where xi crosses, leaves or reaches the
-    # level, level-major; each fills a rank-0 slot, a rank-2 slot or both.
-    lev, a, b = levels[:, None], xi[:-1], xi[1:]
-    rise, fall = (a < lev) & (lev < b), (a > lev) & (lev > b)
-    leave, reach = (a == lev) & (b > lev), (b == lev) & (a > lev)
-    L, K = np.nonzero(rise | fall | leave | reach)
-    rise, fall, leave, reach = rise[L, K], fall[L, K], leave[L, K], reach[L, K]
-    a, b, lv = a[K], b[K], levels[L]
-    frac = np.where(rise, (lv - a) / (b - a), (a - lv) / (a - b))
-    q_star = qgrid[K] + frac * (qgrid[K + 1] - qgrid[K])
-    node = K + reach
-    crosses = rise | fall
-    t = np.where(crosses, q_star, qgrid[node])
-    rg_t = np.where(crosses, np.interp(q_star, qgrid, rg), rg[node])
-    s, w = strict[L], weak[L]
-    slots = np.stack((np.where(rise, s, w), np.where(fall, s, w)), axis=1)
-    used = np.stack((~leave, ~reach), axis=1).ravel()
-    t_x = np.repeat(t, 2)[used]
-    rank_x = np.tile([0, 2], L.size)[used]
-    v_x = (rg_t[:, None] * slots).ravel()[used]
+    t_x, rank_x, lev_x, above_x = dist.level_points(qgrid, xi, levels)
+    k = np.searchsorted(levels, lev_x)
+    v_x = np.interp(t_x, qgrid, rg) * np.where(above_x, weak[k], strict[k])
 
     base_vals = rg * _opponent_product(inst, curves, None, xi, "below")
     t, _, (v,) = _merge_one_sided(qgrid, t_x, rank_x, (base_vals, v_x))
@@ -321,6 +304,7 @@ class ConstantPriceBaseline:
 
 
 _CUTOFF_TIE_RTOL = 1e-12
+CONSTANT_PRICE_GRID = 241  # coarse price grid, refined once around its best point
 
 
 def _constant_price_revenue(inst, prices, A1, B1, C1, A_tot, C_tot):
@@ -357,7 +341,7 @@ def _constant_price_revenue(inst, prices, A1, B1, C1, A_tot, C_tot):
     return total
 
 
-def best_constant_price(inst, n_price=241):
+def best_constant_price(inst):
     """Grid-search the best constant posted price and binary disclosure cutoff.
 
     The search is exhaustive over quality-grid cutoffs and a price grid
@@ -376,7 +360,7 @@ def best_constant_price(inst, n_price=241):
     A_tot, C_tot = A1[-1], C1[-1]
     alpha_max = float(np.max(inst.quality.alpha.vals))
     p_hi = max(float(np.max(b_fn(d.grid))) for d in inst.buyers) * alpha_max
-    prices = np.linspace(0.0, p_hi, n_price)
+    prices = np.linspace(0.0, p_hi, CONSTANT_PRICE_GRID)
 
     def sweep(price_grid, best=None):
         top = np.empty(cutoffs.size)
@@ -396,7 +380,7 @@ def best_constant_price(inst, n_price=241):
     best = sweep(prices)
 
     # one refinement pass around the best price
-    step = prices[1] - prices[0] if n_price > 1 else 1.0
+    step = prices[1] - prices[0]
     fine = np.linspace(max(best[0] - step, 0.0), best[0] + step, 81)
     best = sweep(fine, best)
 

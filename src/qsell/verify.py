@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 10_000_000
+FEASIBILITY_SAMPLES = 10_000  # sampled types per buyer for the probability check
+FEASIBILITY_SEED = 20240816
+OBEDIENCE_GRID = 512  # evenly spaced types per buyer
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +61,7 @@ class FeasibilityReport:
     per_buyer: tuple
 
 
-def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
+def check_feasibility(inst, m, tol=1e-6):
     """Verify the implementability side of a mechanism.
 
     Checks that every win-weight curve is non-decreasing, that interim
@@ -68,7 +71,7 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
     """
     tables = _tables_of(inst, m)
     b_fn = inst.valuation.type_factor
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(FEASIBILITY_SEED))
 
     mono = 0.0
     env = 0.0
@@ -86,7 +89,7 @@ def check_feasibility(inst, m, tol=1e-6, n_samples=10_000, seed=20240816):
         env_i = float(np.max(np.abs(U - tab.int_R)))
         bound_i = float(abs(U[0]))
 
-        u = rng.random(n_samples)
+        u = rng.random(FEASIBILITY_SAMPLES)
         t_samp = dist.quantile(d, u)
         c = np.interp(t_samp, d.grid, m.curves[i].phi_ironed)
         W_samp = _win_probability(inst, m.curves, i, c)
@@ -227,7 +230,7 @@ class ObedienceReport:
     marginal: tuple  # per buyer: (entry_type, surplus_just_above_entry) or None
 
 
-def obedience_check(inst, m, n_check=512):
+def obedience_check(inst, m):
     """Expected surplus of an asked buyer must be non-negative at every type.
 
     Also reports the surplus at each buyer's entry type (the lowest type
@@ -244,7 +247,7 @@ def obedience_check(inst, m, n_check=512):
         if tab.entry is None:
             marginal.append(None)
             continue
-        t_eval = np.linspace(d.grid[0], d.grid[-1], n_check)
+        t_eval = np.linspace(d.grid[0], d.grid[-1], OBEDIENCE_GRID)
         c = np.interp(t_eval, d.grid, m.curves[i].phi_ironed)
         opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
         asked = opp * B > WIN_PROB_FLOOR

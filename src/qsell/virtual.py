@@ -9,7 +9,6 @@ segments of that envelope and is exactly the envelope's slope inside them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -52,13 +51,6 @@ class VirtualValueCurve:
     def phi_ironed_at(self, t):
         out = np.interp(t, self.type_grid, self.phi_ironed)
         return float(out) if np.ndim(out) == 0 else out
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["type", "phi", "phi_ironed"])
-            for t, p, pi in zip(self.type_grid, self.phi, self.phi_ironed):
-                writer.writerow([f"{t:.12g}", f"{p:.12g}", f"{pi:.12g}"])
 
 
 def virtual_value(d, t):

@@ -116,6 +116,72 @@ def test_acceptance_set_matches_dense_scan(qm, v):
         assert dist.max() < 5e-5
 
 
+def _acceptance_by_node_walk(qgrid, xi, c):
+    """The former node-by-node acceptance set, kept as a reference."""
+    mask = xi <= c
+    intervals = []
+    k, n = 0, qgrid.size
+    while k < n:
+        if not mask[k]:
+            k += 1
+            continue
+        if k == 0:
+            left = float(qgrid[0])
+        else:
+            a, b = xi[k - 1], xi[k]
+            frac = (a - c) / (a - b) if a != b else 0.0
+            left = float(qgrid[k - 1] + frac * (qgrid[k] - qgrid[k - 1]))
+        j = k
+        while j + 1 < n and mask[j + 1]:
+            j += 1
+        if j == n - 1:
+            right = float(qgrid[-1])
+        else:
+            a, b = xi[j], xi[j + 1]
+            frac = (c - a) / (b - a) if b != a else 1.0
+            right = float(qgrid[j] + frac * (qgrid[j + 1] - qgrid[j]))
+        intervals.append((left, right))
+        k = j + 1
+    merged = intervals[:1]
+    for a, b in intervals[1:]:
+        if a <= merged[-1][1] + 1e-15:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def test_acceptance_set_matches_node_walk_on_flats_at_the_level():
+    # xi takes a few values with repeats, so the probed level c has flats
+    # and isolated nodes exactly on it, at the first and last node too
+    rng = np.random.default_rng(2024)
+    seen = {"first": 0, "last": 0, "flat": 0, "several": 0}
+    for _ in range(200):
+        _check_acceptance_against_node_walk(rng, seen)
+    assert min(seen.values()) >= 10
+
+
+def _check_acceptance_against_node_walk(rng, seen):
+    m = int(rng.integers(2, 40))
+    qgrid = np.cumsum(rng.uniform(0.01, 1.0, m))
+    qgrid = (qgrid - qgrid[0]) / (qgrid[-1] - qgrid[0])
+    c = 0.3
+    xi = rng.choice([c - 0.2, c, c + 0.1, c + 0.4, rng.uniform(0.0, 1.0)], size=m)
+    xi[0], xi[-1] = rng.choice([c, c - 0.1, c + 0.2], size=2)
+    qm = qsell.make_quality_model(
+        qsell.make_from_table(qgrid, np.ones(m)), 1.0, qsell.GriddedFunction(qgrid, xi)
+    )
+    seen["first"] += xi[0] == c
+    seen["last"] += xi[-1] == c
+    seen["flat"] += np.any((xi[:-1] == c) & (xi[1:] == c))
+    for v in (c, c - 0.2, c + 0.1, c + 0.05, c - 1.0, c + 1.0):
+        got = qsell.acceptance_set(qm, v).intervals
+        seen["several"] += v == c and len(got) > 1
+        want = _acceptance_by_node_walk(qgrid, qm.xi.vals, v)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(np.ravel(got), np.ravel(want), rtol=0.0, atol=1e-15)
+
+
 @given(
     v1=st.floats(-0.2, 0.7),
     v2=st.floats(-0.2, 0.7),

@@ -352,7 +352,7 @@ def test_json_roundtrip_bitexact(two_uniform):
     assert np.array_equal(m2.payment[0].vals, m.payment[0].vals, equal_nan=True)
     # exported for readers: the first node with a payment, t = 1/2
     assert doc["buyers"][0]["active_from"] == 512
-    assert m2.tiebreak == m.tiebreak
+    assert doc["tiebreak"] == "lowest-index"
 
 
 def test_json_rejects_wrong_schema(two_uniform):
@@ -423,12 +423,13 @@ def test_reloaded_mechanism_allocates_identically(two_uniform):
 def test_interim_jump_points_present(two_uniform):
     inst, m = two_uniform
     tab = qsell.interim_tables(inst, m.curves)[0]
-    # xi == 0 is an atom; the curve crosses it at t = 1/2: expect a one-sided pair
-    assert any(abs(lev) < 1e-12 for lev, _, _ in tab.crossings)
-    # left and right limits at the entry point differ (W jumps from 0 to 1/2)
-    j = np.searchsorted(tab.t_comb, 0.5, side="left")
-    w_around = tab.W_comb[max(0, j - 1) : j + 3]
-    assert np.min(w_around) <= 1e-12 and np.max(w_around) >= 0.45
+    # xi == 0 is an atom; the curve meets it at t = 1/2: expect a one-sided
+    # pair there, around the node, across which W jumps from 0 to 1/2
+    at = np.nonzero(np.abs(tab.t_comb - 0.5) < 1e-12)[0]
+    pair = np.setdiff1d(at, tab.node_pos)
+    assert pair.size == 2
+    assert tab.W_comb[pair[0]] <= 1e-12
+    assert tab.W_comb[pair[1]] == pytest.approx(0.5, abs=1e-3)
 
 
 @pytest.mark.parametrize(

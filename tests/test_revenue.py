@@ -56,15 +56,14 @@ def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
     assert direct == pytest.approx(virtual, rel=1e-6)
 
 
-@pytest.mark.parametrize("n_buyers", [1, 2])
-def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
-    # The bimodal buyer's ironed plateau at level L carries probability
-    # mass, so P(nobody clears xi(q)) jumps wherever xi meets L.  The
-    # reserve table (alpha = 1, knots on quality nodes) makes xi rise
-    # through L inside a cell, reach L at a node from above, leave it
-    # upwards at the same node, fall through it inside a cell and rise
-    # through it again: every one-sided branch of the direct route's
-    # no-sale integral is exercised.
+def _xi_meeting_the_plateau(mq):
+    """The 1025-node bimodal buyer and a quality model whose xi meets its plateau level.
+
+    The reserve table (alpha = 1, knots on quality nodes) makes xi rise
+    through the plateau level L inside a cell, reach L at a node from
+    above, leave it upwards at the same node, fall through it inside a
+    cell and rise through it again.
+    """
     buyer = make_bimodal(1025)
     vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
     (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
@@ -72,13 +71,38 @@ def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
         np.linspace(0.0, 1.0, 9),
         L + np.array([-0.2, 0.1, 0.3, 0.0, 0.2, -0.1, -0.3, 0.05, 0.1]),
     )
-    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=129), 1.0, table)
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=mq), 1.0, table)
+    return buyer, qm, L
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2])
+def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
+    # The bimodal buyer's ironed plateau at level L carries probability
+    # mass, so P(nobody clears xi(q)) jumps wherever xi meets L: every
+    # one-sided branch of the direct route's no-sale integral is exercised.
+    buyer, qm, L = _xi_meeting_the_plateau(129)
     xi = qm.xi.vals
     assert np.sum(xi == L) == 1 and np.sum((xi[:-1] - L) * (xi[1:] - L) < 0) == 3
     inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
     direct = qsell.revenue_direct(inst, mech)
     assert direct == pytest.approx(qsell.revenue_virtual(inst, mech), abs=1e-4)
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2])
+def test_tied_plateaus_route_gap_shrinks_under_refinement(n_buyers):
+    # Identical bimodal buyers tie on their ironed plateaus, and xi meets
+    # the plateau level of the 1025-node buyer.  On 513 quality nodes the
+    # route gap must shrink at least threefold from 257 to 1025 type nodes
+    # (measured: 5.2e-6 to 2.5e-7 for two buyers, 8.6e-6 to 1.7e-7 for one).
+    _, qm, _ = _xi_meeting_the_plateau(513)
+    gaps = {}
+    for m in (257, 1025):
+        inst = qsell.ProblemInstance(buyers=(make_bimodal(m),) * n_buyers, quality=qm)
+        mech = qsell.build_optimal_mechanism(inst)
+        assert mech.curves[0].ironed_intervals
+        gaps[m] = abs(qsell.revenue_direct(inst, mech) - qsell.revenue_virtual(inst, mech))
+    assert gaps[1025] <= gaps[257] / 3.0
 
 
 def test_degenerate_mechanism_revenue_is_retained_value():
