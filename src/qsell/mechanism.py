@@ -227,6 +227,23 @@ def xi_at(qm, q):
     return qm.xi.value_at(q)
 
 
+def _winners(levels, xi):
+    """Winner per sample, -1 for no sale, from each buyer's threshold level.
+
+    ``levels`` yields one array of levels per buyer, in buyer order.  The
+    running leader changes only at a strictly higher level, so ties go
+    to the lowest index, and the leader is asked when its level is at
+    least xi.
+    """
+    levels = iter(levels)
+    best = next(levels)
+    who = np.zeros(best.shape, dtype=np.intp)
+    for i, level in enumerate(levels, 1):
+        who[level > best] = i
+        best = np.maximum(best, level)
+    return np.where(best >= xi, who, -1)
+
+
 def allocate_many(m, types, qualities):
     """Run the experiment at many profiles: winner index per sample, -1 for no sale.
 
@@ -235,14 +252,8 @@ def allocate_many(m, types, qualities):
     equality with xi(q).
     """
     types = np.asarray(types, dtype=float)
-    qualities = np.asarray(qualities, dtype=float)
-    levels = np.column_stack(
-        [m.curves[i].phi_ironed_at(types[:, i]) for i in range(m.n_buyers)]
-    )
-    winners = np.argmax(levels, axis=1)
-    best = levels[np.arange(levels.shape[0]), winners]
-    sold = best >= xi_at(m.quality, qualities)
-    return np.where(sold, winners, -1)
+    levels = (c.phi_ironed_at(types[:, i]) for i, c in enumerate(m.curves))
+    return _winners(levels, xi_at(m.quality, qualities))
 
 
 def allocate(m, t_profile, q):

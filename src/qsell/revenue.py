@@ -25,7 +25,7 @@ from .mechanism import (
     _payment_column,
     _quality_integrals,
     _tables_of,
-    allocate_many,
+    _winners,
 )
 
 __all__ = [
@@ -132,41 +132,51 @@ def simulate(inst, m, n_samples, seed):
 
     Types and quality are drawn by quantile transform from independent
     child streams of one seed sequence, so reports are bit-identical
-    across runs with the same arguments.
+    across runs with the same arguments.  One cdf cell lookup per stream
+    reads everything sampled there: a buyer's threshold level, or the
+    quality's xi, reserve and alpha.  Only winners' types are needed,
+    for payments and values, so each buyer's stream is drawn a second
+    time and looked up at its wins only.  The mechanism must be solved
+    on the instance's grids.
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    n = inst.n_buyers
+    qm, n = inst.quality, inst.n_buyers
+    if not (
+        len(m.curves) == n
+        and np.array_equal(m.quality.G.grid, qm.G.grid)
+        and all(np.array_equal(c.type_grid, d.grid) for c, d in zip(m.curves, inst.buyers))
+    ):
+        raise ValidationError("the mechanism is tabulated on other grids than the instance")
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    types = np.column_stack(
-        [
-            dist.quantile(d, np.random.Generator(np.random.PCG64(children[i])).random(n_samples))
-            for i, d in enumerate(inst.buyers)
-        ]
-    )
-    qualities = dist.quantile(
-        inst.quality.G,
-        np.random.Generator(np.random.PCG64(children[n])).random(n_samples),
-    )
 
-    winners = allocate_many(m, types, qualities)
-    revenue = inst.quality.reserve.value_at(qualities).copy()
+    def draw(child):
+        return np.random.Generator(np.random.PCG64(child)).random(n_samples)
+
+    xi, revenue, alpha = dist.quantile(
+        qm.G, draw(children[n]), m.quality.xi.vals, qm.reserve.vals, m.quality.alpha.vals
+    )
+    levels = (
+        dist.quantile(d, draw(child), c.phi_ironed)[0]
+        for d, c, child in zip(inst.buyers, m.curves, children)
+    )
+    winners = _winners(levels, xi)
 
     tables = _tables_of(inst, m)
     alloc_freq = [float(np.mean(winners < 0))]
     utility_mean = []
-    for i in range(n):
+    for i, (d, child) in enumerate(zip(inst.buyers, children)):
         mask = winners == i
         alloc_freq.append(float(np.mean(mask)))
         if not mask.any():
             utility_mean.append(0.0)
             continue
-        t_won = types[mask, i]
+        t_won = dist.quantile(d, draw(child)[mask])  # the same draws again
         pay = _payment_at(m, i, tables[i], t_won)
         revenue[mask] = pay
-        value = inst.valuation.type_factor(t_won) * m.quality.alpha.value_at(qualities[mask])
+        value = inst.valuation.type_factor(t_won) * alpha[mask]
         utility_mean.append(float(np.sum(value - pay)) / n_samples)
 
     mean = float(np.mean(revenue))
@@ -305,39 +315,37 @@ class ConstantPriceBaseline:
 
 _CUTOFF_TIE_RTOL = 1e-12
 CONSTANT_PRICE_GRID = 241  # coarse price grid, refined once around its best point
+_PRICE_BLOCK = 8192  # entries per (cutoffs x prices) block: bounds the sweep's memory
 
 
-def _constant_price_revenue(inst, prices, A1, B1, C1, A_tot, C_tot):
-    """Revenue of each posted price after announcing whether xi(q) <= cutoff.
+def _constant_price_revenue(buyers, prices, A1, B1, C1, A_tot, C_tot):
+    """Revenue matrix, cutoffs by prices, after announcing whether xi(q) <= cutoff.
 
-    A1, B1 and C1 are the quality side's A, B and C at the cutoff; A_tot
-    and C_tot are A and C over the whole quality support.
+    ``buyers`` pairs each buyer's distribution with b on its grid.  A1,
+    B1 and C1 hold the quality side's A, B and C at each cutoff; A_tot
+    and C_tot are A and C over the whole quality support.  A side of the
+    announcement with mass at most 1e-12 adds nothing, and one whose
+    mean alpha is not positive sells to nobody.
     """
-    prices = np.atleast_1d(np.asarray(prices, dtype=float))
-    b_fn = inst.valuation.type_factor
-    total = np.zeros_like(prices)
-    for mass, alpha_mean, retained in (
-        (B1, A1 / B1 if B1 > 1e-12 else 0.0, C1),
-        (1.0 - B1, (A_tot - A1) / (1.0 - B1) if 1.0 - B1 > 1e-12 else 0.0, C_tot - C1),
-    ):
-        if mass <= 1e-12:
-            continue
-        prob_no_buyer = np.ones_like(prices)
-        if alpha_mean > 0.0:
-            for d in inst.buyers:
-                b_vals = b_fn(d.grid)
-                # smallest type whose expected value clears each price
-                tau = np.interp(
-                    prices / alpha_mean, b_vals, d.grid,
-                    left=d.grid[0], right=d.grid[-1] + 1.0,
-                )
-                f_tau = np.where(
-                    tau > d.grid[-1],
-                    1.0,
-                    np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
-                )
-                prob_no_buyer = prob_no_buyer * f_tau
-        total += prices * (1.0 - prob_no_buyer) * mass + prob_no_buyer * retained
+    total = np.zeros((A1.size, prices.size))
+    for mass, alpha_sum, retained in ((B1, A1, C1), (1.0 - B1, A_tot - A1, C_tot - C1)):
+        seen = mass > 1e-12
+        alpha_mean = np.where(seen, alpha_sum / np.where(seen, mass, 1.0), 0.0)
+        sells = alpha_mean > 0.0
+        x = prices / np.where(sells, alpha_mean, 1.0)[:, None]
+        prob_no_buyer = np.ones_like(x)
+        for d, b_vals in buyers:
+            # smallest type whose expected value clears each price
+            tau = np.interp(x, b_vals, d.grid, left=d.grid[0], right=d.grid[-1] + 1.0)
+            f_tau = np.where(
+                tau > d.grid[-1],
+                1.0,
+                np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
+            )
+            prob_no_buyer = prob_no_buyer * f_tau
+        prob_no_buyer = np.where(sells[:, None], prob_no_buyer, 1.0)
+        side = prices * (1.0 - prob_no_buyer) * mass[:, None] + prob_no_buyer * retained[:, None]
+        total += np.where(seen[:, None], side, 0.0)
     return total
 
 
@@ -350,27 +358,30 @@ def best_constant_price(inst):
     incentive compatible, hence never better than the optimal mechanism.
     Cutoffs whose revenues agree to a relative 1e-12 count as tied, and
     the lowest tied cutoff is reported, so the choice does not hinge on
-    rounding.
+    rounding.  Each sweep evaluates blocks of cutoffs against the whole
+    price grid, at most ``_PRICE_BLOCK`` revenues at a time.
     """
     xi = inst.quality.xi.vals
-    b_fn = inst.valuation.type_factor
+    buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
     cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
     A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
     # the last cutoff lies above xi everywhere: A and C over the whole support
     A_tot, C_tot = A1[-1], C1[-1]
     alpha_max = float(np.max(inst.quality.alpha.vals))
-    p_hi = max(float(np.max(b_fn(d.grid))) for d in inst.buyers) * alpha_max
+    p_hi = max(float(np.max(b_vals)) for _, b_vals in buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, CONSTANT_PRICE_GRID)
 
     def sweep(price_grid, best=None):
         top = np.empty(cutoffs.size)
         arg = np.empty(cutoffs.size, dtype=int)
-        for k in range(cutoffs.size):
+        rows = max(1, _PRICE_BLOCK // price_grid.size)
+        for lo in range(0, cutoffs.size, rows):
+            blk = slice(lo, lo + rows)
             revs = _constant_price_revenue(
-                inst, price_grid, A1[k], B1[k], C1[k], A_tot, C_tot
+                buyers, price_grid, A1[blk], B1[blk], C1[blk], A_tot, C_tot
             )
-            arg[k] = int(np.argmax(revs))
-            top[k] = revs[arg[k]]
+            arg[blk] = np.argmax(revs, axis=1)
+            top[blk] = revs[np.arange(revs.shape[0]), arg[blk]]
         peak = float(np.max(top))
         if best is not None and peak <= best[2] + _CUTOFF_TIE_RTOL * abs(best[2]):
             return best

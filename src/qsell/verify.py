@@ -90,8 +90,7 @@ def check_feasibility(inst, m, tol=1e-6):
         bound_i = float(abs(U[0]))
 
         u = rng.random(FEASIBILITY_SAMPLES)
-        t_samp = dist.quantile(d, u)
-        c = np.interp(t_samp, d.grid, m.curves[i].phi_ironed)
+        (c,) = dist.quantile(d, u, m.curves[i].phi_ironed)
         W_samp = _win_probability(inst, m.curves, i, c)
         prob_i = float(
             max(0.0, np.max(W_samp) - 1.0, np.max(-W_samp))

@@ -1,5 +1,7 @@
 """Grids, distributions, quadrature, and sublevel-set primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,98 @@ def test_level_points_matches_dense_reference(shape, m, seed):
 
 
 # ---------------------------------------------------------------------------
+# cdf cell lookup (the guide table behind quantile and simulate)
+
+
+def _assert_cells_match(d, u):
+    """The guide-table cell is clipped searchsorted's, and its reads are np.interp's."""
+    u = np.asarray(u, dtype=float)
+    cdf = d.cdf_vals
+    k, w = dist._cdf_cell(cdf, u)
+    expect = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2)
+    assert np.array_equal(k, expect)
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    t = qsell.quantile(d, u)
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(d.grid))
+    assert np.max(np.abs(t - np.interp(u, cdf, d.grid))) <= tol
+
+
+def _exact_edges(m):
+    """A distribution whose cdf nodes are exactly j / (m - 1): every node on a bucket edge."""
+    grid = np.linspace(0.0, 1.0, m)
+    return dist.GriddedDistribution(0.0, 1.0, grid, np.ones(m), np.arange(m) / (m - 1))
+
+
+def _eps_stretch(m):
+    """Half the grid at the density floor: hundreds of cdf nodes share one bucket."""
+    grid = np.linspace(0.0, 1.0, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return qsell.make_from_table(grid, np.where(np.abs(grid - 0.5) < 0.25, 0.0, 1.0))
+
+
+_LOOKUP_DISTS = {
+    "uniform-257": lambda: qsell.make_uniform(0.0, 1.0, m=257),
+    "shifted-uniform-65": lambda: qsell.make_uniform(2.0, 5.0, m=65),
+    "bimodal-1025": lambda: qsell.make_from_density(
+        0.0, 1.0, lambda x: np.exp(-0.5 * ((x - 0.25) / 0.08) ** 2)
+        + np.exp(-0.5 * ((x - 0.75) / 0.08) ** 2), m=1025,
+    ),
+    "tied-cdf": lambda: dist.GriddedDistribution(
+        0.0, 5.0, np.arange(6.0), np.ones(6), np.array([0.0, 0.2, 0.2, 0.2, 0.7, 1.0])
+    ),
+    "exact-edges-101": lambda: _exact_edges(101),
+    "eps-stretch-1025": lambda: _eps_stretch(1025),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKUP_DISTS))
+def test_cdf_cell_at_the_ends_and_at_every_node(name):
+    d = _LOOKUP_DISTS[name]()
+    cdf = d.cdf_vals
+    _assert_cells_match(d, np.concatenate(([0.0, 1.0], cdf)))
+    # u at a node that starts a cell of positive width reads that node exactly
+    starts = np.nonzero(np.diff(cdf) > 0.0)[0]
+    assert np.array_equal(qsell.quantile(d, cdf[starts]), d.grid[starts])
+
+
+def test_cdf_cell_with_many_cells_in_one_bucket():
+    d = _eps_stretch(1025)
+    cdf = d.cdf_vals
+    M = cdf.size - 1
+    assert np.max(np.bincount((cdf * M).astype(int))) > 200
+    u = np.random.default_rng(3).random(20_000)
+    near = np.concatenate((np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+    _assert_cells_match(d, np.clip(np.concatenate((u, near)), 0.0, 1.0))
+
+
+def test_quantile_reads_columns_in_the_quantile_cell():
+    d = _LOOKUP_DISTS["bimodal-1025"]()
+    u = np.random.default_rng(4).random(5_000)
+    curve = np.sin(6.0 * d.grid)
+    t, (grid_col, at_t) = qsell.quantile(d, u), qsell.quantile(d, u, d.grid, curve)
+    assert np.array_equal(grid_col, t)
+    # a curve on d's grid is linear in t's cell, so reading it there is interpolating it at t
+    assert np.max(np.abs(at_t - np.interp(t, d.grid, curve))) <= 1e-12
+    scalar = qsell.quantile(d, 0.3, curve)
+    assert isinstance(scalar, tuple) and len(scalar) == 1 and isinstance(scalar[0], float)
+    assert scalar[0] == pytest.approx(np.interp(qsell.quantile(d, 0.3), d.grid, curve), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [50, 101, 1000])
+def test_cdf_cell_just_below_each_bucket_edge(m):
+    # int(u * M) can round a u just below j / M up to bucket j, which then
+    # must not start past u's cell, here the cell that ends at j / M.  (M
+    # is not a power of two, where u * M would be exact.)
+    for d in (_exact_edges(m), qsell.make_uniform(0.0, 1.0, m=m)):
+        M = m - 1
+        edge = np.arange(1, M + 1) / M
+        below = np.nextafter(edge, 0.0)
+        assert np.any((below * M).astype(int) == np.arange(1, M + 1))
+        _assert_cells_match(d, np.concatenate((below, edge, np.nextafter(edge, 2.0).clip(0, 1))))
+
+
+# ---------------------------------------------------------------------------
 # property tests
 
 
@@ -352,6 +446,28 @@ def test_quantile_cdf_consistency(vals, u):
     x = qsell.quantile(d, u)
     assert d.support_lo - 1e-12 <= x <= d.support_hi + 1e-12
     assert qsell.cdf(d, x) == pytest.approx(u, abs=1e-9)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    vals=st.lists(
+        st.one_of(st.floats(0.05, 10.0), st.just(0.0), st.floats(1e-13, 1e-9)),
+        min_size=2,
+        max_size=40,
+    ),
+    u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    nodes=st.booleans(),
+)
+def test_cdf_cell_matches_searchsorted(vals, u, nodes):
+    grid = np.linspace(0.0, 1.0, len(vals))
+    vals = np.asarray(vals)
+    vals[0] = max(vals[0], 1.0)  # some mass, whatever else is clamped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        d = qsell.make_from_table(grid, vals)
+    if nodes:
+        u = u + d.cdf_vals.tolist()
+    _assert_cells_match(d, u)
 
 
 @settings(deadline=None, max_examples=30)

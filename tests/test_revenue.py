@@ -14,13 +14,17 @@ Oracles used here:
 """
 
 import dataclasses
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import qsell
 from conftest import make_bimodal
+from qsell.mechanism import _payment_at, _quality_integrals
 
 
 def _degenerate_instance():
@@ -173,6 +177,97 @@ def test_simulation_on_degenerate_instance_never_sells():
     assert rep.revenue_stderr == 0.0
 
 
+def _simulate_by_interp(inst, m, n_samples, seed):
+    """The former sampling path, kept as the reference for ``simulate``.
+
+    Every quantile and curve is its own np.interp, and the winner is the
+    argmax of an (n_samples x n) level matrix.  Returns the allocation
+    frequencies, the revenue mean and the per-buyer utility means.
+    """
+    n, qm = inst.n_buyers, inst.quality
+    children = np.random.SeedSequence(seed).spawn(n + 1)
+    u = [np.random.Generator(np.random.PCG64(c)).random(n_samples) for c in children]
+    types = np.column_stack(
+        [np.interp(u[i], d.cdf_vals, d.grid) for i, d in enumerate(inst.buyers)]
+    )
+    q = np.interp(u[n], qm.G.cdf_vals, qm.G.grid)
+    levels = np.column_stack(
+        [np.interp(types[:, i], c.type_grid, c.phi_ironed) for i, c in enumerate(m.curves)]
+    )
+    winners = np.argmax(levels, axis=1)
+    best = levels[np.arange(n_samples), winners]
+    winners = np.where(best >= np.interp(q, qm.G.grid, m.quality.xi.vals), winners, -1)
+    revenue = np.interp(q, qm.G.grid, qm.reserve.vals)
+    freq, util = [float(np.mean(winners < 0))], []
+    for i in range(n):
+        mask = winners == i
+        freq.append(float(np.mean(mask)))
+        t = types[mask, i]
+        pay = _payment_at(m, i, m.tables[i], t)
+        revenue[mask] = pay
+        alpha = np.interp(q[mask], qm.G.grid, m.quality.alpha.vals)
+        util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)
+    return freq, float(np.mean(revenue)), util
+
+
+def _tied_bimodal_pair():
+    """Two identical bimodal buyers: their ironed plateaus tie exactly."""
+    # xi runs from -0.5 to 0.5, so the plateau at about -0.31 sells.
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=129), 1.0, lambda q: np.asarray(q, float) - 0.5
+    )
+    inst = qsell.ProblemInstance(buyers=(make_bimodal(257),) * 2, quality=qm)
+    return inst, qsell.build_optimal_mechanism(inst)
+
+
+def test_simulation_matches_the_interp_reference(solved_suite):
+    cases = {**solved_suite, "tied-bimodal-pair": _tied_bimodal_pair()}
+    for name, (inst, mech) in cases.items():
+        rep = qsell.simulate(inst, mech, n_samples=50_000, seed=5)
+        freq, mean, util = _simulate_by_interp(inst, mech, 50_000, 5)
+        assert list(rep.allocation_frequency) == freq, name
+        assert abs(rep.revenue_mean - mean) <= 1e-12, name
+        assert np.max(np.abs(np.subtract(rep.per_buyer_utility_mean, util))) <= 1e-12, name
+
+
+def test_simulation_rejects_a_mechanism_on_other_grids(two_uniform):
+    inst, mech = two_uniform
+    coarse = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 2, quality=inst.quality
+    )
+    with pytest.raises(qsell.ValidationError):
+        qsell.simulate(coarse, mech, n_samples=100, seed=1)
+    # a mechanism read back from its JSON document keeps the instance's grids
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(mech)))
+    loaded = qsell.mechanism_from_json_dict(doc)
+    assert qsell.simulate(inst, loaded, 1_000, 1) == qsell.simulate(inst, mech, 1_000, 1)
+
+
+def _traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated during a second call of fn().
+
+    The first call in a process can import modules lazily (numpy.ma, about
+    1 MB of module objects), which is no part of fn's working memory.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_peak_memory():
+    # Three buyers and 200 000 samples, the largest simulate call of the
+    # benchmark's coarse sweep; the (samples x buyers) type and level
+    # matrices this replaced peaked above the bound.
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: q)
+    inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 3, quality=qm)
+    mech = qsell.build_optimal_mechanism(inst)
+    assert _traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 16.8e6
+
+
 # ---------------------------------------------------------------------------
 # Quality-blind benchmark
 # ---------------------------------------------------------------------------
@@ -226,6 +321,12 @@ def test_best_constant_price_single_buyer_equals_optimum(posted_price):
     assert qsell.revenue_direct(inst, mech) >= base.revenue - 1e-9
 
 
+def _tied_cutoff_instance(reserve):
+    """Every cutoff ties: constant xi, or constant alpha (ties up to rounding)."""
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, reserve)
+    return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm)
+
+
 @pytest.mark.parametrize(
     "reserve", [0.3, lambda q: q], ids=["constant-xi", "linear-xi-constant-alpha"]
 )
@@ -234,12 +335,123 @@ def test_best_constant_price_reports_the_lowest_tied_cutoff(reserve):
     # announcement; with constant alpha no announcement moves the buyers'
     # expected value.  Either way all cutoffs tie (the second only up to
     # rounding), and the lowest one must be reported.
-    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, reserve)
-    inst = qsell.ProblemInstance(
-        buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm
-    )
+    inst = _tied_cutoff_instance(reserve)
     base = qsell.best_constant_price(inst)
-    assert base.cutoff == float(np.min(qm.xi.vals)) - 1.0
+    assert base.cutoff == float(np.min(inst.quality.xi.vals)) - 1.0
+
+
+def _constant_price_row(inst, prices, A1, B1, C1, A_tot, C_tot):
+    """One cutoff's revenues as the per-cutoff loop computed them (reference)."""
+    total = np.zeros_like(prices)
+    for mass, alpha_mean, retained in (
+        (B1, A1 / B1 if B1 > 1e-12 else 0.0, C1),
+        (1.0 - B1, (A_tot - A1) / (1.0 - B1) if 1.0 - B1 > 1e-12 else 0.0, C_tot - C1),
+    ):
+        if mass <= 1e-12:
+            continue
+        prob_no_buyer = np.ones_like(prices)
+        if alpha_mean > 0.0:
+            for d in inst.buyers:
+                tau = np.interp(
+                    prices / alpha_mean, inst.valuation.type_factor(d.grid), d.grid,
+                    left=d.grid[0], right=d.grid[-1] + 1.0,
+                )
+                f_tau = np.where(
+                    tau > d.grid[-1],
+                    1.0,
+                    np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
+                )
+                prob_no_buyer = prob_no_buyer * f_tau
+        total += prices * (1.0 - prob_no_buyer) * mass + prob_no_buyer * retained
+    return total
+
+
+def _constant_price_setup(inst):
+    """Cutoffs, their quality integrals and the coarse price grid, as the sweep builds them."""
+    xi = inst.quality.xi.vals
+    cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
+    A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
+    alpha_max = float(np.max(inst.quality.alpha.vals))
+    p_hi = max(float(np.max(inst.valuation.type_factor(d.grid))) for d in inst.buyers) * alpha_max
+    return cutoffs, A1, B1, C1, np.linspace(0.0, p_hi, qsell.revenue.CONSTANT_PRICE_GRID)
+
+
+def _best_constant_price_by_loop(inst):
+    """The per-cutoff loop the blocked sweep replaced, kept as its reference."""
+    cutoffs, A1, B1, C1, prices = _constant_price_setup(inst)
+    rtol = 1e-12
+
+    def sweep(price_grid, best=None):
+        top = np.empty(cutoffs.size)
+        arg = np.empty(cutoffs.size, dtype=int)
+        for k in range(cutoffs.size):
+            revs = _constant_price_row(inst, price_grid, A1[k], B1[k], C1[k], A1[-1], C1[-1])
+            arg[k] = int(np.argmax(revs))
+            top[k] = revs[arg[k]]
+        peak = float(np.max(top))
+        if best is not None and peak <= best[2] + rtol * abs(best[2]):
+            return best
+        k = int(np.argmax(top >= peak - rtol * abs(peak)))
+        return (float(price_grid[arg[k]]), float(cutoffs[k]), float(top[k]))
+
+    best = sweep(prices)
+    step = prices[1] - prices[0]
+    return sweep(np.linspace(max(best[0] - step, 0.0), best[0] + step, 81), best)
+
+
+def _fine_xi_instance():
+    """A 1 025-node linear xi: 1 027 cutoffs, several row blocks per sweep."""
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=1025), lambda q: 1.0 + q, lambda q: 0.2 + 0.5 * q
+    )
+    return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 2, quality=qm)
+
+
+def _thin_top_instance():
+    """Quality at the density floor where xi is highest: announcement sides of mass <= 1e-12."""
+    grid = np.linspace(0.0, 1.0, 129)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        G = qsell.make_from_table(grid, np.where(grid > 0.9, 0.0, 1.0))
+    qm = qsell.make_quality_model(G, 1.0, lambda q: 0.1 + 0.5 * np.asarray(q, float))
+    return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm)
+
+
+@pytest.fixture(scope="module")
+def constant_price_cases(suite):
+    cases = dict(suite)
+    cases["constant-xi"] = _tied_cutoff_instance(0.3)
+    cases["linear-xi-constant-alpha"] = _tied_cutoff_instance(lambda q: q)
+    cases["xi-1025"] = _fine_xi_instance()
+    cases["thin-top"] = _thin_top_instance()
+    return cases
+
+
+def test_constant_price_revenue_matrix_matches_the_rows(constant_price_cases):
+    for name, inst in constant_price_cases.items():
+        cutoffs, A1, B1, C1, prices = _constant_price_setup(inst)
+        buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
+        got = qsell.revenue._constant_price_revenue(buyers, prices, A1, B1, C1, A1[-1], C1[-1])
+        want = np.stack(
+            [
+                _constant_price_row(inst, prices, A1[k], B1[k], C1[k], A1[-1], C1[-1])
+                for k in range(cutoffs.size)
+            ]
+        )
+        assert np.array_equal(got, want), name
+
+
+def test_best_constant_price_matches_the_per_cutoff_loop(constant_price_cases):
+    for name, inst in constant_price_cases.items():
+        base = qsell.best_constant_price(inst)
+        assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst), name
+
+
+def test_best_constant_price_peak_memory():
+    # The blocked sweep holds a few blocks of at most _PRICE_BLOCK entries;
+    # one (cutoffs x prices) matrix at 1 027 cutoffs would take about 17 MB.
+    inst = _fine_xi_instance()
+    assert _traced_peak(lambda: qsell.best_constant_price(inst)) <= 1e6
 
 
 def test_optimal_mechanism_dominates_constant_price(solved_suite):
