@@ -10,6 +10,7 @@ sort-based kernel: k queries against an m-node curve cost
 O((m + k) log m) for the cells wholly inside the set, plus one exactly
 integrated straddling cell per monotone run of the curve and query.
 A stack of integrands over one level curve shares that sort and search.
+``LevelTable`` tabulates either as an exact function of the level.
 ``level_points`` finds where such a set's boundary lies: the one-sided
 points where a curve meets each of a set of levels.
 """
@@ -25,6 +26,7 @@ from .errors import ValidationError
 
 __all__ = [
     "EPS_DENSITY",
+    "ATOM_TOL",
     "GriddedFunction",
     "GriddedDistribution",
     "make_uniform",
@@ -39,9 +41,11 @@ __all__ = [
     "sublevel_integral",
     "sublevel_mass",
     "level_points",
+    "LevelTable",
 ]
 
 EPS_DENSITY = 1e-12
+ATOM_TOL = 1e-14  # one-sided values closer than this are no atom
 
 
 def _as_float_array(x, name):
@@ -459,6 +463,69 @@ def level_points(x, vals, levels):
     )
     order = np.lexsort((rank, t))
     return t[order], rank[order], level[order], above[order]
+
+
+@dataclass(frozen=True, eq=False)
+class LevelTable:
+    """A sublevel quantity as an exact piecewise quadratic in its level c.
+
+    ``breaks`` are the level curve's sorted unique node values; ``weak``
+    and ``strict`` the quantity over {level <= c} and {level < c} there.
+    Each open piece between breaks holds c0 + x * (c1 + x * c2) in its
+    fraction x, through the weak value at its left break, its midpoint
+    and the strict value at its right break; below and above the breaks
+    the quantity is constant.  A stacked quantity has a leading row axis.
+    """
+
+    breaks: np.ndarray
+    weak: np.ndarray
+    strict: np.ndarray
+    coef: np.ndarray  # (3, ..., pieces): c0, c1, c2; piece j ends at breaks[j]
+
+    @classmethod
+    def build(cls, level_vals, evaluate):
+        """Tabulate ``evaluate(c, include_equal)`` over a curve's node values."""
+        breaks = np.unique(level_vals)
+        k = breaks.size
+        vals = evaluate(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))), True)
+        weak, mid = vals[..., :k], vals[..., k:]
+        strict = evaluate(breaks, False)
+        v0, v1 = weak[..., :-1], strict[..., 1:]
+        c0 = np.concatenate((strict[..., :1], v0, weak[..., -1:]), axis=-1)
+        pad = np.zeros(weak.shape[:-1] + (1,))
+        c1 = np.concatenate((pad, 4.0 * (mid - v0) - (v1 - v0), pad), axis=-1)
+        c2 = np.concatenate((pad, 2.0 * (v1 - v0) - 4.0 * (mid - v0), pad), axis=-1)
+        return cls(breaks, weak, strict, np.stack((c0, c1, c2)))
+
+    def at(self, c, weak=True):
+        """The quantity at levels c: its weak or strict value at a break.
+
+        ``weak`` may be an array of flags, one per level.  One
+        ``searchsorted`` finds each level's piece, one Horner step reads it.
+        A NaN level is a validation error.
+        """
+        c = _validated_query(c)
+        b = self.breaks
+        j = np.searchsorted(b, c)  # the piece ending at the first break >= c
+        lo = b[np.maximum(j - 1, 0)]
+        width = np.append(1.0, np.append(np.diff(b), 1.0))[j]
+        x = np.clip((c - lo) / width, 0.0, 1.0)
+        c0, c1, c2 = self.coef[..., j]
+        val = c0 + x * (c1 + x * c2)
+        jb = np.minimum(j, b.size - 1)
+        side = np.where(weak, self.weak[..., jb], self.strict[..., jb])
+        return np.where(b[jb] == c, side, val)[()]
+
+    def __eq__(self, other):
+        """Equal breaks and values: a rebuilt table equals the solve's."""
+        return isinstance(other, LevelTable) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("breaks", "weak", "strict", "coef")
+        )
+
+    def atoms(self, row=()):
+        """Breaks where the weak and strict values differ by more than ATOM_TOL."""
+        return self.breaks[self.weak[row] - self.strict[row] > ATOM_TOL]
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

@@ -9,7 +9,8 @@ xi(q) = reserve(q) / alpha(q).
 
 Interim quantities (win probability, the alpha-weighted win weight, and
 the envelope integral behind payments) reduce to one-dimensional sublevel
-computations thanks to independence.  Where those quantities jump, at
+computations thanks to independence, tabulated once per solve as exact
+functions of the threshold level.  Where those quantities jump, at
 atoms of the xi distribution or at opponents' ironed plateaus, integrals
 are evaluated with explicit one-sided points so the tabulated payments
 stay accurate near participation thresholds.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
 WIN_PROB_FLOOR = 1e-12
 TIEBREAK_LOWEST_INDEX = "lowest-index"
 SCHEMA_VERSION = 1
-ATOM_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,16 @@ class QualityModel:
         """alpha * g, g and reserve * g stacked: the weights of A, B and C."""
         g = self.G.pdf_vals
         return np.stack((self.alpha.vals * g, g, self.reserve.vals * g))
+
+    @cached_property
+    def level_table(self):
+        """A, B and C over {xi <= c} as one ``dist.LevelTable``, a row each."""
+        return dist.LevelTable.build(
+            self.xi.vals,
+            lambda c, weak: dist.sublevel_integral(
+                self.G.grid, self.xi.vals, self.integrands, c, weak
+            ),
+        )
 
 
 def _curve_on(grid, curve, name):
@@ -198,12 +208,13 @@ class ThresholdMechanism:
 
     ``tables`` holds the per-buyer ``InterimTable`` objects the solve
     computed, so revenue, simulation, verification and pointwise payments
-    reuse them instead of recomputing.  Each table's ``entry`` is the
-    lowest type at which that buyer is asked.  The tables depend only on
-    the instance and the threshold curves, so ``dataclasses.replace``
-    with new payments keeps them valid, and the new node table is what
-    the consumers read.  They are not serialized: a mechanism loaded from
-    JSON has ``tables=None`` and consumers rebuild them on demand.
+    reuse them instead of recomputing; they share the solve's level
+    tables.  Each table's ``entry`` is the lowest type at which that buyer
+    is asked.  The tables depend only on the instance and the threshold
+    curves, so ``dataclasses.replace`` with new payments keeps them valid,
+    and the new node table is what the consumers read.  They are not
+    serialized: a mechanism loaded from JSON has ``tables=None`` and
+    consumers rebuild them on demand.
     """
 
     curves: list
@@ -269,62 +280,46 @@ def allocate(m, t_profile, q):
 # interim quantities at threshold levels
 
 
-def _quality_integrals(qm, c, include_equal):
-    """(A, B, C): alpha * g, g, reserve * g over {xi <= c} (or {xi < c}), in one call."""
-    return tuple(
-        dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands, c, include_equal)
-    )
+@dataclass(frozen=True)
+class InterimLevels:
+    """Every factor of the interim quantities as a table in the level c.
 
-
-def _atom_levels(level_vals, mass):
-    """Levels carrying positive probability mass (flat stretches of a curve).
-
-    ``mass(v, include_equal)`` is the measure of {curve <= v}, or of
-    {curve < v} when include_equal is False.
+    ``quality`` holds A, B and C (alpha * g, g and reserve * g over
+    {xi <= c}), ``mass[j]`` buyer j's P(phi_ironed_j <= c).  Buyer i is
+    asked exactly when the quality lies in {xi <= c} and every rival's
+    threshold lies below c, so each interim quantity is a product of
+    lookups.  A solve builds these tables once.
     """
-    flat = level_vals[:-1] == level_vals[1:]
-    if not np.any(flat):
-        return []
-    cand = np.unique(level_vals[:-1][flat])
-    return [float(v) for v in cand[mass(cand, True) - mass(cand, False) > ATOM_TOL]]
 
+    quality: dist.LevelTable
+    mass: tuple
 
-def _opponent_product(inst, curves, i, c, mode):
-    """Product over j != i of the mass of {curve_j <= c}.
-
-    mode 'at' uses the mechanism's tie split (strict for j < i, weak for
-    j > i); 'below'/'above' give the one-sided limits used at jumps.
-    With i None the product runs over every buyer (one-sided modes only).
-    """
-    c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-    out = np.ones_like(c_arr)
-    for j in range(inst.n_buyers):
-        if j == i:
-            continue
-        include = j > i if mode == "at" else mode == "above"
-        out = out * dist.sublevel_mass(
-            inst.buyers[j], curves[j].phi_ironed, c_arr, include
+    @classmethod
+    def build(cls, inst, curves):
+        mass = tuple(
+            dist.LevelTable.build(
+                c.phi_ironed, lambda lev, weak: dist.sublevel_mass(d, c.phi_ironed, lev, weak)
+            )
+            for d, c in zip(inst.buyers, curves)
         )
-    return float(out[0]) if np.ndim(c) == 0 else out
+        return cls(inst.quality.level_table, mass)
 
+    def opp(self, i, c, above=None):
+        """Product over the rivals j != i (every buyer if i is None) of their mass at c.
 
-def _interim_at(inst, curves, i, c, mode):
-    """(opp, A, B, C) of buyer i at threshold levels c.
+        With ``above`` None a rival reads the mechanism's tie split, strict
+        ({phi_j < c}) for j < i and weak for j > i; otherwise the weak side
+        where ``above`` holds and the strict side elsewhere.
+        """
+        out = np.ones(np.shape(c))[()]
+        for j, mass in enumerate(self.mass):
+            if j != i:
+                out = out * mass.at(c, j > i if above is None else above)
+        return out
 
-    Buyer i is asked exactly when the quality lies in {xi <= c} and every
-    opponent's threshold lies below c, so each interim quantity is opp
-    times a quality integral.  mode is as in ``_opponent_product``; the
-    quality side is strict only for 'below'.
-    """
-    opp = _opponent_product(inst, curves, i, c, mode)
-    return (opp, *_quality_integrals(inst.quality, c, mode != "below"))
-
-
-def _win_probability(inst, curves, i, c):
-    """opp * B of ``_interim_at(..., 'at')`` from one kernel row, not three."""
-    qm = inst.quality
-    B = dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands[1], c, True)
-    return _opponent_product(inst, curves, i, c, "at") * B
+    def at(self, i, c, above=None):
+        """(opp, A, B, C) of buyer i at levels c; the quality side is weak at a tie."""
+        return (self.opp(i, c, above), *self.quality.at(c, True if above is None else above))
 
 
 def _merge_one_sided(nodes, t_x, rank_x, *columns):
@@ -362,6 +357,9 @@ class InterimTable:
     point, which carries the right-hand limit.  That limit is
     ``entry_value``: the entry type's expected value of the item per unit
     of win probability, b * A / B just above the entry.
+
+    ``levels`` holds the solve's level tables, shared by every buyer's
+    table: any interim quantity at any threshold level is a lookup there.
     """
 
     opp: np.ndarray
@@ -380,101 +378,63 @@ class InterimTable:
     node_pos: np.ndarray
     entry: Optional[float]
     entry_value: Optional[float]
-
-
-def _buyer_atom_levels(inst, curves):
-    """Per buyer, the levels where their threshold curve has a plateau carrying mass."""
-    return [
-        _atom_levels(c.phi_ironed, partial(dist.sublevel_mass, d, c.phi_ironed))
-        for d, c in zip(inst.buyers, curves)
-    ]
-
-
-def _alpha_at_min_xi(qm):
-    """Limit of A(c) / B(c) as c falls to min xi, where {xi = min xi} has no mass.
-
-    Near an isolated minimizing node the sublevel set {xi <= c} reaches
-    (c - min xi) / |xi'| into each neighbouring cell, so the limit is alpha
-    averaged over the minimizing nodes with weights g / |xi'|.
-    """
-    q, xi = qm.G.grid, qm.xi.vals
-    k = np.nonzero(xi == xi.min())[0]
-    reach = np.zeros(k.size)
-    for nb in (k - 1, k + 1):
-        on = (nb >= 0) & (nb < xi.size)
-        reach[on] += np.abs(q[nb[on]] - q[k[on]]) / (xi[nb[on]] - xi[k[on]])
-    alpha_g, g = qm.integrands[:2, k] @ reach
-    return alpha_g / g
+    levels: InterimLevels
 
 
 def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
-    qm = inst.quality
-    xi_atoms = _atom_levels(
-        qm.xi.vals, partial(dist.sublevel_integral, qm.G.grid, qm.xi.vals, qm.G.pdf_vals)
-    )
-    buyer_atoms = _buyer_atom_levels(inst, curves)
+    levels = InterimLevels.build(inst, curves)
+    xi_atoms = levels.quality.atoms(1)  # B's row: the mass of {xi <= c}
+    buyer_atoms = [t.atoms() for t in levels.mass]
     tables = []
     for i, d in enumerate(inst.buyers):
         grid = d.grid
         vals = curves[i].phi_ironed
-        b, bp = b_fn(grid), bp_fn(grid)
 
-        opp, A, B, C = _interim_at(inst, curves, i, vals, "at")
-        R = bp * opp * A
-        W = opp * B
-
-        # One-sided points where R or W jumps: where the curve meets a level
-        # at which the quality side or an opponent carries an atom.
-        critical = sorted(set(xi_atoms).union(*buyer_atoms[:i], *buyer_atoms[i + 1 :]))
-        t_x, rank_x, lev_x, above_x = dist.level_points(grid, vals, critical)
-        mode_x = np.where(above_x, "above", "below")
+        opp, A, B, C = levels.at(i, vals)
 
         # W = opp * B turns positive once the level passes both the lowest
         # reserve ratio and every opponent's lowest threshold: below c_entry
         # B or an opponent's mass is zero, above it no factor is (densities
         # are at least EPS_DENSITY).  At c_entry itself W is positive only on
         # an atom, and then a plateau of buyer i at c_entry already wins.
-        # The curve reaches c_entry at the rank-0 point and passes it at the
+        # Each table's first break is its curve's lowest value.
+        rivals = [t for j, t in enumerate(levels.mass) if j != i]
+        c_entry = max(t.breaks[0] for t in [levels.quality] + rivals)
+        # One crossing-finder call finds the one-sided points where R or W
+        # jumps (where the curve meets a level at which the quality side or
+        # an opponent carries an atom) and where the curve meets c_entry:
+        # it reaches c_entry at the rank-0 point and passes it at the
         # rank-2 point, or at the first node when it starts there or above.
-        c_entry = max(
-            [inst.quality.xi.vals.min()]
-            + [c.phi_ironed.min() for j, c in enumerate(curves) if j != i]
+        critical = np.concatenate([xi_atoms, *buyer_atoms[:i], *buyer_atoms[i + 1 :]])
+        t_x, rank_x, lev_x, above_x = dist.level_points(
+            grid, vals, np.union1d(critical, [c_entry])
         )
-        t_e, rank_e, _, _ = dist.level_points(grid, vals, [c_entry])
-        reach = t_e[rank_e == 0] if vals[0] < c_entry else grid[:1]
-        passed = t_e[rank_e == 2] if vals[0] <= c_entry else grid[:1]
+        at_entry = lev_x == c_entry
+        reach = t_x[at_entry & (rank_x == 0)] if vals[0] < c_entry else grid[:1]
+        passed = t_x[at_entry & (rank_x == 2)] if vals[0] <= c_entry else grid[:1]
         entry = float(passed[0]) if passed.size else None
-        if np.any(W[vals == c_entry] > 0.0):
+        keep = ~at_entry if c_entry not in critical else np.ones_like(at_entry)
+        if np.any((opp * B)[vals == c_entry] > 0.0):
             entry = float(reach[0])
         elif entry is not None and vals[0] <= c_entry and c_entry not in critical:
-            # The rent integrand R kinks where W turns positive; a plain
-            # trapezoid across that cell would accumulate rent as if R grew
-            # from the cell's left edge, so pin the entry with a knot (R is
-            # continuous there, no one-sided pair).  The knot sorts after a
-            # node at the same type, because it carries the payment's
-            # right-hand limit.  At a jump the pair above already sits at
-            # the entry.
-            t_x, rank_x = np.append(t_x, entry), np.append(rank_x, 2)
-            lev_x, mode_x = np.append(lev_x, c_entry), np.append(mode_x, "at")
+            # The rent integrand R kinks where W turns positive, and a plain
+            # trapezoid across that cell would accumulate rent from the cell's
+            # left edge, so the point passing c_entry stays as a knot.  It
+            # sorts after a node at the same type and reads the right-hand
+            # values: it carries the payment's right-hand limit.  At a jump
+            # the one-sided pair already sits there.
+            keep |= at_entry & (rank_x == 2) & (t_x == entry)
+        t_x, rank_x, lev_x, above_x = (a[keep] for a in (t_x, rank_x, lev_x, above_x))
+        # Every factor reads the side of each point's curve: the one-sided
+        # limits at a jump, the right-hand values at the knot.
+        opp_x, A_x, B_x, C_x = levels.at(i, lev_x, above_x)
 
-        # One kernel call per one-sided mode evaluates every extra point.
-        opp_x, A_x, B_x, C_x = (np.zeros(t_x.size) for _ in range(4))
-        for mode in ("below", "at", "above"):
-            sel = mode_x == mode
-            if sel.any():
-                opp_x[sel], A_x[sel], B_x[sel], C_x[sel] = _interim_at(
-                    inst, curves, i, lev_x[sel], mode
-                )
-        b_x, bp_x = (b_fn(t_x), bp_fn(t_x)) if t_x.size else (t_x, t_x)
-
-        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb, b_comb, bp_comb) = (
-            _merge_one_sided(
-                grid, t_x, rank_x,
-                (opp, opp_x), (A, A_x), (B, B_x), (C, C_x), (b, b_x), (bp, bp_x),
-            )
+        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb) = _merge_one_sided(
+            grid, t_x, rank_x, (opp, opp_x), (A, A_x), (B, B_x), (C, C_x)
         )
+        b_comb, bp_comb = b_fn(t_comb), bp_fn(t_comb)
         R_comb = bp_comb * opp_comb * A_comb
         W_comb = opp_comb * B_comb
 
@@ -490,14 +450,15 @@ def interim_tables(inst, curves):
         if entry is not None:
             # The point a query at the entry reads: the knot, the upper
             # point of a jump pair, or a node.  Where W is still zero there,
-            # the payment is its right-hand limit b * A / B, with A / B
-            # taken to its limit when the entry level is an isolated
-            # minimum of xi (B = 0).
+            # the payment is its right-hand limit b * A / B.  When the entry
+            # level is an isolated minimum of xi (B = 0 there), A and B both
+            # start linearly on the quality table's first piece, and A / B
+            # tends to the ratio of their slopes.
             k = np.searchsorted(t_comb, entry, side="right") - 1
             if B_comb[k] > 0.0:
                 ratio = A_comb[k] / B_comb[k]
             else:
-                ratio = _alpha_at_min_xi(inst.quality)
+                ratio = levels.quality.coef[1, 0, 1] / levels.quality.coef[1, 1, 1]
             entry_value = float(b_comb[k] * ratio)
             if not defined[k]:
                 pay_comb[k] = entry_value
@@ -506,9 +467,9 @@ def interim_tables(inst, curves):
             InterimTable(
                 opp=opp,
                 A=A,
-                R=R,
+                R=R_comb[node_pos],
                 int_R=int_R_comb[node_pos],
-                W=W,
+                W=W_comb[node_pos],
                 t_comb=t_comb,
                 opp_comb=opp_comb,
                 A_comb=A_comb,
@@ -520,6 +481,7 @@ def interim_tables(inst, curves):
                 node_pos=node_pos,
                 entry=entry,
                 entry_value=entry_value,
+                levels=levels,
             )
         )
     return tables
@@ -530,10 +492,10 @@ def win_weight(inst, curves, i, t_i):
 
     For the linear form this is the alpha-weighted win probability; it is
     the slope of the buyer's utility envelope and must be non-decreasing
-    for the mechanism to be implementable.
+    for the mechanism to be implementable.  Each call builds all the level
+    tables for its one lookup; many queries read them from ``interim_tables``.
     """
-    c = float(np.interp(t_i, inst.buyers[i].grid, curves[i].phi_ironed))
-    opp, A, _, _ = _interim_at(inst, curves, i, c, "at")
+    opp, A, _, _ = InterimLevels.build(inst, curves).at(i, curves[i].phi_ironed_at(t_i))
     return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
 
 

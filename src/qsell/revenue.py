@@ -18,12 +18,9 @@ import numpy as np
 from . import dist
 from .errors import ValidationError
 from .mechanism import (
-    _buyer_atom_levels,
     _merge_one_sided,
-    _opponent_product,
     _payment_at,
     _payment_column,
-    _quality_integrals,
     _tables_of,
     _winners,
 )
@@ -44,28 +41,23 @@ __all__ = [
 # expected revenue, direct route
 
 
-def _no_sale_quality_integral(inst, curves):
+def _no_sale_quality_integral(inst, levels):
     """Integral over quality of reserve * g * P(nobody clears xi(q)).
 
-    The probability factor jumps where xi meets a level at which some
-    buyer's threshold curve carries probability mass: it is the strict
-    product at and below the level and the weak one above it.  The
-    one-sided points of ``dist.level_points`` enter before the trapezoid
-    rule is applied.
+    ``levels`` are the solve's ``InterimLevels``.  The probability factor
+    jumps where xi meets a level at which some buyer's threshold curve
+    carries probability mass: it is the strict product at and below the
+    level and the weak one above it.  The one-sided points of
+    ``dist.level_points`` enter before the trapezoid rule is applied.
     """
     qm = inst.quality
     qgrid, xi, rg = qm.G.grid, qm.xi.vals, qm.integrands[2]
-    levels = np.asarray(sorted(set().union(*_buyer_atom_levels(inst, curves))), dtype=float)
-    strict = _opponent_product(inst, curves, None, levels, "below")
-    weak = _opponent_product(inst, curves, None, levels, "above")
-    keep = weak - strict > 1e-14
-    levels, strict, weak = levels[keep], strict[keep], weak[keep]
+    atoms = np.unique(np.concatenate([t.atoms() for t in levels.mass]))
+    jumps = levels.opp(None, atoms, True) - levels.opp(None, atoms, False) > 1e-14
+    t_x, rank_x, lev_x, above_x = dist.level_points(qgrid, xi, atoms[jumps])
+    v_x = np.interp(t_x, qgrid, rg) * levels.opp(None, lev_x, above_x)
 
-    t_x, rank_x, lev_x, above_x = dist.level_points(qgrid, xi, levels)
-    k = np.searchsorted(levels, lev_x)
-    v_x = np.interp(t_x, qgrid, rg) * np.where(above_x, weak[k], strict[k])
-
-    base_vals = rg * _opponent_product(inst, curves, None, xi, "below")
+    base_vals = rg * levels.opp(None, xi, False)
     t, _, (v,) = _merge_one_sided(qgrid, t_x, rank_x, (base_vals, v_x))
     return float(np.trapezoid(v, t))
 
@@ -76,8 +68,9 @@ def revenue_direct(inst, m):
     Payments are the mechanism's payment column; where it is undefined
     (NaN) the win probability is at most 1e-12 and nothing is collected.
     """
-    total = _no_sale_quality_integral(inst, m.curves)
-    for i, tab in enumerate(_tables_of(inst, m)):
+    tables = _tables_of(inst, m)
+    total = _no_sale_quality_integral(inst, tables[0].levels)
+    for i, tab in enumerate(tables):
         pay = np.nan_to_num(_payment_column(m, i, tab))
         total += float(np.trapezoid(pay * tab.W_comb * tab.f_comb, tab.t_comb))
     return total
@@ -92,9 +85,7 @@ def revenue_virtual(inst, m):
     """
     qm = inst.quality
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    tables = _tables_of(inst, m)
-    for i in range(inst.n_buyers):
-        tab = tables[i]
+    for tab in _tables_of(inst, m):
         integrand = tab.f_comb * tab.opp_comb * (
             tab.phiraw_comb * tab.A_comb - tab.C_comb
         )
@@ -164,17 +155,16 @@ def simulate(inst, m, n_samples, seed):
     )
     winners = _winners(levels, xi)
 
-    tables = _tables_of(inst, m)
     alloc_freq = [float(np.mean(winners < 0))]
     utility_mean = []
-    for i, (d, child) in enumerate(zip(inst.buyers, children)):
+    for i, (d, child, tab) in enumerate(zip(inst.buyers, children, _tables_of(inst, m))):
         mask = winners == i
         alloc_freq.append(float(np.mean(mask)))
         if not mask.any():
             utility_mean.append(0.0)
             continue
         t_won = dist.quantile(d, draw(child)[mask])  # the same draws again
-        pay = _payment_at(m, i, tables[i], t_won)
+        pay = _payment_at(m, i, tab, t_won)
         revenue[mask] = pay
         value = inst.valuation.type_factor(t_won) * alpha[mask]
         utility_mean.append(float(np.sum(value - pay)) / n_samples)
@@ -361,10 +351,11 @@ def best_constant_price(inst):
     rounding.  Each sweep evaluates blocks of cutoffs against the whole
     price grid, at most ``_PRICE_BLOCK`` revenues at a time.
     """
-    xi = inst.quality.xi.vals
+    table = inst.quality.level_table
     buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
-    cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
-    A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
+    # every distinct xi value, and one cutoff below and one above them all
+    cutoffs = np.concatenate(([table.breaks[0] - 1.0], table.breaks, [table.breaks[-1] + 1.0]))
+    A1, B1, C1 = table.at(cutoffs)
     # the last cutoff lies above xi everywhere: A and C over the whole support
     A_tot, C_tot = A1[-1], C1[-1]
     alpha_max = float(np.max(inst.quality.alpha.vals))

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import (
-    WIN_PROB_FLOOR,
-    _interim_at,
-    _payment_at,
-    _tables_of,
-    _win_probability,
-)
+from .mechanism import WIN_PROB_FLOOR, _payment_at, _tables_of
 
 __all__ = [
     "FeasibilityReport",
@@ -69,7 +63,6 @@ def check_feasibility(inst, m, tol=1e-6):
     identity), that the lowest type earns nothing, and that sampled
     interim win probabilities are genuine probabilities.
     """
-    tables = _tables_of(inst, m)
     b_fn = inst.valuation.type_factor
     rng = np.random.Generator(np.random.PCG64(FEASIBILITY_SEED))
 
@@ -78,8 +71,7 @@ def check_feasibility(inst, m, tol=1e-6):
     bound = 0.0
     prob = 0.0
     per_buyer = []
-    for i, d in enumerate(inst.buyers):
-        tab = tables[i]
+    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
         r_vals = m.win_weight[i].vals
         mono_i = max(0.0, float(-np.min(np.diff(r_vals))) if r_vals.size > 1 else 0.0)
 
@@ -91,7 +83,8 @@ def check_feasibility(inst, m, tol=1e-6):
 
         u = rng.random(FEASIBILITY_SAMPLES)
         (c,) = dist.quantile(d, u, m.curves[i].phi_ironed)
-        W_samp = _win_probability(inst, m.curves, i, c)
+        opp, _, B, _ = tab.levels.at(i, c)
+        W_samp = opp * B
         prob_i = float(
             max(0.0, np.max(W_samp) - 1.0, np.max(-W_samp))
         )
@@ -138,9 +131,7 @@ class ICReport:
 def _utility_matrix(inst, m, i, tab, true_types, reports):
     """Expected utility of each (true type, reported type) pair for buyer i."""
     b_fn = inst.valuation.type_factor
-    d = inst.buyers[i]
-    c = np.interp(reports, d.grid, m.curves[i].phi_ironed)
-    opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
+    opp, A, B, _ = tab.levels.at(i, m.curves[i].phi_ironed_at(reports))
     # a report below the entry is never asked and pays nothing (NaN payment)
     pay = np.nan_to_num(_payment_at(m, i, tab, reports))
     win_value = opp * A                      # multiplies b(true type)
@@ -157,11 +148,9 @@ def ic_deviation_search(inst, m, n_grid=101):
     broken mechanism shows up as a large positive regret, a sound one
     stays at numerical-noise level.
     """
-    tables = _tables_of(inst, m)
     worst = (0.0, -1, float("nan"), float("nan"))
     per_buyer = []
-    for i, d in enumerate(inst.buyers):
-        tab = tables[i]
+    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
         U = _utility_matrix(inst, m, i, tab, tt, tt)
@@ -172,7 +161,7 @@ def ic_deviation_search(inst, m, n_grid=101):
         k = int(np.argmax(regret_mat))
         r_i, c_i = divmod(k, n_grid)
         best = float(regret_mat[r_i, c_i])
-
+        r_t, r_r = float(tt[r_i]), float(tt[c_i])
         if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
             tt_f = np.linspace(
@@ -189,10 +178,6 @@ def ic_deviation_search(inst, m, n_grid=101):
             if float(reg_f[rf, cf]) > best:
                 best = float(reg_f[rf, cf])
                 r_t, r_r = float(tt_f[rf]), float(rr_f[cf])
-            else:
-                r_t, r_r = float(tt[r_i]), float(tt[c_i])
-        else:
-            r_t, r_r = float(tt[r_i]), float(tt[c_i])
 
         buyer_regret = max(best, exit_regret, 0.0)
         per_buyer.append(
@@ -238,17 +223,14 @@ def obedience_check(inst, m):
     the item.
     """
     b_fn = inst.valuation.type_factor
-    tables = _tables_of(inst, m)
     min_s = np.inf
     marginal = []
-    for i, d in enumerate(inst.buyers):
-        tab = tables[i]
+    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
         if tab.entry is None:
             marginal.append(None)
             continue
         t_eval = np.linspace(d.grid[0], d.grid[-1], OBEDIENCE_GRID)
-        c = np.interp(t_eval, d.grid, m.curves[i].phi_ironed)
-        opp, A, B, _ = _interim_at(inst, m.curves, i, c, "at")
+        opp, A, B, _ = tab.levels.at(i, m.curves[i].phi_ironed_at(t_eval))
         asked = opp * B > WIN_PROB_FLOOR
         if asked.any():
             t_asked = t_eval[asked]
@@ -271,18 +253,16 @@ def posterior_belief(inst, m, i, t):
     this type.  The returned grid carries near-zero-width shoulder
     points so that plain trapezoid integration reproduces mass one.
     """
-    if _tables_of(inst, m)[i].entry is None:
+    tab = _tables_of(inst, m)[i]
+    if tab.entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
     level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))
-    if _win_probability(inst, m.curves, i, level) <= WIN_PROB_FLOOR:
+    opp, _, B, _ = tab.levels.at(i, level)
+    if opp * B <= WIN_PROB_FLOOR:
         raise UndefinedPosteriorError(
             f"buyer {i} at type {t} is asked with probability ~0"
         )
     s = info.acceptance_set(m.quality, level)
-    if s.is_empty:
-        raise UndefinedPosteriorError(
-            f"buyer {i} at type {t} has an empty acceptance set"
-        )
 
     qm = m.quality
     qgrid = qm.G.grid
@@ -334,10 +314,8 @@ class DiscreteInstance:
         tp = tuple(np.asarray(p, dtype=float) for p in self.type_probs)
         object.__setattr__(self, "type_grids", tg)
         object.__setattr__(self, "type_probs", tp)
-        object.__setattr__(self, "quality_vals", np.asarray(self.quality_vals, dtype=float))
-        object.__setattr__(self, "quality_probs", np.asarray(self.quality_probs, dtype=float))
-        object.__setattr__(self, "alpha_vals", np.asarray(self.alpha_vals, dtype=float))
-        object.__setattr__(self, "reserve_vals", np.asarray(self.reserve_vals, dtype=float))
+        for name in ("quality_vals", "quality_probs", "alpha_vals", "reserve_vals"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(tg) != len(tp):
             raise ValidationError("type grids and probabilities must pair up")
         for g, p in zip(tg, tp):

@@ -206,6 +206,7 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
             rng.uniform(lv.min() - 0.1 * span, lv.max() + 0.1 * span, 16),
         )
     )
+    stack = np.stack((iv, 1.0 - iv * grid, np.ones(m)))
     for include_equal in (True, False):
         want = _dense_sublevel_integral(grid, lv, iv, c, include_equal)
         got = dist.sublevel_integral(grid, lv, iv, c, include_equal)
@@ -214,7 +215,6 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
         np.testing.assert_allclose(one_by_one, got, rtol=0.0, atol=1e-12)
 
         # A stack of integrands: each row is the 1-D call, bit for bit.
-        stack = np.stack((iv, 1.0 - iv * grid, np.ones(m)))
         rows = dist.sublevel_integral(grid, lv, stack, c, include_equal)
         assert rows.shape == (3, c.size)
         for row, integrand in zip(rows, stack):
@@ -224,8 +224,36 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
         at_one = dist.sublevel_integral(grid, lv, stack, float(c[-1]), include_equal)
         assert np.array_equal(at_one, rows[:, -1])
 
+    # The level table of the stack reads the same values at both sides of
+    # every break, at the midpoints between breaks, at random levels and
+    # below and above the range; at a break each side is the kernel's.
+    table = dist.LevelTable.build(
+        lv, lambda x, weak: dist.sublevel_integral(grid, lv, stack, x, weak)
+    )
+    breaks = np.unique(lv)
+    assert np.array_equal(table.breaks, breaks)
+    probes = np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]), c))
+    flags = rng.uniform(size=probes.size) < 0.5
+    dense = {
+        side: np.stack([_dense_sublevel_integral(grid, lv, row, probes, side) for row in stack])
+        for side in (True, False)
+    }
+    for weak in (True, False, flags):
+        want = np.where(weak, dense[True], dense[False])
+        np.testing.assert_allclose(table.at(probes, weak), want, rtol=0.0, atol=1e-12)
+    for side, values in ((True, table.weak), (False, table.strict)):
+        assert np.array_equal(values, dist.sublevel_integral(grid, lv, stack, breaks, side))
+    assert np.array_equal(table.at(float(breaks[0]), False), table.strict[:, 0])
+
     d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
+    mass_table = dist.LevelTable.build(lv, lambda x, weak: dist.sublevel_mass(d, lv, x, weak))
     for include_equal in (True, False):
+        np.testing.assert_allclose(
+            mass_table.at(probes, include_equal),
+            _dense_sublevel_integral(d.cdf_vals, lv, np.ones(m), probes, include_equal),
+            rtol=0.0,
+            atol=1e-12,
+        )
         mass = dist.sublevel_mass(d, lv, c, include_equal)
         assert np.array_equal(
             mass, dist.sublevel_integral(d.cdf_vals, lv, 1.0, c, include_equal)

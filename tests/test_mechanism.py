@@ -432,6 +432,45 @@ def test_interim_jump_points_present(two_uniform):
     assert tab.W_comb[pair[1]] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_level_tables_match_the_kernels_in_every_tie_mode(solved_suite):
+    # Each interim factor read off the level tables equals the kernel's
+    # value: the mechanism's tie split (above None), both one-sided limits,
+    # and one side per level, at every node level, the midpoints between
+    # them and random levels inside and outside their range.
+    rng = np.random.default_rng(11)
+    for name, (inst, m) in solved_suite.items():
+        qm, n = inst.quality, inst.n_buyers
+        nodes = np.unique(np.concatenate([c.phi_ironed for c in m.curves] + [qm.xi.vals]))
+        span = nodes[-1] - nodes[0] + 1.0
+        c = np.concatenate((
+            nodes,
+            0.5 * (nodes[1:] + nodes[:-1]),
+            rng.uniform(nodes[0] - 0.1 * span, nodes[-1] + 0.1 * span, 500),
+        ))
+
+        def kernel(i, weak_j, weak_q):
+            opp = np.ones_like(c)
+            for j in range(n):
+                if j != i:
+                    opp = opp * dist.sublevel_mass(
+                        inst.buyers[j], m.curves[j].phi_ironed, c, weak_j(j)
+                    )
+            ABC = dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands, c, weak_q)
+            return np.vstack((opp, ABC))
+
+        flags = rng.uniform(size=c.size) < 0.5
+        for i, tab in enumerate(m.tables):
+            weak, strict = kernel(i, lambda j: True, True), kernel(i, lambda j: False, False)
+            for above, want in (
+                (None, kernel(i, lambda j: j > i, True)),
+                (True, weak),
+                (False, strict),
+                (flags, np.where(flags, weak, strict)),
+            ):
+                got = np.vstack(tab.levels.at(i, c, above))
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=name)
+
+
 @pytest.mark.parametrize(
     "name, buyer, expected",
     [

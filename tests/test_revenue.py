@@ -24,7 +24,7 @@ import pytest
 
 import qsell
 from conftest import make_bimodal
-from qsell.mechanism import _payment_at, _quality_integrals
+from qsell.mechanism import _payment_at
 
 
 def _degenerate_instance():
@@ -370,7 +370,8 @@ def _constant_price_setup(inst):
     """Cutoffs, their quality integrals and the coarse price grid, as the sweep builds them."""
     xi = inst.quality.xi.vals
     cutoffs = np.unique(np.concatenate((xi, [np.min(xi) - 1.0, np.max(xi) + 1.0])))
-    A1, B1, C1 = _quality_integrals(inst.quality, cutoffs, True)
+    qm = inst.quality
+    A1, B1, C1 = qsell.dist.sublevel_integral(qm.G.grid, xi, qm.integrands, cutoffs, True)
     alpha_max = float(np.max(inst.quality.alpha.vals))
     p_hi = max(float(np.max(inst.valuation.type_factor(d.grid))) for d in inst.buyers) * alpha_max
     return cutoffs, A1, B1, C1, np.linspace(0.0, p_hi, qsell.revenue.CONSTANT_PRICE_GRID)

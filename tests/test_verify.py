@@ -96,6 +96,28 @@ def test_feasibility_detects_underpaid_top_types(posted_price):
     assert rep.envelope_residual == pytest.approx(0.1, abs=5e-3)
 
 
+def test_feasibility_detects_a_corrupted_level_table(posted_price):
+    # B doubled in the quality table: above xi == 0, an atom holding all
+    # the mass, the win probability reads 2, which the sampled check reads
+    # off the tables and must see.
+    inst, mech = posted_price
+    levels = mech.tables[0].levels
+    q = levels.quality
+    double_B = np.array([1.0, 2.0, 1.0])[:, None]
+    bad_q = dataclasses.replace(
+        q, **{f: getattr(q, f) * double_B for f in ("weak", "strict", "coef")}
+    )
+    bad_levels = dataclasses.replace(levels, quality=bad_q)
+    broken = dataclasses.replace(
+        mech, tables=tuple(dataclasses.replace(t, levels=bad_levels) for t in mech.tables)
+    )
+    assert qsell.check_feasibility(inst, mech).probability_violation == 0.0
+    rep = qsell.check_feasibility(inst, broken)
+    assert not rep.ok
+    assert rep.probability_violation == pytest.approx(1.0, abs=1e-12)
+    assert rep.per_buyer[0]["probability_violation"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_feasibility_report_has_per_buyer_entries(two_uniform):
     inst, mech = two_uniform
     rep = qsell.check_feasibility(inst, mech)
