@@ -12,13 +12,16 @@ integrated straddling cell per monotone run of the curve and query.
 A stack of integrands over one level curve shares that sort and search.
 ``LevelTable`` tabulates either as an exact function of the level.
 ``level_points`` finds where such a set's boundary lies: the one-sided
-points where a curve meets each of a set of levels.
+points where a curve meets each of a set of levels.  ``cut_quadrature``
+cuts a curve where it crosses a level and lays a Gauss-Lobatto rule on
+each piece, which integrates products of tables along the curve exactly.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .errors import ValidationError
 
 __all__ = [
     "EPS_DENSITY",
-    "ATOM_TOL",
     "GriddedFunction",
     "GriddedDistribution",
     "make_uniform",
@@ -41,11 +43,12 @@ __all__ = [
     "sublevel_integral",
     "sublevel_mass",
     "level_points",
+    "lobatto",
+    "cut_quadrature",
     "LevelTable",
 ]
 
 EPS_DENSITY = 1e-12
-ATOM_TOL = 1e-14  # one-sided values closer than this are no atom
 
 
 def _as_float_array(x, name):
@@ -413,6 +416,25 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     return out.T if stacked else out
 
 
+def _crossings(x, vals, levels):
+    """Strict crossings of sorted levels inside a piecewise-linear curve's cells.
+
+    Returns each crossing's cell, abscissa and level, and whether each
+    node sits at a level; a cell's crossings are one ``searchsorted`` range.
+    """
+    under = np.searchsorted(levels, vals, side="left")  # levels below each node
+    upto = np.searchsorted(levels, vals, side="right")  # levels at or below it
+    a, b = vals[:-1], vals[1:]
+    rising = b > a
+    lo_idx = np.where(rising, upto[:-1], upto[1:])
+    count = np.maximum(np.where(rising, under[1:], under[:-1]) - lo_idx, 0)
+    k = np.repeat(np.arange(a.size), count)
+    first = np.cumsum(count) - count
+    lev = levels[np.repeat(lo_idx - first, count) + np.arange(k.size)]
+    frac = np.where(rising[k], (lev - a[k]) / (b[k] - a[k]), (a[k] - lev) / (a[k] - b[k]))
+    return k, x[k] + frac * (x[k + 1] - x[k]), lev, upto > under
+
+
 def level_points(x, vals, levels):
     """One-sided points where a piecewise-linear curve meets each level.
 
@@ -427,31 +449,15 @@ def level_points(x, vals, levels):
     abscissa, 2 after it), they give the curve's sublevel indicator its
     one-sided limits at every jump.
 
-    Each cell's crossed levels are one ``searchsorted`` range of the
-    sorted levels, so m nodes, k levels and P points cost O(m + k + P)
-    memory and O((m + k) log k + P log P) time.
+    m nodes, k levels and P points cost O(m + k + P) memory and
+    O((m + k) log k + P log P) time.
     """
     x = np.asarray(x, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    levels = np.sort(np.asarray(levels, dtype=float))
-    under = np.searchsorted(levels, vals, side="left")  # levels below each node
-    upto = np.searchsorted(levels, vals, side="right")  # levels at or below it
+    k, t_c, lev_c, on = _crossings(x, vals, np.sort(np.asarray(levels, dtype=float)))
     a, b = vals[:-1], vals[1:]
     rising = b > a
-
-    # crossings strictly inside cells: the levels strictly between the ends
-    lo_idx = np.where(rising, upto[:-1], upto[1:])
-    count = np.maximum(np.where(rising, under[1:], under[:-1]) - lo_idx, 0)
-    k = np.repeat(np.arange(a.size), count)
-    first = np.cumsum(count) - count
-    lev_c = levels[np.repeat(lo_idx - first, count) + np.arange(k.size)]
-    frac = np.where(
-        rising[k], (lev_c - a[k]) / (b[k] - a[k]), (a[k] - lev_c) / (a[k] - b[k])
-    )
-    t_c = x[k] + frac * (x[k + 1] - x[k])
-
     # nodes exactly at a level, one point per neighbour off the level
-    on = upto > under
     left = np.nonzero(on[1:] & (a != b))[0] + 1
     right = np.nonzero(on[:-1] & (a != b))[0]
 
@@ -463,6 +469,48 @@ def level_points(x, vals, levels):
     )
     order = np.lexsort((rank, t))
     return t[order], rank[order], level[order], above[order]
+
+
+@lru_cache(maxsize=None)
+def lobatto(k):
+    """The k-point Gauss-Lobatto rule on [0, 1], k >= 3: (nodes, Q), shared: read only.
+
+    The nodes include both ends.  Row g of the (k, k) matrix Q integrates
+    the polynomial through values at the nodes from 0 to node g, so its
+    last row holds the rule's weights, exact for polynomials of degree
+    2k - 3, and each row is exact for polynomials of degree k - 1.
+    """
+    P = np.polynomial.legendre.Legendre.basis(k - 1)
+    x = np.concatenate(([-1.0], np.sort(P.deriv().roots().real), [1.0]))
+    j = np.arange(1, k + 1)  # the monomials of degree j - 1 and their integrals from -1
+    V, W = np.vander(x, k, increasing=True), (x[:, None] ** j - (-1.0) ** j) / j
+    return 0.5 * (x + 1.0), 0.5 * np.linalg.solve(V.T, W.T).T
+
+
+def cut_quadrature(x, vals, levels, k):
+    """A k-point Gauss-Lobatto rule on each piece of a curve cut at levels.
+
+    The cuts are the nodes of the piecewise-linear curve and every strict
+    crossing of a level inside a cell, at the level it crosses (one
+    interpolated back from the abscissa could land on the wrong side of
+    a break).  No level lies inside a piece, so ``LevelTable`` lookups
+    along the curve are polynomials there, which the rule integrates
+    exactly up to degree 2k - 3 (``LevelTable.at`` reads them).  Returns
+    ``(t, c, weight, cell)``: abscissae, levels and weights of shape
+    (pieces, k), each piece's cuts at both ends, and each piece's grid cell.
+    """
+    k_c, t_c, lev_c, _ = _crossings(x, vals, np.unique(levels))
+    cell = np.concatenate((np.arange(x.size), k_c))
+    t_all = np.concatenate((x, t_c))
+    # within a cell its left node first, then the crossings in order
+    order = np.lexsort((t_all, np.arange(cell.size) >= x.size, cell))
+    t_cut, c_cut = t_all[order], np.concatenate((vals, lev_c))[order]
+    s, Q = lobatto(k)
+    dt, dc = np.diff(t_cut)[:, None], np.diff(c_cut)[:, None]
+    t = t_cut[:-1, None] + dt * s
+    c = c_cut[:-1, None] + dc * s
+    t[:, -1], c[:, -1] = t_cut[1:], c_cut[1:]
+    return t, c, dt * Q[-1], cell[order][:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,16 +545,21 @@ class LevelTable:
         c2 = np.concatenate((pad, 2.0 * (v1 - v0) - 4.0 * (mid - v0), pad), axis=-1)
         return cls(breaks, weak, strict, np.stack((c0, c1, c2)))
 
-    def at(self, c, weak=True):
+    def at(self, c, weak=True, pieces=False):
         """The quantity at levels c: its weak or strict value at a break.
 
         ``weak`` may be an array of flags, one per level.  One
         ``searchsorted`` finds each level's piece, one Horner step reads it.
+        With ``pieces`` c holds the pieces of a cut curve, shape (pieces,
+        k), with no break inside a piece (``cut_quadrature``): each reads
+        the table piece holding its middle level, so its ends read the
+        limits from inside it, and a flat piece at a break reads a side.
         A NaN level is a validation error.
         """
         c = _validated_query(c)
+        key = 0.5 * (c[:, :1] + c[:, -1:]) if pieces else c
         b = self.breaks
-        j = np.searchsorted(b, c)  # the piece ending at the first break >= c
+        j = np.searchsorted(b, key)  # the piece ending at the first break >= key
         lo = b[np.maximum(j - 1, 0)]
         width = np.append(1.0, np.append(np.diff(b), 1.0))[j]
         x = np.clip((c - lo) / width, 0.0, 1.0)
@@ -514,7 +567,7 @@ class LevelTable:
         val = c0 + x * (c1 + x * c2)
         jb = np.minimum(j, b.size - 1)
         side = np.where(weak, self.weak[..., jb], self.strict[..., jb])
-        return np.where(b[jb] == c, side, val)[()]
+        return np.where(b[jb] == key, side, val)[()]
 
     def __eq__(self, other):
         """Equal breaks and values: a rebuilt table equals the solve's."""
@@ -522,10 +575,6 @@ class LevelTable:
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("breaks", "weak", "strict", "coef")
         )
-
-    def atoms(self, row=()):
-        """Breaks where the weak and strict values differ by more than ATOM_TOL."""
-        return self.breaks[self.weak[row] - self.strict[row] > ATOM_TOL]
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

@@ -10,10 +10,10 @@ xi(q) = reserve(q) / alpha(q).
 Interim quantities (win probability, the alpha-weighted win weight, and
 the envelope integral behind payments) reduce to one-dimensional sublevel
 computations thanks to independence, tabulated once per solve as exact
-functions of the threshold level.  Where those quantities jump, at
-atoms of the xi distribution or at opponents' ironed plateaus, integrals
-are evaluated with explicit one-sided points so the tabulated payments
-stay accurate near participation thresholds.
+functions of the threshold level.  Each type cell is cut wherever the
+threshold curve meets a break of those tables, so every interim
+quantity is a polynomial in the type on each piece, and the envelope
+integral is exact up to rounding for the linear form.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ class ThresholdMechanism:
 
     ``payment[i]`` is buyer i's envelope payment tabulated on their type
     grid; it holds NaN where the interim win probability is at most 1e-12
-    (payments are undefined there).  The function ``payment``, revenue,
-    simulation and the verifiers all read it together with the interim
-    table's jump and entry points, so they share one payment rule.
+    (payments are undefined there) but at an entry.  ``payment``, revenue,
+    simulation and the verifiers all read it through the interim table's
+    payment column, so they share one payment rule.
     ``degenerate`` is set when nobody ever wins; that is a valid
     mechanism, not an error.
 
@@ -304,36 +304,24 @@ class InterimLevels:
         )
         return cls(inst.quality.level_table, mass)
 
-    def opp(self, i, c, above=None):
+    def opp(self, i, c, above=None, pieces=False):
         """Product over the rivals j != i (every buyer if i is None) of their mass at c.
 
         With ``above`` None a rival reads the mechanism's tie split, strict
         ({phi_j < c}) for j < i and weak for j > i; otherwise the weak side
-        where ``above`` holds and the strict side elsewhere.
+        where ``above`` holds and the strict side elsewhere.  ``pieces``
+        reads c as the pieces of a cut curve (``LevelTable.at``).
         """
         out = np.ones(np.shape(c))[()]
         for j, mass in enumerate(self.mass):
             if j != i:
-                out = out * mass.at(c, j > i if above is None else above)
+                out = out * mass.at(c, j > i if above is None else above, pieces)
         return out
 
-    def at(self, i, c, above=None):
+    def at(self, i, c, above=None, pieces=False):
         """(opp, A, B, C) of buyer i at levels c; the quality side is weak at a tie."""
-        return (self.opp(i, c, above), *self.quality.at(c, True if above is None else above))
-
-
-def _merge_one_sided(nodes, t_x, rank_x, *columns):
-    """Merge grid nodes with one-sided points: (abscissae, node positions, columns).
-
-    Rank 0 sorts before a node at the same abscissa and rank 2 after it,
-    so the trapezoid rule treats each jump exactly.  Each column is a
-    (node values, point values) pair.
-    """
-    t_all = np.concatenate((nodes, t_x))
-    rank_all = np.concatenate((np.ones(nodes.size, dtype=int), rank_x))
-    order = np.lexsort((rank_all, t_all))
-    node_pos = np.nonzero(rank_all[order] == 1)[0]
-    return t_all[order], node_pos, [np.concatenate(col)[order] for col in columns]
+        weak = True if above is None else above
+        return (self.opp(i, c, above, pieces), *self.quality.at(c, weak, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -342,39 +330,36 @@ def _merge_one_sided(nodes, t_x, rank_x, *columns):
 
 @dataclass(frozen=True)
 class InterimTable:
-    """Per-buyer interim quantities on the type grid plus augmented points.
+    """Per-buyer interim quantities on the cut pieces of the type grid.
 
-    The ``*_comb`` arrays interleave the grid nodes with one-sided values
-    at every level where the win weight jumps, and a knot at a continuous
-    entry; integrating them with the trapezoid rule treats the jumps
-    exactly.  ``node_pos`` maps grid node k to its position inside the
-    combined arrays.  ``entry`` is the lowest type with positive win
-    probability as a right-hand limit (W is zero there and positive
-    above), or None when the buyer never wins.
-
-    ``pay_comb`` is the envelope payment (b * opp * A - int_R) / W at the
-    combined abscissae, NaN where W is at most 1e-12, except at the entry
-    point, which carries the right-hand limit.  That limit is
-    ``entry_value``: the entry type's expected value of the item per unit
-    of win probability, b * A / B just above the entry.
-
-    ``levels`` holds the solve's level tables, shared by every buyer's
-    table: any interim quantity at any threshold level is a lookup there.
+    Each type cell is cut where the threshold curve meets a level-table
+    break at or above the lowest level at which the buyer can win, and
+    each piece carries a Gauss-Lobatto rule: ``t`` and ``weight`` hold
+    its points and weights, shape (pieces, points), ends first and last;
+    ``f`` the density of its cell; ``win`` opp * A, opp * B and opp * C,
+    read at each end from inside the piece, with the tie split on a flat
+    piece at a break.  ``pay`` holds the envelope payment
+    (b * opp * A - I) / W, with I the rent integral of b' * opp * A;
+    ``t`` and ``pay`` flattened are the payment column, read linearly.
+    It is NaN where W is at most 1e-12, except at ``entry``, the left end
+    of the first piece that wins inside (None if none does), which
+    carries the right-hand limit ``entry_value`` = b * A / B.
+    ``node_pos`` maps grid node k to the column entry a query at it reads
+    (the right-hand one), where ``opp``, ``A``, ``W``, ``R`` = b' * opp * A
+    and the rent ``I`` are read.  ``levels`` holds the solve's level
+    tables, shared by every buyer.
     """
 
     opp: np.ndarray
     A: np.ndarray
-    R: np.ndarray
-    int_R: np.ndarray
     W: np.ndarray
-    t_comb: np.ndarray
-    opp_comb: np.ndarray
-    A_comb: np.ndarray
-    C_comb: np.ndarray
-    W_comb: np.ndarray
-    pay_comb: np.ndarray
-    f_comb: np.ndarray
-    phiraw_comb: np.ndarray
+    R: np.ndarray
+    I: np.ndarray
+    t: np.ndarray
+    weight: np.ndarray
+    f: np.ndarray
+    win: np.ndarray
+    pay: np.ndarray
     node_pos: np.ndarray
     entry: Optional[float]
     entry_value: Optional[float]
@@ -385,99 +370,63 @@ def interim_tables(inst, curves):
     """Compute every buyer's interim table for the given threshold curves."""
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
     levels = InterimLevels.build(inst, curves)
-    xi_atoms = levels.quality.atoms(1)  # B's row: the mass of {xi <= c}
-    buyer_atoms = [t.atoms() for t in levels.mass]
+    # n + 2 points: opp * A has degree n + 1, so Q gives the rent exactly,
+    # and the rule integrates the routes (degree n + 2) exactly
+    Q = dist.lobatto(inst.n_buyers + 2)[1]
     tables = []
     for i, d in enumerate(inst.buyers):
-        grid = d.grid
-        vals = curves[i].phi_ironed
-
-        opp, A, B, C = levels.at(i, vals)
-
         # W = opp * B turns positive once the level passes both the lowest
-        # reserve ratio and every opponent's lowest threshold: below c_entry
-        # B or an opponent's mass is zero, above it no factor is (densities
-        # are at least EPS_DENSITY).  At c_entry itself W is positive only on
-        # an atom, and then a plateau of buyer i at c_entry already wins.
-        # Each table's first break is its curve's lowest value.
-        rivals = [t for j, t in enumerate(levels.mass) if j != i]
-        c_entry = max(t.breaks[0] for t in [levels.quality] + rivals)
-        # One crossing-finder call finds the one-sided points where R or W
-        # jumps (where the curve meets a level at which the quality side or
-        # an opponent carries an atom) and where the curve meets c_entry:
-        # it reaches c_entry at the rank-0 point and passes it at the
-        # rank-2 point, or at the first node when it starts there or above.
-        critical = np.concatenate([xi_atoms, *buyer_atoms[:i], *buyer_atoms[i + 1 :]])
-        t_x, rank_x, lev_x, above_x = dist.level_points(
-            grid, vals, np.union1d(critical, [c_entry])
+        # reserve ratio and every rival's lowest threshold (each table's
+        # first break): below c_entry B or a rival's mass is zero.
+        rivals = [levels.quality] + [t for j, t in enumerate(levels.mass) if j != i]
+        c_entry = max(t.breaks[0] for t in rivals)
+        cuts = np.concatenate([t.breaks for t in rivals])
+        t, c, weight, cell = dist.cut_quadrature(
+            d.grid, curves[i].phi_ironed, cuts[cuts >= c_entry], Q.shape[0]
         )
-        at_entry = lev_x == c_entry
-        reach = t_x[at_entry & (rank_x == 0)] if vals[0] < c_entry else grid[:1]
-        passed = t_x[at_entry & (rank_x == 2)] if vals[0] <= c_entry else grid[:1]
-        entry = float(passed[0]) if passed.size else None
-        keep = ~at_entry if c_entry not in critical else np.ones_like(at_entry)
-        if np.any((opp * B)[vals == c_entry] > 0.0):
-            entry = float(reach[0])
-        elif entry is not None and vals[0] <= c_entry and c_entry not in critical:
-            # The rent integrand R kinks where W turns positive, and a plain
-            # trapezoid across that cell would accumulate rent from the cell's
-            # left edge, so the point passing c_entry stays as a knot.  It
-            # sorts after a node at the same type and reads the right-hand
-            # values: it carries the payment's right-hand limit.  At a jump
-            # the one-sided pair already sits there.
-            keep |= at_entry & (rank_x == 2) & (t_x == entry)
-        t_x, rank_x, lev_x, above_x = (a[keep] for a in (t_x, rank_x, lev_x, above_x))
-        # Every factor reads the side of each point's curve: the one-sided
-        # limits at a jump, the right-hand values at the knot.
-        opp_x, A_x, B_x, C_x = levels.at(i, lev_x, above_x)
+        opp, A, B, C = np.zeros((4,) + c.shape)
+        on = np.maximum(c[:, 0], c[:, -1]) >= c_entry  # the pieces that can win
+        opp[on], A[on], B[on], C[on] = levels.at(i, c[on], pieces=True)
+        win = np.stack((opp * A, opp * B, opp * C))
+        X, W, _ = win
+        b, bp = (fn(t.ravel()).reshape(t.shape) for fn in (b_fn, bp_fn))
+        rent = np.concatenate(([0.0], np.cumsum(np.sum(weight * bp * X, axis=1))))
+        I = rent[:-1, None] + (t[:, -1:] - t[:, :1]) * (bp * X) @ Q.T
 
-        t_comb, node_pos, (opp_comb, A_comb, B_comb, C_comb) = _merge_one_sided(
-            grid, t_x, rank_x, (opp, opp_x), (A, A_x), (B, B_x), (C, C_x)
-        )
-        b_comb, bp_comb = b_fn(t_comb), bp_fn(t_comb)
-        R_comb = bp_comb * opp_comb * A_comb
-        W_comb = opp_comb * B_comb
-
-        seg = 0.5 * (R_comb[1:] + R_comb[:-1]) * np.diff(t_comb)
-        int_R_comb = np.concatenate(([0.0], np.cumsum(seg)))
-
-        defined = W_comb > WIN_PROB_FLOOR
-        pay_comb = np.full(t_comb.size, np.nan)
-        np.divide(
-            b_comb * opp_comb * A_comb - int_R_comb, W_comb, out=pay_comb, where=defined
-        )
-        entry_value = None
-        if entry is not None:
-            # The point a query at the entry reads: the knot, the upper
-            # point of a jump pair, or a node.  Where W is still zero there,
-            # the payment is its right-hand limit b * A / B.  When the entry
-            # level is an isolated minimum of xi (B = 0 there), A and B both
-            # start linearly on the quality table's first piece, and A / B
-            # tends to the ratio of their slopes.
-            k = np.searchsorted(t_comb, entry, side="right") - 1
-            if B_comb[k] > 0.0:
-                ratio = A_comb[k] / B_comb[k]
+        pay = np.full(t.shape, np.nan)
+        np.divide(b * X - I, W, out=pay, where=W > WIN_PROB_FLOOR)
+        entry = entry_value = None
+        live = np.nonzero(np.any(W[:, 1:-1] > 0.0, axis=1))[0]
+        if live.size:
+            p = live[0]
+            entry = float(t[p, 0])
+            # Where W is still zero at the entry, the payment is its
+            # right-hand limit b * A / B.  When the entry level is an
+            # isolated minimum of xi (B = 0 there), A and B both start
+            # linearly on the quality table's first piece, and A / B tends
+            # to the ratio of their slopes.
+            if B[p, 0] > 0.0:
+                ratio = A[p, 0] / B[p, 0]
             else:
                 ratio = levels.quality.coef[1, 0, 1] / levels.quality.coef[1, 1, 1]
-            entry_value = float(b_comb[k] * ratio)
-            if not defined[k]:
-                pay_comb[k] = entry_value
+            entry_value = float(b[p, 0] * ratio)
+            if np.isnan(pay[p, 0]):
+                pay[p, 0] = entry_value
 
+        node_pos = np.minimum(np.searchsorted(t.ravel(), d.grid, side="right") - 1, t.size - 1)
+        opp_n, A_n = opp.ravel()[node_pos], A.ravel()[node_pos]
         tables.append(
             InterimTable(
-                opp=opp,
-                A=A,
-                R=R_comb[node_pos],
-                int_R=int_R_comb[node_pos],
-                W=W_comb[node_pos],
-                t_comb=t_comb,
-                opp_comb=opp_comb,
-                A_comb=A_comb,
-                C_comb=C_comb,
-                W_comb=W_comb,
-                pay_comb=pay_comb,
-                f_comb=dist.pdf(d, t_comb),
-                phiraw_comb=np.interp(t_comb, grid, curves[i].phi),
+                opp=opp_n,
+                A=A_n,
+                W=W.ravel()[node_pos],
+                R=bp.ravel()[node_pos] * opp_n * A_n,
+                I=I.ravel()[node_pos],
+                t=t,
+                weight=weight,
+                f=(np.diff(d.cdf_vals) / np.diff(d.grid))[cell, None],
+                win=win,
+                pay=pay,
                 node_pos=node_pos,
                 entry=entry,
                 entry_value=entry_value,
@@ -507,12 +456,15 @@ def _tables_of(inst, m):
 
 
 def _payment_column(m, i, tab):
-    """Buyer i's payments at the table's combined abscissae.
+    """Buyer i's payment column, as the mechanism's node table states it.
 
-    The mechanism's node table is written over the node positions, so a
-    mechanism whose payment table was replaced is read as it states.
+    A node table that differs from the solve's shifts the column by the
+    difference, linear between nodes (none where either is undefined),
+    and is written over the node positions.
     """
-    pay = tab.pay_comb.copy()
+    pay = tab.pay.ravel()
+    shift = np.nan_to_num(m.payment[i].vals - pay[tab.node_pos])
+    pay = pay + np.interp(tab.t.ravel(), m.curves[i].type_grid, shift)
     pay[tab.node_pos] = m.payment[i].vals
     return pay
 
@@ -520,11 +472,11 @@ def _payment_column(m, i, tab):
 def _payment_at(m, i, tab, t):
     """Buyer i's payment at types t, interpolated on the payment column.
 
-    A query at a jump or at the entry reads the right-hand value; below
-    the entry, and for a buyer who never wins, the result is NaN.
+    A query at a cut reads the right-hand value; below the entry, and
+    for a buyer who never wins, the result is NaN.
     """
     pay = _payment_column(m, i, tab)
-    tc = tab.t_comb
+    tc = tab.t.ravel()
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
     t0, t1 = tc[k], tc[k + 1]
@@ -605,7 +557,7 @@ def build_optimal_mechanism(inst):
 
     win_curves = [dist.GriddedFunction(d.grid, t.R) for d, t in zip(inst.buyers, tables)]
     pay_curves = [
-        dist.GriddedFunction(d.grid, t.pay_comb[t.node_pos])
+        dist.GriddedFunction(d.grid, t.pay.ravel()[t.node_pos])
         for d, t in zip(inst.buyers, tables)
     ]
 

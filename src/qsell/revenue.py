@@ -17,13 +17,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import (
-    _merge_one_sided,
-    _payment_at,
-    _payment_column,
-    _tables_of,
-    _winners,
-)
+from .mechanism import _payment_at, _payment_column, _tables_of, _winners
 
 __all__ = [
     "revenue_direct",
@@ -41,55 +35,53 @@ __all__ = [
 # expected revenue, direct route
 
 
-def _no_sale_quality_integral(inst, levels):
+def _no_sale_quality_integral(inst, tab):
     """Integral over quality of reserve * g * P(nobody clears xi(q)).
 
-    ``levels`` are the solve's ``InterimLevels``.  The probability factor
-    jumps where xi meets a level at which some buyer's threshold curve
-    carries probability mass: it is the strict product at and below the
-    level and the weak one above it.  The one-sided points of
-    ``dist.level_points`` enter before the trapezoid rule is applied.
+    ``tab`` is an interim table of the solve, for its level tables and
+    rule.  Nobody clears xi when every threshold lies strictly below it.
+    The quality cells are cut where xi meets a break of a buyer's mass
+    table, so the integrand is a polynomial in q of degree n + 1 on each
+    piece, which the rule integrates exactly.
     """
-    qm = inst.quality
-    qgrid, xi, rg = qm.G.grid, qm.xi.vals, qm.integrands[2]
-    atoms = np.unique(np.concatenate([t.atoms() for t in levels.mass]))
-    jumps = levels.opp(None, atoms, True) - levels.opp(None, atoms, False) > 1e-14
-    t_x, rank_x, lev_x, above_x = dist.level_points(qgrid, xi, atoms[jumps])
-    v_x = np.interp(t_x, qgrid, rg) * levels.opp(None, lev_x, above_x)
-
-    base_vals = rg * levels.opp(None, xi, False)
-    t, _, (v,) = _merge_one_sided(qgrid, t_x, rank_x, (base_vals, v_x))
-    return float(np.trapezoid(v, t))
+    qm, levels = inst.quality, tab.levels
+    cuts = np.concatenate([t.breaks for t in levels.mass])
+    q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, tab.t.shape[1])
+    rg = np.interp(q, qm.G.grid, qm.integrands[2])
+    return float(np.sum(weight * rg * levels.opp(None, c, False, pieces=True)))
 
 
 def revenue_direct(inst, m):
     """Expected revenue as payments collected plus reserve value retained.
 
-    Payments are the mechanism's payment column; where it is undefined
-    (NaN) the win probability is at most 1e-12 and nothing is collected.
+    Payments are the mechanism's payment column, read at the interim
+    table's quadrature points; where it is undefined (NaN) the win
+    probability is at most 1e-12 and nothing is collected.
     """
     tables = _tables_of(inst, m)
-    total = _no_sale_quality_integral(inst, tables[0].levels)
+    total = _no_sale_quality_integral(inst, tables[0])
     for i, tab in enumerate(tables):
-        pay = np.nan_to_num(_payment_column(m, i, tab))
-        total += float(np.trapezoid(pay * tab.W_comb * tab.f_comb, tab.t_comb))
+        pay = np.nan_to_num(_payment_column(m, i, tab)).reshape(tab.t.shape)
+        total += float(np.sum(tab.weight * tab.f * tab.win[1] * pay))
     return total
 
 
 def revenue_virtual(inst, m):
     """Expected revenue as reserve value plus allocated virtual surplus.
 
-    Uses the raw virtual value inside the integrand while the allocation
-    ranks by the ironed one; over each ironed interval the two integrate
-    identically against the type density, so the routes must agree.
+    Buyer i's virtual surplus density is f * w * opp * A - f * opp * C
+    with f * w = b * f - b' * (1 - F), the cdf F linear and the density f
+    constant on each type cell; integrating the payments by parts gives
+    the same, so the routes must agree.
     """
-    qm = inst.quality
+    qm, val = inst.quality, inst.valuation
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for tab in _tables_of(inst, m):
-        integrand = tab.f_comb * tab.opp_comb * (
-            tab.phiraw_comb * tab.A_comb - tab.C_comb
-        )
-        total += float(np.trapezoid(integrand, tab.t_comb))
+    for d, tab in zip(inst.buyers, _tables_of(inst, m)):
+        X, _, Y = tab.win
+        t = tab.t.ravel()
+        fw = tab.f.repeat(X.shape[1]) * val.type_factor(t)
+        fw -= val.type_factor_deriv(t) * (1.0 - dist.cdf(d, t))
+        total += float(np.sum(tab.weight * (fw.reshape(X.shape) * X - tab.f * Y)))
     return total
 
 

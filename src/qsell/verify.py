@@ -78,7 +78,7 @@ def check_feasibility(inst, m, tol=1e-6):
         defined = tab.W > WIN_PROB_FLOOR
         pay = np.where(defined, m.payment[i].vals, 0.0)
         U = b_fn(d.grid) * tab.opp * tab.A - pay * tab.W
-        env_i = float(np.max(np.abs(U - tab.int_R)))
+        env_i = float(np.max(np.abs(U - tab.I)))
         bound_i = float(abs(U[0]))
 
         u = rng.random(FEASIBILITY_SAMPLES)

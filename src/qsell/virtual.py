@@ -173,7 +173,13 @@ def iron(d, psi):
             # Nodes strictly inside the flat; an edge node belongs to it.
             lo = 0 if a <= F[0] else int(np.searchsorted(F, a, side="right"))
             hi = m - 1 if b >= F[-1] else int(np.searchsorted(F, b, side="left")) - 1
-            if hi < lo or np.max(H[lo : hi + 1] - (c0 + L * F[lo : hi + 1])) <= IRON_GAP_TOL:
+            if hi < lo:
+                continue
+            # H at those nodes and at the midpoints of the cells between
+            # them: a falling end cell bulges above the flat only inside.
+            w = np.append(F[lo : hi + 1], F[lo:hi] + 0.5 * dF[lo:hi])
+            half = dF[lo:hi] * (3.0 * psi_vals[lo:hi] + psi_vals[lo + 1 : hi + 1]) / 8.0
+            if np.max(np.append(H[lo : hi + 1], H[lo:hi] + half) - (c0 + L * w)) <= IRON_GAP_TOL:
                 continue
             phi_ironed[lo : hi + 1] = L
             intervals.append((lo, hi))

@@ -506,3 +506,55 @@ def test_sublevel_mass_monotone_in_level(c, shift):
     lo = dist.sublevel_mass(d, curve, c, include_equal=True)
     hi = dist.sublevel_mass(d, curve, c + shift, include_equal=True)
     assert hi >= lo - 1e-12
+
+
+def _random_curve(rng, m):
+    """A curve on m increasing nodes whose values often repeat one of 8 levels."""
+    x = np.cumsum(rng.uniform(0.1, 1.0, m))
+    shared = rng.integers(0, 8, m) / 7.0
+    vals = np.where(rng.uniform(size=m) < 0.5, shared, rng.uniform(0.0, 1.0, m))
+    return x, vals
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_mass=st.integers(0, 2))
+def test_cut_quadrature_integrates_table_products_exactly(seed, n_mass):
+    # One quadratic table (an integral over a sublevel set) times n_mass
+    # linear ones (masses) is a polynomial of degree n_mass + 2 in the
+    # abscissa on every piece, which n_mass + 3 Lobatto points integrate
+    # exactly; so does the same rule on each of 8 equal parts of a piece.
+    # Ties at the shared levels exercise the reads at the pieces' ends.
+    rng = np.random.default_rng(seed)
+    tables = []
+    for j in range(n_mass + 1):
+        grid, level = _random_curve(rng, int(rng.integers(2, 12)))
+        if j == 0:
+            w = rng.uniform(0.0, 2.0, grid.size)
+            ev = lambda c, weak, g=grid, lv=level, w=w: dist.sublevel_integral(g, lv, w, c, weak)
+        else:
+            d = dist.make_from_table(grid, rng.uniform(0.2, 2.0, grid.size))
+            ev = lambda c, weak, d=d, lv=level: dist.sublevel_mass(d, lv, c, weak)
+        tables.append(dist.LevelTable.build(level, ev))
+    x, vals = _random_curve(rng, int(rng.integers(2, 20)))
+    k = n_mass + 3
+    levels = np.concatenate([tb.breaks for tb in tables])
+    t, c, weight, _ = dist.cut_quadrature(x, vals, levels, k)
+
+    def integral(c, weight):
+        return np.sum(weight * np.prod([tb.at(c, False, pieces=True) for tb in tables], axis=0))
+
+    # the reference: the same rule on 8 equal parts of every piece, as pieces
+    s, Q = dist.lobatto(k)
+    part = np.arange(9) / 8.0
+
+    def split(a):
+        ends = a[:, :1] + (a[:, -1:] - a[:, :1]) * part
+        ends[:, 0], ends[:, -1] = a[:, 0], a[:, -1]  # the piece's own ends, exactly
+        lo, hi = ends[:, :-1].reshape(-1, 1), ends[:, 1:].reshape(-1, 1)
+        out = lo + (hi - lo) * s
+        out[:, -1] = hi[:, 0]
+        return out
+
+    t8, c8 = split(t), split(c)
+    want = integral(c8, (t8[:, -1:] - t8[:, :1]) * Q[-1])
+    assert integral(c, weight) == pytest.approx(want, rel=0.0, abs=1e-13)

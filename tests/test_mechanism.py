@@ -302,9 +302,9 @@ def test_power_one_builds_the_linear_mechanism(solved_suite):
         qsell.mechanism_to_json_dict(m)
     )
     for tab, tab2 in zip(m.tables, m2.tables):
-        assert np.array_equal(tab.t_comb, tab2.t_comb)
-        assert np.array_equal(tab.pay_comb, tab2.pay_comb, equal_nan=True)
-        assert np.array_equal(tab.W_comb, tab2.W_comb)
+        assert np.array_equal(tab.t, tab2.t)
+        assert np.array_equal(tab.pay, tab2.pay, equal_nan=True)
+        assert np.array_equal(tab.win, tab2.win)
     assert qsell.revenue_direct(twin, m2) == qsell.revenue_direct(inst, m)
     assert qsell.revenue_virtual(twin, m2) == qsell.revenue_virtual(inst, m)
 
@@ -323,17 +323,19 @@ def _ironed_general_instance(n, m):
 @pytest.mark.parametrize("n", [1, 2])
 def test_ironed_general_instance_verifies_and_refines(n):
     # w = b - b'(1 - F)/f dips between the bumps, so it is ironed like phi
-    gaps = {}
-    for m in (257, 1025):
+    revenue = {}
+    for m in (257, 1025, 4097):
         inst = _ironed_general_instance(n, m)
         mech = qsell.build_optimal_mechanism(inst)
-        gaps[m] = abs(qsell.revenue_direct(inst, mech) - qsell.revenue_virtual(inst, mech))
+        revenue[m] = qsell.revenue_direct(inst, mech)
+        # the routes integrate the same pieces with the same rule
+        assert abs(revenue[m] - qsell.revenue_virtual(inst, mech)) <= 1e-12, m
     assert mech.curves[0].ironed_intervals
     assert qsell.check_feasibility(inst, mech).ok
     assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-4
     assert qsell.obedience_check(inst, mech).min_surplus >= -1e-9
-    # 4(m - 1) + 1 refinement: the route gap must shrink at least threefold
-    assert gaps[1025] <= gaps[257] / 3.0
+    # 4(m - 1) + 1 refinement: the revenue's change must shrink at least threefold
+    assert abs(revenue[4097] - revenue[1025]) <= abs(revenue[1025] - revenue[257]) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +425,15 @@ def test_reloaded_mechanism_allocates_identically(two_uniform):
 def test_interim_jump_points_present(two_uniform):
     inst, m = two_uniform
     tab = qsell.interim_tables(inst, m.curves)[0]
-    # xi == 0 is an atom; the curve meets it at t = 1/2: expect a one-sided
-    # pair there, around the node, across which W jumps from 0 to 1/2
-    at = np.nonzero(np.abs(tab.t_comb - 0.5) < 1e-12)[0]
-    pair = np.setdiff1d(at, tab.node_pos)
+    # xi == 0 is an atom; the curve meets it at t = 1/2, a node: expect the
+    # two pieces meeting there to read W from either side, jumping from 0
+    # to 1/2, and a query at the node to read the piece above
+    W, t = tab.win[1].ravel(), tab.t.ravel()
+    pair = np.nonzero(np.abs(t - 0.5) < 1e-12)[0]
     assert pair.size == 2
-    assert tab.W_comb[pair[0]] <= 1e-12
-    assert tab.W_comb[pair[1]] == pytest.approx(0.5, abs=1e-3)
+    assert W[pair[0]] <= 1e-12
+    assert W[pair[1]] == pytest.approx(0.5, abs=1e-3)
+    assert pair[1] in tab.node_pos
 
 
 def test_level_tables_match_the_kernels_in_every_tie_mode(solved_suite):
@@ -501,11 +505,12 @@ def test_entry_waits_for_the_rivals_lowest_threshold():
 
 def _assert_entry(tab, expected):
     assert tab.entry == pytest.approx(expected, abs=1e-12)
-    # W is zero at the entry (the left point of a pair at a jump) and
-    # positive at every combined point above it
-    at = np.nonzero(tab.t_comb == tab.entry)[0]
-    assert at.size and tab.W_comb[at[0]] == 0.0
-    assert np.all(tab.W_comb[tab.t_comb > tab.entry] > 0.0)
+    # W is zero at the entry (read from the piece below it) and positive
+    # at every quadrature point above it
+    W, t = tab.win[1].ravel(), tab.t.ravel()
+    at = np.nonzero(t == tab.entry)[0]
+    assert at.size and W[at[0]] == 0.0
+    assert np.all(W[t > tab.entry] > 0.0)
 
 
 def test_mechanism_shares_its_interim_tables(solved_suite):

@@ -53,6 +53,17 @@ def test_two_uniform_revenue_both_routes(two_uniform):
     assert qsell.revenue_virtual(inst, mech) == pytest.approx(5.0 / 12.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "name, exact", [("two-uniform", 5.0 / 12.0), ("reserve-ramp", 7.0 / 12.0)]
+)
+def test_virtual_route_is_exact_on_uniform_grids(solved_suite, name, exact):
+    # A uniform buyer's density is constant on every cell and its phi is
+    # linear, so the cut quadrature leaves only rounding (trapezoids over
+    # the nodes were 3.2e-7 and 1.6e-7 off).
+    inst, mech = solved_suite[name]
+    assert qsell.revenue_virtual(inst, mech) == pytest.approx(exact, abs=1e-9)
+
+
 def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
     direct = qsell.revenue_direct(inst, mech)
@@ -94,19 +105,23 @@ def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
 
 
 @pytest.mark.parametrize("n_buyers", [1, 2])
-def test_tied_plateaus_route_gap_shrinks_under_refinement(n_buyers):
+def test_tied_plateaus_refine_with_routes_agreeing_to_rounding(n_buyers):
     # Identical bimodal buyers tie on their ironed plateaus, and xi meets
     # the plateau level of the 1025-node buyer.  On 513 quality nodes the
-    # route gap must shrink at least threefold from 257 to 1025 type nodes
-    # (measured: 5.2e-6 to 2.5e-7 for two buyers, 8.6e-6 to 1.7e-7 for one).
+    # two routes integrate the same pieces with the same rule, so they
+    # agree to rounding on every type grid (trapezoid columns left 8.6e-6
+    # and 1.7e-7 at 257 and 1025 nodes for one buyer), and the revenue's
+    # change must shrink at least threefold from one 4(m - 1) + 1
+    # refinement to the next.
     _, qm, _ = _xi_meeting_the_plateau(513)
-    gaps = {}
-    for m in (257, 1025):
+    revenue = {}
+    for m in (257, 1025, 4097):
         inst = qsell.ProblemInstance(buyers=(make_bimodal(m),) * n_buyers, quality=qm)
         mech = qsell.build_optimal_mechanism(inst)
         assert mech.curves[0].ironed_intervals
-        gaps[m] = abs(qsell.revenue_direct(inst, mech) - qsell.revenue_virtual(inst, mech))
-    assert gaps[1025] <= gaps[257] / 3.0
+        revenue[m] = qsell.revenue_direct(inst, mech)
+        assert abs(revenue[m] - qsell.revenue_virtual(inst, mech)) <= 1e-12, m
+    assert abs(revenue[4097] - revenue[1025]) <= abs(revenue[1025] - revenue[257]) / 3.0
 
 
 def test_degenerate_mechanism_revenue_is_retained_value():

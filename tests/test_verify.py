@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import qsell
+from conftest import bimodal_density
 
 
 def _with_payment(mech, i, new_vals):
@@ -236,6 +237,23 @@ def test_stepped_reserve_leaves_no_profitable_misreport(n_buyers):
     )
     rep = qsell.ic_deviation_search(inst, qsell.build_optimal_mechanism(inst), n_grid=101)
     assert rep.max_regret <= 1e-4
+
+
+def test_kink_between_type_nodes_leaves_no_ic_residue():
+    # A bimodal buyer on [1, 2]: the threshold level passes xi's top value
+    # 0.35 between the type nodes 1.1504 and 1.1523.  Payments read from a
+    # trapezoid column gave IC regret 2.8e-2 (true type 1.15, report
+    # 1.152) and obedience -7.8e-4 here.
+    d = qsell.make_from_density(1.0, 2.0, lambda x: bimodal_density(np.asarray(x) - 1.0), m=513)
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=257),
+        lambda q: 1.0 + np.asarray(q, float),
+        lambda q: 0.2 + 0.5 * np.asarray(q, float),
+    )
+    inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
+    mech = qsell.build_optimal_mechanism(inst)
+    assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-12
+    assert qsell.obedience_check(inst, mech).min_surplus >= 0.0
 
 
 def test_obedience_detects_overcharging(posted_price):
