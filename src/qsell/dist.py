@@ -11,10 +11,9 @@ O((m + k) log m) for the cells wholly inside the set, plus one exactly
 integrated straddling cell per monotone run of the curve and query.
 A stack of integrands over one level curve shares that sort and search.
 ``LevelTable`` tabulates either as an exact function of the level.
-``level_points`` finds where such a set's boundary lies: the one-sided
-points where a curve meets each of a set of levels.  ``cut_quadrature``
-cuts a curve where it crosses a level and lays a Gauss-Lobatto rule on
-each piece, which integrates products of tables along the curve exactly.
+``cut_quadrature`` cuts a curve where it strictly crosses a level and
+lays a Gauss-Lobatto rule on each piece, which integrates products of
+tables along the curve exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "integrate",
     "sublevel_integral",
     "sublevel_mass",
-    "level_points",
     "lobatto",
     "cut_quadrature",
     "LevelTable",
@@ -419,8 +417,8 @@ def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
 def _crossings(x, vals, levels):
     """Strict crossings of sorted levels inside a piecewise-linear curve's cells.
 
-    Returns each crossing's cell, abscissa and level, and whether each
-    node sits at a level; a cell's crossings are one ``searchsorted`` range.
+    Returns each crossing's cell, abscissa and level; a cell's crossings
+    are one ``searchsorted`` range.
     """
     under = np.searchsorted(levels, vals, side="left")  # levels below each node
     upto = np.searchsorted(levels, vals, side="right")  # levels at or below it
@@ -432,43 +430,7 @@ def _crossings(x, vals, levels):
     first = np.cumsum(count) - count
     lev = levels[np.repeat(lo_idx - first, count) + np.arange(k.size)]
     frac = np.where(rising[k], (lev - a[k]) / (b[k] - a[k]), (a[k] - lev) / (a[k] - b[k]))
-    return k, x[k] + frac * (x[k + 1] - x[k]), lev, upto > under
-
-
-def level_points(x, vals, levels):
-    """One-sided points where a piecewise-linear curve meets each level.
-
-    Returns ``(t, rank, level, above)``, ordered by abscissa and rank.
-    A cell the curve crosses strictly inside gives two points at the
-    crossing: rank 0 takes the side of the cell's left end, rank 2 the
-    side of its right end.  A node exactly at a level gives a rank-0
-    point if its left neighbour is off the level and a rank-2 point if
-    its right neighbour is, each on that neighbour's side, at the node
-    itself.  ``above`` marks points whose side lies above the level.
-    Merged with the nodes by ``rank`` (0 before a node at the same
-    abscissa, 2 after it), they give the curve's sublevel indicator its
-    one-sided limits at every jump.
-
-    m nodes, k levels and P points cost O(m + k + P) memory and
-    O((m + k) log k + P log P) time.
-    """
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    k, t_c, lev_c, on = _crossings(x, vals, np.sort(np.asarray(levels, dtype=float)))
-    a, b = vals[:-1], vals[1:]
-    rising = b > a
-    # nodes exactly at a level, one point per neighbour off the level
-    left = np.nonzero(on[1:] & (a != b))[0] + 1
-    right = np.nonzero(on[:-1] & (a != b))[0]
-
-    t = np.concatenate((t_c, t_c, x[left], x[right]))
-    rank = np.repeat([0, 2, 0, 2], (k.size, k.size, left.size, right.size))
-    level = np.concatenate((lev_c, lev_c, vals[left], vals[right]))
-    above = np.concatenate(
-        (~rising[k], rising[k], a[left - 1] > vals[left], b[right] > vals[right])
-    )
-    order = np.lexsort((rank, t))
-    return t[order], rank[order], level[order], above[order]
+    return k, x[k] + frac * (x[k + 1] - x[k]), lev
 
 
 @lru_cache(maxsize=None)
@@ -499,7 +461,7 @@ def cut_quadrature(x, vals, levels, k):
     ``(t, c, weight, cell)``: abscissae, levels and weights of shape
     (pieces, k), each piece's cuts at both ends, and each piece's grid cell.
     """
-    k_c, t_c, lev_c, _ = _crossings(x, vals, np.unique(levels))
+    k_c, t_c, lev_c = _crossings(x, vals, np.unique(levels))
     cell = np.concatenate((np.arange(x.size), k_c))
     t_all = np.concatenate((x, t_c))
     # within a cell its left node first, then the crossings in order
@@ -548,8 +510,8 @@ class LevelTable:
     def at(self, c, weak=True, pieces=False):
         """The quantity at levels c: its weak or strict value at a break.
 
-        ``weak`` may be an array of flags, one per level.  One
-        ``searchsorted`` finds each level's piece, one Horner step reads it.
+        ``weak`` picks the side read at a break.  One ``searchsorted``
+        finds each level's piece, one Horner step reads it.
         With ``pieces`` c holds the pieces of a cut curve, shape (pieces,
         k), with no break inside a piece (``cut_quadrature``): each reads
         the table piece holding its middle level, so its ends read the

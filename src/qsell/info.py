@@ -67,11 +67,18 @@ def acceptance_set(qm, v):
     weak inequality used by the allocation rule.
     """
     qgrid, xi, c = qm.xi.grid, qm.xi.vals, float(v)
-    # An interval starts where xi comes down to c and ends where it goes
-    # up past c: the one-sided points whose outer side lies above c.
-    t, rank, _, above = dist.level_points(qgrid, xi, [c])
-    starts = np.append(qgrid[:1] if xi[0] <= c else [], t[above & (rank == 0)])
-    ends = np.append(t[above & (rank == 2)], qgrid[-1:] if xi[-1] <= c else [])
+    # An interval starts in a cell that enters {xi <= c} (a > c >= b) and
+    # ends in one that leaves it (a <= c < b), at the crossing on the
+    # cell's line; an entry whose right node sits on c starts at that node
+    # (the leaving formula gives the left node exactly).
+    inside = xi <= c
+    k = np.flatnonzero(inside[:-1] != inside[1:])
+    a, b, x0, x1 = xi[k], xi[k + 1], qgrid[k], qgrid[k + 1]
+    enter = inside[k + 1]
+    frac = np.where(enter, (a - c) / (a - b), (c - a) / (b - a))
+    t = np.where(enter & (b == c), x1, x0 + frac * (x1 - x0))
+    starts = np.append(qgrid[:1] if inside[0] else [], t[enter])
+    ends = np.append(t[~enter], qgrid[-1:] if inside[-1] else [])
     if not starts.size:
         return IntervalUnion(intervals=())
     intervals = [(float(a), float(b)) for a, b in zip(starts, ends)]

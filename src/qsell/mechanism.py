@@ -19,6 +19,7 @@ integral is exact up to rounding for the linear form.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -304,24 +305,23 @@ class InterimLevels:
         )
         return cls(inst.quality.level_table, mass)
 
-    def opp(self, i, c, above=None, pieces=False):
-        """Product over the rivals j != i (every buyer if i is None) of their mass at c.
+    def opp(self, i, c, pieces=False):
+        """Product over the rivals j != i of their mass at c, under the tie rule.
 
-        With ``above`` None a rival reads the mechanism's tie split, strict
-        ({phi_j < c}) for j < i and weak for j > i; otherwise the weak side
-        where ``above`` holds and the strict side elsewhere.  ``pieces``
+        A rival j < i reads the strict side ({phi_j < c}), one j > i the
+        weak side; with i None every buyer is a rival and reads the strict
+        side: the chance that nobody's threshold reaches c.  ``pieces``
         reads c as the pieces of a cut curve (``LevelTable.at``).
         """
         out = np.ones(np.shape(c))[()]
         for j, mass in enumerate(self.mass):
             if j != i:
-                out = out * mass.at(c, j > i if above is None else above, pieces)
+                out = out * mass.at(c, i is not None and j > i, pieces)
         return out
 
-    def at(self, i, c, above=None, pieces=False):
+    def at(self, i, c, pieces=False):
         """(opp, A, B, C) of buyer i at levels c; the quality side is weak at a tie."""
-        weak = True if above is None else above
-        return (self.opp(i, c, above, pieces), *self.quality.at(c, weak, pieces))
+        return (self.opp(i, c, pieces), *self.quality.at(c, True, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +339,18 @@ class InterimTable:
     ``f`` the density of its cell; ``win`` opp * A, opp * B and opp * C,
     read at each end from inside the piece, with the tie split on a flat
     piece at a break.  ``pay`` holds the envelope payment
-    (b * opp * A - I) / W, with I the rent integral of b' * opp * A;
+    (b * opp * A - I) / W, with ``I`` the rent integral of b' * opp * A;
     ``t`` and ``pay`` flattened are the payment column, read linearly.
     It is NaN where W is at most 1e-12, except at ``entry``, the left end
     of the first piece that wins inside (None if none does), which
     carries the right-hand limit ``entry_value`` = b * A / B.
-    ``node_pos`` maps grid node k to the column entry a query at it reads
-    (the right-hand one), where ``opp``, ``A``, ``W``, ``R`` = b' * opp * A
-    and the rent ``I`` are read.  ``levels`` holds the solve's level
-    tables, shared by every buyer.
+    ``node_pos`` maps grid node k to the column entry a query at it
+    reads: the right-hand one, but the end of the piece it closes where
+    that piece is flat and asked, since the threshold level still sits on
+    the flat there.  ``levels`` holds the solve's level tables, shared by
+    every buyer.
     """
 
-    opp: np.ndarray
-    A: np.ndarray
-    W: np.ndarray
-    R: np.ndarray
     I: np.ndarray
     t: np.ndarray
     weight: np.ndarray
@@ -413,14 +410,15 @@ def interim_tables(inst, curves):
             if np.isnan(pay[p, 0]):
                 pay[p, 0] = entry_value
 
-        node_pos = np.minimum(np.searchsorted(t.ravel(), d.grid, side="right") - 1, t.size - 1)
-        opp_n, A_n = opp.ravel()[node_pos], A.ravel()[node_pos]
+        node_pos = np.searchsorted(t.ravel(), d.grid, side="right") - 1
+        # a node closing an asked flat piece reads that piece's end, the
+        # entry just before its right-hand one
+        k = t.shape[1]
+        closes = np.zeros(t.size, dtype=bool)
+        closes[k::k] = (c[:-1, 0] == c[:-1, -1]) & (W[:-1, -1] > WIN_PROB_FLOOR)
+        node_pos -= closes[node_pos]
         tables.append(
             InterimTable(
-                opp=opp_n,
-                A=A_n,
-                W=W.ravel()[node_pos],
-                R=bp.ravel()[node_pos] * opp_n * A_n,
                 I=I.ravel()[node_pos],
                 t=t,
                 weight=weight,
@@ -472,16 +470,24 @@ def _payment_column(m, i, tab):
 def _payment_at(m, i, tab, t):
     """Buyer i's payment at types t, interpolated on the payment column.
 
-    A query at a cut reads the right-hand value; below the entry, and
-    for a buyer who never wins, the result is NaN.
+    A query at a cut reads the right-hand value, except at a node that
+    closes an asked flat piece, which reads that piece's end (``node_pos``);
+    below the entry, and for a buyer who never wins, the result is NaN.
     """
     pay = _payment_column(m, i, tab)
     tc = tab.t.ravel()
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
-    t0, t1 = tc[k], tc[k + 1]
+    # a query at a node reads its node_pos entry: where that is the end of
+    # a flat piece, the entry after it shares its abscissa (so t0 stands)
+    pos = tab.node_pos[:-1]
+    left = np.zeros(tc.size, dtype=bool)
+    left[pos + 1] = tc[pos + 1] == tc[pos]
+    t0 = tc[k]
+    k -= left[k] & (t0 == t)
+    t1 = tc[k + 1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 1.0)
+        frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
     return pay[k] + (pay[k + 1] - pay[k]) * frac
 
 
@@ -491,8 +497,9 @@ def payment(inst, m, i, t_i):
     Interim expected value minus accumulated information rents, divided
     by the interim win probability, as the solve tabulated it at the grid
     nodes and at the jump and entry points of the interim table.  At a
-    jump and at the entry type it is the right-hand limit; below the
-    entry it is undefined and raises.
+    jump and at the entry type it is the right-hand limit, but at a node
+    closing a flat piece of the threshold curve it is that piece's end;
+    below the entry it is undefined and raises.
     """
     pay = float(_payment_at(m, i, _tables_of(inst, m)[i], t_i))
     if np.isnan(pay):
@@ -555,7 +562,11 @@ def build_optimal_mechanism(inst):
     curves = _threshold_curves(inst)
     tables = interim_tables(inst, curves)
 
-    win_curves = [dist.GriddedFunction(d.grid, t.R) for d, t in zip(inst.buyers, tables)]
+    bp_fn = inst.valuation.type_factor_deriv
+    win_curves = [
+        dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0].ravel()[t.node_pos])
+        for d, t in zip(inst.buyers, tables)
+    ]
     pay_curves = [
         dist.GriddedFunction(d.grid, t.pay.ravel()[t.node_pos])
         for d, t in zip(inst.buyers, tables)
@@ -611,6 +622,14 @@ def mechanism_to_json_dict(m):
     }
 
 
+def _index_pair(pair, size):
+    """An ironed interval read back: two node indices lo <= hi below size."""
+    lo, hi = (operator.index(k) for k in pair)
+    if not 0 <= lo <= hi < size:
+        raise ValidationError(f"ironed interval {list(pair)} is not a node range of the type grid")
+    return lo, hi
+
+
 def mechanism_from_json_dict(doc):
     """Rebuild a mechanism from ``mechanism_to_json_dict``'s document.
 
@@ -646,25 +665,33 @@ def mechanism_from_json_dict(doc):
         curves = []
         win_curves = []
         pay_curves = []
-        for entry in doc["buyers"]:
+        for i, entry in enumerate(doc["buyers"]):
             tg = np.asarray(entry["type_grid"], dtype=float)
+            cols = {
+                key: np.asarray(entry[key], dtype=float)
+                for key in ("phi", "phi_ironed", "win_weight")
+            }
+            cols["payment"] = np.array(
+                [np.nan if v is None else float(v) for v in entry["payment"]]
+            )
+            for key, col in cols.items():
+                if col.shape != tg.shape:
+                    raise ValidationError(f"buyer {i}: {key} must match the type grid length")
+            intervals = [_index_pair(p, tg.size) for p in entry["ironed_intervals"]]
             curves.append(
                 VirtualValueCurve(
                     type_grid=tg,
-                    phi=np.asarray(entry["phi"], dtype=float),
-                    phi_ironed=np.asarray(entry["phi_ironed"], dtype=float),
-                    ironed_intervals=[tuple(p) for p in entry["ironed_intervals"]],
+                    phi=cols["phi"],
+                    phi_ironed=cols["phi_ironed"],
+                    ironed_intervals=intervals,
                     regular=bool(entry["regular"]),
                 )
             )
-            win_curves.append(
-                dist.GriddedFunction(tg, np.asarray(entry["win_weight"], dtype=float))
-            )
-            pay = np.array(
-                [np.nan if v is None else float(v) for v in entry["payment"]]
-            )
-            pay_curves.append(dist.GriddedFunction(tg, pay))
-    except (KeyError, TypeError, IndexError) as exc:
+            win_curves.append(dist.GriddedFunction(tg, cols["win_weight"]))
+            pay_curves.append(dist.GriddedFunction(tg, cols["payment"]))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
     return ThresholdMechanism(
         curves=curves,

@@ -48,7 +48,7 @@ def _no_sale_quality_integral(inst, tab):
     cuts = np.concatenate([t.breaks for t in levels.mass])
     q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, tab.t.shape[1])
     rg = np.interp(q, qm.G.grid, qm.integrands[2])
-    return float(np.sum(weight * rg * levels.opp(None, c, False, pieces=True)))
+    return float(np.sum(weight * rg * levels.opp(None, c, pieces=True)))
 
 
 def revenue_direct(inst, m):

@@ -75,9 +75,9 @@ def check_feasibility(inst, m, tol=1e-6):
         r_vals = m.win_weight[i].vals
         mono_i = max(0.0, float(-np.min(np.diff(r_vals))) if r_vals.size > 1 else 0.0)
 
-        defined = tab.W > WIN_PROB_FLOOR
-        pay = np.where(defined, m.payment[i].vals, 0.0)
-        U = b_fn(d.grid) * tab.opp * tab.A - pay * tab.W
+        X, W, _ = tab.win.reshape(3, -1)[:, tab.node_pos]
+        pay = np.where(W > WIN_PROB_FLOOR, m.payment[i].vals, 0.0)
+        U = b_fn(d.grid) * X - pay * W
         env_i = float(np.max(np.abs(U - tab.I)))
         bound_i = float(abs(U[0]))
 
@@ -139,45 +139,47 @@ def _utility_matrix(inst, m, i, tab, true_types, reports):
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
+def _best_misreport(inst, m, i, tab, tt, rr=None):
+    """The most profitable report in rr (tt if None) for each true type in tt.
+
+    Returns the largest gain with its true type and report, and the
+    truthful utilities at tt.  One utility evaluation gives both: the
+    truthful ones are the square grid's diagonal, or extra report columns.
+    """
+    square = rr is None
+    rr = tt if square else rr
+    U = _utility_matrix(inst, m, i, tab, tt, rr if square else np.concatenate((rr, tt)))
+    truth = np.diag(U[:, -tt.size:])
+    gain = U[:, : rr.size] - truth[:, None]
+    r, c = divmod(int(np.argmax(gain)), rr.size)
+    return float(gain[r, c]), float(tt[r]), float(rr[c]), truth
+
+
 def ic_deviation_search(inst, m, n_grid=101):
     """Search misreports (and exit) for profitable deviations.
 
-    Utilities are computed exactly at every grid point from the interim
-    quantities, and the best (type, report) pair is refined on an 11 x 11
-    grid one step around it; regret is the best deviation gain found.  A
-    broken mechanism shows up as a large positive regret, a sound one
-    stays at numerical-noise level.
+    Utilities are computed exactly at every point of an n_grid-point type
+    grid (n_grid >= 2) from the interim quantities, and the best (type,
+    report) pair is refined on an 11 x 11 grid one step around it; regret
+    is the best deviation gain found.  A broken mechanism shows up as a
+    large positive regret, a sound one stays at numerical-noise level.
     """
+    if n_grid < 2:
+        raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     worst = (0.0, -1, float("nan"), float("nan"))
     per_buyer = []
     for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
-        U = _utility_matrix(inst, m, i, tab, tt, tt)
-        truth = np.diag(U)
-        regret_mat = U - truth[:, None]
+        best, r_t, r_r, truth = _best_misreport(inst, m, i, tab, tt)
         # walking away is always available
         exit_regret = float(np.max(-truth))
-        k = int(np.argmax(regret_mat))
-        r_i, c_i = divmod(k, n_grid)
-        best = float(regret_mat[r_i, c_i])
-        r_t, r_r = float(tt[r_i]), float(tt[c_i])
         if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
-            tt_f = np.linspace(
-                max(lo, tt[r_i] - step), min(hi, tt[r_i] + step), 11
-            )
-            rr_f = np.linspace(
-                max(lo, tt[c_i] - step), min(hi, tt[c_i] + step), 11
-            )
-            U_f = _utility_matrix(inst, m, i, tab, tt_f, rr_f)
-            truth_f = np.diag(_utility_matrix(inst, m, i, tab, tt_f, tt_f))
-            reg_f = U_f - truth_f[:, None]
-            k_f = int(np.argmax(reg_f))
-            rf, cf = divmod(k_f, 11)
-            if float(reg_f[rf, cf]) > best:
-                best = float(reg_f[rf, cf])
-                r_t, r_r = float(tt_f[rf]), float(rr_f[cf])
+            window = [np.linspace(max(lo, x - step), min(hi, x + step), 11) for x in (r_t, r_r)]
+            fine = _best_misreport(inst, m, i, tab, *window)
+            if fine[0] > best:
+                best, r_t, r_r = fine[:3]
 
         buyer_regret = max(best, exit_regret, 0.0)
         per_buyer.append(

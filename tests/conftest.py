@@ -9,8 +9,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qsell
+
+# Property tests draw the same examples on every run, so the suite's
+# verdict does not depend on the run; each test keeps its own settings.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
+LEVEL_SHAPES = ["increasing", "decreasing", "v", "plateaued", "wiggly", "repeats"]
 
 
 def bimodal_density(x, s=0.08):
@@ -32,6 +40,41 @@ def make_rising_density(m=1025):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return qsell.make_from_density(0.0, 1.0, lambda t: 2.0 * np.asarray(t, float), m=m)
+
+
+def level_curve(shape, rng, m):
+    """Node values of a level curve of one of ``LEVEL_SHAPES`` on m nodes."""
+    x = np.linspace(0.0, 1.0, m)
+    if shape == "increasing":
+        return np.cumsum(rng.uniform(0.01, 1.0, m))
+    if shape == "decreasing":
+        return -np.cumsum(rng.uniform(0.01, 1.0, m))
+    if shape == "v":
+        return np.abs(x - rng.uniform(0.0, 1.0))
+    if shape == "plateaued":
+        return np.round(x * rng.integers(1, 6)) / 4.0
+    if shape == "wiggly":
+        return np.abs(np.sin(rng.uniform(3.0, 40.0) * x + rng.uniform(0.0, 3.0)))
+    return np.round(rng.uniform(-1.0, 1.0, m), 1)  # random with repeats
+
+
+def xi_meeting_the_plateau(mq):
+    """The 1025-node bimodal buyer and a quality model whose xi meets its plateau level.
+
+    The reserve table (alpha = 1, knots on quality nodes) makes xi rise
+    through the plateau level L inside a cell, reach L at a node from
+    above, leave it upwards at the same node, fall through it inside a
+    cell and rise through it again.
+    """
+    buyer = make_bimodal(1025)
+    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
+    (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
+    table = qsell.GriddedFunction(
+        np.linspace(0.0, 1.0, 9),
+        L + np.array([-0.2, 0.1, 0.3, 0.0, 0.2, -0.1, -0.3, 0.05, 0.1]),
+    )
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=mq), 1.0, table)
+    return buyer, qm, L
 
 
 def _uniform_quality(m=257):

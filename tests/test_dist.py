@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
+from conftest import LEVEL_SHAPES, level_curve
 from qsell import dist
 from qsell.errors import ValidationError
 
@@ -170,33 +171,16 @@ def _dense_sublevel_integral(grid, level_vals, integrand_vals, c, include_equal)
     return np.where(a == b, flat_part, sloped).sum(axis=1)
 
 
-def _level_curve(shape, rng, m):
-    x = np.linspace(0.0, 1.0, m)
-    if shape == "increasing":
-        return np.cumsum(rng.uniform(0.01, 1.0, m))
-    if shape == "decreasing":
-        return -np.cumsum(rng.uniform(0.01, 1.0, m))
-    if shape == "v":
-        return np.abs(x - rng.uniform(0.0, 1.0))
-    if shape == "plateaued":
-        return np.round(x * rng.integers(1, 6)) / 4.0
-    if shape == "wiggly":
-        return np.abs(np.sin(rng.uniform(3.0, 40.0) * x + rng.uniform(0.0, 3.0)))
-    return np.round(rng.uniform(-1.0, 1.0, m), 1)  # random with repeats
-
-
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(
-    shape=st.sampled_from(
-        ["increasing", "decreasing", "v", "plateaued", "wiggly", "repeats"]
-    ),
+    shape=st.sampled_from(LEVEL_SHAPES),
     m=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
     rng = np.random.default_rng(seed)
     grid = np.cumsum(rng.uniform(0.01, 1.0, m)) / m
-    lv = _level_curve(shape, rng, m)
+    lv = level_curve(shape, rng, m)
     iv = rng.uniform(-0.5, 2.0, m)
     span = lv.max() - lv.min() + 1.0
     c = np.concatenate(
@@ -264,92 +248,6 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
             rtol=0.0,
             atol=1e-12,
         )
-
-
-# ---------------------------------------------------------------------------
-# level crossings
-
-
-def test_level_points_on_a_hand_built_curve():
-    x = np.arange(9.0)
-    vals = np.array([1.0, 1.0, 3.0, 0.0, 2.0, 2.0, 2.0, 4.0, 2.0])
-    t, rank, level, above = dist.level_points(x, vals, [5.0, 2.0, 1.0])
-    got = list(zip(t.tolist(), rank.tolist(), level.tolist(), above.tolist()))
-    expect = [
-        (1.0, 2, 1.0, True),  # a plateau from the first node leaves upwards
-        (1.5, 0, 2.0, False),  # rising crossing
-        (1.5, 2, 2.0, True),
-        (2.0 + 1.0 / 3.0, 0, 2.0, True),  # falling crossings
-        (2.0 + 1.0 / 3.0, 2, 2.0, False),
-        (2.0 + 2.0 / 3.0, 0, 1.0, True),
-        (2.0 + 2.0 / 3.0, 2, 1.0, False),
-        (3.5, 0, 1.0, False),
-        (3.5, 2, 1.0, True),
-        (4.0, 0, 2.0, False),  # a plateau reached from below ...
-        (6.0, 2, 2.0, True),  # ... and left upwards
-        (8.0, 0, 2.0, True),  # the last node, reached from above
-    ]
-    assert len(got) == len(expect)  # level 5 is never met
-    for g, e in zip(got, expect):
-        assert g[1:] == e[1:] and g[0] == pytest.approx(e[0], abs=1e-15)
-    # node points sit on the node itself
-    assert t[rank == 0][-2:].tolist() == [4.0, 8.0]
-
-
-def test_level_points_touching_nodes_and_no_levels():
-    x = np.array([0.0, 0.5, 1.0, 2.0])
-    vals = np.array([1.0, 0.0, 1.0, 1.0])
-    t, rank, level, above = dist.level_points(x, vals, [0.0])
-    # a node touched from above on both sides: a pair on the node itself
-    assert t.tolist() == [0.5, 0.5] and rank.tolist() == [0, 2]
-    assert above.tolist() == [True, True] and level.tolist() == [0.0, 0.0]
-    t, rank, level, above = dist.level_points(x, vals, [1.0])
-    # the first node leaves the level downwards; the final plateau is
-    # reached from below and runs to the last node
-    assert t.tolist() == [0.0, 1.0] and rank.tolist() == [2, 0]
-    assert above.tolist() == [False, False]
-    for out in dist.level_points(x, vals, []):
-        assert out.size == 0
-
-
-def _dense_level_points(x, vals, levels):
-    """Every (level, cell) and (level, node) pair at once, as a sorted set."""
-    lev = np.asarray(levels, dtype=float)[:, None]
-    a, b = vals[:-1], vals[1:]
-    pts = set()
-    L, K = np.nonzero(((a < lev) & (lev < b)) | ((a > lev) & (lev > b)))
-    for l, k in zip(L, K):
-        c = lev[l, 0]
-        frac = (c - a[k]) / (b[k] - a[k]) if b[k] > a[k] else (a[k] - c) / (a[k] - b[k])
-        t = x[k] + frac * (x[k + 1] - x[k])
-        pts |= {(t, 0, c, bool(a[k] > c)), (t, 2, c, bool(b[k] > c))}
-    L, K = np.nonzero(vals[None, :] == lev)
-    for l, k in zip(L, K):
-        c = lev[l, 0]
-        if k > 0 and vals[k - 1] != c:
-            pts.add((x[k], 0, c, bool(vals[k - 1] > c)))
-        if k < vals.size - 1 and vals[k + 1] != c:
-            pts.add((x[k], 2, c, bool(vals[k + 1] > c)))
-    return sorted(pts)
-
-
-@settings(deadline=None, max_examples=200, derandomize=True)
-@given(
-    shape=st.sampled_from(
-        ["increasing", "decreasing", "v", "plateaued", "wiggly", "repeats"]
-    ),
-    m=st.integers(2, 60),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_level_points_matches_dense_reference(shape, m, seed):
-    rng = np.random.default_rng(seed)
-    x = np.cumsum(rng.uniform(0.01, 1.0, m))
-    vals = _level_curve(shape, rng, m)
-    levels = np.unique(np.concatenate((rng.choice(vals, 3), rng.uniform(-1.0, 1.5, 3))))
-    t, rank, level, above = dist.level_points(x, vals, levels)
-    got = list(zip(t.tolist(), rank.tolist(), level.tolist(), above.tolist()))
-    assert got == sorted(got, key=lambda p: p[:2])  # ordered by abscissa, then rank
-    assert sorted(got) == _dense_level_points(x, vals, levels)
 
 
 # ---------------------------------------------------------------------------

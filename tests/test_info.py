@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
+from conftest import LEVEL_SHAPES, level_curve
 
 G = qsell.make_uniform(0.0, 1.0, m=1001)
 QM_RAMP = qsell.make_quality_model(G, alpha=1.0, reserve=lambda q: q)
@@ -180,6 +181,59 @@ def _check_acceptance_against_node_walk(rng, seen):
         want = _acceptance_by_node_walk(qgrid, qm.xi.vals, v)
         assert len(got) == len(want)
         np.testing.assert_allclose(np.ravel(got), np.ravel(want), rtol=0.0, atol=1e-15)
+
+
+def _acceptance_on(x, vals, c):
+    """acceptance_set with xi = vals on quality grid x, checked against the node walk."""
+    qm = qsell.make_quality_model(
+        qsell.make_from_table(x, np.ones(x.size)), 1.0, qsell.GriddedFunction(x, vals)
+    )
+    got = qsell.acceptance_set(qm, c).intervals
+    want = _acceptance_by_node_walk(x, qm.xi.vals, c)
+    assert len(got) == len(want)
+    np.testing.assert_allclose(np.ravel(got), np.ravel(want), rtol=0.0, atol=1e-15)
+    return got
+
+
+def test_acceptance_set_on_a_hand_built_curve():
+    x = np.arange(9.0)
+    vals = np.array([1.0, 1.0, 3.0, 0.0, 2.0, 2.0, 2.0, 4.0, 2.0])
+    # a flat at c from the first node, left upwards at its last node
+    got = _acceptance_on(x, vals, 1.0)
+    assert got == pytest.approx([(0.0, 1.0), (2.0 + 2.0 / 3.0, 3.5)], abs=1e-15)
+    # a crossing, a plateau reached from below and left upwards, and the
+    # last node reached from above: a point interval on that node
+    got = _acceptance_on(x, vals, 2.0)
+    assert got == pytest.approx([(0.0, 1.5), (2.0 + 1.0 / 3.0, 6.0), (8.0, 8.0)], abs=1e-15)
+    assert got[1][1] == 6.0 and got[2] == (8.0, 8.0)
+    # c never met: the whole support, or nothing
+    assert _acceptance_on(x, vals, 5.0) == ((0.0, 8.0),)
+    assert _acceptance_on(x, vals, -1.0) == ()
+
+
+def test_acceptance_set_at_touching_nodes():
+    x = np.array([0.0, 0.5, 1.0, 2.0])
+    vals = np.array([1.0, 0.0, 1.0, 1.0])
+    # a node touching c from above on both sides: [q, q] on the node itself
+    assert _acceptance_on(x, vals, 0.0) == ((0.5, 0.5),)
+    # the first node and the final plateau sit on c: one interval over all
+    assert _acceptance_on(x, vals, 1.0) == ((0.0, 2.0),)
+    assert _acceptance_on(x, vals, 0.5) == pytest.approx([(0.25, 0.75)], abs=1e-15)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    shape=st.sampled_from(LEVEL_SHAPES),
+    m=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_acceptance_set_matches_node_walk_on_random_curves(shape, m, seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, m))
+    x = (x - x[0]) / (x[-1] - x[0])
+    vals = level_curve(shape, rng, m)
+    for c in np.concatenate((rng.choice(vals, 3), rng.uniform(-1.0, 1.5, 3))):
+        _acceptance_on(x, vals, float(c))
 
 
 @given(

@@ -195,7 +195,7 @@ def test_payment_nan_exactly_where_never_winning(two_uniform):
     inst, m = two_uniform
     tab = qsell.interim_tables(inst, m.curves)[0]
     nan_mask = np.isnan(m.payment[0].vals)
-    assert np.array_equal(nan_mask, tab.W <= 1e-12)
+    assert np.array_equal(nan_mask, tab.win[1].ravel()[tab.node_pos] <= 1e-12)
 
 
 def test_degenerate_mechanism_flagged():
@@ -240,7 +240,7 @@ def test_general_build_uses_effective_curve():
     assert np.allclose(m.curves[0].phi_ironed, want, atol=1e-9)
     # the win weight is b' * opp * A, with b' = 2t read off the valuation
     tab = m.tables[0]
-    assert np.array_equal(m.win_weight[0].vals, 2.0 * t * tab.opp * tab.A)
+    assert np.array_equal(m.win_weight[0].vals, 2.0 * t * tab.win[0].ravel()[tab.node_pos])
     # b is not copied onto the mechanism or into its JSON
     doc = qsell.mechanism_to_json_dict(m)
     assert "valuation_kind" not in doc
@@ -381,6 +381,29 @@ def test_json_rejects_missing_quality(two_uniform):
         qsell.mechanism_from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "where, key, edit",
+    [
+        pytest.param("buyer", "payment", lambda v: v.__setitem__(700, "x"), id="payment-text"),
+        pytest.param("buyer", "phi", lambda v: v.__setitem__(3, "x"), id="phi-text"),
+        pytest.param("quality", "alpha", lambda v: v.__setitem__(3, "x"), id="alpha-text"),
+        pytest.param("buyer", "ironed_intervals", lambda v: v.append([1]), id="interval-single"),
+        pytest.param("buyer", "ironed_intervals", lambda v: v.append([0, 1025]), id="off-grid"),
+        pytest.param("buyer", "ironed_intervals", lambda v: v.append([5, 3]), id="interval-back"),
+        pytest.param("buyer", "phi", list.pop, id="phi-short"),
+        pytest.param("buyer", "phi_ironed", list.pop, id="phi_ironed-short"),
+        pytest.param("buyer", "win_weight", list.pop, id="win_weight-short"),
+        pytest.param("buyer", "payment", list.pop, id="payment-short"),
+    ],
+)
+def test_json_rejects_malformed_fields(two_uniform, where, key, edit):
+    inst, m = two_uniform
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    edit((doc["buyers"][1] if where == "buyer" else doc["quality"])[key])
+    with pytest.raises(ValidationError):
+        qsell.mechanism_from_json_dict(doc)
+
+
 def test_json_loads_documents_with_valuation_keys(two_uniform):
     # older writers added the valuation kind and per-buyer b and b' tables
     inst, m = two_uniform
@@ -438,9 +461,10 @@ def test_interim_jump_points_present(two_uniform):
 
 def test_level_tables_match_the_kernels_in_every_tie_mode(solved_suite):
     # Each interim factor read off the level tables equals the kernel's
-    # value: the mechanism's tie split (above None), both one-sided limits,
-    # and one side per level, at every node level, the midpoints between
-    # them and random levels inside and outside their range.
+    # value under the tie rule (strict for rivals below i, weak above it,
+    # weak on the quality side), and the product with every buyer strict
+    # that i None reads, at every node level, the midpoints between them
+    # and random levels inside and outside their range.
     rng = np.random.default_rng(11)
     for name, (inst, m) in solved_suite.items():
         qm, n = inst.quality, inst.n_buyers
@@ -452,27 +476,21 @@ def test_level_tables_match_the_kernels_in_every_tie_mode(solved_suite):
             rng.uniform(nodes[0] - 0.1 * span, nodes[-1] + 0.1 * span, 500),
         ))
 
-        def kernel(i, weak_j, weak_q):
-            opp = np.ones_like(c)
-            for j in range(n):
-                if j != i:
-                    opp = opp * dist.sublevel_mass(
-                        inst.buyers[j], m.curves[j].phi_ironed, c, weak_j(j)
-                    )
-            ABC = dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands, c, weak_q)
-            return np.vstack((opp, ABC))
+        def mass(j, weak):
+            return dist.sublevel_mass(inst.buyers[j], m.curves[j].phi_ironed, c, weak)
 
-        flags = rng.uniform(size=c.size) < 0.5
-        for i, tab in enumerate(m.tables):
-            weak, strict = kernel(i, lambda j: True, True), kernel(i, lambda j: False, False)
-            for above, want in (
-                (None, kernel(i, lambda j: j > i, True)),
-                (True, weak),
-                (False, strict),
-                (flags, np.where(flags, weak, strict)),
-            ):
-                got = np.vstack(tab.levels.at(i, c, above))
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=name)
+        levels = m.tables[0].levels
+        nobody = np.prod([mass(j, False) for j in range(n)], axis=0)
+        np.testing.assert_allclose(
+            levels.opp(None, c), nobody, rtol=0.0, atol=1e-14, err_msg=name
+        )
+        ABC = dist.sublevel_integral(qm.G.grid, qm.xi.vals, qm.integrands, c, True)
+        for i in range(n):
+            opp = np.prod([mass(j, j > i) for j in range(n) if j != i] + [np.ones_like(c)], axis=0)
+            got = np.vstack(levels.at(i, c))
+            np.testing.assert_allclose(
+                got, np.vstack((opp, ABC)), rtol=0.0, atol=1e-14, err_msg=name
+            )
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import qsell
-from conftest import make_bimodal
+from conftest import make_bimodal, xi_meeting_the_plateau
 from qsell.mechanism import _payment_at
 
 
@@ -71,31 +71,12 @@ def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
     assert direct == pytest.approx(virtual, rel=1e-6)
 
 
-def _xi_meeting_the_plateau(mq):
-    """The 1025-node bimodal buyer and a quality model whose xi meets its plateau level.
-
-    The reserve table (alpha = 1, knots on quality nodes) makes xi rise
-    through the plateau level L inside a cell, reach L at a node from
-    above, leave it upwards at the same node, fall through it inside a
-    cell and rise through it again.
-    """
-    buyer = make_bimodal(1025)
-    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
-    (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
-    table = qsell.GriddedFunction(
-        np.linspace(0.0, 1.0, 9),
-        L + np.array([-0.2, 0.1, 0.3, 0.0, 0.2, -0.1, -0.3, 0.05, 0.1]),
-    )
-    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=mq), 1.0, table)
-    return buyer, qm, L
-
-
 @pytest.mark.parametrize("n_buyers", [1, 2])
 def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
     # The bimodal buyer's ironed plateau at level L carries probability
     # mass, so P(nobody clears xi(q)) jumps wherever xi meets L: every
     # one-sided branch of the direct route's no-sale integral is exercised.
-    buyer, qm, L = _xi_meeting_the_plateau(129)
+    buyer, qm, L = xi_meeting_the_plateau(129)
     xi = qm.xi.vals
     assert np.sum(xi == L) == 1 and np.sum((xi[:-1] - L) * (xi[1:] - L) < 0) == 3
     inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
@@ -113,7 +94,7 @@ def test_tied_plateaus_refine_with_routes_agreeing_to_rounding(n_buyers):
     # and 1.7e-7 at 257 and 1025 nodes for one buyer), and the revenue's
     # change must shrink at least threefold from one 4(m - 1) + 1
     # refinement to the next.
-    _, qm, _ = _xi_meeting_the_plateau(513)
+    _, qm, _ = xi_meeting_the_plateau(513)
     revenue = {}
     for m in (257, 1025, 4097):
         inst = qsell.ProblemInstance(buyers=(make_bimodal(m),) * n_buyers, quality=qm)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import qsell
-from conftest import bimodal_density
+from conftest import bimodal_density, make_bimodal, xi_meeting_the_plateau
 
 
 def _with_payment(mech, i, new_vals):
@@ -254,6 +254,39 @@ def test_kink_between_type_nodes_leaves_no_ic_residue():
     mech = qsell.build_optimal_mechanism(inst)
     assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-12
     assert qsell.obedience_check(inst, mech).min_surplus >= 0.0
+
+
+def _utility(inst, mech, i, t, r):
+    """Interim utility of buyer i with linear value t reporting r."""
+    opp, A, B, _ = mech.tables[i].levels.at(i, mech.curves[i].phi_ironed_at(r))
+    return t * opp * A - opp * B * qsell.payment(inst, mech, i, r)
+
+
+@pytest.mark.parametrize("n_buyers", [2, 3])
+def test_types_at_the_ends_of_a_tied_plateau_gain_nothing_by_misreporting(n_buyers):
+    # Identical bimodal buyers tie on their ironed plateau, so a type at a
+    # node ending it is allocated with the tie split and must pay the flat
+    # piece's end: the rising piece's payment after the node would give
+    # buyer 1 of two at node 623 a 1.3e-2 gain for a report 1e-7 off,
+    # between the points of the IC search grid.
+    _, qm, _ = xi_meeting_the_plateau(513)
+    buyer = make_bimodal(1025)
+    inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
+    mech = qsell.build_optimal_mechanism(inst)
+    for i in range(n_buyers):
+        assert mech.curves[i].ironed_intervals
+        for ends in mech.curves[i].ironed_intervals:
+            for t in buyer.grid[list(ends)]:
+                truth = _utility(inst, mech, i, t, t)
+                for r in (t - 1e-7, t + 1e-7):
+                    assert _utility(inst, mech, i, t, r) - truth <= 1e-9, (i, t, r)
+
+
+@pytest.mark.parametrize("n_grid", [0, 1])
+def test_ic_search_needs_two_grid_points(posted_price, n_grid):
+    inst, mech = posted_price
+    with pytest.raises(qsell.ValidationError, match="n_grid"):
+        qsell.ic_deviation_search(inst, mech, n_grid=n_grid)
 
 
 def test_obedience_detects_overcharging(posted_price):
