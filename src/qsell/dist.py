@@ -5,12 +5,12 @@ Every other module works with bounded, atomless distributions stored as
 of grid.  The helpers here also provide the two sublevel-set primitives
 the mechanism machinery is built on: the probability mass of
 ``{x : curve(x) <= c}`` under a distribution, and the integral of a
-tabulated integrand over ``{q : level(q) <= c}``.  Both share one
-sort-based kernel: k queries against an m-node curve cost
-O((m + k) log m) for the cells wholly inside the set, plus one exactly
-integrated straddling cell per monotone run of the curve and query.
-A stack of integrands over one level curve shares that sort and search.
-``LevelTable`` tabulates either as an exact function of the level.
+tabulated integrand over ``{q : level(q) <= c}``.  Both are read off a
+``LevelTable``, the integral as an exact piecewise quadratic in the
+level c, built in one pass over the cells: for an m-node curve it costs
+O(m log m + P), where P counts the (sloped cell, piece) pairs, at most
+breaks x monotone runs of the curve.  A stack of integrands over one
+level curve shares the pass.
 ``cut_quadrature`` cuts a curve where it strictly crosses a level and
 lays a Gauss-Lobatto rule on each piece, which integrates products of
 tables along the curve exactly.
@@ -318,100 +318,23 @@ def integrate(f, lo, hi):
     return float(np.trapezoid(ys, xs))
 
 
-def _sorted_prefix(keys, vals, c, side):
-    """Sum of vals (along axis 0) over entries with key <= c (side='right') or < c."""
-    order = np.argsort(keys)
-    cum = np.cumsum(vals[order], axis=0)
-    cum = np.concatenate((np.zeros((1,) + vals.shape[1:]), cum))
-    return cum[np.searchsorted(keys[order], c, side=side)]
-
-
 def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):
     """Integral of a tabulated integrand over the sublevel set {level <= c}.
 
     Both ``level_vals`` and ``integrand_vals`` are treated as piecewise
-    linear on ``grid``; ``integrand_vals`` may also be a scalar.  Partial
-    cells are integrated exactly for the piecewise-linear model, so
-    step-like level curves do not smear.  With ``include_equal=False``
-    flat stretches sitting exactly at c are excluded (the strict sublevel
-    set {level < c}).
+    linear on ``grid``; ``integrand_vals`` may also be a scalar, or a
+    stack of p integrands of shape (p, m), which gives the result a
+    leading axis of length p (each row is, bit for bit, the call with
+    that integrand alone).  Partial cells are integrated exactly for
+    the piecewise-linear model, so step-like level curves do not smear.
+    With ``include_equal=False`` flat stretches sitting exactly at c are
+    excluded (the strict sublevel set {level < c}).
 
-    ``integrand_vals`` may also be a stack of p integrands, shape (p, m):
-    one sort of the level curve and one straddle search then serve every
-    row, and the result gains a leading axis of length p (shape (p, k)
-    for k queries, (p,) for a scalar c).  Each row equals, bit for bit,
-    the call with that row alone.
-
-    Cells wholly inside the set come from two sorted prefix sums (flat
-    cells by level, sloped cells by their upper end).  The sloped cells
-    split into monotone runs, and in each run at most one cell strictly
-    straddles c; it is found by ``searchsorted`` and integrated exactly.
-    For m grid nodes, k queries and R monotone runs this costs
-    O((m + k) log m) plus O(k R) for the straddling cells, and never
-    builds a (queries x cells) array.
-
-    Vectorized over c; returns a scalar for scalar c and a 1-D integrand.
-    A NaN query is a validation error.
+    This is ``LevelTable.build`` read at c.  Vectorized over c; returns
+    a scalar for scalar c and a 1-D integrand.  A NaN query is a
+    validation error.
     """
-    grid = np.asarray(grid, dtype=float)
-    lv = np.asarray(level_vals, dtype=float)
-    iv = np.asarray(integrand_vals, dtype=float)
-    stacked = iv.ndim == 2
-    # Grid along axis 0: (m,) for one integrand, (m, p) for a stack, and
-    # per-cell factors get a trailing axis (col) to broadcast over rows.
-    iv = iv.T if stacked else np.broadcast_to(iv, lv.shape)
-    col = (slice(None),) + (None,) * stacked
-    cq = np.atleast_1d(_validated_query(c))
-
-    a, b = lv[:-1], lv[1:]
-    w0, w1 = iv[:-1], iv[1:]
-    dq = np.diff(grid)[col]
-    full = 0.5 * dq * (w0 + w1)
-
-    flat = a == b
-    out = _sorted_prefix(a[flat], full[flat], cq, "right" if include_equal else "left")
-
-    sl = np.nonzero(~flat)[0]
-    if sl.size:
-        lo = np.minimum(a[sl], b[sl])
-        hi = np.maximum(a[sl], b[sl])
-        out = out + _sorted_prefix(hi, full[sl], cq, "right")
-
-        # Number the monotone runs, then order the cells by (run, lower
-        # end).  Lower ends enter as exact integer ranks among all lower
-        # ends, so one searchsorted finds, for every (query, run) pair,
-        # the run's last cell with lo < c; it straddles c iff c < hi.
-        rising = b[sl] > a[sl]
-        starts = np.ones(sl.size, dtype=bool)
-        starts[1:] = (np.diff(sl) != 1) | (rising[1:] != rising[:-1])
-        run = np.cumsum(starts) - 1
-        runs = np.arange(run[-1] + 1)
-        lo_sorted = np.sort(lo)
-        stride = sl.size + 1
-        key = run * stride + np.searchsorted(lo_sorted, lo, side="left")
-        order = np.argsort(key)
-        q_key = runs * stride + np.searchsorted(lo_sorted, cq, side="left")[:, None]
-        pos = np.searchsorted(key[order], q_key, side="left") - 1
-        cell = order[np.maximum(pos, 0)]
-        qi, ri = np.nonzero((pos >= 0) & (run[cell] == runs) & (cq[:, None] < hi[cell]))
-        cell = cell[qi, ri]
-
-        k = sl[cell]
-        lam = ((cq[qi] - a[k]) / (b[k] - a[k]))[col]
-        wlam = w0[k] + (w1[k] - w0[k]) * lam
-        part = np.where(
-            rising[cell][col],
-            0.5 * lam * dq[k] * (w0[k] + wlam),
-            0.5 * (1.0 - lam) * dq[k] * (wlam + w1[k]),
-        )
-        if stacked:  # one bincount for all rows: query j, row r goes to bin j * p + r
-            p = iv.shape[1]
-            qi = (qi[:, None] * p + np.arange(p)).ravel()
-        part = np.bincount(qi, weights=part.ravel(), minlength=out.size)
-        out = out + part.reshape(out.shape)
-    if np.ndim(c) == 0:
-        return out[0] if stacked else float(out[0])
-    return out.T if stacked else out
+    return LevelTable.build(grid, level_vals, integrand_vals).at(c, include_equal)
 
 
 def _crossings(x, vals, levels):
@@ -475,16 +398,24 @@ def cut_quadrature(x, vals, levels, k):
     return t, c, dt * Q[-1], cell[order][:-1]
 
 
+def _binsum(idx, vals, n):
+    """Each row of vals (p, N) summed into n bins by idx, with one bincount."""
+    p = vals.shape[0]
+    bins = (np.arange(p)[:, None] * n + idx).ravel()
+    out = np.bincount(bins, vals.ravel(), minlength=p * n).reshape(p, n)
+    return out.astype(float, copy=False)  # integers when there is no entry
+
+
 @dataclass(frozen=True, eq=False)
 class LevelTable:
-    """A sublevel quantity as an exact piecewise quadratic in its level c.
+    """A sublevel integral as an exact piecewise quadratic in its level c.
 
     ``breaks`` are the level curve's sorted unique node values; ``weak``
-    and ``strict`` the quantity over {level <= c} and {level < c} there.
+    and ``strict`` the integral over {level <= c} and {level < c} there.
     Each open piece between breaks holds c0 + x * (c1 + x * c2) in its
-    fraction x, through the weak value at its left break, its midpoint
-    and the strict value at its right break; below and above the breaks
-    the quantity is constant.  A stacked quantity has a leading row axis.
+    fraction x, which meets the weak value at its left break and the
+    strict value at its right break; below and above the breaks the
+    integral is constant.  A stacked integrand has a leading row axis.
     """
 
     breaks: np.ndarray
@@ -493,19 +424,61 @@ class LevelTable:
     coef: np.ndarray  # (3, ..., pieces): c0, c1, c2; piece j ends at breaks[j]
 
     @classmethod
-    def build(cls, level_vals, evaluate):
-        """Tabulate ``evaluate(c, include_equal)`` over a curve's node values."""
-        breaks = np.unique(level_vals)
-        k = breaks.size
-        vals = evaluate(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))), True)
-        weak, mid = vals[..., :k], vals[..., k:]
-        strict = evaluate(breaks, False)
-        v0, v1 = weak[..., :-1], strict[..., 1:]
-        c0 = np.concatenate((strict[..., :1], v0, weak[..., -1:]), axis=-1)
-        pad = np.zeros(weak.shape[:-1] + (1,))
-        c1 = np.concatenate((pad, 4.0 * (mid - v0) - (v1 - v0), pad), axis=-1)
-        c2 = np.concatenate((pad, 2.0 * (v1 - v0) - 4.0 * (mid - v0), pad), axis=-1)
-        return cls(breaks, weak, strict, np.stack((c0, c1, c2)))
+    def build(cls, grid, level_vals, integrand_vals):
+        """Tabulate the integral of an integrand over {level <= c}.
+
+        Both tables are piecewise linear on ``grid``; the integrand may be
+        a scalar, one row or a stack of rows, shape (p, m).  Each cell
+        adds its whole integral from the break at its upper end onward,
+        and a flat cell leaves the strict side at its own break.  Each
+        sloped cell adds, to every piece it spans, its partial integral
+        from its lower-level end: a quadratic in the piece's fraction.
+        For m nodes this costs O(m log m + P), where P counts the (sloped
+        cell, piece) pairs, at most breaks x monotone runs of the curve.
+        Tables that do not match the grid, or a NaN level, are
+        validation errors.
+        """
+        grid = _as_float_array(grid, "grid")
+        lv = _as_float_array(level_vals, "level_vals")
+        iv = np.asarray(integrand_vals, dtype=float)
+        if lv.size != grid.size or iv.ndim > 2 or (iv.ndim and iv.shape[-1] != grid.size):
+            raise ValidationError("level and integrand tables must match the grid length")
+        w = np.broadcast_to(iv, iv.shape[:-1] + grid.shape).reshape(-1, grid.size)
+        breaks, rank = np.unique(lv, return_inverse=True)
+        n = breaks.size
+        r_lo, r_hi = np.minimum(rank[:-1], rank[1:]), np.maximum(rank[:-1], rank[1:])
+        dq = np.diff(grid)
+        full = 0.5 * dq * (w[:, :-1] + w[:, 1:])
+
+        # sloped cell k spans pieces r_lo + 1 .. r_hi; one (cell, piece) pair each
+        count = r_hi - r_lo
+        k = np.repeat(np.arange(count.size), count)
+        piece = np.repeat(r_lo + 1 - (np.cumsum(count) - count), count) + np.arange(k.size)
+        rising = rank[k + 1] > rank[k]
+        w_lo = np.where(rising, w[:, k], w[:, k + 1])
+        slope = np.where(rising, w[:, k + 1], w[:, k]) - w_lo
+        lo = breaks[r_lo[k]]
+        span = breaks[r_hi[k]] - lo
+        lam = (breaks[piece - 1] - lo) / span  # the cell's fraction at the piece's left break
+        dlam = (breaks[piece] - breaks[piece - 1]) / span
+        h = dq[k]
+        quad = (
+            h * lam * (w_lo + 0.5 * slope * lam),
+            h * dlam * (w_lo + slope * lam),
+            0.5 * h * slope * dlam * dlam,
+        )
+        coef = np.stack([_binsum(piece, q, n + 1) for q in quad])
+        coef[0, :, 1:] += np.cumsum(_binsum(r_hi, full, n), axis=1)
+        weak = coef[0, :, 1:]
+        flat = count == 0
+        strict = weak - _binsum(r_lo[flat], full[:, flat], n)
+        shape = iv.shape[:-1]
+        return cls(
+            breaks,
+            weak.reshape(shape + (n,)),
+            strict.reshape(shape + (n,)),
+            coef.reshape((3,) + shape + (n + 1,)),
+        )
 
     def at(self, c, weak=True, pieces=False):
         """The quantity at levels c: its weak or strict value at a break.

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
+from .virtual import MONOTONE_SLACK
 
 __all__ = [
     "IntervalUnion",
@@ -25,8 +26,6 @@ __all__ = [
     "partition_summary",
     "partition_summary_csv",
 ]
-
-MONOTONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)

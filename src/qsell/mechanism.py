@@ -87,12 +87,7 @@ class QualityModel:
     @cached_property
     def level_table(self):
         """A, B and C over {xi <= c} as one ``dist.LevelTable``, a row each."""
-        return dist.LevelTable.build(
-            self.xi.vals,
-            lambda c, weak: dist.sublevel_integral(
-                self.G.grid, self.xi.vals, self.integrands, c, weak
-            ),
-        )
+        return dist.LevelTable.build(self.G.grid, self.xi.vals, self.integrands)
 
 
 def _curve_on(grid, curve, name):
@@ -298,9 +293,7 @@ class InterimLevels:
     @classmethod
     def build(cls, inst, curves):
         mass = tuple(
-            dist.LevelTable.build(
-                c.phi_ironed, lambda lev, weak: dist.sublevel_mass(d, c.phi_ironed, lev, weak)
-            )
+            dist.LevelTable.build(d.cdf_vals, c.phi_ironed, 1.0)
             for d, c in zip(inst.buyers, curves)
         )
         return cls(inst.quality.level_table, mass)

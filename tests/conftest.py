@@ -5,6 +5,7 @@ V-shaped / inverse-V reserve-ratio curves, and regular as well as
 irregular (bimodal) type distributions.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,21 @@ def make_rising_density(m=1025):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return qsell.make_from_density(0.0, 1.0, lambda t: 2.0 * np.asarray(t, float), m=m)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated during a second call of fn().
+
+    The first call in a process can import modules lazily (numpy.ma, about
+    1 MB of module objects), which is no part of fn's working memory.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def level_curve(shape, rng, m):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
-from conftest import LEVEL_SHAPES, level_curve
+from conftest import LEVEL_SHAPES, level_curve, traced_peak
 from qsell import dist
 from qsell.errors import ValidationError
 
@@ -140,16 +140,40 @@ def test_sublevel_integral_vector_levels():
         dist.sublevel_integral(grid, xi, np.ones_like(grid), [0.3, float("nan")])
 
 
+def test_sublevel_tables_must_match_the_grid():
+    grid = np.linspace(0.0, 1.0, 5)
+    level = np.array([0.0, 1.0, 0.5, 2.0, 3.0])
+    for lv, iv in (
+        (level[:-1], 1.0),
+        (level, np.ones(4)),
+        (level, np.ones((3, 6))),
+        (level, np.ones((2, 3, 5))),
+    ):
+        with pytest.raises(ValidationError):
+            dist.sublevel_integral(grid, lv, iv, 0.5)
+        with pytest.raises(ValidationError):
+            dist.LevelTable.build(grid, lv, iv)
+
+
+def test_a_nan_level_is_a_validation_error():
+    grid = np.linspace(0.0, 1.0, 5)
+    level = [0.0, 1.0, float("nan"), 2.0, 3.0]
+    with pytest.raises(ValidationError):
+        dist.sublevel_integral(grid, level, 1.0, 0.5)
+    with pytest.raises(ValidationError):
+        dist.LevelTable.build(grid, level, np.ones((2, 5)))
+
+
 def test_falling_cell_at_its_upper_end_counts_once():
     # A falling cell whose upper end equals c lies wholly inside {level <= c};
-    # it must not also be taken as the cell straddling c.
+    # its whole integral and its partial one must not both count.
     assert dist.sublevel_integral([0.0, 1.0], [1.0, 0.0], 1.0, 1.0) == 1.0
     assert dist.sublevel_integral([0.0, 1.0, 2.0], [2.0, 1.0, 0.0], 1.0, 1.0) == 1.0
     assert dist.sublevel_integral([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], 1.0, 1.0) == 2.0
 
 
 # ---------------------------------------------------------------------------
-# sort-based kernel against the dense (levels x cells) broadcast
+# level tables against the dense (levels x cells) broadcast
 
 
 def _dense_sublevel_integral(grid, level_vals, integrand_vals, c, include_equal):
@@ -210,10 +234,8 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
 
     # The level table of the stack reads the same values at both sides of
     # every break, at the midpoints between breaks, at random levels and
-    # below and above the range; at a break each side is the kernel's.
-    table = dist.LevelTable.build(
-        lv, lambda x, weak: dist.sublevel_integral(grid, lv, stack, x, weak)
-    )
+    # below and above the range.
+    table = dist.LevelTable.build(grid, lv, stack)
     breaks = np.unique(lv)
     assert np.array_equal(table.breaks, breaks)
     probes = np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]), c))
@@ -225,12 +247,10 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
     for weak in (True, False, flags):
         want = np.where(weak, dense[True], dense[False])
         np.testing.assert_allclose(table.at(probes, weak), want, rtol=0.0, atol=1e-12)
-    for side, values in ((True, table.weak), (False, table.strict)):
-        assert np.array_equal(values, dist.sublevel_integral(grid, lv, stack, breaks, side))
     assert np.array_equal(table.at(float(breaks[0]), False), table.strict[:, 0])
 
     d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
-    mass_table = dist.LevelTable.build(lv, lambda x, weak: dist.sublevel_mass(d, lv, x, weak))
+    mass_table = dist.LevelTable.build(d.cdf_vals, lv, 1.0)
     for include_equal in (True, False):
         np.testing.assert_allclose(
             mass_table.at(probes, include_equal),
@@ -248,6 +268,43 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
             rtol=0.0,
             atol=1e-12,
         )
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    shape=st.sampled_from(LEVEL_SHAPES),
+    m=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_table_pieces_meet_their_breaks(shape, m, seed):
+    # Each piece's quadratic starts at the weak value of its left break and
+    # ends at the strict value of its right break (the ends that a read
+    # with pieces=True takes from inside the piece); the pieces below and
+    # above the breaks hold the strict value of the first break and the
+    # weak value of the last.
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.01, 1.0, m)) / m
+    lv = level_curve(shape, rng, m)
+    stack = np.stack((rng.uniform(-0.5, 2.0, m), np.ones(m)))
+    d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
+    for table in (
+        dist.LevelTable.build(grid, lv, stack),
+        dist.LevelTable.build(d.cdf_vals, lv, 1.0),
+    ):
+        c0, c1, c2 = table.coef
+        np.testing.assert_allclose(c0[..., 1:], table.weak, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose((c0 + c1 + c2)[..., :-1], table.strict, rtol=0.0, atol=1e-12)
+        assert np.all(c1[..., [0, -1]] == 0.0) and np.all(c2[..., [0, -1]] == 0.0)
+
+
+def test_level_table_memory_stays_linear():
+    # One 1 025-node quality table on |sin 7q|: a (levels x cells) build
+    # would need over 15 MB.
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=1025), 1.0, lambda q: np.abs(np.sin(7.0 * q))
+    )
+    peak = traced_peak(lambda: dist.LevelTable.build(qm.G.grid, qm.xi.vals, qm.integrands))
+    assert peak <= 3e6
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +484,10 @@ def test_cut_quadrature_integrates_table_products_exactly(seed, n_mass):
     for j in range(n_mass + 1):
         grid, level = _random_curve(rng, int(rng.integers(2, 12)))
         if j == 0:
-            w = rng.uniform(0.0, 2.0, grid.size)
-            ev = lambda c, weak, g=grid, lv=level, w=w: dist.sublevel_integral(g, lv, w, c, weak)
+            tables.append(dist.LevelTable.build(grid, level, rng.uniform(0.0, 2.0, grid.size)))
         else:
             d = dist.make_from_table(grid, rng.uniform(0.2, 2.0, grid.size))
-            ev = lambda c, weak, d=d, lv=level: dist.sublevel_mass(d, lv, c, weak)
-        tables.append(dist.LevelTable.build(level, ev))
+            tables.append(dist.LevelTable.build(d.cdf_vals, level, 1.0))
     x, vals = _random_curve(rng, int(rng.integers(2, 20)))
     k = n_mass + 3
     levels = np.concatenate([tb.breaks for tb in tables])

@@ -16,14 +16,13 @@ Oracles used here:
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import qsell
-from conftest import make_bimodal, xi_meeting_the_plateau
+from conftest import make_bimodal, traced_peak, xi_meeting_the_plateau
 from qsell.mechanism import _payment_at
 
 
@@ -239,21 +238,6 @@ def test_simulation_rejects_a_mechanism_on_other_grids(two_uniform):
     assert qsell.simulate(inst, loaded, 1_000, 1) == qsell.simulate(inst, mech, 1_000, 1)
 
 
-def _traced_peak(fn):
-    """Peak bytes tracemalloc sees allocated during a second call of fn().
-
-    The first call in a process can import modules lazily (numpy.ma, about
-    1 MB of module objects), which is no part of fn's working memory.
-    """
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_simulation_peak_memory():
     # Three buyers and 200 000 samples, the largest simulate call of the
     # benchmark's coarse sweep; the (samples x buyers) type and level
@@ -261,7 +245,7 @@ def test_simulation_peak_memory():
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: q)
     inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 3, quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
-    assert _traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 16.8e6
+    assert traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 16.8e6
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ def test_best_constant_price_peak_memory():
     # The blocked sweep holds a few blocks of at most _PRICE_BLOCK entries;
     # one (cutoffs x prices) matrix at 1 027 cutoffs would take about 17 MB.
     inst = _fine_xi_instance()
-    assert _traced_peak(lambda: qsell.best_constant_price(inst)) <= 1e6
+    assert traced_peak(lambda: qsell.best_constant_price(inst)) <= 1e6
 
 
 def test_optimal_mechanism_dominates_constant_price(solved_suite):
