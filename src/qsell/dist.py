@@ -281,10 +281,6 @@ def quantile(d, u, *columns):
     # _cdf_cell clamps: a u within rounding below 0 or above 1 reads an end node.
     k, w = _cdf_cell(d.cdf_vals, u.ravel())
     shape = u.shape
-    # Dropping u here frees a caller's temporary draws before the columns
-    # are read: at 200 000 samples that takes a 3-buyer simulate's peak
-    # from 17.6 to 16.0 MB.
-    del u
     out = []
     for col in columns or (d.grid,):
         val = np.diff(col)[k]

@@ -460,14 +460,17 @@ def _payment_column(m, i, tab):
     return pay
 
 
-def _payment_at(m, i, tab, t):
+def _payment_at(m, i, tab, t, pay=None):
     """Buyer i's payment at types t, interpolated on the payment column.
 
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
+    ``pay`` is the column ``_payment_column`` builds, for a caller that
+    reads it many times.
     """
-    pay = _payment_column(m, i, tab)
+    if pay is None:
+        pay = _payment_column(m, i, tab)
     tc = tab.t.ravel()
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)

@@ -11,6 +11,8 @@ binary disclosure) complete the module.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +90,8 @@ def revenue_virtual(inst, m):
 # ---------------------------------------------------------------------------
 # simulation
 
+_SAMPLE_BLOCK = 32_768  # samples per block: a block's arrays stay cache-sized
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -110,17 +114,61 @@ class SimulationReport:
         return 1.0 - self.allocation_frequency[0]
 
 
+def _usable_cores():
+    """Cores this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_blocks(work, n_blocks):
+    """Call work(b) for each block b < n_blocks, on one thread per usable core.
+
+    The calling thread takes blocks too, and runs them all when there is
+    one block or one core.  After a block raises, no thread starts
+    another, and the first exception is raised here once all have stopped.
+    """
+    workers = min(n_blocks, _usable_cores())
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = []
+
+    def run():
+        while not errors:
+            with lock:
+                b = next(blocks, None)
+            if b is None:
+                return
+            try:
+                work(b)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    run()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def simulate(inst, m, n_samples, seed):
     """Monte-Carlo run of a mechanism; reproducible for a fixed seed.
 
     Types and quality are drawn by quantile transform from independent
-    child streams of one seed sequence, so reports are bit-identical
-    across runs with the same arguments.  One cdf cell lookup per stream
+    child streams of one seed sequence.  The samples run in blocks of
+    ``_SAMPLE_BLOCK``, on one thread per usable core; a block advances
+    each stream to its first sample, so it draws exactly the stretch
+    that one draw of the whole stream would, and reports are
+    bit-identical across runs with the same arguments, whatever the
+    block size or the number of cores.  One cdf cell lookup per stream
     reads everything sampled there: a buyer's threshold level, or the
-    quality's xi, reserve and alpha.  Only winners' types are needed,
-    for payments and values, so each buyer's stream is drawn a second
-    time and looked up at its wins only.  The mechanism must be solved
-    on the instance's grids.
+    quality's xi, reserve and alpha.  Winners' types, for payments and
+    values, are read from the block's own draws at the wins.  The
+    mechanism must be solved on the instance's grids.
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
@@ -134,33 +182,48 @@ def simulate(inst, m, n_samples, seed):
     ):
         raise ValidationError("the mechanism is tabulated on other grids than the instance")
     children = np.random.SeedSequence(seed).spawn(n + 1)
+    tables = _tables_of(inst, m)
+    columns = [_payment_column(m, i, tab) for i, tab in enumerate(tables)]
+    n_blocks = -(-n_samples // _SAMPLE_BLOCK)
+    revenue = np.empty(n_samples)
+    wins = np.zeros((n_blocks, n + 1), dtype=np.intp)
+    surplus = [[np.empty(0)] * n_blocks for _ in range(n)]  # value - pay at each buyer's wins
 
-    def draw(child):
-        return np.random.Generator(np.random.PCG64(child)).random(n_samples)
+    def block(b):
+        lo = b * _SAMPLE_BLOCK
+        hi = min(lo + _SAMPLE_BLOCK, n_samples)
 
-    xi, revenue, alpha = dist.quantile(
-        qm.G, draw(children[n]), m.quality.xi.vals, qm.reserve.vals, m.quality.alpha.vals
-    )
-    levels = (
-        dist.quantile(d, draw(child), c.phi_ironed)[0]
-        for d, c, child in zip(inst.buyers, m.curves, children)
-    )
-    winners = _winners(levels, xi)
+        def draw(child):
+            bits = np.random.PCG64(child).advance(lo)  # one output per double
+            return np.random.Generator(bits).random(hi - lo)
 
-    alloc_freq = [float(np.mean(winners < 0))]
-    utility_mean = []
-    for i, (d, child, tab) in enumerate(zip(inst.buyers, children, _tables_of(inst, m))):
-        mask = winners == i
-        alloc_freq.append(float(np.mean(mask)))
-        if not mask.any():
-            utility_mean.append(0.0)
-            continue
-        t_won = dist.quantile(d, draw(child)[mask])  # the same draws again
-        pay = _payment_at(m, i, tab, t_won)
-        revenue[mask] = pay
-        value = inst.valuation.type_factor(t_won) * alpha[mask]
-        utility_mean.append(float(np.sum(value - pay)) / n_samples)
+        xi, rev, alpha = dist.quantile(
+            qm.G, draw(children[n]), m.quality.xi.vals, qm.reserve.vals, m.quality.alpha.vals
+        )
+        u = [draw(child) for child in children[:n]]
+        levels = (
+            dist.quantile(d, ui, c.phi_ironed)[0] for d, c, ui in zip(inst.buyers, m.curves, u)
+        )
+        winners = _winners(levels, xi)
+        wins[b] = np.bincount(winners + 1, minlength=n + 1)
+        for i, (d, tab) in enumerate(zip(inst.buyers, tables)):
+            if not wins[b, i + 1]:
+                continue
+            mask = winners == i
+            t_won = dist.quantile(d, u[i][mask])
+            pay = _payment_at(m, i, tab, t_won, pay=columns[i])
+            rev[mask] = pay
+            surplus[i][b] = inst.valuation.type_factor(t_won) * alpha[mask] - pay
+        revenue[lo:hi] = rev
 
+    _run_blocks(block, n_blocks)
+
+    counts = wins.sum(axis=0)
+    alloc_freq = [float(k) / n_samples for k in counts]
+    utility_mean = [
+        float(np.sum(np.concatenate(s))) / n_samples if k else 0.0
+        for s, k in zip(surplus, counts[1:])
+    ]
     mean = float(np.mean(revenue))
     se = float(np.std(revenue, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return SimulationReport(
