@@ -48,7 +48,8 @@ def main():
     print(f"  win weights monotone:   violation {feas.monotonicity_violation:.2e}")
     print(f"  utility envelope:       residual  {feas.envelope_residual:.2e}")
     print(f"  bottom type earns zero: |U|       {abs(feas.boundary_utility):.2e}")
-    print(f"  win probs in [0,1]:     violation {feas.probability_violation:.2e}")
+    print(f"  win probs in [0,1]:     violation {feas.probability_violation:.2e}, "
+          f"largest fall of a factor table {feas.largest_fall:.2e}")
 
     ic = qsell.ic_deviation_search(inst, mech, n_grid=101)
     print(f"\nmisreport search over a 101x101 grid: max regret {ic.max_regret:.2e}")

@@ -237,8 +237,9 @@ def _cmd_verify(args):
          f"utility envelope (residual {feas.envelope_residual:.3e})"),
         (feas.boundary_utility <= args.tol,
          f"zero rent at the bottom type (|U| {feas.boundary_utility:.3e})"),
-        (feas.probability_violation <= args.tol,
-         f"win probabilities in [0,1] (violation {feas.probability_violation:.3e})"),
+        (feas.probability_violation <= args.tol and feas.largest_fall <= args.tol,
+         f"win probabilities in [0,1] (violation {feas.probability_violation:.3e}, "
+         f"largest fall {feas.largest_fall:.3e})"),
         (ic.max_regret <= ic_tol,
          f"no profitable misreport (regret {ic.max_regret:.3e})"),
         (obed.min_surplus >= -args.tol,

@@ -363,6 +363,26 @@ CONSTANT_PRICE_GRID = 241  # coarse price grid, refined once around its best poi
 _PRICE_BLOCK = 8192  # entries per (cutoffs x prices) block: bounds the sweep's memory
 
 
+def _no_buyer_chance(buyers, x):
+    """Chance that no buyer's type clears x, the price over the mean alpha.
+
+    ``buyers`` pairs each buyer's distribution with b on its grid; x may
+    have any shape.  A buyer buys when b(t) >= x, so each factor is F at
+    the smallest type whose b clears x.
+    """
+    prob = np.ones_like(x)
+    for d, b_vals in buyers:
+        # smallest type whose expected value clears each price
+        tau = np.interp(x, b_vals, d.grid, left=d.grid[0], right=d.grid[-1] + 1.0)
+        f_tau = np.where(
+            tau > d.grid[-1],
+            1.0,
+            np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
+        )
+        prob = prob * f_tau
+    return prob
+
+
 def _constant_price_revenue(buyers, prices, A1, B1, C1, A_tot, C_tot):
     """Revenue matrix, cutoffs by prices, after announcing whether xi(q) <= cutoff.
 
@@ -370,25 +390,22 @@ def _constant_price_revenue(buyers, prices, A1, B1, C1, A_tot, C_tot):
     B1 and C1 hold the quality side's A, B and C at each cutoff; A_tot
     and C_tot are A and C over the whole quality support.  A side of the
     announcement with mass at most 1e-12 adds nothing, and one whose
-    mean alpha is not positive sells to nobody.
+    mean alpha is not positive sells to nobody.  The chance that nobody
+    buys depends on a side only through its mean alpha, so it is looked
+    up once per distinct mean and gathered into the rows.
     """
-    total = np.zeros((A1.size, prices.size))
+    sides, keys = [], []
     for mass, alpha_sum, retained in ((B1, A1, C1), (1.0 - B1, A_tot - A1, C_tot - C1)):
         seen = mass > 1e-12
         alpha_mean = np.where(seen, alpha_sum / np.where(seen, mass, 1.0), 0.0)
         sells = alpha_mean > 0.0
-        x = prices / np.where(sells, alpha_mean, 1.0)[:, None]
-        prob_no_buyer = np.ones_like(x)
-        for d, b_vals in buyers:
-            # smallest type whose expected value clears each price
-            tau = np.interp(x, b_vals, d.grid, left=d.grid[0], right=d.grid[-1] + 1.0)
-            f_tau = np.where(
-                tau > d.grid[-1],
-                1.0,
-                np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
-            )
-            prob_no_buyer = prob_no_buyer * f_tau
-        prob_no_buyer = np.where(sells[:, None], prob_no_buyer, 1.0)
+        sides.append((seen, sells, mass, retained))
+        keys.append(np.where(sells, alpha_mean, 1.0))
+    means, row = np.unique(np.concatenate(keys), return_inverse=True)
+    no_buyer = _no_buyer_chance(buyers, prices / means[:, None])
+    total = np.zeros((A1.size, prices.size))
+    for rows, (seen, sells, mass, retained) in zip(np.split(row, 2), sides):
+        prob_no_buyer = np.where(sells[:, None], no_buyer[rows], 1.0)
         side = prices * (1.0 - prob_no_buyer) * mass[:, None] + prob_no_buyer * retained[:, None]
         total += np.where(seen[:, None], side, 0.0)
     return total

@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 10_000_000
-FEASIBILITY_SAMPLES = 10_000  # sampled types per buyer for the probability check
-FEASIBILITY_SEED = 20240816
 OBEDIENCE_GRID = 512  # evenly spaced types per buyer
 
 
@@ -52,7 +50,35 @@ class FeasibilityReport:
     envelope_residual: float
     boundary_utility: float
     probability_violation: float
+    largest_fall: float
     per_buyer: tuple
+
+
+def _fall_and_floor(coef, strict, weak):
+    """Largest fall of a level table between two levels, and its least value.
+
+    The table runs through its pieces and breaks in level order: each
+    piece from its start to its end, its slope c1 + 2 * c2 * x in the
+    fraction x changing sign at most once, then the break's strict and
+    weak values.  Those points, in order, hold every value the table
+    turns at, so the largest fall is the largest drop below a running
+    maximum over them.
+    """
+    c0, c1, c2 = coef
+    inside = (c1 < 0.0) != (c1 + 2.0 * c2 < 0.0)
+    turn = np.where(inside, -c1 / np.where(inside, 2.0 * c2, 1.0), 0.0)
+    tail = c0[-1] + c1[-1] + c2[-1]
+    path = np.stack(
+        [
+            c0,
+            c0 + turn * (c1 + turn * c2),
+            c0 + c1 + c2,
+            np.append(strict, tail),
+            np.append(weak, tail),
+        ],
+        axis=1,
+    ).ravel()
+    return float(np.max(np.maximum.accumulate(path) - path)), float(np.min(path))
 
 
 def check_feasibility(inst, m, tol=1e-6):
@@ -60,18 +86,29 @@ def check_feasibility(inst, m, tol=1e-6):
 
     Checks that every win-weight curve is non-decreasing, that interim
     utility matches the integral of the win weight (the envelope
-    identity), that the lowest type earns nothing, and that sampled
-    interim win probabilities are genuine probabilities.
+    identity), that the lowest type earns nothing, and that interim win
+    probabilities are genuine probabilities.  The last is a certificate
+    read off the level tables: buyer i's win probability W = opp * B is
+    a product of factor tables, the quality table's B and each rival's
+    mass.  When every factor is non-negative and non-decreasing, W over
+    the buyer's types spans exactly W at the least and the greatest
+    ironed threshold level, read under the tie rule.  ``largest_fall``
+    is the largest fall of any factor between two levels, and a negative
+    factor value counts as a probability violation.
     """
     b_fn = inst.valuation.type_factor
-    rng = np.random.Generator(np.random.PCG64(FEASIBILITY_SEED))
+    tables = _tables_of(inst, m)
+    q = tables[0].levels.quality
+    quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
+    mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in tables[0].levels.mass]
 
     mono = 0.0
     env = 0.0
     bound = 0.0
     prob = 0.0
+    fall = 0.0
     per_buyer = []
-    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
+    for i, (d, tab) in enumerate(zip(inst.buyers, tables)):
         r_vals = m.win_weight[i].vals
         mono_i = max(0.0, float(-np.min(np.diff(r_vals))) if r_vals.size > 1 else 0.0)
 
@@ -81,13 +118,13 @@ def check_feasibility(inst, m, tol=1e-6):
         env_i = float(np.max(np.abs(U - tab.I)))
         bound_i = float(abs(U[0]))
 
-        u = rng.random(FEASIBILITY_SAMPLES)
-        (c,) = dist.quantile(d, u, m.curves[i].phi_ironed)
-        opp, _, B, _ = tab.levels.at(i, c)
-        W_samp = opp * B
-        prob_i = float(
-            max(0.0, np.max(W_samp) - 1.0, np.max(-W_samp))
-        )
+        factors = [quality_fall] + [f for j, f in enumerate(mass_falls) if j != i]
+        fall_i = max(f for f, _ in factors)
+        floor_i = min(low for _, low in factors)
+        phi = m.curves[i].phi_ironed
+        opp, _, B, _ = tab.levels.at(i, np.array([np.min(phi), np.max(phi)]))
+        w_lo, w_hi = (float(w) for w in opp * B)
+        prob_i = max(0.0, w_hi - 1.0, -w_lo, -floor_i)
         per_buyer.append(
             {
                 "buyer": i,
@@ -95,20 +132,24 @@ def check_feasibility(inst, m, tol=1e-6):
                 "envelope_residual": env_i,
                 "boundary_utility": bound_i,
                 "probability_violation": prob_i,
+                "largest_fall": fall_i,
+                "win_probability_range": (w_lo, w_hi),
             }
         )
         mono = max(mono, mono_i)
         env = max(env, env_i)
         bound = max(bound, bound_i)
         prob = max(prob, prob_i)
+        fall = max(fall, fall_i)
 
-    ok = mono <= tol and env <= tol and bound <= tol and prob <= tol
+    ok = mono <= tol and env <= tol and bound <= tol and prob <= tol and fall <= tol
     return FeasibilityReport(
         ok=ok,
         monotonicity_violation=mono,
         envelope_residual=env,
         boundary_utility=bound,
         probability_violation=prob,
+        largest_fall=fall,
         per_buyer=tuple(per_buyer),
     )
 

@@ -467,6 +467,34 @@ def _thin_top_instance():
     return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm)
 
 
+def _power_instance():
+    """b = t ** 1.5: the lookup inverts a curved b on every side mean."""
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=65), lambda q: 1.0 + 0.5 * q, lambda q: 0.2 + 0.5 * q
+    )
+    power = qsell.GeneralValuation(
+        type_factor=lambda t: np.asarray(t, float) ** 1.5,
+        type_factor_deriv=lambda t: 1.5 * np.asarray(t, float) ** 0.5,
+    )
+    buyers = (qsell.make_uniform(0.5, 1.5, m=129), qsell.make_uniform(0.0, 1.0, m=257))
+    return qsell.ProblemInstance(buyers=buyers, quality=qm, valuation=power)
+
+
+def _stepped_alpha_instance():
+    """alpha and xi step together on four quality bands: a few distinct side means."""
+    def band(q):
+        return np.minimum(np.floor(4.0 * np.asarray(q, float)), 3.0).astype(int)
+
+    def alpha(q):
+        return 1.0 + band(q)
+
+    xi = np.array([0.5, 0.2, 0.4, 0.3])
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=129), alpha, lambda q: xi[band(q)] * alpha(q)
+    )
+    return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm)
+
+
 @pytest.fixture(scope="module")
 def constant_price_cases(suite):
     cases = dict(suite)
@@ -474,6 +502,8 @@ def constant_price_cases(suite):
     cases["linear-xi-constant-alpha"] = _tied_cutoff_instance(lambda q: q)
     cases["xi-1025"] = _fine_xi_instance()
     cases["thin-top"] = _thin_top_instance()
+    cases["power-1.5"] = _power_instance()
+    cases["stepped-alpha"] = _stepped_alpha_instance()
     return cases
 
 
@@ -495,6 +525,26 @@ def test_best_constant_price_matches_the_per_cutoff_loop(constant_price_cases):
     for name, inst in constant_price_cases.items():
         base = qsell.best_constant_price(inst)
         assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst), name
+
+
+def test_no_buyer_chance_is_looked_up_once_per_side_mean(monkeypatch):
+    # alpha is constant, so every side of every cutoff has the same mean
+    # and each block looks the chance up for one row only
+    inst = _tied_cutoff_instance(lambda q: q)
+    rows = []
+
+    def record(buyers, x):
+        rows.append(x.shape[0])
+        return no_buyer_chance(buyers, x)
+
+    no_buyer_chance = revenue._no_buyer_chance
+    monkeypatch.setattr(revenue, "_no_buyer_chance", record)
+    qsell.best_constant_price(inst)
+    cutoffs = inst.quality.level_table.breaks.size + 2
+    blocks = sum(
+        -(-cutoffs // max(1, revenue._PRICE_BLOCK // k)) for k in (revenue.CONSTANT_PRICE_GRID, 81)
+    )
+    assert rows == [1] * blocks
 
 
 def test_best_constant_price_peak_memory():

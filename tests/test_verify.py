@@ -12,6 +12,10 @@ mechanisms and for detection with roughly the planted magnitude:
   1 - 1/2 = 0.5 to the top type.
 * Raising every payment by 0.05 leaves allocation monotone but makes
   asked buyers near the threshold regret buying by about 0.05.
+* A factor table of the win probability made to fall by 0.05, inside a
+  piece or across a break, reads a largest fall of 0.05, and a piece
+  that bulges between its ends reads its fall from the peak; one shifted
+  down by 0.05 reads a probability violation of 0.05.
 """
 
 import dataclasses
@@ -97,26 +101,101 @@ def test_feasibility_detects_underpaid_top_types(posted_price):
     assert rep.envelope_residual == pytest.approx(0.1, abs=5e-3)
 
 
+def _with_levels(mech, **changes):
+    """The mechanism with its solve's level tables replaced."""
+    levels = dataclasses.replace(mech.tables[0].levels, **changes)
+    return dataclasses.replace(
+        mech, tables=tuple(dataclasses.replace(t, levels=levels) for t in mech.tables)
+    )
+
+
 def test_feasibility_detects_a_corrupted_level_table(posted_price):
     # B doubled in the quality table: above xi == 0, an atom holding all
-    # the mass, the win probability reads 2, which the sampled check reads
+    # the mass, the win probability reads 2, which the certificate reads
     # off the tables and must see.
     inst, mech = posted_price
-    levels = mech.tables[0].levels
-    q = levels.quality
+    q = mech.tables[0].levels.quality
     double_B = np.array([1.0, 2.0, 1.0])[:, None]
     bad_q = dataclasses.replace(
         q, **{f: getattr(q, f) * double_B for f in ("weak", "strict", "coef")}
     )
-    bad_levels = dataclasses.replace(levels, quality=bad_q)
-    broken = dataclasses.replace(
-        mech, tables=tuple(dataclasses.replace(t, levels=bad_levels) for t in mech.tables)
-    )
+    broken = _with_levels(mech, quality=bad_q)
     assert qsell.check_feasibility(inst, mech).probability_violation == 0.0
     rep = qsell.check_feasibility(inst, broken)
     assert not rep.ok
     assert rep.probability_violation == pytest.approx(1.0, abs=1e-12)
     assert rep.per_buyer[0]["probability_violation"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _with_broken_mass(mech, **fields):
+    """Buyer 0's mass table with the given fields replaced."""
+    mass = mech.tables[0].levels.mass
+    return _with_levels(mech, mass=(dataclasses.replace(mass[0], **fields),) + mass[1:])
+
+
+@pytest.mark.parametrize("case", ["falling-piece", "bulging-piece", "strict-above-weak"])
+def test_feasibility_flags_a_falling_factor(two_uniform, case):
+    inst, mech = two_uniform
+    mass = mech.tables[0].levels.mass[0]
+    j = mass.breaks.size // 2
+    coef, strict = mass.coef.copy(), mass.strict.copy()
+    if case == "falling-piece":
+        coef[1:, j] = (-0.05, 0.0)  # the piece falls linearly by 0.05
+        drop = 0.05
+    elif case == "bulging-piece":
+        # the piece keeps its ends, c0 and c0 + r, but peaks at
+        # x = (r + k) / (2k) and falls (k - r)^2 / (4k) from there
+        r, k = coef[1, j] + coef[2, j], 0.2
+        coef[1:, j] = (r + k, -k)
+        drop = (k - r) ** 2 / (4 * k)
+    else:
+        strict[j] = mass.weak[j] + 0.05
+        drop = 0.05
+    rep = qsell.check_feasibility(inst, _with_broken_mass(mech, coef=coef, strict=strict))
+    # buyer 0's mass is a factor of buyer 1's win probability only
+    assert not rep.ok
+    assert rep.largest_fall == pytest.approx(drop, abs=1e-12)
+    assert rep.per_buyer[1]["largest_fall"] == pytest.approx(drop, abs=1e-12)
+    assert rep.per_buyer[0]["largest_fall"] <= 1e-15
+
+
+def test_feasibility_flags_a_factor_below_zero(two_uniform):
+    # buyer 0's mass shifted down by 0.05 at every level: buyer 1's W is
+    # still 0 at its lowest level, where the quality mass B is 0, so only
+    # the factor's own floor shows the violation
+    inst, mech = two_uniform
+    mass = mech.tables[0].levels.mass[0]
+    shift = np.array([0.05, 0.0, 0.0])[:, None]
+    broken = _with_broken_mass(
+        mech, coef=mass.coef - shift, strict=mass.strict - 0.05, weak=mass.weak - 0.05
+    )
+    rep = qsell.check_feasibility(inst, broken)
+    assert not rep.ok
+    assert rep.largest_fall <= 1e-15
+    assert rep.per_buyer[1]["win_probability_range"][0] >= 0.0
+    assert rep.per_buyer[1]["probability_violation"] == pytest.approx(0.05, abs=1e-12)
+    assert rep.per_buyer[0]["probability_violation"] == 0.0
+
+
+def test_feasibility_certificate_matches_a_dense_read(solved_suite):
+    # W = opp * B read at 10 000 levels across each buyer's threshold
+    # span, and at the levels of 10 000 sampled types, stays inside the
+    # certified range and reaches both of its ends.
+    rng = np.random.Generator(np.random.PCG64(20240816))
+    for name, (inst, mech) in solved_suite.items():
+        rep = qsell.check_feasibility(inst, mech)
+        assert rep.probability_violation <= 1e-15, name
+        assert rep.largest_fall <= 1e-15, name
+        for i, (d, tab) in enumerate(zip(inst.buyers, mech.tables)):
+            phi = mech.curves[i].phi_ironed
+            (sampled,) = qsell.dist.quantile(d, rng.random(10_000), phi)
+            c = np.concatenate((np.linspace(np.min(phi), np.max(phi), 10_000), sampled))
+            opp, _, B, _ = tab.levels.at(i, c)
+            W = opp * B
+            lo, hi = rep.per_buyer[i]["win_probability_range"]
+            assert abs(float(np.min(W)) - lo) <= 1e-15, (name, i)
+            assert abs(float(np.max(W)) - hi) <= 1e-15, (name, i)
+            assert max(0.0, float(np.max(W)) - 1.0, float(-np.min(W))) <= 1e-15, (name, i)
 
 
 def test_feasibility_report_has_per_buyer_entries(two_uniform):
