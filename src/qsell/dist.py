@@ -125,10 +125,6 @@ class GriddedDistribution:
         object.__setattr__(self, "pdf_vals", pdf_vals)
         object.__setattr__(self, "cdf_vals", cdf_vals)
 
-    @property
-    def m(self):
-        return self.grid.size
-
 
 def _finalize(lo, hi, grid, raw_pdf):
     """Clamp, normalize and assemble a GriddedDistribution from raw samples."""

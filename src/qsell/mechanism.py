@@ -331,8 +331,8 @@ class InterimTable:
     its points and weights, shape (pieces, points), ends first and last;
     ``f`` the density of its cell; ``win`` opp * A, opp * B and opp * C,
     read at each end from inside the piece, with the tie split on a flat
-    piece at a break.  ``pay`` holds the envelope payment
-    (b * opp * A - I) / W, with ``I`` the rent integral of b' * opp * A;
+    piece at a break.  ``I`` holds the rent integral of b' * opp * A at
+    every point and ``pay`` the envelope payment (b * opp * A - I) / W;
     ``t`` and ``pay`` flattened are the payment column, read linearly.
     It is NaN where W is at most 1e-12, except at ``entry``, the left end
     of the first piece that wins inside (None if none does), which
@@ -412,7 +412,7 @@ def interim_tables(inst, curves):
         node_pos -= closes[node_pos]
         tables.append(
             InterimTable(
-                I=I.ravel()[node_pos],
+                I=I,
                 t=t,
                 weight=weight,
                 f=(np.diff(d.cdf_vals) / np.diff(d.grid))[cell, None],

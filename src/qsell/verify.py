@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _payment_at, _tables_of
+from .mechanism import WIN_PROB_FLOOR, _payment_at, _payment_column, _tables_of
 
 __all__ = [
     "FeasibilityReport",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 10_000_000
-OBEDIENCE_GRID = 512  # evenly spaced types per buyer
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +80,46 @@ def _fall_and_floor(coef, strict, weak):
     return float(np.max(np.maximum.accumulate(path) - path)), float(np.min(path))
 
 
+def _utility_column(inst, m, i, tab):
+    """W and the interim utility U = b * X - pay * W on buyer i's payment column.
+
+    One entry per point of the column, ``tab.t`` flattened; pay is the
+    column the node table states, and nothing is paid where W is at most
+    ``WIN_PROB_FLOOR``.
+    """
+    X, W, _ = tab.win.reshape(3, -1)
+    pay = np.where(W > WIN_PROB_FLOOR, _payment_column(m, i, tab), 0.0)
+    return W, inst.valuation.type_factor(tab.t.ravel()) * X - pay * W
+
+
 def check_feasibility(inst, m, tol=1e-6):
     """Verify the implementability side of a mechanism.
 
     Checks that every win-weight curve is non-decreasing, that interim
     utility matches the integral of the win weight (the envelope
-    identity), that the lowest type earns nothing, and that interim win
-    probabilities are genuine probabilities.  The last is a certificate
-    read off the level tables: buyer i's win probability W = opp * B is
-    a product of factor tables, the quality table's B and each rival's
-    mass.  When every factor is non-negative and non-decreasing, W over
-    the buyer's types spans exactly W at the least and the greatest
-    ironed threshold level, read under the tie rule.  ``largest_fall``
-    is the largest fall of any factor between two levels, and a negative
-    factor value counts as a probability violation.
+    identity) at every point of the payment column, that the lowest type
+    earns nothing, and that interim win probabilities are genuine
+    probabilities.  The last is a certificate read off the level tables:
+    buyer i's win probability W = opp * B is a product of factor tables,
+    the quality table's B and each rival's mass.  When every factor is
+    non-negative and non-decreasing, W over the buyer's types spans
+    exactly W at the least and the greatest ironed threshold level, read
+    under the tie rule.  ``largest_fall`` is the largest fall of any
+    factor between two levels, and a negative factor value counts as a
+    probability violation.
     """
-    b_fn = inst.valuation.type_factor
     tables = _tables_of(inst, m)
     q = tables[0].levels.quality
     quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
     mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in tables[0].levels.mass]
 
-    mono = 0.0
-    env = 0.0
-    bound = 0.0
-    prob = 0.0
-    fall = 0.0
     per_buyer = []
-    for i, (d, tab) in enumerate(zip(inst.buyers, tables)):
+    for i, tab in enumerate(tables):
         r_vals = m.win_weight[i].vals
         mono_i = max(0.0, float(-np.min(np.diff(r_vals))) if r_vals.size > 1 else 0.0)
 
-        X, W, _ = tab.win.reshape(3, -1)[:, tab.node_pos]
-        pay = np.where(W > WIN_PROB_FLOOR, m.payment[i].vals, 0.0)
-        U = b_fn(d.grid) * X - pay * W
-        env_i = float(np.max(np.abs(U - tab.I)))
+        _, U = _utility_column(inst, m, i, tab)
+        env_i = float(np.max(np.abs(U - tab.I.ravel())))
         bound_i = float(abs(U[0]))
 
         factors = [quality_fall] + [f for j, f in enumerate(mass_falls) if j != i]
@@ -136,21 +140,16 @@ def check_feasibility(inst, m, tol=1e-6):
                 "win_probability_range": (w_lo, w_hi),
             }
         )
-        mono = max(mono, mono_i)
-        env = max(env, env_i)
-        bound = max(bound, bound_i)
-        prob = max(prob, prob_i)
-        fall = max(fall, fall_i)
 
-    ok = mono <= tol and env <= tol and bound <= tol and prob <= tol and fall <= tol
+    worst = {
+        key: max(b[key] for b in per_buyer)
+        for key in ("monotonicity_violation", "envelope_residual", "boundary_utility",
+                    "probability_violation", "largest_fall")
+    }
     return FeasibilityReport(
-        ok=ok,
-        monotonicity_violation=mono,
-        envelope_residual=env,
-        boundary_utility=bound,
-        probability_violation=prob,
-        largest_fall=fall,
+        ok=all(v <= tol for v in worst.values()),
         per_buyer=tuple(per_buyer),
+        **worst,
     )
 
 
@@ -260,25 +259,24 @@ class ObedienceReport:
 def obedience_check(inst, m):
     """Expected surplus of an asked buyer must be non-negative at every type.
 
-    Also reports the surplus at each buyer's entry type (the lowest type
-    that is asked, as a right-hand limit), which should vanish for an
-    optimal mechanism: the entry type pays exactly its expected value of
-    the item.
+    The payment is charged only on purchase, so an asked buyer's surplus
+    is the interim utility over the win probability, U / W, read at every
+    point of the payment column where W exceeds ``WIN_PROB_FLOOR``: the
+    same U whose envelope ``check_feasibility`` checks.  Also reports the
+    surplus at each buyer's entry type (the lowest type that is asked, as
+    a right-hand limit), which should vanish for an optimal mechanism:
+    the entry type pays exactly its expected value of the item.
     """
-    b_fn = inst.valuation.type_factor
     min_s = np.inf
     marginal = []
-    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
+    for i, tab in enumerate(_tables_of(inst, m)):
         if tab.entry is None:
             marginal.append(None)
             continue
-        t_eval = np.linspace(d.grid[0], d.grid[-1], OBEDIENCE_GRID)
-        opp, A, B, _ = tab.levels.at(i, m.curves[i].phi_ironed_at(t_eval))
-        asked = opp * B > WIN_PROB_FLOOR
+        W, U = _utility_column(inst, m, i, tab)
+        asked = W > WIN_PROB_FLOOR
         if asked.any():
-            t_asked = t_eval[asked]
-            s = b_fn(t_asked) * A[asked] / B[asked] - _payment_at(m, i, tab, t_asked)
-            min_s = min(min_s, float(np.min(s)))
+            min_s = min(min_s, float(np.min(U[asked] / W[asked])))
         surplus = tab.entry_value - float(_payment_at(m, i, tab, tab.entry))
         marginal.append((tab.entry, surplus))
 
@@ -562,12 +560,8 @@ def brute_force_oracle(dinst):
         zip(dinst.quality_probs, dinst.alpha_vals, dinst.reserve_vals)
     ):
         if dinst.n_buyers == 1:
-            w = dinst.type_probs[0] * (aq * phis[0] - rq)
-            suffix = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
-            c = int(np.argmax(suffix[::-1]))  # ties prefer selling less
-            c = suffix.size - 1 - c
-            cut1[iq, 0] = c
-            best = float(suffix[c])
+            sbest, abest = _best_suffix_argmax(dinst.type_probs[0] * (aq * phis[0] - rq))
+            best, cut1[iq, 0] = float(sbest[0]), abest[0]
         else:
             w2 = dinst.type_probs[1] * (aq * phis[1] - rq)
             best, c_col = _dp_two_buyers(

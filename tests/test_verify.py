@@ -375,6 +375,31 @@ def test_obedience_detects_overcharging(posted_price):
     assert rep.min_surplus == pytest.approx(-0.05, abs=1e-3)
 
 
+def test_obedience_detects_an_overcharge_at_one_node():
+    # One uniform buyer on 2 049 nodes with zero reserve is posted the
+    # price 1/2.  Charging 0.05 more at the third node above the entry
+    # leaves the type there, whose surplus was 3/2048, regretting its
+    # purchase by about 0.0485; every point of the payment column is read,
+    # so a fault at one node shows.
+    m = 2049
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=m),),
+        quality=_one_quality_model(257, 1.0, 0.0),
+    )
+    mech = qsell.build_optimal_mechanism(inst)
+    vals = mech.payment[0].vals.copy()
+    vals[(m - 1) // 2 + 3] += 0.05
+    rep = qsell.obedience_check(inst, _with_payment(mech, 0, vals))
+    assert rep.min_surplus <= -0.04
+
+
+def test_a_jump_entry_leaves_no_obedience_surplus(posted_price):
+    # The win probability jumps at the entry t = 1/2, where the solve's
+    # payment gives U = I = 0, so the least surplus U / W is 0.
+    inst, mech = posted_price
+    assert abs(qsell.obedience_check(inst, mech).min_surplus) <= 1e-12
+
+
 def test_obedience_agrees_with_boundary_ir(solved_suite):
     # Non-negative posterior surplus should coincide with the boundary
     # utility check of feasibility on every solved instance.
@@ -437,9 +462,12 @@ def test_discrete_threshold_requires_regular_types():
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_two_point_posted_price():
+@pytest.mark.parametrize(
+    "top,revenue", [pytest.param(0.75, 0.375, id="strict"), pytest.param(0.5, 0.25, id="tie")]
+)
+def test_oracle_two_point_posted_price(top, revenue):
     dinst = qsell.DiscreteInstance(
-        type_grids=(np.array([0.25, 0.75]),),
+        type_grids=(np.array([0.25, top]),),
         type_probs=(np.array([0.5, 0.5]),),
         quality_vals=np.array([1.0]),
         quality_probs=np.array([1.0]),
@@ -447,8 +475,9 @@ def test_oracle_two_point_posted_price():
         reserve_vals=np.array([0.0]),
     )
     best, alloc = qsell.brute_force_oracle(dinst)
-    # Posting 0.75 earns 0.375 and beats posting 0.25 (earning 0.25).
-    assert best == pytest.approx(0.375, abs=1e-12)
+    # Posting 0.75 earns 0.375 and beats posting 0.25 (earning 0.25);
+    # posting 0.5 ties with 0.25, and a tie sells to fewer types.
+    assert best == pytest.approx(revenue, abs=1e-12)
     assert not alloc.never_sells
     assert alloc.cutoffs[0][0, 0] == 1  # only the top type buys
     assert _oracle_allocation_value(dinst, alloc) == pytest.approx(best, abs=1e-12)
