@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -198,16 +199,8 @@ def _cmd_simulate(args):
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
     report = simulate(inst, m, n_samples=args.samples, seed=args.seed)
-    doc = {
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "revenue_mean": report.revenue_mean,
-        "revenue_stderr": report.revenue_stderr,
-        "per_buyer_utility_mean": list(report.per_buyer_utility_mean),
-        "allocation_frequency": list(report.allocation_frequency),
-    }
     if args.out:
-        _write_json(doc, args.out)
+        _write_json(dataclasses.asdict(report), args.out)
     print(f"samples: {report.n_samples}  seed: {report.seed}")
     print(f"revenue_mean: {report.revenue_mean:.10f} (se {report.revenue_stderr:.2e})")
     print(f"no_sale_frequency: {report.allocation_frequency[0]:.6f}")

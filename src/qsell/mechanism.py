@@ -336,7 +336,7 @@ class InterimTable:
     ``t`` and ``pay`` flattened are the payment column, read linearly.
     It is NaN where W is at most 1e-12, except at ``entry``, the left end
     of the first piece that wins inside (None if none does), which
-    carries the right-hand limit ``entry_value`` = b * A / B.
+    carries the right-hand limit b * A / B.
     ``node_pos`` maps grid node k to the column entry a query at it
     reads: the right-hand one, but the end of the piece it closes where
     that piece is flat and asked, since the threshold level still sits on
@@ -352,7 +352,6 @@ class InterimTable:
     pay: np.ndarray
     node_pos: np.ndarray
     entry: Optional[float]
-    entry_value: Optional[float]
     levels: InterimLevels
 
 
@@ -385,7 +384,7 @@ def interim_tables(inst, curves):
 
         pay = np.full(t.shape, np.nan)
         np.divide(b * X - I, W, out=pay, where=W > WIN_PROB_FLOOR)
-        entry = entry_value = None
+        entry = None
         live = np.nonzero(np.any(W[:, 1:-1] > 0.0, axis=1))[0]
         if live.size:
             p = live[0]
@@ -399,9 +398,8 @@ def interim_tables(inst, curves):
                 ratio = A[p, 0] / B[p, 0]
             else:
                 ratio = levels.quality.coef[1, 0, 1] / levels.quality.coef[1, 1, 1]
-            entry_value = float(b[p, 0] * ratio)
             if np.isnan(pay[p, 0]):
-                pay[p, 0] = entry_value
+                pay[p, 0] = b[p, 0] * ratio
 
         node_pos = np.searchsorted(t.ravel(), d.grid, side="right") - 1
         # a node closing an asked flat piece reads that piece's end, the
@@ -420,7 +418,6 @@ def interim_tables(inst, curves):
                 pay=pay,
                 node_pos=node_pos,
                 entry=entry,
-                entry_value=entry_value,
                 levels=levels,
             )
         )
@@ -458,6 +455,16 @@ def _payment_column(m, i, tab):
     pay = pay + np.interp(tab.t.ravel(), m.curves[i].type_grid, shift)
     pay[tab.node_pos] = m.payment[i].vals
     return pay
+
+
+def _charged(pay, W):
+    """What a buyer is charged at payment pay and win probability W.
+
+    A buyer is asked only where W exceeds ``WIN_PROB_FLOOR``, and pays
+    nothing elsewhere, whatever the price there; where the buyer is
+    asked the price is charged as it stands, so a NaN price stays NaN.
+    """
+    return np.where(W > WIN_PROB_FLOOR, pay, 0.0)
 
 
 def _payment_at(m, i, tab, t, pay=None):
@@ -631,7 +638,9 @@ def mechanism_from_json_dict(doc):
 
     Raises ValidationError for a document it cannot honour: another
     schema, a tie-break rule other than lowest-index, or a missing or
-    malformed field.  Keys it does not read (such as the valuation kind
+    malformed field; ``payment`` is the one per-buyer array that may hold
+    ``null`` (an undefined payment), every other one must hold finite
+    numbers.  Keys it does not read (such as the valuation kind
     and type-factor tables older writers added) are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -667,6 +676,9 @@ def mechanism_from_json_dict(doc):
                 key: np.asarray(entry[key], dtype=float)
                 for key in ("phi", "phi_ironed", "win_weight")
             }
+            for key, col in (("type_grid", tg), *cols.items()):
+                if not np.all(np.isfinite(col)):
+                    raise ValidationError(f"buyer {i}: {key} must hold finite numbers")
             cols["payment"] = np.array(
                 [np.nan if v is None else float(v) for v in entry["payment"]]
             )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import _payment_at, _payment_column, _tables_of, _winners
+from .mechanism import _charged, _payment_at, _payment_column, _tables_of, _winners
 
 __all__ = [
     "revenue_direct",
@@ -57,14 +57,15 @@ def revenue_direct(inst, m):
     """Expected revenue as payments collected plus reserve value retained.
 
     Payments are the mechanism's payment column, read at the interim
-    table's quadrature points; where it is undefined (NaN) the win
-    probability is at most 1e-12 and nothing is collected.
+    table's quadrature points and charged where the buyer is asked
+    (``_charged``): a NaN price there makes the revenue NaN.
     """
     tables = _tables_of(inst, m)
     total = _no_sale_quality_integral(inst, tables[0])
     for i, tab in enumerate(tables):
-        pay = np.nan_to_num(_payment_column(m, i, tab)).reshape(tab.t.shape)
-        total += float(np.sum(tab.weight * tab.f * tab.win[1] * pay))
+        W = tab.win[1]
+        pay = _charged(_payment_column(m, i, tab).reshape(W.shape), W)
+        total += float(np.sum(tab.weight * tab.f * W * pay))
     return total
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _payment_at, _payment_column, _tables_of
+from .mechanism import WIN_PROB_FLOOR, _charged, _payment_at, _payment_column, _tables_of
 
 __all__ = [
     "FeasibilityReport",
@@ -84,11 +84,10 @@ def _utility_column(inst, m, i, tab):
     """W and the interim utility U = b * X - pay * W on buyer i's payment column.
 
     One entry per point of the column, ``tab.t`` flattened; pay is the
-    column the node table states, and nothing is paid where W is at most
-    ``WIN_PROB_FLOOR``.
+    column the node table states, charged by ``_charged``.
     """
     X, W, _ = tab.win.reshape(3, -1)
-    pay = np.where(W > WIN_PROB_FLOOR, _payment_column(m, i, tab), 0.0)
+    pay = _charged(_payment_column(m, i, tab), W)
     return W, inst.valuation.type_factor(tab.t.ravel()) * X - pay * W
 
 
@@ -116,19 +115,21 @@ def check_feasibility(inst, m, tol=1e-6):
     per_buyer = []
     for i, tab in enumerate(tables):
         r_vals = m.win_weight[i].vals
-        mono_i = max(0.0, float(-np.min(np.diff(r_vals))) if r_vals.size > 1 else 0.0)
+        # numpy folds keep a NaN; np.max returns the last of equal values,
+        # so with 0.0 last a zero figure reads +0.0
+        mono_i = float(np.max([-np.min(np.diff(r_vals)), 0.0])) if r_vals.size > 1 else 0.0
 
         _, U = _utility_column(inst, m, i, tab)
         env_i = float(np.max(np.abs(U - tab.I.ravel())))
         bound_i = float(abs(U[0]))
 
         factors = [quality_fall] + [f for j, f in enumerate(mass_falls) if j != i]
-        fall_i = max(f for f, _ in factors)
-        floor_i = min(low for _, low in factors)
+        fall_i = float(np.max([f for f, _ in factors]))
+        floor_i = np.min([low for _, low in factors])
         phi = m.curves[i].phi_ironed
         opp, _, B, _ = tab.levels.at(i, np.array([np.min(phi), np.max(phi)]))
         w_lo, w_hi = (float(w) for w in opp * B)
-        prob_i = max(0.0, w_hi - 1.0, -w_lo, -floor_i)
+        prob_i = float(np.max([w_hi - 1.0, -w_lo, -floor_i, 0.0]))
         per_buyer.append(
             {
                 "buyer": i,
@@ -142,7 +143,7 @@ def check_feasibility(inst, m, tol=1e-6):
         )
 
     worst = {
-        key: max(b[key] for b in per_buyer)
+        key: float(np.max([b[key] for b in per_buyer]))
         for key in ("monotonicity_violation", "envelope_residual", "boundary_utility",
                     "probability_violation", "largest_fall")
     }
@@ -172,10 +173,9 @@ def _utility_matrix(inst, m, i, tab, true_types, reports):
     """Expected utility of each (true type, reported type) pair for buyer i."""
     b_fn = inst.valuation.type_factor
     opp, A, B, _ = tab.levels.at(i, m.curves[i].phi_ironed_at(reports))
-    # a report below the entry is never asked and pays nothing (NaN payment)
-    pay = np.nan_to_num(_payment_at(m, i, tab, reports))
+    W = opp * B
     win_value = opp * A                      # multiplies b(true type)
-    win_cost = opp * B * pay                 # independent of the true type
+    win_cost = W * _charged(_payment_at(m, i, tab, reports), W)  # not of the true type
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
@@ -206,7 +206,7 @@ def ic_deviation_search(inst, m, n_grid=101):
     """
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
-    worst = (0.0, -1, float("nan"), float("nan"))
+    regret, where = [0.0], [(-1, float("nan"), float("nan"))]
     per_buyer = []
     for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
         lo, hi = d.grid[0], d.grid[-1]
@@ -221,25 +221,26 @@ def ic_deviation_search(inst, m, n_grid=101):
             if fine[0] > best:
                 best, r_t, r_r = fine[:3]
 
-        buyer_regret = max(best, exit_regret, 0.0)
+        regret.append(float(np.max([best, exit_regret, 0.0])))
+        if exit_regret >= best:
+            where.append((i, float(tt[int(np.argmin(truth))]), float("nan")))
+        else:
+            where.append((i, r_t, r_r))
         per_buyer.append(
             {
                 "buyer": i,
-                "misreport_regret": max(best, 0.0),
-                "exit_regret": max(exit_regret, 0.0),
+                "misreport_regret": float(np.max([best, 0.0])),
+                "exit_regret": float(np.max([exit_regret, 0.0])),
             }
         )
-        if buyer_regret > worst[0]:
-            if exit_regret >= best:
-                worst = (buyer_regret, i, float(tt[int(np.argmin(truth))]), float("nan"))
-            else:
-                worst = (buyer_regret, i, r_t, r_r)
 
+    # the first largest regret, so a tie keeps the earlier buyer and a NaN wins
+    k = int(np.argmax(regret))
     return ICReport(
-        max_regret=worst[0],
-        worst_buyer=worst[1],
-        worst_true_type=worst[2],
-        worst_report=worst[3],
+        max_regret=regret[k],
+        worst_buyer=where[k][0],
+        worst_true_type=where[k][1],
+        worst_report=where[k][2],
         per_buyer=tuple(per_buyer),
     )
 
@@ -265,9 +266,12 @@ def obedience_check(inst, m):
     same U whose envelope ``check_feasibility`` checks.  Also reports the
     surplus at each buyer's entry type (the lowest type that is asked, as
     a right-hand limit), which should vanish for an optimal mechanism:
-    the entry type pays exactly its expected value of the item.
+    the entry type pays exactly its expected value of the item: the
+    surplus there is the solve's payment less the stated one.  A NaN
+    payment where a buyer is asked makes ``min_surplus`` NaN; with no
+    buyer asked anywhere it is 0.
     """
-    min_s = np.inf
+    surplus = [np.zeros(0)]
     marginal = []
     for i, tab in enumerate(_tables_of(inst, m)):
         if tab.entry is None:
@@ -275,13 +279,13 @@ def obedience_check(inst, m):
             continue
         W, U = _utility_column(inst, m, i, tab)
         asked = W > WIN_PROB_FLOOR
-        if asked.any():
-            min_s = min(min_s, float(np.min(U[asked] / W[asked])))
-        surplus = tab.entry_value - float(_payment_at(m, i, tab, tab.entry))
-        marginal.append((tab.entry, surplus))
+        surplus.append(U[asked] / W[asked])
+        solved = _payment_at(m, i, tab, tab.entry, pay=tab.pay.ravel())
+        marginal.append((tab.entry, float(solved - _payment_at(m, i, tab, tab.entry))))
 
+    surplus = np.concatenate(surplus)
     return ObedienceReport(
-        min_surplus=float(min_s) if np.isfinite(min_s) else 0.0,
+        min_surplus=float(np.min(surplus)) if surplus.size else 0.0,
         marginal=tuple(marginal),
     )
 

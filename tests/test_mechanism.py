@@ -394,6 +394,11 @@ def test_json_rejects_missing_quality(two_uniform):
         pytest.param("buyer", "phi_ironed", list.pop, id="phi_ironed-short"),
         pytest.param("buyer", "win_weight", list.pop, id="win_weight-short"),
         pytest.param("buyer", "payment", list.pop, id="payment-short"),
+        # only the payment may be null (undefined)
+        pytest.param("buyer", "type_grid", lambda v: v.__setitem__(40, None), id="type_grid-null"),
+        pytest.param("buyer", "phi", lambda v: v.__setitem__(40, None), id="phi-null"),
+        pytest.param("buyer", "phi_ironed", lambda v: v.__setitem__(40, None), id="phi_ironed-null"),
+        pytest.param("buyer", "win_weight", lambda v: v.__setitem__(40, None), id="win_weight-null"),
     ],
 )
 def test_json_rejects_malformed_fields(two_uniform, where, key, edit):

@@ -400,6 +400,28 @@ def test_a_jump_entry_leaves_no_obedience_surplus(posted_price):
     assert abs(qsell.obedience_check(inst, mech).min_surplus) <= 1e-12
 
 
+@pytest.mark.parametrize("buyer", [0, 1])
+@pytest.mark.parametrize("node", [48, 50])
+def test_a_missing_price_where_a_buyer_is_asked_reaches_every_reader(node, buyer):
+    # Two uniform buyers on 65 nodes with zero reserve are asked from
+    # t = 1/2 (node 32).  A NaN price at an asked node is charged as NaN,
+    # so feasibility and obedience fail and the revenue is NaN.  Node 48
+    # (t = 0.75) is a point of the deviation search's 101-point grid.
+    inst = qsell.ProblemInstance(
+        buyers=(qsell.make_uniform(0.0, 1.0, m=65), qsell.make_uniform(0.0, 1.0, m=65)),
+        quality=_one_quality_model(65, 1.0, 0.0),
+    )
+    mech = qsell.build_optimal_mechanism(inst)
+    vals = mech.payment[buyer].vals.copy()
+    vals[node] = np.nan
+    broken = _with_payment(mech, buyer, vals)
+    assert not qsell.check_feasibility(inst, broken).ok
+    assert np.isnan(qsell.obedience_check(inst, broken).min_surplus)
+    assert np.isnan(qsell.revenue_direct(inst, broken))
+    if node == 48:
+        assert np.isnan(qsell.ic_deviation_search(inst, broken).max_regret)
+
+
 def test_obedience_agrees_with_boundary_ir(solved_suite):
     # Non-negative posterior surplus should coincide with the boundary
     # utility check of feasibility on every solved instance.
