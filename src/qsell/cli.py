@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -315,7 +316,13 @@ def _cmd_info(args):
 # entry point
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Each ``parse_args`` returns a fresh namespace, so no call sees the
+    flags of another.
+    """
     p = argparse.ArgumentParser(
         prog="qsell",
         description="Optimal selling of a quality-differentiated good by "

@@ -166,10 +166,10 @@ def simulate(inst, m, n_samples, seed):
     that one draw of the whole stream would, and reports are
     bit-identical across runs with the same arguments, whatever the
     block size or the number of cores.  One cdf cell lookup per stream
-    reads everything sampled there: a buyer's threshold level, or the
-    quality's xi, reserve and alpha.  Winners' types, for payments and
-    values, are read from the block's own draws at the wins.  The
-    mechanism must be solved on the instance's grids.
+    reads everything sampled there: a buyer's threshold level and type,
+    or the quality's xi, reserve and alpha.  Winners' types, for payments
+    and values, are the block's types at the wins.  The mechanism must
+    be solved on the instance's grids.
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
@@ -201,17 +201,18 @@ def simulate(inst, m, n_samples, seed):
         xi, rev, alpha = dist.quantile(
             qm.G, draw(children[n]), m.quality.xi.vals, qm.reserve.vals, m.quality.alpha.vals
         )
-        u = [draw(child) for child in children[:n]]
-        levels = (
-            dist.quantile(d, ui, c.phi_ironed)[0] for d, c, ui in zip(inst.buyers, m.curves, u)
-        )
-        winners = _winners(levels, xi)
+        # each buyer's threshold level and type, from one lookup of its stream
+        drawn = [
+            dist.quantile(d, draw(child), c.phi_ironed, d.grid)
+            for d, c, child in zip(inst.buyers, m.curves, children)
+        ]
+        winners = _winners((level for level, _ in drawn), xi)
         wins[b] = np.bincount(winners + 1, minlength=n + 1)
-        for i, (d, tab) in enumerate(zip(inst.buyers, tables)):
+        for i, tab in enumerate(tables):
             if not wins[b, i + 1]:
                 continue
             mask = winners == i
-            t_won = dist.quantile(d, u[i][mask])
+            t_won = drawn[i][1][mask]
             pay = _payment_at(m, i, tab, t_won, pay=columns[i])
             rev[mask] = pay
             surplus[i][b] = inst.valuation.type_factor(t_won) * alpha[mask] - pay

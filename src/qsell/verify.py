@@ -201,8 +201,11 @@ def ic_deviation_search(inst, m, n_grid=101):
     Utilities are computed exactly at every point of an n_grid-point type
     grid (n_grid >= 2) from the interim quantities, and the best (type,
     report) pair is refined on an 11 x 11 grid one step around it; regret
-    is the best deviation gain found.  A broken mechanism shows up as a
-    large positive regret, a sound one stays at numerical-noise level.
+    is the best deviation gain found.  Walking away is also read at every
+    point of the payment column (``_utility_column``), so a NaN price
+    between the grid's types makes the regret NaN.  A broken mechanism
+    shows up as a large positive regret, a sound one stays at
+    numerical-noise level.
     """
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
@@ -212,8 +215,11 @@ def ic_deviation_search(inst, m, n_grid=101):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
         best, r_t, r_r, truth = _best_misreport(inst, m, i, tab, tt)
-        # walking away is always available
-        exit_regret = float(np.max(-truth))
+        # walking away is always available: read on the grid and at every
+        # point of the payment column; the first largest, so a NaN wins
+        walk = np.concatenate((-truth, -_utility_column(inst, m, i, tab)[1]))
+        k = int(np.argmax(walk))
+        exit_regret, exit_type = float(walk[k]), float(np.append(tt, tab.t)[k])
         if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
             window = [np.linspace(max(lo, x - step), min(hi, x + step), 11) for x in (r_t, r_r)]
@@ -222,8 +228,8 @@ def ic_deviation_search(inst, m, n_grid=101):
                 best, r_t, r_r = fine[:3]
 
         regret.append(float(np.max([best, exit_regret, 0.0])))
-        if exit_regret >= best:
-            where.append((i, float(tt[int(np.argmin(truth))]), float("nan")))
+        if exit_regret >= best or np.isnan(exit_regret):
+            where.append((i, exit_type, float("nan")))
         else:
             where.append((i, r_t, r_r))
         per_buyer.append(

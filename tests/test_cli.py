@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from conftest import bimodal_density
 from qsell import cli
 from qsell.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, name, doc):
@@ -398,3 +403,49 @@ def test_grid_override_changes_resolution(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert len(doc["buyers"][0]["type_grid"]) == 129
+
+
+# ---------------------------------------------------------------------------
+# the parser and the entry point
+# ---------------------------------------------------------------------------
+
+
+def test_the_shared_parser_keeps_no_flags_between_calls(tmp_path, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    cfg = _two_uniform_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--samples", "100", "--seed", "3"]) == 0
+    assert "samples: 100  seed: 3" in capsys.readouterr().out
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "samples: 100000  seed: 0" in capsys.readouterr().out
+
+    buyers = []
+
+    def summary(inst, m, buyer, **kwargs):
+        buyers.append(buyer)
+        return []
+
+    monkeypatch.setattr(cli, "partition_summary", summary)
+    assert main(["info", "--config", cfg, "--buyer", "1"]) == 0
+    assert main(["info", "--config", cfg]) == 0
+    assert buyers == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text, count",
+    [
+        (["verify"], 0, "stdout", "[PASS]", 6),
+        (["simulate", "--samples", "0"], 2, "stderr", "config error", 1),
+        (["verify", "--bad"], 2, "stderr", "error: unrecognized arguments: --bad", 1),
+    ],
+    ids=["verify-passes", "samples-0", "unknown-flag"],
+)
+def test_the_entry_point_in_a_fresh_process(argv, code, stream, text, count):
+    # one process per call, as from a shell
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cfg = ["--config", "demos/configs/two_uniform.json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsell.cli", *argv, *cfg], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).count(text) == count

@@ -309,7 +309,7 @@ def test_simulation_peak_memory(monkeypatch):
     # Three buyers and 200 000 samples, the largest simulate call of the
     # benchmark's coarse sweep.  Each thread holds one block's arrays, so
     # the peak grows with the threads, and two are pinned for a bound that
-    # holds on any host: they read 7.7-9.0 MB (one reads 5.8 MB).
+    # holds on any host: they read 8.4-8.8 MB over 12 calls (one reads 5.8 MB).
     monkeypatch.setattr(revenue, "_usable_cores", lambda: 2)
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: q)
     inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 3, quality=qm)

@@ -405,8 +405,9 @@ def test_a_jump_entry_leaves_no_obedience_surplus(posted_price):
 def test_a_missing_price_where_a_buyer_is_asked_reaches_every_reader(node, buyer):
     # Two uniform buyers on 65 nodes with zero reserve are asked from
     # t = 1/2 (node 32).  A NaN price at an asked node is charged as NaN,
-    # so feasibility and obedience fail and the revenue is NaN.  Node 48
-    # (t = 0.75) is a point of the deviation search's 101-point grid.
+    # so feasibility, obedience and the deviation search fail and the
+    # revenue is NaN.  Node 48 (t = 0.75) is a point of the deviation
+    # search's 101-point grid; node 50 (t = 0.78125) lies between two.
     inst = qsell.ProblemInstance(
         buyers=(qsell.make_uniform(0.0, 1.0, m=65), qsell.make_uniform(0.0, 1.0, m=65)),
         quality=_one_quality_model(65, 1.0, 0.0),
@@ -418,8 +419,9 @@ def test_a_missing_price_where_a_buyer_is_asked_reaches_every_reader(node, buyer
     assert not qsell.check_feasibility(inst, broken).ok
     assert np.isnan(qsell.obedience_check(inst, broken).min_surplus)
     assert np.isnan(qsell.revenue_direct(inst, broken))
-    if node == 48:
-        assert np.isnan(qsell.ic_deviation_search(inst, broken).max_regret)
+    ic = qsell.ic_deviation_search(inst, broken)
+    assert np.isnan(ic.max_regret)
+    assert (ic.worst_buyer, ic.worst_true_type) == (buyer, node / 64)
 
 
 def test_obedience_agrees_with_boundary_ir(solved_suite):
