@@ -136,10 +136,12 @@ def load_instance(path, grid_override=None):
         )
         valuation = _build_valuation(doc.get("valuation", {"kind": "linear"}))
         return ProblemInstance(buyers=buyers, quality=qm, valuation=valuation)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ConfigError(f"malformed config: {exc!r}") from exc
+    except ConfigError:
+        raise
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed config: {exc!r}") from exc
 
 
 def _check_out_file(path, flag):

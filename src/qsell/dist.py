@@ -83,11 +83,7 @@ class GriddedFunction:
 
     def value_at(self, x):
         """Evaluate by linear interpolation, clamping outside the grid span."""
-        x = np.asarray(x, dtype=float)
-        if np.any(np.isnan(x)):
-            raise ValidationError("query point is NaN")
-        out = np.interp(np.clip(x, self.grid[0], self.grid[-1]), self.grid, self.vals)
-        return float(out) if out.ndim == 0 else out
+        return _read(x, self.grid, self.vals)
 
 
 @dataclass(frozen=True)
@@ -221,18 +217,23 @@ def _validated_query(x):
     return x
 
 
+def _read(x, grid, vals):
+    """vals interpolated linearly on grid at x, the end values outside it.
+
+    Raises ValidationError for a NaN query; a scalar x gives a float.
+    """
+    out = np.interp(_validated_query(x), grid, vals)
+    return float(out) if out.ndim == 0 else out
+
+
 def cdf(d, x):
     """F(x) by linear interpolation; queries outside the support clamp."""
-    x = _validated_query(x)
-    out = np.interp(np.clip(x, d.support_lo, d.support_hi), d.grid, d.cdf_vals)
-    return float(out) if out.ndim == 0 else out
+    return _read(x, d.grid, d.cdf_vals)
 
 
 def pdf(d, x):
     """f(x) by linear interpolation; queries outside the support clamp."""
-    x = _validated_query(x)
-    out = np.interp(np.clip(x, d.support_lo, d.support_hi), d.grid, d.pdf_vals)
-    return float(out) if out.ndim == 0 else out
+    return _read(x, d.grid, d.pdf_vals)
 
 
 def _cdf_cell(cdf, u):

@@ -198,7 +198,8 @@ class ThresholdMechanism:
     grid; it holds NaN where the interim win probability is at most 1e-12
     (payments are undefined there) but at an entry.  ``payment``, revenue,
     simulation and the verifiers all read it through the interim table's
-    payment column, so they share one payment rule.
+    payment column, so they share one payment rule.  ``win_weight[i]`` is
+    b' * X at the nodes, written out for readers; the verifiers read X.
     ``degenerate`` is set when nobody ever wins; that is a valid
     mechanism, not an error.
 
@@ -209,8 +210,8 @@ class ThresholdMechanism:
     is asked.  The tables depend only on the instance and the threshold
     curves, so ``dataclasses.replace`` with new payments keeps them valid,
     and the new node table is what the consumers read.  They are not
-    serialized: a mechanism loaded from JSON has ``tables=None`` and
-    consumers rebuild them on demand.
+    serialized: a mechanism loaded from JSON has ``tables=None``, and
+    each consumer rebuilds them once per call.
     """
 
     curves: list
@@ -327,16 +328,17 @@ class InterimTable:
 
     Each type cell is cut where the threshold curve meets a level-table
     break at or above the lowest level at which the buyer can win, and
-    each piece carries a Gauss-Lobatto rule: ``t`` and ``weight`` hold
-    its points and weights, shape (pieces, points), ends first and last;
-    ``f`` the density of its cell; ``win`` opp * A, opp * B and opp * C,
-    read at each end from inside the piece, with the tie split on a flat
-    piece at a break.  ``I`` holds the rent integral of b' * opp * A at
-    every point and ``pay`` the envelope payment (b * opp * A - I) / W;
-    ``t`` and ``pay`` flattened are the payment column, read linearly.
-    It is NaN where W is at most 1e-12, except at ``entry``, the left end
-    of the first piece that wins inside (None if none does), which
-    carries the right-hand limit b * A / B.
+    each piece carries a Gauss-Lobatto rule.  Every column is flat, one
+    entry per point, piece after piece, each piece's ends first and
+    last: ``t`` and ``weight`` hold the rule's points and weights, ``f``
+    the density of the point's cell, ``win`` (3, points) opp * A, opp * B
+    and opp * C, read at each end from inside the piece, with the tie
+    split on a flat piece at a break.  ``I`` holds the rent integral of
+    b' * opp * A at every point and ``pay`` the envelope payment
+    (b * opp * A - I) / W; ``t`` and ``pay`` are the payment column, read
+    linearly.  It is NaN where W is at most 1e-12, except at ``entry``,
+    the left end of the first piece that wins inside (None if none
+    does), which carries the right-hand limit b * A / B.
     ``node_pos`` maps grid node k to the column entry a query at it
     reads: the right-hand one, but the end of the piece it closes where
     that piece is flat and asked, since the threshold level still sits on
@@ -362,6 +364,7 @@ def interim_tables(inst, curves):
     # n + 2 points: opp * A has degree n + 1, so Q gives the rent exactly,
     # and the rule integrates the routes (degree n + 2) exactly
     Q = dist.lobatto(inst.n_buyers + 2)[1]
+    k = Q.shape[0]
     tables = []
     for i, d in enumerate(inst.buyers):
         # W = opp * B turns positive once the level passes both the lowest
@@ -371,14 +374,15 @@ def interim_tables(inst, curves):
         c_entry = max(t.breaks[0] for t in rivals)
         cuts = np.concatenate([t.breaks for t in rivals])
         t, c, weight, cell = dist.cut_quadrature(
-            d.grid, curves[i].phi_ironed, cuts[cuts >= c_entry], Q.shape[0]
+            d.grid, curves[i].phi_ironed, cuts[cuts >= c_entry], k
         )
         opp, A, B, C = np.zeros((4,) + c.shape)
         on = np.maximum(c[:, 0], c[:, -1]) >= c_entry  # the pieces that can win
         opp[on], A[on], B[on], C[on] = levels.at(i, c[on], pieces=True)
         win = np.stack((opp * A, opp * B, opp * C))
         X, W, _ = win
-        b, bp = (fn(t.ravel()).reshape(t.shape) for fn in (b_fn, bp_fn))
+        points = t.ravel()
+        b, bp = (fn(points).reshape(t.shape) for fn in (b_fn, bp_fn))
         rent = np.concatenate(([0.0], np.cumsum(np.sum(weight * bp * X, axis=1))))
         I = rent[:-1, None] + (t[:, -1:] - t[:, :1]) * (bp * X) @ Q.T
 
@@ -401,21 +405,21 @@ def interim_tables(inst, curves):
             if np.isnan(pay[p, 0]):
                 pay[p, 0] = b[p, 0] * ratio
 
-        node_pos = np.searchsorted(t.ravel(), d.grid, side="right") - 1
+        node_pos = np.searchsorted(points, d.grid, side="right") - 1
         # a node closing an asked flat piece reads that piece's end, the
         # entry just before its right-hand one
-        k = t.shape[1]
         closes = np.zeros(t.size, dtype=bool)
         closes[k::k] = (c[:-1, 0] == c[:-1, -1]) & (W[:-1, -1] > WIN_PROB_FLOOR)
         node_pos -= closes[node_pos]
+        # rows of points per piece end here: the table stores each column flat
         tables.append(
             InterimTable(
-                I=I,
-                t=t,
-                weight=weight,
-                f=(np.diff(d.cdf_vals) / np.diff(d.grid))[cell, None],
-                win=win,
-                pay=pay,
+                I=I.ravel(),
+                t=points,
+                weight=weight.ravel(),
+                f=(np.diff(d.cdf_vals) / np.diff(d.grid))[cell].repeat(k),
+                win=win.reshape(3, -1),
+                pay=pay.ravel(),
                 node_pos=node_pos,
                 entry=entry,
                 levels=levels,
@@ -424,37 +428,34 @@ def interim_tables(inst, curves):
     return tables
 
 
-def win_weight(inst, curves, i, t_i):
+def _columns(inst, m):
+    """Each buyer's (interim table, payment column as the node table states it).
+
+    The tables are the mechanism's, rebuilt when it carries none (JSON
+    loads).  A node table that differs from the solve's shifts the
+    column by the difference, linear between nodes (none where either is
+    undefined), and is written over the node positions.
+    """
+    tables = m.tables if m.tables is not None else interim_tables(inst, m.curves)
+    columns = []
+    for tab, curve, stated in zip(tables, m.curves, m.payment):
+        shift = np.nan_to_num(stated.vals - tab.pay[tab.node_pos])
+        pay = tab.pay + np.interp(tab.t, curve.type_grid, shift)
+        pay[tab.node_pos] = stated.vals
+        columns.append((tab, pay))
+    return columns
+
+
+def win_weight(inst, m, i, t_i):
     """Derivative-weighted interim win probability of buyer i at type t_i.
 
     For the linear form this is the alpha-weighted win probability; it is
     the slope of the buyer's utility envelope and must be non-decreasing
-    for the mechanism to be implementable.  Each call builds all the level
-    tables for its one lookup; many queries read them from ``interim_tables``.
+    for the mechanism to be implementable.  It reads the level tables of
+    the mechanism's interim tables.
     """
-    opp, A, _, _ = InterimLevels.build(inst, curves).at(i, curves[i].phi_ironed_at(t_i))
+    opp, A, _, _ = _columns(inst, m)[i][0].levels.at(i, m.curves[i].phi_ironed_at(t_i))
     return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
-
-
-def _tables_of(inst, m):
-    """The mechanism's interim tables; rebuilt when it carries none (JSON loads)."""
-    if m.tables is not None:
-        return m.tables
-    return interim_tables(inst, m.curves)
-
-
-def _payment_column(m, i, tab):
-    """Buyer i's payment column, as the mechanism's node table states it.
-
-    A node table that differs from the solve's shifts the column by the
-    difference, linear between nodes (none where either is undefined),
-    and is written over the node positions.
-    """
-    pay = tab.pay.ravel()
-    shift = np.nan_to_num(m.payment[i].vals - pay[tab.node_pos])
-    pay = pay + np.interp(tab.t.ravel(), m.curves[i].type_grid, shift)
-    pay[tab.node_pos] = m.payment[i].vals
-    return pay
 
 
 def _charged(pay, W):
@@ -467,18 +468,14 @@ def _charged(pay, W):
     return np.where(W > WIN_PROB_FLOOR, pay, 0.0)
 
 
-def _payment_at(m, i, tab, t, pay=None):
-    """Buyer i's payment at types t, interpolated on the payment column.
+def _payment_at(tab, pay, t):
+    """The payment column pay on tab's points, interpolated at types t.
 
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
-    ``pay`` is the column ``_payment_column`` builds, for a caller that
-    reads it many times.
     """
-    if pay is None:
-        pay = _payment_column(m, i, tab)
-    tc = tab.t.ravel()
+    tc = tab.t
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
     # a query at a node reads its node_pos entry: where that is the end of
@@ -502,9 +499,10 @@ def payment(inst, m, i, t_i):
     nodes and at the jump and entry points of the interim table.  At a
     jump and at the entry type it is the right-hand limit, but at a node
     closing a flat piece of the threshold curve it is that piece's end;
-    below the entry it is undefined and raises.
+    below the entry it is undefined and raises; a NaN type raises
+    ValidationError.
     """
-    pay = float(_payment_at(m, i, _tables_of(inst, m)[i], t_i))
+    pay = float(_payment_at(*_columns(inst, m)[i], dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
     return pay
@@ -567,11 +565,11 @@ def build_optimal_mechanism(inst):
 
     bp_fn = inst.valuation.type_factor_deriv
     win_curves = [
-        dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0].ravel()[t.node_pos])
+        dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0][t.node_pos])
         for d, t in zip(inst.buyers, tables)
     ]
     pay_curves = [
-        dist.GriddedFunction(d.grid, t.pay.ravel()[t.node_pos])
+        dist.GriddedFunction(d.grid, t.pay[t.node_pos])
         for d, t in zip(inst.buyers, tables)
     ]
 

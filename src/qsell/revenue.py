@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import _charged, _payment_at, _payment_column, _tables_of, _winners
+from .mechanism import _charged, _columns, _payment_at, _winners
 
 __all__ = [
     "revenue_direct",
@@ -37,18 +37,18 @@ __all__ = [
 # expected revenue, direct route
 
 
-def _no_sale_quality_integral(inst, tab):
+def _no_sale_quality_integral(inst, levels):
     """Integral over quality of reserve * g * P(nobody clears xi(q)).
 
-    ``tab`` is an interim table of the solve, for its level tables and
-    rule.  Nobody clears xi when every threshold lies strictly below it.
-    The quality cells are cut where xi meets a break of a buyer's mass
-    table, so the integrand is a polynomial in q of degree n + 1 on each
-    piece, which the rule integrates exactly.
+    ``levels`` are the solve's level tables.  Nobody clears xi when every
+    threshold lies strictly below it.  The quality cells are cut where xi
+    meets a break of a buyer's mass table, so the integrand is a
+    polynomial in q of degree n + 1 on each piece, which the n + 2 point
+    rule integrates exactly.
     """
-    qm, levels = inst.quality, tab.levels
+    qm = inst.quality
     cuts = np.concatenate([t.breaks for t in levels.mass])
-    q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, tab.t.shape[1])
+    q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, inst.n_buyers + 2)
     rg = np.interp(q, qm.G.grid, qm.integrands[2])
     return float(np.sum(weight * rg * levels.opp(None, c, pieces=True)))
 
@@ -60,12 +60,11 @@ def revenue_direct(inst, m):
     table's quadrature points and charged where the buyer is asked
     (``_charged``): a NaN price there makes the revenue NaN.
     """
-    tables = _tables_of(inst, m)
-    total = _no_sale_quality_integral(inst, tables[0])
-    for i, tab in enumerate(tables):
+    columns = _columns(inst, m)
+    total = _no_sale_quality_integral(inst, columns[0][0].levels)
+    for tab, pay in columns:
         W = tab.win[1]
-        pay = _charged(_payment_column(m, i, tab).reshape(W.shape), W)
-        total += float(np.sum(tab.weight * tab.f * W * pay))
+        total += float(np.sum(tab.weight * tab.f * W * _charged(pay, W)))
     return total
 
 
@@ -79,12 +78,11 @@ def revenue_virtual(inst, m):
     """
     qm, val = inst.quality, inst.valuation
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for d, tab in zip(inst.buyers, _tables_of(inst, m)):
+    for d, (tab, _) in zip(inst.buyers, _columns(inst, m)):
         X, _, Y = tab.win
-        t = tab.t.ravel()
-        fw = tab.f.repeat(X.shape[1]) * val.type_factor(t)
-        fw -= val.type_factor_deriv(t) * (1.0 - dist.cdf(d, t))
-        total += float(np.sum(tab.weight * (fw.reshape(X.shape) * X - tab.f * Y)))
+        fw = tab.f * val.type_factor(tab.t)
+        fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
+        total += float(np.sum(tab.weight * (fw * X - tab.f * Y)))
     return total
 
 
@@ -183,8 +181,7 @@ def simulate(inst, m, n_samples, seed):
     ):
         raise ValidationError("the mechanism is tabulated on other grids than the instance")
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    tables = _tables_of(inst, m)
-    columns = [_payment_column(m, i, tab) for i, tab in enumerate(tables)]
+    columns = _columns(inst, m)
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
     revenue = np.empty(n_samples)
     wins = np.zeros((n_blocks, n + 1), dtype=np.intp)
@@ -208,12 +205,12 @@ def simulate(inst, m, n_samples, seed):
         ]
         winners = _winners((level for level, _ in drawn), xi)
         wins[b] = np.bincount(winners + 1, minlength=n + 1)
-        for i, tab in enumerate(tables):
+        for i, column in enumerate(columns):
             if not wins[b, i + 1]:
                 continue
             mask = winners == i
             t_won = drawn[i][1][mask]
-            pay = _payment_at(m, i, tab, t_won, pay=columns[i])
+            pay = _payment_at(*column, t_won)
             rev[mask] = pay
             surplus[i][b] = inst.valuation.type_factor(t_won) * alpha[mask] - pay
         revenue[lo:hi] = rev

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _charged, _payment_at, _payment_column, _tables_of
+from .mechanism import WIN_PROB_FLOOR, _charged, _columns, _payment_at
 
 __all__ = [
     "FeasibilityReport",
@@ -80,22 +80,23 @@ def _fall_and_floor(coef, strict, weak):
     return float(np.max(np.maximum.accumulate(path) - path)), float(np.min(path))
 
 
-def _utility_column(inst, m, i, tab):
-    """W and the interim utility U = b * X - pay * W on buyer i's payment column.
+def _utility_column(inst, tab, pay):
+    """W and the interim utility U = b * X - pay * W on a payment column.
 
-    One entry per point of the column, ``tab.t`` flattened; pay is the
-    column the node table states, charged by ``_charged``.
+    One entry per point ``tab.t``; pay is the column the node table
+    states, charged by ``_charged``.
     """
-    X, W, _ = tab.win.reshape(3, -1)
-    pay = _charged(_payment_column(m, i, tab), W)
-    return W, inst.valuation.type_factor(tab.t.ravel()) * X - pay * W
+    X, W, _ = tab.win
+    return W, inst.valuation.type_factor(tab.t) * X - _charged(pay, W) * W
 
 
 def check_feasibility(inst, m, tol=1e-6):
     """Verify the implementability side of a mechanism.
 
-    Checks that every win-weight curve is non-decreasing, that interim
-    utility matches the integral of the win weight (the envelope
+    Checks that every win weight b' * X, read off the interim table at
+    the grid nodes (as the solve tabulates it, not the mechanism's stored
+    copy), is non-decreasing, that interim utility matches the integral
+    of the win weight (the envelope
     identity) at every point of the payment column, that the lowest type
     earns nothing, and that interim win probabilities are genuine
     probabilities.  The last is a certificate read off the level tables:
@@ -107,20 +108,21 @@ def check_feasibility(inst, m, tol=1e-6):
     factor between two levels, and a negative factor value counts as a
     probability violation.
     """
-    tables = _tables_of(inst, m)
-    q = tables[0].levels.quality
+    columns = _columns(inst, m)
+    levels = columns[0][0].levels
+    q = levels.quality
     quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
-    mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in tables[0].levels.mass]
+    mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in levels.mass]
 
     per_buyer = []
-    for i, tab in enumerate(tables):
-        r_vals = m.win_weight[i].vals
+    for i, (d, (tab, pay)) in enumerate(zip(inst.buyers, columns)):
+        r_vals = inst.valuation.type_factor_deriv(d.grid) * tab.win[0][tab.node_pos]
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
         mono_i = float(np.max([-np.min(np.diff(r_vals)), 0.0])) if r_vals.size > 1 else 0.0
 
-        _, U = _utility_column(inst, m, i, tab)
-        env_i = float(np.max(np.abs(U - tab.I.ravel())))
+        _, U = _utility_column(inst, tab, pay)
+        env_i = float(np.max(np.abs(U - tab.I)))
         bound_i = float(abs(U[0]))
 
         factors = [quality_fall] + [f for j, f in enumerate(mass_falls) if j != i]
@@ -169,17 +171,17 @@ class ICReport:
     per_buyer: tuple
 
 
-def _utility_matrix(inst, m, i, tab, true_types, reports):
-    """Expected utility of each (true type, reported type) pair for buyer i."""
+def _utility_matrix(inst, m, i, column, true_types, reports):
+    """Expected utility of each (true type, reported type) pair on buyer i's column."""
     b_fn = inst.valuation.type_factor
-    opp, A, B, _ = tab.levels.at(i, m.curves[i].phi_ironed_at(reports))
+    opp, A, B, _ = column[0].levels.at(i, m.curves[i].phi_ironed_at(reports))
     W = opp * B
     win_value = opp * A                      # multiplies b(true type)
-    win_cost = W * _charged(_payment_at(m, i, tab, reports), W)  # not of the true type
+    win_cost = W * _charged(_payment_at(*column, reports), W)  # not of the true type
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
-def _best_misreport(inst, m, i, tab, tt, rr=None):
+def _best_misreport(inst, m, i, column, tt, rr=None):
     """The most profitable report in rr (tt if None) for each true type in tt.
 
     Returns the largest gain with its true type and report, and the
@@ -188,7 +190,7 @@ def _best_misreport(inst, m, i, tab, tt, rr=None):
     """
     square = rr is None
     rr = tt if square else rr
-    U = _utility_matrix(inst, m, i, tab, tt, rr if square else np.concatenate((rr, tt)))
+    U = _utility_matrix(inst, m, i, column, tt, rr if square else np.concatenate((rr, tt)))
     truth = np.diag(U[:, -tt.size:])
     gain = U[:, : rr.size] - truth[:, None]
     r, c = divmod(int(np.argmax(gain)), rr.size)
@@ -211,19 +213,19 @@ def ic_deviation_search(inst, m, n_grid=101):
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]
     per_buyer = []
-    for i, (d, tab) in enumerate(zip(inst.buyers, _tables_of(inst, m))):
+    for i, (d, column) in enumerate(zip(inst.buyers, _columns(inst, m))):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
-        best, r_t, r_r, truth = _best_misreport(inst, m, i, tab, tt)
+        best, r_t, r_r, truth = _best_misreport(inst, m, i, column, tt)
         # walking away is always available: read on the grid and at every
         # point of the payment column; the first largest, so a NaN wins
-        walk = np.concatenate((-truth, -_utility_column(inst, m, i, tab)[1]))
+        walk = np.concatenate((-truth, -_utility_column(inst, *column)[1]))
         k = int(np.argmax(walk))
-        exit_regret, exit_type = float(walk[k]), float(np.append(tt, tab.t)[k])
+        exit_regret, exit_type = float(walk[k]), float(np.append(tt, column[0].t)[k])
         if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
             window = [np.linspace(max(lo, x - step), min(hi, x + step), 11) for x in (r_t, r_r)]
-            fine = _best_misreport(inst, m, i, tab, *window)
+            fine = _best_misreport(inst, m, i, column, *window)
             if fine[0] > best:
                 best, r_t, r_r = fine[:3]
 
@@ -279,15 +281,15 @@ def obedience_check(inst, m):
     """
     surplus = [np.zeros(0)]
     marginal = []
-    for i, tab in enumerate(_tables_of(inst, m)):
+    for tab, pay in _columns(inst, m):
         if tab.entry is None:
             marginal.append(None)
             continue
-        W, U = _utility_column(inst, m, i, tab)
+        W, U = _utility_column(inst, tab, pay)
         asked = W > WIN_PROB_FLOOR
         surplus.append(U[asked] / W[asked])
-        solved = _payment_at(m, i, tab, tab.entry, pay=tab.pay.ravel())
-        marginal.append((tab.entry, float(solved - _payment_at(m, i, tab, tab.entry))))
+        solved, stated = (_payment_at(tab, p, tab.entry) for p in (tab.pay, pay))
+        marginal.append((tab.entry, float(solved - stated)))
 
     surplus = np.concatenate(surplus)
     return ObedienceReport(
@@ -304,7 +306,7 @@ def posterior_belief(inst, m, i, t):
     this type.  The returned grid carries near-zero-width shoulder
     points so that plain trapezoid integration reproduces mass one.
     """
-    tab = _tables_of(inst, m)[i]
+    tab = _columns(inst, m)[i][0]
     if tab.entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
     level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))

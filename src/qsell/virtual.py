@@ -45,12 +45,10 @@ class VirtualValueCurve:
     regular: bool
 
     def phi_at(self, t):
-        out = np.interp(t, self.type_grid, self.phi)
-        return float(out) if np.ndim(out) == 0 else out
+        return dist._read(t, self.type_grid, self.phi)
 
     def phi_ironed_at(self, t):
-        out = np.interp(t, self.type_grid, self.phi_ironed)
-        return float(out) if np.ndim(out) == 0 else out
+        return dist._read(t, self.type_grid, self.phi_ironed)
 
 
 def virtual_value(d, t):

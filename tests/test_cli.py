@@ -396,6 +396,64 @@ def test_non_finite_reserve_table_exits_2(tmp_path, capsys, monkeypatch):
     assert "config error" in err and "reserve" in err
 
 
+def _small_config():
+    return {
+        "schema_version": 1,
+        "buyers": [_uniform_buyer(65)],
+        "quality": _quality({"family": "constant", "value": 0.0}, m=65),
+    }
+
+
+def _table_reserve(values):
+    return {"family": "table", "grid": [0.0, 1.0], "values": values}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["buyers"][0]["distribution"].update(hi="one"), "malformed config"),
+        (lambda d: d["quality"]["alpha"].update(value="x"), "malformed config"),
+        (lambda d: d["quality"].update(reserve=_table_reserve(["a", 1])), "malformed config"),
+        (lambda d: [d], "malformed config"),
+        (lambda d: d["buyers"][0]["distribution"].update(family="beta"),
+         "unknown distribution family: 'beta'"),
+        (lambda d: d["quality"]["reserve"].update(family="cubic"),
+         "unknown curve family: 'cubic'"),
+        (lambda d: d.update(valuation={"kind": "log"}), "unknown valuation kind: 'log'"),
+        (lambda d: d.update(valuation={"kind": "power", "exponent": 0.0}), "positive exponent"),
+        (lambda d: d.update(valuation={"kind": "power", "exponent": -1.0}), "positive exponent"),
+        (lambda d: d.update(buyers=[]), "config lists no buyers"),
+    ],
+    ids=[
+        "hi-not-a-number", "alpha-value-not-a-number", "reserve-table-not-numbers",
+        "top-level-array", "unknown-distribution", "unknown-curve", "unknown-valuation",
+        "power-exponent-0", "power-exponent-neg", "no-buyers",
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, monkeypatch, edit, message):
+    monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    doc = _small_config()
+    doc = edit(doc) or doc
+    assert main(["solve", "--config", _write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_power_reserve_curve_matches_its_linear_form(tmp_path, capsys):
+    # 0.5 * q ** 1.0 and 0 + 0.5 * q are the same reserve, value for value
+    printed = []
+    for reserve in (
+        {"family": "power", "coeff": 0.5, "exponent": 1.0},
+        {"family": "linear", "intercept": 0.0, "slope": 0.5},
+    ):
+        doc = dict(_small_config(), quality=_quality(reserve, m=65))
+        assert main(["solve", "--config", _write(tmp_path, "r.json", doc)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "cutoff_type never" not in printed[0]
+
+
 def test_grid_override_changes_resolution(tmp_path, capsys):
     cfg = _two_uniform_config(tmp_path)
     out = tmp_path / "m.json"

@@ -100,25 +100,49 @@ def test_allocate_profile_length_checked(two_uniform):
         qsell.allocate(m, [0.5], 0.5)
 
 
+def test_a_nan_type_is_rejected_not_read_as_a_level(two_uniform):
+    # a NaN level would lose every comparison and hide buyer 1's win
+    inst, m = two_uniform
+    with pytest.raises(ValidationError, match="NaN"):
+        qsell.allocate_many(m, [[np.nan, 0.9], [0.1, 0.9]], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="NaN"):
+        qsell.allocate(m, [np.nan, 0.9], 0.5)
+    with pytest.raises(ValidationError, match="NaN"):
+        qsell.payment(inst, m, 0, float("nan"))
+    with pytest.raises(ValidationError, match="NaN"):
+        qsell.win_weight(inst, m, 0, float("nan"))
+    for read in (m.curves[0].phi_at, m.curves[0].phi_ironed_at):
+        with pytest.raises(ValidationError, match="NaN"):
+            read([0.5, np.nan])
+
+
+def test_curve_reads_clamp_outside_the_grid_and_give_floats(two_uniform):
+    _, m = two_uniform
+    c = m.curves[0]
+    for read, vals in ((c.phi_at, c.phi), (c.phi_ironed_at, c.phi_ironed)):
+        assert read(-1.0) == vals[0] and read(np.inf) == vals[-1]
+        assert type(read(np.float64(0.3))) is float
+        assert np.array_equal(read([-1.0, 2.0]), vals[[0, -1]])
+
+
 # ---------------------------------------------------------------------------
 # win weight: analytic oracles
 
 
 def test_win_weight_single_buyer_posted_price(posted_price):
     inst, m = posted_price
-    curves = m.curves
     # R(t) = 1{phi(t) >= 0} = 1{t >= 1/2} for one uniform buyer, xi == 0
-    assert qsell.win_weight(inst, curves, 0, 0.75) == pytest.approx(1.0, abs=1e-12)
-    assert qsell.win_weight(inst, curves, 0, 0.25) == pytest.approx(0.0, abs=1e-12)
+    assert qsell.win_weight(inst, m, 0, 0.75) == pytest.approx(1.0, abs=1e-12)
+    assert qsell.win_weight(inst, m, 0, 0.25) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_win_weight_two_uniform(two_uniform):
     inst, m = two_uniform
     # R(t) = t for t >= 1/2 (opponent below with prob t), 0 below
     for t in [0.5, 0.6, 0.8, 1.0]:
-        got = qsell.win_weight(inst, m.curves, 0, t)
+        got = qsell.win_weight(inst, m, 0, t)
         assert got == pytest.approx(t, abs=1e-9), t
-    assert qsell.win_weight(inst, m.curves, 0, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert qsell.win_weight(inst, m, 0, 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_win_weight_scales_with_alpha():
@@ -127,7 +151,7 @@ def test_win_weight_scales_with_alpha():
     d = qsell.make_uniform(0.0, 1.0, m=1025)
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
     m = qsell.build_optimal_mechanism(inst)
-    assert qsell.win_weight(inst, m.curves, 0, 0.8) == pytest.approx(2.0, abs=1e-12)
+    assert qsell.win_weight(inst, m, 0, 0.8) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_win_weight_reserve_ramp():
@@ -139,7 +163,7 @@ def test_win_weight_reserve_ramp():
     m = qsell.build_optimal_mechanism(inst)
     for t in [0.2, 0.5, 0.7, 0.9, 1.0]:
         want = float(np.clip(2 * t - 1, 0.0, 1.0))
-        assert qsell.win_weight(inst, m.curves, 0, t) == pytest.approx(want, abs=1e-9)
+        assert qsell.win_weight(inst, m, 0, t) == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

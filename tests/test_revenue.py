@@ -25,7 +25,7 @@ import pytest
 
 import qsell
 from conftest import make_bimodal, traced_peak, xi_meeting_the_plateau
-from qsell import revenue
+from qsell import mechanism, revenue
 from qsell.mechanism import _payment_at
 
 
@@ -201,7 +201,7 @@ def _simulate_by_interp(inst, m, n_samples, seed):
         mask = winners == i
         freq.append(float(np.mean(mask)))
         t = types[mask, i]
-        pay = _payment_at(m, i, m.tables[i], t)
+        pay = _payment_at(*mechanism._columns(inst, m)[i], t)
         revenue[mask] = pay
         alpha = np.interp(q[mask], qm.G.grid, m.quality.alpha.vals)
         util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)

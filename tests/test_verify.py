@@ -101,6 +101,29 @@ def test_feasibility_detects_underpaid_top_types(posted_price):
     assert rep.envelope_residual == pytest.approx(0.1, abs=5e-3)
 
 
+def test_feasibility_reads_the_allocation_not_the_stored_win_weight():
+    # A bimodal buyer's document with its ironing undone: phi_ironed = phi
+    # and the payments rebuilt as that allocation's envelope payments,
+    # while the stored win weights stay the ironed, monotone ones.  xi
+    # starts below phi's peak before its dip (-0.007), so X falls there.
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=129), 1.0, lambda q: 0.3 * np.asarray(q, float) - 0.1
+    )
+    inst = qsell.ProblemInstance(buyers=(make_bimodal(257),), quality=qm)
+    doc = qsell.mechanism_to_json_dict(qsell.build_optimal_mechanism(inst))
+    buyer = doc["buyers"][0]
+    assert buyer["ironed_intervals"]
+    buyer["phi_ironed"], buyer["ironed_intervals"] = buyer["phi"], []
+    unironed = qsell.mechanism_from_json_dict(doc)
+    tab = qsell.interim_tables(inst, unironed.curves)[0]
+    buyer["payment"] = [None if np.isnan(p) else p for p in tab.pay[tab.node_pos].tolist()]
+    rep = qsell.check_feasibility(inst, qsell.mechanism_from_json_dict(doc))
+    assert not rep.ok
+    # X = P(xi <= phi) = (phi + 0.1) / 0.3 falls with phi; the largest
+    # fall between neighbouring nodes is 4.8e-2 (the stored copy reads 0)
+    assert rep.monotonicity_violation == pytest.approx(4.84e-2, abs=1e-4)
+
+
 def _with_levels(mech, **changes):
     """The mechanism with its solve's level tables replaced."""
     levels = dataclasses.replace(mech.tables[0].levels, **changes)

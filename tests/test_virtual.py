@@ -235,6 +235,52 @@ def test_ironed_curve_is_monotone_and_below_nothing(vals):
         assert abs(_h_integral(F, phi, a, b) - L * (b - a)) <= 1e-12 * scale
 
 
+def _h_integral_by_cell(F, psi, a, b):
+    """Exact integral over [a, b] of h, linear on each cell of positive width.
+
+    A zero-width (tied) cell adds nothing, so h may jump where F ties.
+    """
+    total = 0.0
+    for k in np.nonzero(np.diff(F) > 0.0)[0]:
+        lo, hi = max(a, F[k]), min(b, F[k + 1])
+        if hi > lo:
+            h = np.interp([lo, hi], F[k : k + 2], psi[k : k + 2])
+            total += 0.5 * (h[0] + h[1]) * (hi - lo)
+    return total
+
+
+@pytest.mark.parametrize(
+    "cdf, psi",
+    [
+        # a tied cell: h jumps up from -2 to 3 at F = 5/9, and the
+        # common tangent's root lies below every contact slope (_bridge's
+        # ``lo is None`` exit)
+        ([0, 3, 5, 5, 7, 9], [2.0, 0.0, -2.0, 3.0, -1.0, -3.0]),
+        # no tie: the tangent from the first cell to the falling last one
+        # has slope 2, the pair's largest contact slope, where g rounds to
+        # -5.6e-17, so the root search runs past every slope (the
+        # ``for ... else`` exit)
+        ([0, 1, 3, 5], [0.0, 2.0, 3.0, 0.0]),
+    ],
+    ids=["tied-cdf-root-below", "root-above"],
+)
+def test_ironing_where_the_bridge_extrapolates(cdf, psi):
+    F = np.asarray(cdf, float) / cdf[-1]
+    psi = np.asarray(psi)
+    grid = np.linspace(0.0, 1.0, F.size)
+    curve = qsell.iron(qsell.GriddedDistribution(0.0, 1.0, grid, np.ones(F.size), F), psi)
+    assert curve.ironed_intervals
+    assert np.all(np.diff(curve.phi_ironed) >= -1e-12)
+    outside = np.ones(F.size, dtype=bool)
+    for lo, hi in curve.ironed_intervals:
+        outside[lo : hi + 1] = False
+        L = curve.phi_ironed[lo]
+        a = 0.0 if lo == 0 else _contact(F, psi, lo - 1, lo, L)
+        b = 1.0 if hi == F.size - 1 else _contact(F, psi, hi, hi + 1, L)
+        assert abs(_h_integral_by_cell(F, psi, a, b) - L * (b - a)) <= 1e-12
+    assert np.array_equal(curve.phi_ironed[outside], psi[outside])
+
+
 @settings(deadline=None, max_examples=40)
 @given(vals=st.lists(st.floats(0.05, 5.0), min_size=8, max_size=40))
 def test_iron_idempotent_property(vals):
