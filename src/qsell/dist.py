@@ -244,12 +244,13 @@ def _cdf_cell(cdf, u):
     cells; w is u's fraction of it, clipped to [0, 1].  k comes from a
     guide table (Chen & Asau, 1974): bucket j of M = m - 1 starts at the
     last node whose bucket ``int(cdf * M)`` is below j, which lies at or
-    before u's cell however ``int(u * M)`` rounds, and the points then
-    step forward through their bucket, one vectorised step at a time.
+    before u's cell however ``int(u * M)`` rounds (bucket M holds u = 1),
+    and the points then step forward through their bucket, one
+    vectorised step at a time.
     """
     M = cdf.size - 1
-    start = np.searchsorted((cdf * M).astype(np.intp), np.arange(M), side="left") - 1
-    k = np.clip(start, 0, M - 1)[np.minimum((u * M).astype(np.intp), M - 1)]
+    start = np.searchsorted((cdf * M).astype(np.intp), np.arange(M + 1), side="left") - 1
+    k = np.clip(start, 0, M - 1)[(u * M).astype(np.intp)]
     nxt = cdf[1:].copy()
     nxt[-1] = np.inf  # the last cell takes everything above it
     k += nxt[k] <= u  # one full step: a bucket holds about one node
@@ -258,9 +259,22 @@ def _cdf_cell(cdf, u):
         k[move] += 1
         move = move[nxt[k[move]] <= u[move]]
     width = np.diff(cdf)
-    w = np.subtract(u, cdf[k])
+    w = cdf[k]
+    np.subtract(u, w, out=w)
     w /= np.where(width > 0.0, width, 1.0)[k]
     return k, np.clip(w, 0.0, 1.0, out=w)
+
+
+def _cell_read(col, k, w):
+    """Column col, tabulated on a grid, read linearly at fraction w of cells k.
+
+    This is the one read behind ``quantile``: col[k] + (col[k + 1] -
+    col[k]) * w, rounded the same way for any subset of the (k, w) pairs.
+    """
+    val = np.diff(col)[k]
+    val *= w
+    val += col[k]
+    return val
 
 
 def quantile(d, u, *columns):
@@ -280,9 +294,7 @@ def quantile(d, u, *columns):
     shape = u.shape
     out = []
     for col in columns or (d.grid,):
-        val = np.diff(col)[k]
-        val *= w
-        val += col[k]
+        val = _cell_read(col, k, w)
         out.append(float(val[0]) if not shape else val.reshape(shape))
     return tuple(out) if columns else out[0]
 

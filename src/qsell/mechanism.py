@@ -235,21 +235,26 @@ def xi_at(qm, q):
     return qm.xi.value_at(q)
 
 
-def _winners(levels, xi):
+def _winners(levels, xi, dtype=np.intp):
     """Winner per sample, -1 for no sale, from each buyer's threshold level.
 
-    ``levels`` yields one array of levels per buyer, in buyer order.  The
-    running leader changes only at a strictly higher level, so ties go
-    to the lowest index, and the leader is asked when its level is at
-    least xi.
+    ``levels`` yields one fresh array of levels per buyer, in buyer
+    order; each but the first is overwritten with the running maximum.
+    The running leader changes only at a strictly higher level, so ties
+    go to the lowest index, and the leader is asked when its level is at
+    least xi, which ``xi()`` reads once the levels are spent.  The
+    winners have the signed integer ``dtype``, which must hold -1 and
+    every buyer index.
     """
     levels = iter(levels)
     best = next(levels)
-    who = np.zeros(best.shape, dtype=np.intp)
+    who = np.zeros(best.shape, dtype=dtype)
     for i, level in enumerate(levels, 1):
-        who[level > best] = i
-        best = np.maximum(best, level)
-    return np.where(best >= xi, who, -1)
+        # every index so far is below i, so the larger one leads: branch-free
+        np.maximum(who, (level > best) * who.dtype.type(i), out=who)
+        best = np.maximum(best, level, out=level)
+    # -1 has every bit set: or-ing it in marks each sample that keeps the item
+    return who | np.negative(~(best >= xi()), dtype=who.dtype)
 
 
 def allocate_many(m, types, qualities):
@@ -261,7 +266,8 @@ def allocate_many(m, types, qualities):
     """
     types = np.asarray(types, dtype=float)
     levels = (c.phi_ironed_at(types[:, i]) for i, c in enumerate(m.curves))
-    return _winners(levels, xi_at(m.quality, qualities))
+    xi = xi_at(m.quality, qualities)
+    return _winners(levels, lambda: xi)
 
 
 def allocate(m, t_profile, q):
@@ -342,8 +348,9 @@ class InterimTable:
     ``node_pos`` maps grid node k to the column entry a query at it
     reads: the right-hand one, but the end of the piece it closes where
     that piece is flat and asked, since the threshold level still sits on
-    the flat there.  ``levels`` holds the solve's level tables, shared by
-    every buyer.
+    the flat there; ``after_flat`` marks the entry after each such end,
+    which shares its abscissa, so a query there steps back to the end.
+    ``levels`` holds the solve's level tables, shared by every buyer.
     """
 
     I: np.ndarray
@@ -353,6 +360,7 @@ class InterimTable:
     win: np.ndarray
     pay: np.ndarray
     node_pos: np.ndarray
+    after_flat: np.ndarray
     entry: Optional[float]
     levels: InterimLevels
 
@@ -411,6 +419,9 @@ def interim_tables(inst, curves):
         closes = np.zeros(t.size, dtype=bool)
         closes[k::k] = (c[:-1, 0] == c[:-1, -1]) & (W[:-1, -1] > WIN_PROB_FLOOR)
         node_pos -= closes[node_pos]
+        pos = node_pos[:-1]
+        after_flat = np.zeros(t.size, dtype=bool)
+        after_flat[pos + 1] = points[pos + 1] == points[pos]
         # rows of points per piece end here: the table stores each column flat
         tables.append(
             InterimTable(
@@ -421,6 +432,7 @@ def interim_tables(inst, curves):
                 win=win.reshape(3, -1),
                 pay=pay.ravel(),
                 node_pos=node_pos,
+                after_flat=after_flat,
                 entry=entry,
                 levels=levels,
             )
@@ -428,22 +440,31 @@ def interim_tables(inst, curves):
     return tables
 
 
-def _columns(inst, m):
-    """Each buyer's (interim table, payment column as the node table states it).
+def _tables(inst, m):
+    """The mechanism's interim tables, rebuilt when it carries none (JSON loads)."""
+    return m.tables if m.tables is not None else interim_tables(inst, m.curves)
 
-    The tables are the mechanism's, rebuilt when it carries none (JSON
-    loads).  A node table that differs from the solve's shifts the
-    column by the difference, linear between nodes (none where either is
-    undefined), and is written over the node positions.
+
+def _column(tab, curve, stated):
+    """(tab, the payment column as the node table ``stated`` states it).
+
+    A node table that differs from the solve's shifts the column by the
+    difference, linear between nodes (none where either is undefined),
+    and is written over the node positions.  The column keeps tab's
+    points, so ``after_flat`` stays valid.
     """
-    tables = m.tables if m.tables is not None else interim_tables(inst, m.curves)
-    columns = []
-    for tab, curve, stated in zip(tables, m.curves, m.payment):
-        shift = np.nan_to_num(stated.vals - tab.pay[tab.node_pos])
-        pay = tab.pay + np.interp(tab.t, curve.type_grid, shift)
-        pay[tab.node_pos] = stated.vals
-        columns.append((tab, pay))
-    return columns
+    shift = np.nan_to_num(stated.vals - tab.pay[tab.node_pos])
+    pay = tab.pay + np.interp(tab.t, curve.type_grid, shift)
+    pay[tab.node_pos] = stated.vals
+    return tab, pay
+
+
+def _columns(inst, m):
+    """Each buyer's (interim table, stated payment column), as ``_column`` builds it."""
+    return [
+        _column(tab, curve, stated)
+        for tab, curve, stated in zip(_tables(inst, m), m.curves, m.payment)
+    ]
 
 
 def win_weight(inst, m, i, t_i):
@@ -454,7 +475,7 @@ def win_weight(inst, m, i, t_i):
     for the mechanism to be implementable.  It reads the level tables of
     the mechanism's interim tables.
     """
-    opp, A, _, _ = _columns(inst, m)[i][0].levels.at(i, m.curves[i].phi_ironed_at(t_i))
+    opp, A, _, _ = _tables(inst, m)[i].levels.at(i, m.curves[i].phi_ironed_at(t_i))
     return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
 
 
@@ -468,27 +489,73 @@ def _charged(pay, W):
     return np.where(W > WIN_PROB_FLOOR, pay, 0.0)
 
 
-def _payment_at(tab, pay, t):
+_GUIDE_STEPS = 8  # guide entries per type cell: sub-buckets int(w * 8)
+
+
+def _column_guide(tab, grid):
+    """A start for ``_column_index`` at each (type cell, sub-bucket) of ``grid``.
+
+    Entry 8 k + j is the column index of the type read at fraction j / 8
+    of cell k (``dist._cell_read``).  That read is non-decreasing in the
+    fraction, so a type read at any w in [j / 8, 1] of cell k has a
+    column index at or above it.  ``_guide_start`` gathers the entries.
+    """
+    cells = np.arange(grid.size - 1).repeat(_GUIDE_STEPS)
+    frac = np.tile(np.arange(_GUIDE_STEPS) / _GUIDE_STEPS, grid.size - 1)
+    return _column_index(tab.t, dist._cell_read(grid, cells, frac))
+
+
+def _guide_start(guide, k, w):
+    """The guide's start for types read at fractions w of cells k."""
+    sub = (w * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
+    np.minimum(sub, _GUIDE_STEPS - 1, out=sub)  # w = 1 takes the last sub-bucket
+    sub += k * _GUIDE_STEPS
+    return guide[sub]
+
+
+def _column_index(tc, t, start=None):
+    """searchsorted(tc, t, "right") - 1, clipped to the column's intervals.
+
+    With ``start`` at or below each answer (a ``_guide_start``), each
+    index steps forward from its start instead, one vectorised step at a
+    time, and lands on the same index.
+    """
+    last = tc.size - 2
+    if start is None:
+        return np.clip(np.searchsorted(tc, t, side="right") - 1, 0, last)
+    k = start.copy()
+    step = tc[k + 1] <= t
+    step &= k < last
+    move = np.flatnonzero(step)
+    while move.size:
+        k[move] += 1
+        move = move[k[move] < last]
+        move = move[tc[k[move] + 1] <= t[move]]
+    return k
+
+
+def _payment_at(tab, pay, t, start=None):
     """The payment column pay on tab's points, interpolated at types t.
 
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
+    ``start`` is an optional lower bound on each query's column index
+    (``_column_index``); it changes no result.
     """
     tc = tab.t
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
-    k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    k = _column_index(tc, t, start)
     # a query at a node reads its node_pos entry: where that is the end of
     # a flat piece, the entry after it shares its abscissa (so t0 stands)
-    pos = tab.node_pos[:-1]
-    left = np.zeros(tc.size, dtype=bool)
-    left[pos + 1] = tc[pos + 1] == tc[pos]
     t0 = tc[k]
-    k -= left[k] & (t0 == t)
-    t1 = tc[k + 1]
+    k -= tab.after_flat[k] & (t0 == t)
+    k1 = k + 1
+    t1 = tc[k1]
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
-    return pay[k] + (pay[k + 1] - pay[k]) * frac
+    p0 = pay[k]
+    return p0 + (pay[k1] - p0) * frac
 
 
 def payment(inst, m, i, t_i):
@@ -502,7 +569,8 @@ def payment(inst, m, i, t_i):
     below the entry it is undefined and raises; a NaN type raises
     ValidationError.
     """
-    pay = float(_payment_at(*_columns(inst, m)[i], dist._validated_query(t_i)))
+    column = _column(_tables(inst, m)[i], m.curves[i], m.payment[i])
+    pay = float(_payment_at(*column, dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
     return pay

@@ -19,7 +19,15 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import _charged, _columns, _payment_at, _winners
+from .mechanism import (
+    _charged,
+    _column_guide,
+    _columns,
+    _guide_start,
+    _payment_at,
+    _tables,
+    _winners,
+)
 
 __all__ = [
     "revenue_direct",
@@ -78,7 +86,7 @@ def revenue_virtual(inst, m):
     """
     qm, val = inst.quality, inst.valuation
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for d, (tab, _) in zip(inst.buyers, _columns(inst, m)):
+    for d, tab in zip(inst.buyers, _tables(inst, m)):
         X, _, Y = tab.win
         fw = tab.f * val.type_factor(tab.t)
         fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
@@ -163,11 +171,15 @@ def simulate(inst, m, n_samples, seed):
     each stream to its first sample, so it draws exactly the stretch
     that one draw of the whole stream would, and reports are
     bit-identical across runs with the same arguments, whatever the
-    block size or the number of cores.  One cdf cell lookup per stream
-    reads everything sampled there: a buyer's threshold level and type,
-    or the quality's xi, reserve and alpha.  Winners' types, for payments
-    and values, are the block's types at the wins.  The mechanism must
-    be solved on the instance's grids.
+    block size or the number of cores.  Each stream's draws go through
+    one cdf cell lookup, and its cells k and fractions w are kept: every
+    value is read at (k, w) only where it is used.  xi and each buyer's
+    threshold level are read at every sample; the reserve at the samples
+    that keep the item; a winner's type and alpha, and its payment, at
+    that buyer's wins.  The payment's column index steps up from a
+    per-call guide entry for the winner's cell and sub-bucket
+    (``_column_guide``).  The mechanism must be solved on the instance's
+    grids.
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
@@ -182,6 +194,8 @@ def simulate(inst, m, n_samples, seed):
         raise ValidationError("the mechanism is tabulated on other grids than the instance")
     children = np.random.SeedSequence(seed).spawn(n + 1)
     columns = _columns(inst, m)
+    guides = [_column_guide(tab, d.grid) for (tab, _), d in zip(columns, inst.buyers)]
+    index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
     revenue = np.empty(n_samples)
     wins = np.zeros((n_blocks, n + 1), dtype=np.intp)
@@ -191,29 +205,38 @@ def simulate(inst, m, n_samples, seed):
         lo = b * _SAMPLE_BLOCK
         hi = min(lo + _SAMPLE_BLOCK, n_samples)
 
-        def draw(child):
+        def cell(d, child):
             bits = np.random.PCG64(child).advance(lo)  # one output per double
-            return np.random.Generator(bits).random(hi - lo)
+            return dist._cdf_cell(d.cdf_vals, np.random.Generator(bits).random(hi - lo))
 
-        xi, rev, alpha = dist.quantile(
-            qm.G, draw(children[n]), m.quality.xi.vals, qm.reserve.vals, m.quality.alpha.vals
-        )
-        # each buyer's threshold level and type, from one lookup of its stream
-        drawn = [
-            dist.quantile(d, draw(child), c.phi_ironed, d.grid)
-            for d, c, child in zip(inst.buyers, m.curves, children)
-        ]
-        winners = _winners((level for level, _ in drawn), xi)
-        wins[b] = np.bincount(winners + 1, minlength=n + 1)
-        for i, column in enumerate(columns):
-            if not wins[b, i + 1]:
-                continue
-            mask = winners == i
-            t_won = drawn[i][1][mask]
-            pay = _payment_at(*column, t_won)
-            rev[mask] = pay
-            surplus[i][b] = inst.valuation.type_factor(t_won) * alpha[mask] - pay
-        revenue[lo:hi] = rev
+        cells = [cell(d, child) for d, child in zip(inst.buyers, children)]
+        kq, wq = cell(qm.G, children[n])
+        # each level is read when the leader loop reaches it, and xi after
+        # them all, so the block never holds these columns side by side
+        levels = (dist._cell_read(c.phi_ironed, k, w) for c, (k, w) in zip(m.curves, cells))
+        winners = _winners(levels, lambda: dist._cell_read(m.quality.xi.vals, kq, wq), index_type)
+        rev = revenue[lo:hi]
+
+        def quality_at(col, idx):
+            return dist._cell_read(col, kq[idx], wq[idx])
+
+        def sell(i, won):
+            """Charge buyer i at the samples it wins; its reads die on return."""
+            k, w = (a[won] for a in cells[i])
+            t = dist._cell_read(inst.buyers[i].grid, k, w)
+            pay = _payment_at(*columns[i], t, _guide_start(guides[i], k, w))
+            rev[won] = pay
+            alpha = quality_at(m.quality.alpha.vals, won)
+            surplus[i][b] = inst.valuation.type_factor(t) * alpha - pay
+
+        kept = np.flatnonzero(winners < 0)
+        wins[b, 0] = kept.size
+        rev[kept] = quality_at(qm.reserve.vals, kept)
+        for i in range(n):
+            won = np.flatnonzero(winners == i)
+            wins[b, i + 1] = won.size
+            if won.size:
+                sell(i, won)
 
     _run_blocks(block, n_blocks)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _charged, _columns, _payment_at
+from .mechanism import WIN_PROB_FLOOR, _charged, _columns, _payment_at, _tables
 
 __all__ = [
     "FeasibilityReport",
@@ -306,7 +306,7 @@ def posterior_belief(inst, m, i, t):
     this type.  The returned grid carries near-zero-width shoulder
     points so that plain trapezoid integration reproduces mass one.
     """
-    tab = _columns(inst, m)[i][0]
+    tab = _tables(inst, m)[i]
     if tab.entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
     level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))

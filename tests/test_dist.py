@@ -357,7 +357,8 @@ _LOOKUP_DISTS = {
 def test_cdf_cell_at_the_ends_and_at_every_node(name):
     d = _LOOKUP_DISTS[name]()
     cdf = d.cdf_vals
-    _assert_cells_match(d, np.concatenate(([0.0, 1.0], cdf)))
+    # quantile accepts u within 1e-12 outside [0, 1]: those read the end cells
+    _assert_cells_match(d, np.concatenate(([0.0, 1.0, -1e-12, 1.0 + 1e-12], cdf)))
     # u at a node that starts a cell of positive width reads that node exactly
     starts = np.nonzero(np.diff(cdf) > 0.0)[0]
     assert np.array_equal(qsell.quantile(d, cdf[starts]), d.grid[starts])

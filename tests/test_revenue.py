@@ -25,7 +25,7 @@ import pytest
 
 import qsell
 from conftest import make_bimodal, traced_peak, xi_meeting_the_plateau
-from qsell import mechanism, revenue
+from qsell import dist, mechanism, revenue
 from qsell.mechanism import _payment_at
 
 
@@ -228,6 +228,81 @@ def test_simulation_matches_the_interp_reference(solved_suite):
         assert np.max(np.abs(np.subtract(rep.per_buyer_utility_mean, util))) <= 1e-12, name
 
 
+def _stepped_xi_pair():
+    """A bimodal and a uniform buyer; xi steps through the bimodal plateau level."""
+    buyer = make_bimodal(257)
+    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
+    (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
+    steps = qsell.GriddedFunction(
+        np.linspace(0.0, 1.0, 8), L + np.array([-0.2, -0.2, 0.0, 0.0, 0.3, 0.3, 0.0, 0.0])
+    )
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=129), 1.0, steps)
+    inst = qsell.ProblemInstance(buyers=(buyer, qsell.make_uniform(0.0, 1.0, m=257)), quality=qm)
+    return inst, qsell.build_optimal_mechanism(inst)
+
+
+def _guided_queries(grid, tc):
+    """Type cells k and fractions w that ``simulate`` can read a winner's type at.
+
+    Every node (w = 0), every sub-bucket edge b / 8 and its neighbours,
+    w just below 1 and w = 1 in every cell, and each column point's
+    fraction of its cell with its neighbours, so that reads land on the
+    column's points, duplicate abscissae included.
+    """
+    cells = grid.size - 1
+    edges = np.arange(mechanism._GUIDE_STEPS) / mechanism._GUIDE_STEPS
+    fracs = np.concatenate(
+        (edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [np.nextafter(1.0, 0.0), 1.0])
+    )
+    fracs = np.clip(fracs, 0.0, 1.0)
+    k = np.repeat(np.arange(cells), fracs.size)
+    w = np.tile(fracs, cells)
+    kc = np.clip(np.searchsorted(grid, tc, side="right") - 1, 0, cells - 1)
+    wc = (tc - grid[kc]) / np.diff(grid)[kc]
+    for near in (wc, np.nextafter(wc, -1.0), np.nextafter(wc, 2.0)):
+        k = np.concatenate((k, kc))
+        w = np.concatenate((w, np.clip(near, 0.0, 1.0)))
+    return k, w
+
+
+def test_cell_guided_column_index_matches_searchsorted(solved_suite):
+    # A winner's column index steps up from the guide entry of its type
+    # cell and sub-bucket; it must be the whole-column search's, and so
+    # must the payment read through it, flat-end rule and all.
+    cases = {
+        **solved_suite,
+        "tied-bimodal-pair": _tied_bimodal_pair(),
+        "stepped-xi": _stepped_xi_pair(),
+    }
+    hit_points = hit_flat_ends = 0
+    for name, (inst, mech) in cases.items():
+        for d, (tab, pay) in zip(inst.buyers, mechanism._columns(inst, mech)):
+            tc = tab.t
+            guide = mechanism._column_guide(tab, d.grid)
+            k, w = _guided_queries(d.grid, tc)
+            t = np.clip(dist._cell_read(d.grid, k, w), tc[0], tc[-1])
+            start = mechanism._guide_start(guide, k, w)
+            want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+            assert np.array_equal(mechanism._column_index(tc, t, start), want), name
+            assert np.all(start <= want), name
+            guided = _payment_at(tab, pay, t, mechanism._guide_start(guide, k, w))
+            assert np.array_equal(guided, _payment_at(tab, pay, t), equal_nan=True), name
+            hit_points += int(np.count_nonzero(tc[want] == t))
+            hit_flat_ends += int(np.count_nonzero(tab.after_flat[want] & (tc[want] == t)))
+    assert hit_points > 0 and hit_flat_ends > 0
+
+
+def test_column_index_steps_stop_at_the_last_interval():
+    # A query at the column's end reads its last interval, however far
+    # below it the start lies; the step must not run off the column.
+    tc = np.array([0.0, 0.5, 0.9, 0.95, 0.95, 1.0])
+    t = np.array([1.0, 1.0, 1.0, 0.95, 0.95, 0.2])
+    start = np.array([0, 3, 4, 0, 2, 0])
+    want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    assert want.tolist() == [4, 4, 4, 4, 4, 0]
+    assert np.array_equal(mechanism._column_index(tc, t, start), want)
+
+
 @pytest.mark.parametrize("workers", [1, None])
 def test_simulation_block_boundaries_are_invisible(two_uniform, monkeypatch, workers):
     # Each block draws its stretch of every stream, so neither the block
@@ -242,6 +317,74 @@ def test_simulation_block_boundaries_are_invisible(two_uniform, monkeypatch, wor
                 monkeypatch.setattr(revenue, "_SAMPLE_BLOCK", block)
                 reports.append(dataclasses.asdict(qsell.simulate(inst, mech, n, 4)))
             assert reports[0] == reports[1] == reports[2], n
+
+
+# float.hex of every report field, as the whole-column payment search read them
+_PINNED_REPORTS = {
+    ("three-v-shape", 32_769, 2): {
+        "n_samples": 32769,
+        "seed": 2,
+        "revenue_mean": "0x1.2a1d4419d6047p-1",
+        "revenue_stderr": "0x1.0c31d44e07b84p-10",
+        "per_buyer_utility_mean": [
+            "0x1.46bab7d1279fbp-5", "0x1.46f8ffdfb893dp-5", "0x1.465f4ec656950p-5"
+        ],
+        "allocation_frequency": [
+            "0x1.045df7441177ep-2", "0x1.febc0287faf01p-3",
+            "0x1.fd6c0527f5b01p-3", "0x1.fb1c09c7ec702p-3",
+        ],
+    },
+    ("three-v-shape", 200_000, 7): {
+        "n_samples": 200000,
+        "seed": 7,
+        "revenue_mean": "0x1.2a3bab1e0603ap-1",
+        "revenue_stderr": "0x1.b08c840163d0fp-12",
+        "per_buyer_utility_mean": [
+            "0x1.463291a533138p-5", "0x1.46758efc0244dp-5", "0x1.46447d0d6c1a8p-5"
+        ],
+        "allocation_frequency": [
+            "0x1.047304039abf3p-2", "0x1.fd75e2046c765p-3",
+            "0x1.fc2656abde3fcp-3", "0x1.fd7dbf487fcb9p-3",
+        ],
+    },
+    ("bimodal-inverse-v", 32_769, 2): {
+        "n_samples": 32769,
+        "seed": 2,
+        "revenue_mean": "0x1.0d53f47d2a885p+0",
+        "revenue_stderr": "0x1.2c5d6ca74fa02p-9",
+        "per_buyer_utility_mean": ["0x1.41fc4c6f3bb5bp-4", "0x1.8bd2e8048a55dp-4"],
+        "allocation_frequency": [
+            "0x1.661d33c59874dp-2", "0x1.732d19a5ccb46p-2", "0x1.26b5b2949ad6dp-2"
+        ],
+    },
+    ("bimodal-inverse-v", 200_000, 7): {
+        "n_samples": 200000,
+        "seed": 7,
+        "revenue_mean": "0x1.0d6b03e5cae3cp+0",
+        "revenue_stderr": "0x1.e4ebff5c9ead1p-11",
+        "per_buyer_utility_mean": ["0x1.43f2ccb360495p-4", "0x1.87a78095f7599p-4"],
+        "allocation_frequency": [
+            "0x1.689374bc6a7f0p-2", "0x1.757fb69984a0ep-2", "0x1.21ecd4aa10e02p-2"
+        ],
+    },
+}
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_simulation_reports_are_pinned_bit_for_bit(solved_suite, monkeypatch, cores):
+    monkeypatch.setattr(revenue, "_usable_cores", lambda: cores)
+    for (name, n, seed), want in _PINNED_REPORTS.items():
+        inst, mech = solved_suite[name]
+        report = dataclasses.asdict(qsell.simulate(inst, mech, n, seed))
+        assert {key: _hexed(v) for key, v in report.items()} == want, (name, n, seed)
 
 
 def _within(seconds, fn):
@@ -309,12 +452,14 @@ def test_simulation_peak_memory(monkeypatch):
     # Three buyers and 200 000 samples, the largest simulate call of the
     # benchmark's coarse sweep.  Each thread holds one block's arrays, so
     # the peak grows with the threads, and two are pinned for a bound that
-    # holds on any host: they read 8.4-8.8 MB over 12 calls (one reads 5.8 MB).
+    # holds on any host: they read 7.8-8.2 MB over 50 calls (one reads 5.4 MB).
+    # Two blocks at their peaks at once, on top of the report's arrays, stay
+    # below 8.4 MB.
     monkeypatch.setattr(revenue, "_usable_cores", lambda: 2)
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: q)
     inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 3, quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
-    assert traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 10e6
+    assert traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 8.5e6
 
 
 # ---------------------------------------------------------------------------
