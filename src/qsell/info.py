@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
+from .mechanism import _buyer
 from .virtual import MONOTONE_SLACK
 
 __all__ = [
@@ -115,7 +116,7 @@ def partition_summary(inst, m, i=0, types=None, n_types=21):
     (NaN when the type is never asked).  Mass and mean come from one
     stacked sublevel integral of g and q * g over every probed level.
     """
-    curve = m.curves[i]
+    curve = m.curves[_buyer(m, i)]
     if types is None:
         types = np.linspace(curve.type_grid[0], curve.type_grid[-1], n_types)
     types = np.asarray(types, dtype=float)

@@ -200,30 +200,43 @@ class ThresholdMechanism:
     simulation and the verifiers all read it through the interim table's
     payment column, so they share one payment rule.  ``win_weight[i]`` is
     b' * X at the nodes, written out for readers; the verifiers read X.
-    ``degenerate`` is set when nobody ever wins; that is a valid
-    mechanism, not an error.
-
-    ``tables`` holds the per-buyer ``InterimTable`` objects the solve
-    computed, so revenue, simulation, verification and pointwise payments
-    reuse them instead of recomputing; they share the solve's level
-    tables.  Each table's ``entry`` is the lowest type at which that buyer
-    is asked.  The tables depend only on the instance and the threshold
-    curves, so ``dataclasses.replace`` with new payments keeps them valid,
-    and the new node table is what the consumers read.  They are not
-    serialized: a mechanism loaded from JSON has ``tables=None``, and
-    each consumer rebuilds them once per call.
+    ``tables`` holds the per-buyer ``InterimTable`` objects, built once by
+    the solve or the loader from the instance and the threshold curves;
+    every consumer reads them.  Each table's ``entry`` is the lowest type
+    at which that buyer is asked; ``degenerate`` (no buyer has one, so
+    nobody ever wins) is a valid mechanism, not an error.  The tables do
+    not depend on the payments, so ``dataclasses.replace`` with new ones
+    keeps them valid, and the new node table is what the consumers read.
     """
 
     curves: list
     quality: QualityModel
     win_weight: list
     payment: list
-    degenerate: bool = False
-    tables: Optional[tuple] = field(default=None, compare=False, repr=False)
+    tables: tuple = field(compare=False, repr=False)
 
     @property
     def n_buyers(self):
         return len(self.curves)
+
+    @property
+    def degenerate(self):
+        return all(t.entry is None for t in self.tables)
+
+
+def _buyer(m, i):
+    """i, checked to index one of m's buyers: 0 <= i < n, else ValidationError."""
+    if not 0 <= i < m.n_buyers:
+        raise ValidationError(f"buyer index {i} is out of range for {m.n_buyers} buyers")
+    return i
+
+
+def _require_grids(inst, curves, quality_grid):
+    """Raise ValidationError unless quality_grid and the curves' type grids are inst's."""
+    grids = [quality_grid] + [c.type_grid for c in curves]
+    wanted = [inst.quality.G.grid] + [d.grid for d in inst.buyers]
+    if len(grids) != len(wanted) or not all(map(np.array_equal, grids, wanted)):
+        raise ValidationError("the mechanism is tabulated on other grids than the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +450,7 @@ def interim_tables(inst, curves):
                 levels=levels,
             )
         )
-    return tables
-
-
-def _tables(inst, m):
-    """The mechanism's interim tables, rebuilt when it carries none (JSON loads)."""
-    return m.tables if m.tables is not None else interim_tables(inst, m.curves)
+    return tuple(tables)
 
 
 def _column(tab, curve, stated):
@@ -459,11 +467,10 @@ def _column(tab, curve, stated):
     return tab, pay
 
 
-def _columns(inst, m):
+def _columns(m):
     """Each buyer's (interim table, stated payment column), as ``_column`` builds it."""
     return [
-        _column(tab, curve, stated)
-        for tab, curve, stated in zip(_tables(inst, m), m.curves, m.payment)
+        _column(tab, curve, stated) for tab, curve, stated in zip(m.tables, m.curves, m.payment)
     ]
 
 
@@ -475,7 +482,7 @@ def win_weight(inst, m, i, t_i):
     for the mechanism to be implementable.  It reads the level tables of
     the mechanism's interim tables.
     """
-    opp, A, _, _ = _tables(inst, m)[i].levels.at(i, m.curves[i].phi_ironed_at(t_i))
+    opp, A, _, _ = m.tables[_buyer(m, i)].levels.at(i, m.curves[i].phi_ironed_at(t_i))
     return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
 
 
@@ -569,7 +576,7 @@ def payment(inst, m, i, t_i):
     below the entry it is undefined and raises; a NaN type raises
     ValidationError.
     """
-    column = _column(_tables(inst, m)[i], m.curves[i], m.payment[i])
+    column = _column(m.tables[_buyer(m, i)], m.curves[i], m.payment[i])
     pay = float(_payment_at(*column, dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
@@ -625,8 +632,8 @@ def build_optimal_mechanism(inst):
 
     The interim tables stay on the returned mechanism for its consumers.
     Ironing is applied per buyer exactly when their threshold curve w is
-    not monotone.  A mechanism in which nobody ever wins is returned with
-    ``degenerate=True`` rather than treated as an error.
+    not monotone.  A mechanism in which nobody ever wins is returned as
+    ``degenerate`` rather than treated as an error.
     """
     curves = _threshold_curves(inst)
     tables = interim_tables(inst, curves)
@@ -646,8 +653,7 @@ def build_optimal_mechanism(inst):
         quality=inst.quality,
         win_weight=win_curves,
         payment=pay_curves,
-        degenerate=all(t.entry is None for t in tables),
-        tables=tuple(tables),
+        tables=tables,
     )
 
 
@@ -657,6 +663,17 @@ def build_optimal_mechanism(inst):
 
 def _arr(x):
     return np.asarray(x, dtype=float).tolist()
+
+
+def _quality_block(qm):
+    """The quality model's arrays, keyed as in a mechanism document."""
+    return {
+        "grid": qm.G.grid,
+        "g_pdf": qm.G.pdf_vals,
+        "g_cdf": qm.G.cdf_vals,
+        "alpha": qm.alpha.vals,
+        "reserve": qm.reserve.vals,
+    }
 
 
 def mechanism_to_json_dict(m):
@@ -674,20 +691,13 @@ def mechanism_to_json_dict(m):
             # the first node with a payment; written for readers, not read back
             "active_from": next((k for k, v in enumerate(pay) if v is not None), -1),
         })
-    qm = m.quality
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "threshold-mechanism",
         "tiebreak": TIEBREAK_LOWEST_INDEX,
         "degenerate": bool(m.degenerate),
         "buyers": buyers,
-        "quality": {
-            "grid": _arr(qm.G.grid),
-            "g_pdf": _arr(qm.G.pdf_vals),
-            "g_cdf": _arr(qm.G.cdf_vals),
-            "alpha": _arr(qm.alpha.vals),
-            "reserve": _arr(qm.reserve.vals),
-        },
+        "quality": {key: _arr(vals) for key, vals in _quality_block(m.quality).items()},
     }
 
 
@@ -699,15 +709,17 @@ def _index_pair(pair, size):
     return lo, hi
 
 
-def mechanism_from_json_dict(doc):
-    """Rebuild a mechanism from ``mechanism_to_json_dict``'s document.
+def mechanism_from_json_dict(doc, inst):
+    """Read ``mechanism_to_json_dict``'s document back against its instance.
 
     Raises ValidationError for a document it cannot honour: another
     schema, a tie-break rule other than lowest-index, or a missing or
     malformed field; ``payment`` is the one per-buyer array that may hold
     ``null`` (an undefined payment), every other one must hold finite
-    numbers.  Keys it does not read (such as the valuation kind
-    and type-factor tables older writers added) are ignored.
+    numbers.  The type grids and the quality block must equal the
+    instance's; the mechanism takes ``inst.quality`` and builds its
+    interim tables once, here.  Keys it does not read (``degenerate``,
+    ``active_from``, older writers' valuation fields) are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("unsupported mechanism schema version")
@@ -718,21 +730,9 @@ def mechanism_from_json_dict(doc):
             f"unsupported tiebreak {doc.get('tiebreak')!r}; "
             f"only {TIEBREAK_LOWEST_INDEX!r} is implemented"
         )
+    block = _quality_block(inst.quality)
     try:
-        q = doc["quality"]
-        grid = np.asarray(q["grid"], dtype=float)
-        G = dist.GriddedDistribution(
-            support_lo=float(grid[0]),
-            support_hi=float(grid[-1]),
-            grid=grid,
-            pdf_vals=np.asarray(q["g_pdf"], dtype=float),
-            cdf_vals=np.asarray(q["g_cdf"], dtype=float),
-        )
-        qm = make_quality_model(
-            G,
-            dist.GriddedFunction(grid, np.asarray(q["alpha"], dtype=float)),
-            dist.GriddedFunction(grid, np.asarray(q["reserve"], dtype=float)),
-        )
+        quality = {key: np.asarray(doc["quality"][key], dtype=float) for key in block}
         curves = []
         win_curves = []
         pay_curves = []
@@ -767,12 +767,16 @@ def mechanism_from_json_dict(doc):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
+    _require_grids(inst, curves, quality["grid"])
+    for key, vals in block.items():
+        if not np.array_equal(quality[key], vals):
+            raise ValidationError(f"the document's quality {key} differs from the instance's")
     return ThresholdMechanism(
         curves=curves,
-        quality=qm,
+        quality=inst.quality,
         win_weight=win_curves,
         payment=pay_curves,
-        degenerate=bool(doc.get("degenerate", False)),
+        tables=interim_tables(inst, curves),
     )
 
 

@@ -25,7 +25,7 @@ from .mechanism import (
     _columns,
     _guide_start,
     _payment_at,
-    _tables,
+    _require_grids,
     _winners,
 )
 
@@ -68,9 +68,8 @@ def revenue_direct(inst, m):
     table's quadrature points and charged where the buyer is asked
     (``_charged``): a NaN price there makes the revenue NaN.
     """
-    columns = _columns(inst, m)
-    total = _no_sale_quality_integral(inst, columns[0][0].levels)
-    for tab, pay in columns:
+    total = _no_sale_quality_integral(inst, m.tables[0].levels)
+    for tab, pay in _columns(m):
         W = tab.win[1]
         total += float(np.sum(tab.weight * tab.f * W * _charged(pay, W)))
     return total
@@ -86,7 +85,7 @@ def revenue_virtual(inst, m):
     """
     qm, val = inst.quality, inst.valuation
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for d, tab in zip(inst.buyers, _tables(inst, m)):
+    for d, tab in zip(inst.buyers, m.tables):
         X, _, Y = tab.win
         fw = tab.f * val.type_factor(tab.t)
         fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
@@ -185,15 +184,10 @@ def simulate(inst, m, n_samples, seed):
         raise ValidationError("n_samples must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    _require_grids(inst, m.curves, m.quality.G.grid)
     qm, n = inst.quality, inst.n_buyers
-    if not (
-        len(m.curves) == n
-        and np.array_equal(m.quality.G.grid, qm.G.grid)
-        and all(np.array_equal(c.type_grid, d.grid) for c, d in zip(m.curves, inst.buyers))
-    ):
-        raise ValidationError("the mechanism is tabulated on other grids than the instance")
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    columns = _columns(inst, m)
+    columns = _columns(m)
     guides = [_column_guide(tab, d.grid) for (tab, _), d in zip(columns, inst.buyers)]
     index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)

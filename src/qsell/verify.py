@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _charged, _columns, _payment_at, _tables
+from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _payment_at
 
 __all__ = [
     "FeasibilityReport",
@@ -108,14 +108,13 @@ def check_feasibility(inst, m, tol=1e-6):
     factor between two levels, and a negative factor value counts as a
     probability violation.
     """
-    columns = _columns(inst, m)
-    levels = columns[0][0].levels
+    levels = m.tables[0].levels
     q = levels.quality
     quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
     mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in levels.mass]
 
     per_buyer = []
-    for i, (d, (tab, pay)) in enumerate(zip(inst.buyers, columns)):
+    for i, (d, (tab, pay)) in enumerate(zip(inst.buyers, _columns(m))):
         r_vals = inst.valuation.type_factor_deriv(d.grid) * tab.win[0][tab.node_pos]
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
@@ -213,7 +212,7 @@ def ic_deviation_search(inst, m, n_grid=101):
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]
     per_buyer = []
-    for i, (d, column) in enumerate(zip(inst.buyers, _columns(inst, m))):
+    for i, (d, column) in enumerate(zip(inst.buyers, _columns(m))):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
         best, r_t, r_r, truth = _best_misreport(inst, m, i, column, tt)
@@ -281,7 +280,7 @@ def obedience_check(inst, m):
     """
     surplus = [np.zeros(0)]
     marginal = []
-    for tab, pay in _columns(inst, m):
+    for tab, pay in _columns(m):
         if tab.entry is None:
             marginal.append(None)
             continue
@@ -306,7 +305,7 @@ def posterior_belief(inst, m, i, t):
     this type.  The returned grid carries near-zero-width shoulder
     points so that plain trapezoid integration reproduces mass one.
     """
-    tab = _tables(inst, m)[i]
+    tab = m.tables[_buyer(m, i)]
     if tab.entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
     level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qsell
 from conftest import bimodal_density
-from qsell import dist
+from qsell import dist, mechanism
 from qsell.errors import (
     AssumptionViolationError,
     UndefinedPaymentError,
@@ -222,6 +222,27 @@ def test_payment_nan_exactly_where_never_winning(two_uniform):
     assert np.array_equal(nan_mask, tab.win[1].ravel()[tab.node_pos] <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        pytest.param(lambda inst, m, i: qsell.win_weight(inst, m, i, 0.8), id="win_weight"),
+        pytest.param(lambda inst, m, i: qsell.payment(inst, m, i, 0.8), id="payment"),
+        pytest.param(
+            lambda inst, m, i: qsell.posterior_belief(inst, m, i, 0.8), id="posterior_belief"
+        ),
+        pytest.param(lambda inst, m, i: qsell.partition_summary(inst, m, i), id="partition"),
+    ],
+)
+@pytest.mark.parametrize("end", ["below", "above"])
+def test_a_buyer_index_outside_the_buyers_is_rejected(solved_suite, read, end):
+    # -1 is not the last buyer: as buyer -1, the win weight counted the
+    # last buyer's own mass as a rival's (0.512 where buyer 2 reads 0.64)
+    inst, m = solved_suite["three-v-shape"]
+    read(inst, m, 2)
+    with pytest.raises(ValidationError, match="out of range"):
+        read(inst, m, -1 if end == "below" else inst.n_buyers)
+
+
 def test_degenerate_mechanism_flagged():
     # reserve so high nobody ever wins: xi == 5 > phi_max == 1
     qm = _constant_quality(reserve=5.0)
@@ -370,7 +391,7 @@ def test_json_roundtrip_bitexact(two_uniform):
     inst, m = two_uniform
     doc = qsell.mechanism_to_json_dict(m)
     blob = json.dumps(doc, sort_keys=True)
-    m2 = qsell.mechanism_from_json_dict(json.loads(blob))
+    m2 = qsell.mechanism_from_json_dict(json.loads(blob), inst)
     blob2 = json.dumps(qsell.mechanism_to_json_dict(m2), sort_keys=True)
     assert blob == blob2
     assert np.array_equal(m2.curves[0].phi_ironed, m.curves[0].phi_ironed)
@@ -386,7 +407,7 @@ def test_json_rejects_wrong_schema(two_uniform):
     doc = qsell.mechanism_to_json_dict(m)
     doc["schema_version"] = 999
     with pytest.raises(ValidationError):
-        qsell.mechanism_from_json_dict(doc)
+        qsell.mechanism_from_json_dict(doc, inst)
 
 
 def test_json_rejects_unsupported_tiebreak(two_uniform):
@@ -394,7 +415,7 @@ def test_json_rejects_unsupported_tiebreak(two_uniform):
     doc = qsell.mechanism_to_json_dict(m)
     doc["tiebreak"] = "random"
     with pytest.raises(ValidationError):
-        qsell.mechanism_from_json_dict(doc)
+        qsell.mechanism_from_json_dict(doc, inst)
 
 
 def test_json_rejects_missing_quality(two_uniform):
@@ -402,7 +423,7 @@ def test_json_rejects_missing_quality(two_uniform):
     doc = qsell.mechanism_to_json_dict(m)
     del doc["quality"]
     with pytest.raises(ValidationError):
-        qsell.mechanism_from_json_dict(doc)
+        qsell.mechanism_from_json_dict(doc, inst)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +451,7 @@ def test_json_rejects_malformed_fields(two_uniform, where, key, edit):
     doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
     edit((doc["buyers"][1] if where == "buyer" else doc["quality"])[key])
     with pytest.raises(ValidationError):
-        qsell.mechanism_from_json_dict(doc)
+        qsell.mechanism_from_json_dict(doc, inst)
 
 
 def test_json_loads_documents_with_valuation_keys(two_uniform):
@@ -442,10 +463,44 @@ def test_json_loads_documents_with_valuation_keys(two_uniform):
     for entry in old["buyers"]:
         entry["type_factor"] = entry["type_grid"]
         entry["type_factor_deriv"] = [1.0] * len(entry["type_grid"])
-    m2 = qsell.mechanism_from_json_dict(old)
+    m2 = qsell.mechanism_from_json_dict(old, inst)
     assert json.dumps(qsell.mechanism_to_json_dict(m2), sort_keys=True) == json.dumps(
         doc, sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        pytest.param(
+            lambda inst: dataclasses.replace(
+                inst, buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2
+            ),
+            id="type-grid",
+        ),
+        pytest.param(
+            lambda inst: dataclasses.replace(inst, quality=_constant_quality(m=129)),
+            id="quality-grid",
+        ),
+        pytest.param(
+            lambda inst: dataclasses.replace(inst, quality=_constant_quality(reserve=0.1)),
+            id="reserve",
+        ),
+    ],
+)
+def test_json_rejects_a_document_of_another_instance(two_uniform, other):
+    inst, m = two_uniform
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    with pytest.raises(ValidationError):
+        qsell.mechanism_from_json_dict(doc, other(inst))
+
+
+def test_json_degenerate_flag_is_read_off_the_tables(two_uniform):
+    inst, m = two_uniform
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    assert doc["degenerate"] is False
+    doc["degenerate"] = True
+    assert not qsell.mechanism_from_json_dict(doc, inst).degenerate
 
 
 def test_csv_export(tmp_path, posted_price):
@@ -463,7 +518,7 @@ def test_csv_export(tmp_path, posted_price):
 def test_reloaded_mechanism_allocates_identically(two_uniform):
     inst, m = two_uniform
     doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
-    m2 = qsell.mechanism_from_json_dict(doc)
+    m2 = qsell.mechanism_from_json_dict(doc, inst)
     rng = np.random.Generator(np.random.PCG64(5))
     T = rng.random((2000, 2))
     Q = rng.random(2000)
@@ -573,13 +628,31 @@ def test_mechanism_shares_its_interim_tables(solved_suite):
     repriced = dataclasses.replace(m, payment=list(m.payment))
     assert repriced.tables is m.tables
 
-    # a JSON-loaded mechanism carries no tables and rebuilds them on demand
-    m2 = qsell.mechanism_from_json_dict(json.loads(json.dumps(qsell.mechanism_to_json_dict(m))))
-    assert m2.tables is None
-    assert qsell.revenue_direct(inst, m2) == qsell.revenue_direct(inst, m)
-    assert qsell.revenue_virtual(inst, m2) == qsell.revenue_virtual(inst, m)
-    assert qsell.check_feasibility(inst, m2) == qsell.check_feasibility(inst, m)
-    assert qsell.obedience_check(inst, m2) == qsell.obedience_check(inst, m)
+
+def test_a_loaded_mechanism_builds_its_tables_once(solved_suite, monkeypatch):
+    inst, m = solved_suite["bimodal-inverse-v"]
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    build, calls = mechanism.interim_tables, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mechanism, "interim_tables", counted)
+    m2 = qsell.mechanism_from_json_dict(doc, inst)
+    assert len(calls) == 1
+    assert m2.quality is inst.quality
+    consumers = (
+        qsell.check_feasibility,
+        qsell.ic_deviation_search,
+        qsell.obedience_check,
+        qsell.revenue_direct,
+        qsell.revenue_virtual,
+    )
+    for consumer in consumers:
+        # by repr: a report may hold NaN (no deviation found)
+        assert repr(consumer(inst, m2)) == repr(consumer(inst, m)), consumer.__name__
+    assert len(calls) == 1
 
 
 def test_win_weight_constant_on_ironed_plateau():

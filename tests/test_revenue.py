@@ -201,7 +201,7 @@ def _simulate_by_interp(inst, m, n_samples, seed):
         mask = winners == i
         freq.append(float(np.mean(mask)))
         t = types[mask, i]
-        pay = _payment_at(*mechanism._columns(inst, m)[i], t)
+        pay = _payment_at(*mechanism._columns(m)[i], t)
         revenue[mask] = pay
         alpha = np.interp(q[mask], qm.G.grid, m.quality.alpha.vals)
         util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)
@@ -276,7 +276,7 @@ def test_cell_guided_column_index_matches_searchsorted(solved_suite):
     }
     hit_points = hit_flat_ends = 0
     for name, (inst, mech) in cases.items():
-        for d, (tab, pay) in zip(inst.buyers, mechanism._columns(inst, mech)):
+        for d, (tab, pay) in zip(inst.buyers, mechanism._columns(mech)):
             tc = tab.t
             guide = mechanism._column_guide(tab, d.grid)
             k, w = _guided_queries(d.grid, tc)
@@ -444,7 +444,7 @@ def test_simulation_rejects_a_mechanism_on_other_grids(two_uniform):
         qsell.simulate(coarse, mech, n_samples=100, seed=1)
     # a mechanism read back from its JSON document keeps the instance's grids
     doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(mech)))
-    loaded = qsell.mechanism_from_json_dict(doc)
+    loaded = qsell.mechanism_from_json_dict(doc, inst)
     assert qsell.simulate(inst, loaded, 1_000, 1) == qsell.simulate(inst, mech, 1_000, 1)
 
 

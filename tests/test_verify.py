@@ -114,10 +114,10 @@ def test_feasibility_reads_the_allocation_not_the_stored_win_weight():
     buyer = doc["buyers"][0]
     assert buyer["ironed_intervals"]
     buyer["phi_ironed"], buyer["ironed_intervals"] = buyer["phi"], []
-    unironed = qsell.mechanism_from_json_dict(doc)
+    unironed = qsell.mechanism_from_json_dict(doc, inst)
     tab = qsell.interim_tables(inst, unironed.curves)[0]
     buyer["payment"] = [None if np.isnan(p) else p for p in tab.pay[tab.node_pos].tolist()]
-    rep = qsell.check_feasibility(inst, qsell.mechanism_from_json_dict(doc))
+    rep = qsell.check_feasibility(inst, qsell.mechanism_from_json_dict(doc, inst))
     assert not rep.ok
     # X = P(xi <= phi) = (phi + 0.1) / 0.3 falls with phi; the largest
     # fall between neighbouring nodes is 4.8e-2 (the stored copy reads 0)
