@@ -26,7 +26,7 @@ def main():
     )
 
     mech = qsell.build_optimal_mechanism(inst)
-    revenue = qsell.revenue_direct(inst, mech)
+    revenue = qsell.revenue_direct(mech)
     print(f"optimal revenue:          {revenue:.6f}   (5/12 = {5/12:.6f})")
 
     base = qsell.myerson_baseline(inst)

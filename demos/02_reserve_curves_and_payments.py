@@ -20,21 +20,21 @@ def describe(name, reserve, alpha=1.0):
         buyers=(qsell.make_uniform(0.0, 1.0, m=1025),), quality=quality
     )
     mech = qsell.build_optimal_mechanism(inst)
-    rev = qsell.revenue_direct(inst, mech)
+    rev = qsell.revenue_direct(mech)
     entry = mech.tables[0].entry
     if entry is None:
         entry = float("nan")
     shape = qsell.classify_structure(inst.quality)
     print(f"{name:<22} revenue {rev:.5f}  entry type {entry:.4f}  "
           f"acceptance shape: {shape}")
-    return inst, mech
+    return mech
 
 
 def main():
     print("one buyer, uniform types; different retained-value curves\n")
     describe("flat r = 0", 0.0)
     describe("flat r = 0.25", 0.25)
-    inst, mech = describe("ramp r = q", lambda q: np.asarray(q, float))
+    mech = describe("ramp r = q", lambda q: np.asarray(q, float))
     describe("hill r = .5-|q-.5|", lambda q: 0.5 - np.abs(np.asarray(q, float) - 0.5))
 
     print("\nramp instance payment schedule (every 128th winning type):")
@@ -58,7 +58,7 @@ def main():
     flat = pay[np.isfinite(pay)]
     print(f"\nzero reserve: payments collapse to a posted price "
           f"{flat.min():.4f}..{flat.max():.4f} (expected 0.5),")
-    print(f"revenue {qsell.revenue_direct(inst, mech):.5f} (expected 0.25)")
+    print(f"revenue {qsell.revenue_direct(mech):.5f} (expected 0.25)")
 
 
 if __name__ == "__main__":

@@ -61,8 +61,8 @@ def main():
         print(f"  {curve.type_grid[k]:.4f}  {curve.phi[k]:+.4f}   "
               f"{curve.phi_ironed[k]:+.4f}")
 
-    rev_d = qsell.revenue_direct(inst, mech)
-    rev_v = qsell.revenue_virtual(inst, mech)
+    rev_d = qsell.revenue_direct(mech)
+    rev_v = qsell.revenue_virtual(mech)
     print(f"\nrevenue (direct quadrature):  {rev_d:.6f}")
     print(f"revenue (virtual rewrite):    {rev_v:.6f}")
 

@@ -43,7 +43,7 @@ def main():
     )
     mech = qsell.build_optimal_mechanism(inst)
     t = 0.75
-    post = qsell.posterior_belief(inst, mech, 0, t)
+    post = qsell.posterior_belief(mech, 0, t)
     mass = float(np.trapezoid(post.vals, post.grid))
     mean = float(np.trapezoid(post.vals * post.grid, post.grid))
     print(f"\nrising reserve, buyer type {t}: posterior over quality is the")
@@ -51,7 +51,7 @@ def main():
           f"(uniform prior mean was 0.5)")
 
     print("\nper-type disclosure table (rising reserve):")
-    rows = qsell.partition_summary(inst, mech, 0, types=[0.55, 0.65, 0.8, 0.95])
+    rows = qsell.partition_summary(mech, 0, types=[0.55, 0.65, 0.8, 0.95])
     print("  type   threshold  sale prob  posterior mean  acceptance")
     for row in rows:
         print(f"  {row['type']:.2f}   {row['phi_bar']:+.4f}    "
@@ -64,7 +64,7 @@ def main():
         quality=models["hill     r=.5-|q-.5|"],
     )
     mech2 = qsell.build_optimal_mechanism(inst2)
-    rows = qsell.partition_summary(inst2, mech2, 0, n_types=9)
+    rows = qsell.partition_summary(mech2, 0, n_types=9)
     two = [r for r in rows
            if r["segment_list"].count(";") == 1 and r["mass"] > 0.01]
     print(f"\nhill-shaped reserve: {len(two)} of {len(rows)} sampled types "

@@ -30,9 +30,9 @@ def main():
         quality=quality,
     )
     mech = qsell.build_optimal_mechanism(inst)
-    exact = qsell.revenue_direct(inst, mech)
+    exact = qsell.revenue_direct(mech)
 
-    report = qsell.simulate(inst, mech, n_samples=200_000, seed=7)
+    report = qsell.simulate(mech, n_samples=200_000, seed=7)
     z = (report.revenue_mean - exact) / report.revenue_stderr
     print(f"quadrature revenue:   {exact:.6f}")
     print(f"simulated revenue:    {report.revenue_mean:.6f} "
@@ -44,17 +44,17 @@ def main():
           + ", ".join(f"{u:.4f}" for u in report.per_buyer_utility_mean))
 
     print("\nfeasibility certificates:")
-    feas = qsell.check_feasibility(inst, mech)
+    feas = qsell.check_feasibility(mech)
     print(f"  win weights monotone:   violation {feas.monotonicity_violation:.2e}")
     print(f"  utility envelope:       residual  {feas.envelope_residual:.2e}")
     print(f"  bottom type earns zero: |U|       {abs(feas.boundary_utility):.2e}")
     print(f"  win probs in [0,1]:     violation {feas.probability_violation:.2e}, "
           f"largest fall of a factor table {feas.largest_fall:.2e}")
 
-    ic = qsell.ic_deviation_search(inst, mech, n_grid=101)
+    ic = qsell.ic_deviation_search(mech, n_grid=101)
     print(f"\nmisreport search over a 101x101 grid: max regret {ic.max_regret:.2e}")
 
-    obed = qsell.obedience_check(inst, mech)
+    obed = qsell.obedience_check(mech)
     print(f"asked buyers want to buy: min surplus {obed.min_surplus:+.2e}")
     for i, entry in enumerate(obed.marginal):
         if entry:
@@ -66,7 +66,7 @@ def main():
     vals = pay[0].vals - 0.1 * (pay[0].grid > 0.9)
     pay[0] = qsell.GriddedFunction(grid=pay[0].grid, vals=vals)
     broken = dataclasses.replace(mech, payment=pay)
-    ic_b = qsell.ic_deviation_search(inst, broken, n_grid=101)
+    ic_b = qsell.ic_deviation_search(broken, n_grid=101)
     print(f"\nbroken variant (discounted top payments): max regret "
           f"{ic_b.max_regret:.3f} at buyer {ic_b.worst_buyer}, "
           f"true type {ic_b.worst_true_type:.3f} -> report {ic_b.worst_report:.3f}")

@@ -166,8 +166,8 @@ def _cmd_solve(args):
         raise ConfigError(f"--csv-dir must be an existing directory, got {args.csv_dir}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
-    rev_d = revenue_direct(inst, m)
-    rev_v = revenue_virtual(inst, m)
+    rev_d = revenue_direct(m)
+    rev_v = revenue_virtual(m)
     if args.out:
         _write_json(mechanism_to_json_dict(m), args.out)
     if args.csv_dir:
@@ -201,7 +201,7 @@ def _cmd_simulate(args):
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
-    report = simulate(inst, m, n_samples=args.samples, seed=args.seed)
+    report = simulate(m, n_samples=args.samples, seed=args.seed)
     if args.out:
         _write_json(dataclasses.asdict(report), args.out)
     print(f"samples: {report.n_samples}  seed: {report.seed}")
@@ -221,9 +221,9 @@ def _cmd_verify(args):
         raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol}")
     inst = load_instance(args.config, args.grid)
     m = build_optimal_mechanism(inst)
-    feas = check_feasibility(inst, m, tol=args.tol)
-    ic = ic_deviation_search(inst, m, n_grid=args.ic_grid)
-    obed = obedience_check(inst, m)
+    feas = check_feasibility(m, tol=args.tol)
+    ic = ic_deviation_search(m, n_grid=args.ic_grid)
+    obed = obedience_check(m)
 
     ic_tol = max(args.tol, 1e-3)
     checks = [
@@ -254,11 +254,11 @@ def _cmd_compare(args):
 
     t0 = time.perf_counter()
     m = build_optimal_mechanism(inst)
-    rev = revenue_direct(inst, m)
+    rev = revenue_direct(m)
     rows.append(("optimal", rev, (time.perf_counter() - t0) * 1e3))
 
     t0 = time.perf_counter()
-    rev_v = revenue_virtual(inst, m)
+    rev_v = revenue_virtual(m)
     rows.append(("optimal-virtual-route", rev_v, (time.perf_counter() - t0) * 1e3))
 
     try:
@@ -299,7 +299,7 @@ def _cmd_info(args):
     if not 0 <= args.buyer < inst.n_buyers:
         raise ConfigError(f"buyer index {args.buyer} out of range")
     m = build_optimal_mechanism(inst)
-    rows = partition_summary(inst, m, args.buyer, types=types, n_types=args.n_types)
+    rows = partition_summary(m, args.buyer, types=types, n_types=args.n_types)
     if args.out:
         partition_summary_csv(rows, args.out)
     print(f"reserve_shape: {classify_structure(inst.quality)}")

@@ -64,9 +64,10 @@ def acceptance_set(qm, v):
     The sublevel set {q : xi(q) <= v} of the quality support, with
     endpoints located by linear interpolation inside grid cells.
     Boundary points with xi(q) = v exactly are included, matching the
-    weak inequality used by the allocation rule.
+    weak inequality used by the allocation rule.  A NaN v raises
+    ValidationError.
     """
-    qgrid, xi, c = qm.xi.grid, qm.xi.vals, float(v)
+    qgrid, xi, c = qm.xi.grid, qm.xi.vals, float(dist._validated_query(v))
     # An interval starts in a cell that enters {xi <= c} (a > c >= b) and
     # ends in one that leaves it (a <= c < b), at the crossing on the
     # cell's line; an entry whose right node sits on c starts at that node
@@ -108,7 +109,7 @@ def classify_structure(qm):
     return "segments"
 
 
-def partition_summary(inst, m, i=0, types=None, n_types=21):
+def partition_summary(m, i=0, types=None, n_types=21):
     """Sweep winner types and tabulate what acceptance reveals.
 
     One row per type: the threshold level, the acceptance set written
@@ -120,8 +121,8 @@ def partition_summary(inst, m, i=0, types=None, n_types=21):
     if types is None:
         types = np.linspace(curve.type_grid[0], curve.type_grid[-1], n_types)
     types = np.asarray(types, dtype=float)
-    levels = np.interp(types, curve.type_grid, curve.phi_ironed)
-    qm = m.quality
+    levels = curve.phi_ironed_at(types)
+    qm = m.inst.quality
     g = qm.G.pdf_vals
     masses, moments = dist.sublevel_integral(
         qm.G.grid, qm.xi.vals, np.stack((g, qm.G.grid * g)), levels, True

@@ -194,23 +194,26 @@ class Signal:
 class ThresholdMechanism:
     """A solved mechanism: threshold curves plus tabulated interim data.
 
-    ``payment[i]`` is buyer i's envelope payment tabulated on their type
-    grid; it holds NaN where the interim win probability is at most 1e-12
-    (payments are undefined there) but at an entry.  ``payment``, revenue,
-    simulation and the verifiers all read it through the interim table's
-    payment column, so they share one payment rule.  ``win_weight[i]`` is
-    b' * X at the nodes, written out for readers; the verifiers read X.
-    ``tables`` holds the per-buyer ``InterimTable`` objects, built once by
-    the solve or the loader from the instance and the threshold curves;
-    every consumer reads them.  Each table's ``entry`` is the lowest type
-    at which that buyer is asked; ``degenerate`` (no buyer has one, so
-    nobody ever wins) is a valid mechanism, not an error.  The tables do
-    not depend on the payments, so ``dataclasses.replace`` with new ones
-    keeps them valid, and the new node table is what the consumers read.
+    ``inst`` is the ``ProblemInstance`` it was solved on or read back
+    against: every reader takes the mechanism alone and reads the buyers,
+    the quality model and the valuation there.  ``payment[i]`` is buyer
+    i's envelope payment tabulated on their type grid; it holds NaN where
+    the interim win probability is at most 1e-12 (payments are undefined
+    there) but at an entry.  ``payment``, revenue, simulation and the
+    verifiers all read it through the interim table's payment column, so
+    they share one payment rule.  ``win_weight[i]`` is b' * X at the
+    nodes, written out for readers; the verifiers read X.  ``tables``
+    holds the per-buyer ``InterimTable`` objects, built once by the solve
+    or the loader from ``inst`` and the threshold curves; every consumer
+    reads them.  Each table's ``entry`` is the lowest type at which that
+    buyer is asked; ``degenerate`` (no buyer has one, so nobody ever
+    wins) is a valid mechanism, not an error.  The tables do not depend
+    on the payments, so ``dataclasses.replace`` with new ones keeps them
+    valid, and the new node table is what the consumers read.
     """
 
     curves: list
-    quality: QualityModel
+    inst: ProblemInstance
     win_weight: list
     payment: list
     tables: tuple = field(compare=False, repr=False)
@@ -229,14 +232,6 @@ def _buyer(m, i):
     if not 0 <= i < m.n_buyers:
         raise ValidationError(f"buyer index {i} is out of range for {m.n_buyers} buyers")
     return i
-
-
-def _require_grids(inst, curves, quality_grid):
-    """Raise ValidationError unless quality_grid and the curves' type grids are inst's."""
-    grids = [quality_grid] + [c.type_grid for c in curves]
-    wanted = [inst.quality.G.grid] + [d.grid for d in inst.buyers]
-    if len(grids) != len(wanted) or not all(map(np.array_equal, grids, wanted)):
-        raise ValidationError("the mechanism is tabulated on other grids than the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +274,7 @@ def allocate_many(m, types, qualities):
     """
     types = np.asarray(types, dtype=float)
     levels = (c.phi_ironed_at(types[:, i]) for i, c in enumerate(m.curves))
-    xi = xi_at(m.quality, qualities)
+    xi = xi_at(m.inst.quality, qualities)
     return _winners(levels, lambda: xi)
 
 
@@ -474,7 +469,7 @@ def _columns(m):
     ]
 
 
-def win_weight(inst, m, i, t_i):
+def win_weight(m, i, t_i):
     """Derivative-weighted interim win probability of buyer i at type t_i.
 
     For the linear form this is the alpha-weighted win probability; it is
@@ -483,7 +478,7 @@ def win_weight(inst, m, i, t_i):
     the mechanism's interim tables.
     """
     opp, A, _, _ = m.tables[_buyer(m, i)].levels.at(i, m.curves[i].phi_ironed_at(t_i))
-    return float(inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
+    return float(m.inst.valuation.type_factor_deriv(np.asarray([t_i]))[0] * opp * A)
 
 
 def _charged(pay, W):
@@ -565,7 +560,7 @@ def _payment_at(tab, pay, t, start=None):
     return p0 + (pay[k1] - p0) * frac
 
 
-def payment(inst, m, i, t_i):
+def payment(m, i, t_i):
     """Envelope payment of buyer i at type t_i.
 
     Interim expected value minus accumulated information rents, divided
@@ -630,7 +625,7 @@ def _threshold_curves(inst):
 def build_optimal_mechanism(inst):
     """Solve the instance: threshold curves, interim tables, win weights, payments.
 
-    The interim tables stay on the returned mechanism for its consumers.
+    The instance and the interim tables stay on the returned mechanism.
     Ironing is applied per buyer exactly when their threshold curve w is
     not monotone.  A mechanism in which nobody ever wins is returned as
     ``degenerate`` rather than treated as an error.
@@ -650,7 +645,7 @@ def build_optimal_mechanism(inst):
 
     return ThresholdMechanism(
         curves=curves,
-        quality=inst.quality,
+        inst=inst,
         win_weight=win_curves,
         payment=pay_curves,
         tables=tables,
@@ -697,7 +692,7 @@ def mechanism_to_json_dict(m):
         "tiebreak": TIEBREAK_LOWEST_INDEX,
         "degenerate": bool(m.degenerate),
         "buyers": buyers,
-        "quality": {key: _arr(vals) for key, vals in _quality_block(m.quality).items()},
+        "quality": {key: _arr(vals) for key, vals in _quality_block(m.inst.quality).items()},
     }
 
 
@@ -717,8 +712,8 @@ def mechanism_from_json_dict(doc, inst):
     malformed field; ``payment`` is the one per-buyer array that may hold
     ``null`` (an undefined payment), every other one must hold finite
     numbers.  The type grids and the quality block must equal the
-    instance's; the mechanism takes ``inst.quality`` and builds its
-    interim tables once, here.  Keys it does not read (``degenerate``,
+    instance's; the mechanism keeps ``inst`` and builds its interim
+    tables once, here.  Keys it does not read (``degenerate``,
     ``active_from``, older writers' valuation fields) are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -767,13 +762,16 @@ def mechanism_from_json_dict(doc, inst):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
-    _require_grids(inst, curves, quality["grid"])
+    if len(curves) != inst.n_buyers or not all(
+        np.array_equal(c.type_grid, d.grid) for c, d in zip(curves, inst.buyers)
+    ):
+        raise ValidationError("the document's type grids differ from the instance's")
     for key, vals in block.items():
         if not np.array_equal(quality[key], vals):
             raise ValidationError(f"the document's quality {key} differs from the instance's")
     return ThresholdMechanism(
         curves=curves,
-        quality=inst.quality,
+        inst=inst,
         win_weight=win_curves,
         payment=pay_curves,
         tables=interim_tables(inst, curves),

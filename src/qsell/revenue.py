@@ -25,7 +25,6 @@ from .mechanism import (
     _columns,
     _guide_start,
     _payment_at,
-    _require_grids,
     _winners,
 )
 
@@ -45,37 +44,37 @@ __all__ = [
 # expected revenue, direct route
 
 
-def _no_sale_quality_integral(inst, levels):
-    """Integral over quality of reserve * g * P(nobody clears xi(q)).
+def _no_sale_quality_integral(m):
+    """Integral over quality of reserve * g * P(nobody clears xi(q)) under m.
 
-    ``levels`` are the solve's level tables.  Nobody clears xi when every
-    threshold lies strictly below it.  The quality cells are cut where xi
-    meets a break of a buyer's mass table, so the integrand is a
-    polynomial in q of degree n + 1 on each piece, which the n + 2 point
-    rule integrates exactly.
+    It reads m's level tables.  Nobody clears xi when every threshold
+    lies strictly below it.  The quality cells are cut where xi meets a
+    break of a buyer's mass table, so the integrand is a polynomial in q
+    of degree n + 1 on each piece, which the n + 2 point rule integrates
+    exactly.
     """
-    qm = inst.quality
+    qm, levels = m.inst.quality, m.tables[0].levels
     cuts = np.concatenate([t.breaks for t in levels.mass])
-    q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, inst.n_buyers + 2)
+    q, c, weight, _ = dist.cut_quadrature(qm.G.grid, qm.xi.vals, cuts, m.n_buyers + 2)
     rg = np.interp(q, qm.G.grid, qm.integrands[2])
     return float(np.sum(weight * rg * levels.opp(None, c, pieces=True)))
 
 
-def revenue_direct(inst, m):
+def revenue_direct(m):
     """Expected revenue as payments collected plus reserve value retained.
 
     Payments are the mechanism's payment column, read at the interim
     table's quadrature points and charged where the buyer is asked
     (``_charged``): a NaN price there makes the revenue NaN.
     """
-    total = _no_sale_quality_integral(inst, m.tables[0].levels)
+    total = _no_sale_quality_integral(m)
     for tab, pay in _columns(m):
         W = tab.win[1]
         total += float(np.sum(tab.weight * tab.f * W * _charged(pay, W)))
     return total
 
 
-def revenue_virtual(inst, m):
+def revenue_virtual(m):
     """Expected revenue as reserve value plus allocated virtual surplus.
 
     Buyer i's virtual surplus density is f * w * opp * A - f * opp * C
@@ -83,9 +82,9 @@ def revenue_virtual(inst, m):
     constant on each type cell; integrating the payments by parts gives
     the same, so the routes must agree.
     """
-    qm, val = inst.quality, inst.valuation
+    qm, val = m.inst.quality, m.inst.valuation
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for d, tab in zip(inst.buyers, m.tables):
+    for d, tab in zip(m.inst.buyers, m.tables):
         X, _, Y = tab.win
         fw = tab.f * val.type_factor(tab.t)
         fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
@@ -161,30 +160,29 @@ def _run_blocks(work, n_blocks):
         raise errors[0]
 
 
-def simulate(inst, m, n_samples, seed):
+def simulate(m, n_samples, seed):
     """Monte-Carlo run of a mechanism; reproducible for a fixed seed.
 
-    Types and quality are drawn by quantile transform from independent
-    child streams of one seed sequence.  The samples run in blocks of
-    ``_SAMPLE_BLOCK``, on one thread per usable core; a block advances
-    each stream to its first sample, so it draws exactly the stretch
-    that one draw of the whole stream would, and reports are
-    bit-identical across runs with the same arguments, whatever the
-    block size or the number of cores.  Each stream's draws go through
+    Types and quality are drawn from the mechanism's instance ``m.inst``
+    by quantile transform, from independent child streams of one seed
+    sequence.  The samples run in blocks of ``_SAMPLE_BLOCK``, on one
+    thread per usable core; a block advances each stream to its first
+    sample, so it draws exactly the stretch that one draw of the whole
+    stream would, and reports are bit-identical across runs with the
+    same arguments, whatever the block size or the number of cores.  Each stream's draws go through
     one cdf cell lookup, and its cells k and fractions w are kept: every
     value is read at (k, w) only where it is used.  xi and each buyer's
     threshold level are read at every sample; the reserve at the samples
     that keep the item; a winner's type and alpha, and its payment, at
     that buyer's wins.  The payment's column index steps up from a
     per-call guide entry for the winner's cell and sub-bucket
-    (``_column_guide``).  The mechanism must be solved on the instance's
-    grids.
+    (``_column_guide``).
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    _require_grids(inst, m.curves, m.quality.G.grid)
+    inst = m.inst
     qm, n = inst.quality, inst.n_buyers
     children = np.random.SeedSequence(seed).spawn(n + 1)
     columns = _columns(m)
@@ -208,7 +206,7 @@ def simulate(inst, m, n_samples, seed):
         # each level is read when the leader loop reaches it, and xi after
         # them all, so the block never holds these columns side by side
         levels = (dist._cell_read(c.phi_ironed, k, w) for c, (k, w) in zip(m.curves, cells))
-        winners = _winners(levels, lambda: dist._cell_read(m.quality.xi.vals, kq, wq), index_type)
+        winners = _winners(levels, lambda: dist._cell_read(qm.xi.vals, kq, wq), index_type)
         rev = revenue[lo:hi]
 
         def quality_at(col, idx):
@@ -220,7 +218,7 @@ def simulate(inst, m, n_samples, seed):
             t = dist._cell_read(inst.buyers[i].grid, k, w)
             pay = _payment_at(*columns[i], t, _guide_start(guides[i], k, w))
             rev[won] = pay
-            alpha = quality_at(m.quality.alpha.vals, won)
+            alpha = quality_at(qm.alpha.vals, won)
             surplus[i][b] = inst.valuation.type_factor(t) * alpha - pay
 
         kept = np.flatnonzero(winners < 0)

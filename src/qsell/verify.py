@@ -80,17 +80,17 @@ def _fall_and_floor(coef, strict, weak):
     return float(np.max(np.maximum.accumulate(path) - path)), float(np.min(path))
 
 
-def _utility_column(inst, tab, pay):
-    """W and the interim utility U = b * X - pay * W on a payment column.
+def _utility_column(m, tab, pay):
+    """W and the interim utility U = b * X - pay * W on one of m's payment columns.
 
     One entry per point ``tab.t``; pay is the column the node table
     states, charged by ``_charged``.
     """
     X, W, _ = tab.win
-    return W, inst.valuation.type_factor(tab.t) * X - _charged(pay, W) * W
+    return W, m.inst.valuation.type_factor(tab.t) * X - _charged(pay, W) * W
 
 
-def check_feasibility(inst, m, tol=1e-6):
+def check_feasibility(m, tol=1e-6):
     """Verify the implementability side of a mechanism.
 
     Checks that every win weight b' * X, read off the interim table at
@@ -114,13 +114,13 @@ def check_feasibility(inst, m, tol=1e-6):
     mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in levels.mass]
 
     per_buyer = []
-    for i, (d, (tab, pay)) in enumerate(zip(inst.buyers, _columns(m))):
-        r_vals = inst.valuation.type_factor_deriv(d.grid) * tab.win[0][tab.node_pos]
+    for i, (d, (tab, pay)) in enumerate(zip(m.inst.buyers, _columns(m))):
+        r_vals = m.inst.valuation.type_factor_deriv(d.grid) * tab.win[0][tab.node_pos]
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
         mono_i = float(np.max([-np.min(np.diff(r_vals)), 0.0])) if r_vals.size > 1 else 0.0
 
-        _, U = _utility_column(inst, tab, pay)
+        _, U = _utility_column(m, tab, pay)
         env_i = float(np.max(np.abs(U - tab.I)))
         bound_i = float(abs(U[0]))
 
@@ -170,9 +170,9 @@ class ICReport:
     per_buyer: tuple
 
 
-def _utility_matrix(inst, m, i, column, true_types, reports):
+def _utility_matrix(m, i, column, true_types, reports):
     """Expected utility of each (true type, reported type) pair on buyer i's column."""
-    b_fn = inst.valuation.type_factor
+    b_fn = m.inst.valuation.type_factor
     opp, A, B, _ = column[0].levels.at(i, m.curves[i].phi_ironed_at(reports))
     W = opp * B
     win_value = opp * A                      # multiplies b(true type)
@@ -180,7 +180,7 @@ def _utility_matrix(inst, m, i, column, true_types, reports):
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
-def _best_misreport(inst, m, i, column, tt, rr=None):
+def _best_misreport(m, i, column, tt, rr=None):
     """The most profitable report in rr (tt if None) for each true type in tt.
 
     Returns the largest gain with its true type and report, and the
@@ -189,14 +189,14 @@ def _best_misreport(inst, m, i, column, tt, rr=None):
     """
     square = rr is None
     rr = tt if square else rr
-    U = _utility_matrix(inst, m, i, column, tt, rr if square else np.concatenate((rr, tt)))
+    U = _utility_matrix(m, i, column, tt, rr if square else np.concatenate((rr, tt)))
     truth = np.diag(U[:, -tt.size:])
     gain = U[:, : rr.size] - truth[:, None]
     r, c = divmod(int(np.argmax(gain)), rr.size)
     return float(gain[r, c]), float(tt[r]), float(rr[c]), truth
 
 
-def ic_deviation_search(inst, m, n_grid=101):
+def ic_deviation_search(m, n_grid=101):
     """Search misreports (and exit) for profitable deviations.
 
     Utilities are computed exactly at every point of an n_grid-point type
@@ -212,19 +212,19 @@ def ic_deviation_search(inst, m, n_grid=101):
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]
     per_buyer = []
-    for i, (d, column) in enumerate(zip(inst.buyers, _columns(m))):
+    for i, (d, column) in enumerate(zip(m.inst.buyers, _columns(m))):
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
-        best, r_t, r_r, truth = _best_misreport(inst, m, i, column, tt)
+        best, r_t, r_r, truth = _best_misreport(m, i, column, tt)
         # walking away is always available: read on the grid and at every
         # point of the payment column; the first largest, so a NaN wins
-        walk = np.concatenate((-truth, -_utility_column(inst, *column)[1]))
+        walk = np.concatenate((-truth, -_utility_column(m, *column)[1]))
         k = int(np.argmax(walk))
         exit_regret, exit_type = float(walk[k]), float(np.append(tt, column[0].t)[k])
         if n_grid > 2:
             step = (hi - lo) / (n_grid - 1)
             window = [np.linspace(max(lo, x - step), min(hi, x + step), 11) for x in (r_t, r_r)]
-            fine = _best_misreport(inst, m, i, column, *window)
+            fine = _best_misreport(m, i, column, *window)
             if fine[0] > best:
                 best, r_t, r_r = fine[:3]
 
@@ -264,7 +264,7 @@ class ObedienceReport:
     marginal: tuple  # per buyer: (entry_type, surplus_just_above_entry) or None
 
 
-def obedience_check(inst, m):
+def obedience_check(m):
     """Expected surplus of an asked buyer must be non-negative at every type.
 
     The payment is charged only on purchase, so an asked buyer's surplus
@@ -284,7 +284,7 @@ def obedience_check(inst, m):
         if tab.entry is None:
             marginal.append(None)
             continue
-        W, U = _utility_column(inst, tab, pay)
+        W, U = _utility_column(m, tab, pay)
         asked = W > WIN_PROB_FLOOR
         surplus.append(U[asked] / W[asked])
         solved, stated = (_payment_at(tab, p, tab.entry) for p in (tab.pay, pay))
@@ -297,7 +297,7 @@ def obedience_check(inst, m):
     )
 
 
-def posterior_belief(inst, m, i, t):
+def posterior_belief(m, i, t):
     """Posterior quality density of buyer i at type t given being asked.
 
     The prior truncated to the acceptance set and renormalized.  Raises
@@ -308,15 +308,14 @@ def posterior_belief(inst, m, i, t):
     tab = m.tables[_buyer(m, i)]
     if tab.entry is None:
         raise UndefinedPosteriorError(f"buyer {i} is never asked")
-    level = float(np.interp(t, m.curves[i].type_grid, m.curves[i].phi_ironed))
+    level = m.curves[i].phi_ironed_at(t)
     opp, _, B, _ = tab.levels.at(i, level)
     if opp * B <= WIN_PROB_FLOOR:
         raise UndefinedPosteriorError(
             f"buyer {i} at type {t} is asked with probability ~0"
         )
-    s = info.acceptance_set(m.quality, level)
-
-    qm = m.quality
+    qm = m.inst.quality
+    s = info.acceptance_set(qm, level)
     qgrid = qm.G.grid
     gpdf = qm.G.pdf_vals
     span = float(qgrid[-1] - qgrid[0])

@@ -85,7 +85,7 @@ def test_criterion_01_quality_blind_reduction_two_uniform_buyers():
         quality=qm,
     )
     mech = qsell.build_optimal_mechanism(inst)
-    rev = qsell.revenue_direct(inst, mech)
+    rev = qsell.revenue_direct(mech)
     assert rev == pytest.approx(5.0 / 12.0, abs=1e-4)
 
     base = qsell.myerson_baseline(inst)
@@ -110,7 +110,7 @@ def test_criterion_02_posted_price_reduction_single_buyer(posted_price):
     assert np.all(np.isfinite(pay[on]))
     worst = float(np.max(np.abs(pay[on] - 0.5)))
     assert worst <= 1e-4
-    rev = qsell.revenue_direct(inst, mech)
+    rev = qsell.revenue_direct(mech)
     assert rev == pytest.approx(0.25, abs=1e-4)
     _line(2, f"payment flat at 0.5 (max dev {worst:.1e}), revenue {rev:.6f}")
 
@@ -134,8 +134,8 @@ def test_criterion_04_two_revenue_routes_agree_across_suite():
     gaps = {}
     for name, inst in build_suite().items():
         mech = qsell.build_optimal_mechanism(inst)
-        rd = qsell.revenue_direct(inst, mech)
-        rv = qsell.revenue_virtual(inst, mech)
+        rd = qsell.revenue_direct(mech)
+        rv = qsell.revenue_virtual(mech)
         gaps[name] = abs(rd - rv) / max(abs(rd), abs(rv), 1e-12)
     elapsed = time.perf_counter() - t0
     assert len(gaps) >= 6
@@ -149,7 +149,7 @@ def test_criterion_04_two_revenue_routes_agree_across_suite():
 def test_criterion_05_feasibility_certificates(solved_suite):
     worst = {"mono": 0.0, "env": 0.0, "bnd": 0.0, "prob": 0.0}
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.check_feasibility(inst, mech)
+        rep = qsell.check_feasibility(mech)
         assert rep.monotonicity_violation <= 1e-6, name
         assert rep.envelope_residual <= 1e-6, name
         assert abs(rep.boundary_utility) <= 1e-6, name
@@ -166,16 +166,16 @@ def test_criterion_05_feasibility_certificates(solved_suite):
 def test_criterion_06_misreport_regret_and_negative_controls(solved_suite):
     worst = 0.0
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.ic_deviation_search(inst, mech, n_grid=101)
+        rep = qsell.ic_deviation_search(mech, n_grid=101)
         assert rep.max_regret <= 1e-3, name
         worst = max(worst, rep.max_regret)
 
     inst, mech = solved_suite["posted-price"]
     grid = mech.payment[0].grid
     discounted = _with_payment(mech, 0, mech.payment[0].vals - 0.1 * (grid > 0.9))
-    r1 = qsell.ic_deviation_search(inst, discounted, n_grid=101).max_regret
+    r1 = qsell.ic_deviation_search(discounted, n_grid=101).max_regret
     extractive = _with_payment(mech, 0, grid.copy())
-    r2 = qsell.ic_deviation_search(inst, extractive, n_grid=101).max_regret
+    r2 = qsell.ic_deviation_search(extractive, n_grid=101).max_regret
     assert r1 > 0.05 and r2 > 0.05
     _line(6, f"honest regret <= {worst:.1e}; broken mechanisms flagged "
              f"with regret {r1:.3f} and {r2:.3f}")
@@ -184,7 +184,7 @@ def test_criterion_06_misreport_regret_and_negative_controls(solved_suite):
 def test_criterion_07_asked_buyers_want_to_buy(solved_suite):
     worst_min, worst_marginal = 0.0, 0.0
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.obedience_check(inst, mech)
+        rep = qsell.obedience_check(mech)
         assert rep.min_surplus >= -1e-6, name
         worst_min = min(worst_min, rep.min_surplus)
         for entry in rep.marginal:
@@ -287,7 +287,7 @@ def test_criterion_10_acceptance_set_structure():
     t = 0.75
     level = float(np.interp(t, mech.curves[0].type_grid, mech.curves[0].phi_ironed))
     accept = qsell.acceptance_set(inst.quality, level)
-    post = qsell.posterior_belief(inst, mech, 0, t)
+    post = qsell.posterior_belief(mech, 0, t)
     cell = float(np.max(np.diff(inst.quality.G.grid)))
     support = post.grid[post.vals > 1e-12]
     lo, hi = accept.intervals[0][0], accept.intervals[-1][1]
@@ -300,7 +300,7 @@ def test_criterion_10_acceptance_set_structure():
 def test_criterion_11_dominates_every_constant_price(solved_suite):
     margins = {}
     for name, (inst, mech) in solved_suite.items():
-        rd = qsell.revenue_direct(inst, mech)
+        rd = qsell.revenue_direct(mech)
         cp = qsell.best_constant_price(inst)
         assert rd >= cp.revenue - 1e-9, name
         margins[name] = rd - cp.revenue

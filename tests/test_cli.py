@@ -478,7 +478,7 @@ def test_the_shared_parser_keeps_no_flags_between_calls(tmp_path, capsys, monkey
 
     buyers = []
 
-    def summary(inst, m, buyer, **kwargs):
+    def summary(m, buyer, **kwargs):
         buyers.append(buyer)
         return []
 

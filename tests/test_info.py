@@ -101,6 +101,17 @@ def test_acceptance_set_empty_and_full():
     assert full.intervals == ((0.0, 1.0),)
 
 
+def test_a_nan_level_or_type_is_rejected(solved_suite):
+    # a NaN level fails every comparison, so it read as the empty set
+    with pytest.raises(qsell.ValidationError, match="NaN"):
+        qsell.acceptance_set(QM_RAMP, float("nan"))
+    _, mech = solved_suite["reserve-ramp"]
+    with pytest.raises(qsell.ValidationError, match="NaN"):
+        qsell.posterior_belief(mech, 0, float("nan"))
+    with pytest.raises(qsell.ValidationError, match="NaN"):
+        qsell.partition_summary(mech, 0, types=[0.5, float("nan")])
+
+
 @pytest.mark.parametrize(
     "qm,v",
     [(QM_RAMP, 0.37), (QM_FALL, 0.11), (QM_V, 0.42), (QM_INV_V, 0.26)],
@@ -285,7 +296,7 @@ def test_upper_class_means_sets_anchor_at_top():
 
 def test_partition_rows_constant_reserve_full_or_empty(posted_price):
     inst, mech = posted_price
-    rows = qsell.partition_summary(inst, mech, 0, n_types=11)
+    rows = qsell.partition_summary(mech, 0, n_types=11)
     span = inst.quality.G.grid[-1] - inst.quality.G.grid[0]
     for row in rows:
         if row["segment_list"]:
@@ -301,7 +312,7 @@ def test_partition_row_uniform_ramp(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
     # phi(t) = 2t - 1 = 0.5 at t = 0.75: acceptance is [0, 0.5] so the
     # prior mass is 0.5 and the posterior mean quality is 0.25.
-    rows = qsell.partition_summary(inst, mech, 0, types=[0.75])
+    rows = qsell.partition_summary(mech, 0, types=[0.75])
     row = rows[0]
     assert row["phi_bar"] == pytest.approx(0.5, abs=1e-9)
     assert row["mass"] == pytest.approx(0.5, abs=1e-9)
@@ -317,7 +328,7 @@ def test_partition_rows_match_acceptance_sets(solved_suite):
         G = inst.quality.G
         g = qsell.GriddedFunction(G.grid, G.pdf_vals)
         qg = qsell.GriddedFunction(G.grid, G.grid * G.pdf_vals)
-        rows = qsell.partition_summary(inst, mech, buyer, n_types=15)
+        rows = qsell.partition_summary(mech, buyer, n_types=15)
         seen_segments = 0
         for row in rows:
             s = qsell.acceptance_set(inst.quality, row["phi_bar"])
@@ -334,7 +345,7 @@ def test_partition_rows_match_acceptance_sets(solved_suite):
 
 def test_partition_rows_two_segment_shape(solved_suite):
     inst, mech = solved_suite["bimodal-inverse-v"]
-    rows = qsell.partition_summary(inst, mech, 0, n_types=21)
+    rows = qsell.partition_summary(mech, 0, n_types=21)
     n_segments = [len(r["segment_list"].split(";")) if r["segment_list"] else 0
                   for r in rows]
     assert max(n_segments) == 2
@@ -342,7 +353,7 @@ def test_partition_rows_two_segment_shape(solved_suite):
 
 def test_partition_summary_csv_roundtrip(tmp_path, solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
-    rows = qsell.partition_summary(inst, mech, 0, n_types=9)
+    rows = qsell.partition_summary(mech, 0, n_types=9)
     path = tmp_path / "partition.csv"
     qsell.partition_summary_csv(rows, str(path))
     with open(path, newline="") as fh:
@@ -370,7 +381,7 @@ def test_partition_summary_csv_roundtrip(tmp_path, solved_suite):
 
 def test_posterior_is_truncated_prior(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
-    post = qsell.posterior_belief(inst, mech, 0, 0.75)
+    post = qsell.posterior_belief(mech, 0, 0.75)
     # mass exactly one under trapezoid integration on its own grid
     assert np.trapezoid(post.vals, post.grid) == pytest.approx(1.0, abs=1e-9)
     # uniform prior truncated to [0, 0.5]: density 2 inside
@@ -396,15 +407,15 @@ def test_posterior_ignores_the_scale_of_alpha_and_reserve(solved_suite, name, t)
     )
     mech_s = qsell.build_optimal_mechanism(scaled)
     assert [t.entry for t in mech_s.tables] == [t.entry for t in mech.tables]
-    want = qsell.posterior_belief(inst, mech, 0, t)
-    got = qsell.posterior_belief(scaled, mech_s, 0, t)
+    want = qsell.posterior_belief(mech, 0, t)
+    got = qsell.posterior_belief(mech_s, 0, t)
     np.testing.assert_allclose(got.grid, want.grid, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(got.vals, want.vals, rtol=1e-12, atol=0.0)
 
 
 def test_posterior_no_information_equals_prior(posted_price):
     inst, mech = posted_price
-    post = qsell.posterior_belief(inst, mech, 0, 0.9)
+    post = qsell.posterior_belief(mech, 0, 0.9)
     # constant reserve below the threshold reveals nothing
     assert np.allclose(
         np.interp(inst.quality.G.grid, post.grid, post.vals),
@@ -427,7 +438,7 @@ def test_posterior_two_segments_zero_in_gap(solved_suite):
                 t = float(tt)
                 break
     assert t is not None
-    post = qsell.posterior_belief(inst, mech, 0, t)
+    post = qsell.posterior_belief(mech, 0, t)
     assert np.trapezoid(post.vals, post.grid) == pytest.approx(1.0, abs=1e-9)
     mid = np.interp(0.5, post.grid, post.vals)
     assert mid == pytest.approx(0.0, abs=1e-12)
@@ -438,7 +449,7 @@ def test_posterior_support_matches_acceptance_set(solved_suite):
     t = 0.9
     level = float(np.interp(t, mech.curves[0].type_grid, mech.curves[0].phi_ironed))
     s = qsell.acceptance_set(inst.quality, level)
-    post = qsell.posterior_belief(inst, mech, 0, t)
+    post = qsell.posterior_belief(mech, 0, t)
     cell = float(np.max(np.diff(inst.quality.G.grid)))
     support = post.grid[post.vals > 1e-12]
     assert support.min() >= s.intervals[0][0] - cell
@@ -448,7 +459,7 @@ def test_posterior_support_matches_acceptance_set(solved_suite):
 def test_posterior_undefined_below_threshold(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
     with pytest.raises(qsell.UndefinedPosteriorError):
-        qsell.posterior_belief(inst, mech, 0, 0.1)
+        qsell.posterior_belief(mech, 0, 0.1)
 
 
 def test_posterior_undefined_when_never_asked():
@@ -459,4 +470,4 @@ def test_posterior_undefined_when_never_asked():
     inst = qsell.ProblemInstance(buyers=(buyer,), quality=quality)
     mech = qsell.build_optimal_mechanism(inst)
     with pytest.raises(qsell.UndefinedPosteriorError):
-        qsell.posterior_belief(inst, mech, 0, 0.99)
+        qsell.posterior_belief(mech, 0, 0.99)

@@ -108,9 +108,9 @@ def test_a_nan_type_is_rejected_not_read_as_a_level(two_uniform):
     with pytest.raises(ValidationError, match="NaN"):
         qsell.allocate(m, [np.nan, 0.9], 0.5)
     with pytest.raises(ValidationError, match="NaN"):
-        qsell.payment(inst, m, 0, float("nan"))
+        qsell.payment(m, 0, float("nan"))
     with pytest.raises(ValidationError, match="NaN"):
-        qsell.win_weight(inst, m, 0, float("nan"))
+        qsell.win_weight(m, 0, float("nan"))
     for read in (m.curves[0].phi_at, m.curves[0].phi_ironed_at):
         with pytest.raises(ValidationError, match="NaN"):
             read([0.5, np.nan])
@@ -132,17 +132,17 @@ def test_curve_reads_clamp_outside_the_grid_and_give_floats(two_uniform):
 def test_win_weight_single_buyer_posted_price(posted_price):
     inst, m = posted_price
     # R(t) = 1{phi(t) >= 0} = 1{t >= 1/2} for one uniform buyer, xi == 0
-    assert qsell.win_weight(inst, m, 0, 0.75) == pytest.approx(1.0, abs=1e-12)
-    assert qsell.win_weight(inst, m, 0, 0.25) == pytest.approx(0.0, abs=1e-12)
+    assert qsell.win_weight(m, 0, 0.75) == pytest.approx(1.0, abs=1e-12)
+    assert qsell.win_weight(m, 0, 0.25) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_win_weight_two_uniform(two_uniform):
     inst, m = two_uniform
     # R(t) = t for t >= 1/2 (opponent below with prob t), 0 below
     for t in [0.5, 0.6, 0.8, 1.0]:
-        got = qsell.win_weight(inst, m, 0, t)
+        got = qsell.win_weight(m, 0, t)
         assert got == pytest.approx(t, abs=1e-9), t
-    assert qsell.win_weight(inst, m, 0, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert qsell.win_weight(m, 0, 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_win_weight_scales_with_alpha():
@@ -151,7 +151,7 @@ def test_win_weight_scales_with_alpha():
     d = qsell.make_uniform(0.0, 1.0, m=1025)
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
     m = qsell.build_optimal_mechanism(inst)
-    assert qsell.win_weight(inst, m, 0, 0.8) == pytest.approx(2.0, abs=1e-12)
+    assert qsell.win_weight(m, 0, 0.8) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_win_weight_reserve_ramp():
@@ -163,7 +163,7 @@ def test_win_weight_reserve_ramp():
     m = qsell.build_optimal_mechanism(inst)
     for t in [0.2, 0.5, 0.7, 0.9, 1.0]:
         want = float(np.clip(2 * t - 1, 0.0, 1.0))
-        assert qsell.win_weight(inst, m, 0, t) == pytest.approx(want, abs=1e-9)
+        assert qsell.win_weight(m, 0, t) == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_win_weight_reserve_ramp():
 def test_payment_posted_price_is_constant(posted_price):
     inst, m = posted_price
     for t in np.linspace(0.5, 1.0, 7):
-        assert qsell.payment(inst, m, 0, float(t)) == (
+        assert qsell.payment(m, 0, float(t)) == (
             pytest.approx(0.5, abs=1e-9)
         )
 
@@ -181,7 +181,7 @@ def test_payment_posted_price_is_constant(posted_price):
 def test_payment_undefined_below_threshold(posted_price):
     inst, m = posted_price
     with pytest.raises(UndefinedPaymentError):
-        qsell.payment(inst, m, 0, 0.25)
+        qsell.payment(m, 0, 0.25)
 
 
 def test_payment_defined_at_the_bottom_type_when_every_type_wins():
@@ -192,7 +192,7 @@ def test_payment_defined_at_the_bottom_type_when_every_type_wins():
     m = qsell.build_optimal_mechanism(inst)
     assert m.tables[0].entry == 0.0
     for t in (0.0, 0.5, 1.0):
-        assert qsell.payment(inst, m, 0, t) == pytest.approx(0.0, abs=1e-12)
+        assert qsell.payment(m, 0, t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_payment_two_uniform_analytic(two_uniform):
@@ -200,7 +200,7 @@ def test_payment_two_uniform_analytic(two_uniform):
     # p(t) = t/2 + 1/(8t): second-price value conditional on winning at reserve 1/2
     for t in [0.5, 0.7, 0.9, 1.0]:
         want = t / 2.0 + 1.0 / (8.0 * t)
-        got = qsell.payment(inst, m, 0, t)
+        got = qsell.payment(m, 0, t)
         assert got == pytest.approx(want, abs=1e-6), t
 
 
@@ -210,7 +210,7 @@ def test_payment_tabulated_matches_formula(two_uniform):
     grid = inst.buyers[0].grid
     for k in [512, 700, 1024]:
         t = float(grid[k])
-        assert qsell.payment(inst, m, 0, t) == pytest.approx(
+        assert qsell.payment(m, 0, t) == pytest.approx(
             m.payment[0].vals[k], abs=1e-12
         )
 
@@ -225,22 +225,22 @@ def test_payment_nan_exactly_where_never_winning(two_uniform):
 @pytest.mark.parametrize(
     "read",
     [
-        pytest.param(lambda inst, m, i: qsell.win_weight(inst, m, i, 0.8), id="win_weight"),
-        pytest.param(lambda inst, m, i: qsell.payment(inst, m, i, 0.8), id="payment"),
+        pytest.param(lambda m, i: qsell.win_weight(m, i, 0.8), id="win_weight"),
+        pytest.param(lambda m, i: qsell.payment(m, i, 0.8), id="payment"),
         pytest.param(
-            lambda inst, m, i: qsell.posterior_belief(inst, m, i, 0.8), id="posterior_belief"
+            lambda m, i: qsell.posterior_belief(m, i, 0.8), id="posterior_belief"
         ),
-        pytest.param(lambda inst, m, i: qsell.partition_summary(inst, m, i), id="partition"),
+        pytest.param(lambda m, i: qsell.partition_summary(m, i), id="partition"),
     ],
 )
 @pytest.mark.parametrize("end", ["below", "above"])
 def test_a_buyer_index_outside_the_buyers_is_rejected(solved_suite, read, end):
     # -1 is not the last buyer: as buyer -1, the win weight counted the
     # last buyer's own mass as a rival's (0.512 where buyer 2 reads 0.64)
-    inst, m = solved_suite["three-v-shape"]
-    read(inst, m, 2)
+    _, m = solved_suite["three-v-shape"]
+    read(m, 2)
     with pytest.raises(ValidationError, match="out of range"):
-        read(inst, m, -1 if end == "below" else inst.n_buyers)
+        read(m, -1 if end == "below" else m.n_buyers)
 
 
 def test_degenerate_mechanism_flagged():
@@ -253,7 +253,7 @@ def test_degenerate_mechanism_flagged():
     assert m.tables[0].entry is None
     assert np.all(np.isnan(m.payment[0].vals))
     with pytest.raises(UndefinedPaymentError):
-        qsell.payment(inst, m, 0, 0.9)
+        qsell.payment(m, 0, 0.9)
     sig = qsell.allocate(m, [1.0], 0.5)
     assert not sig.is_sale
 
@@ -350,8 +350,8 @@ def test_power_one_builds_the_linear_mechanism(solved_suite):
         assert np.array_equal(tab.t, tab2.t)
         assert np.array_equal(tab.pay, tab2.pay, equal_nan=True)
         assert np.array_equal(tab.win, tab2.win)
-    assert qsell.revenue_direct(twin, m2) == qsell.revenue_direct(inst, m)
-    assert qsell.revenue_virtual(twin, m2) == qsell.revenue_virtual(inst, m)
+    assert qsell.revenue_direct(m2) == qsell.revenue_direct(m)
+    assert qsell.revenue_virtual(m2) == qsell.revenue_virtual(m)
 
 
 def _ironed_general_instance(n, m):
@@ -372,13 +372,13 @@ def test_ironed_general_instance_verifies_and_refines(n):
     for m in (257, 1025, 4097):
         inst = _ironed_general_instance(n, m)
         mech = qsell.build_optimal_mechanism(inst)
-        revenue[m] = qsell.revenue_direct(inst, mech)
+        revenue[m] = qsell.revenue_direct(mech)
         # the routes integrate the same pieces with the same rule
-        assert abs(revenue[m] - qsell.revenue_virtual(inst, mech)) <= 1e-12, m
+        assert abs(revenue[m] - qsell.revenue_virtual(mech)) <= 1e-12, m
     assert mech.curves[0].ironed_intervals
-    assert qsell.check_feasibility(inst, mech).ok
-    assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-4
-    assert qsell.obedience_check(inst, mech).min_surplus >= -1e-9
+    assert qsell.check_feasibility(mech).ok
+    assert qsell.ic_deviation_search(mech).max_regret <= 1e-4
+    assert qsell.obedience_check(mech).min_surplus >= -1e-9
     # 4(m - 1) + 1 refinement: the revenue's change must shrink at least threefold
     assert abs(revenue[4097] - revenue[1025]) <= abs(revenue[1025] - revenue[257]) / 3.0
 
@@ -641,7 +641,7 @@ def test_a_loaded_mechanism_builds_its_tables_once(solved_suite, monkeypatch):
     monkeypatch.setattr(mechanism, "interim_tables", counted)
     m2 = qsell.mechanism_from_json_dict(doc, inst)
     assert len(calls) == 1
-    assert m2.quality is inst.quality
+    assert m2.inst is inst
     consumers = (
         qsell.check_feasibility,
         qsell.ic_deviation_search,
@@ -651,7 +651,7 @@ def test_a_loaded_mechanism_builds_its_tables_once(solved_suite, monkeypatch):
     )
     for consumer in consumers:
         # by repr: a report may hold NaN (no deviation found)
-        assert repr(consumer(inst, m2)) == repr(consumer(inst, m)), consumer.__name__
+        assert repr(consumer(m2)) == repr(consumer(m)), consumer.__name__
     assert len(calls) == 1
 
 
@@ -685,7 +685,7 @@ def test_at_most_one_buyer_asked(t1, t2, q):
     if sig.buyer is not None:
         # the asked buyer's level clears the reserve ratio and the opponent's
         lev = [m.curves[i].phi_ironed_at([t1, t2][i]) for i in range(2)]
-        assert lev[sig.buyer] >= qsell.xi_at(m.quality, q) - 1e-12
+        assert lev[sig.buyer] >= qsell.xi_at(m.inst.quality, q) - 1e-12
         assert lev[sig.buyer] >= max(lev) - 1e-12
 
 

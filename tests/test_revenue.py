@@ -45,14 +45,14 @@ def _degenerate_instance():
 
 def test_posted_price_revenue_both_routes(posted_price):
     inst, mech = posted_price
-    assert qsell.revenue_direct(inst, mech) == pytest.approx(0.25, abs=1e-6)
-    assert qsell.revenue_virtual(inst, mech) == pytest.approx(0.25, abs=1e-6)
+    assert qsell.revenue_direct(mech) == pytest.approx(0.25, abs=1e-6)
+    assert qsell.revenue_virtual(mech) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_two_uniform_revenue_both_routes(two_uniform):
     inst, mech = two_uniform
-    assert qsell.revenue_direct(inst, mech) == pytest.approx(5.0 / 12.0, abs=1e-6)
-    assert qsell.revenue_virtual(inst, mech) == pytest.approx(5.0 / 12.0, abs=1e-6)
+    assert qsell.revenue_direct(mech) == pytest.approx(5.0 / 12.0, abs=1e-6)
+    assert qsell.revenue_virtual(mech) == pytest.approx(5.0 / 12.0, abs=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -63,13 +63,13 @@ def test_virtual_route_is_exact_on_uniform_grids(solved_suite, name, exact):
     # linear, so the cut quadrature leaves only rounding (trapezoids over
     # the nodes were 3.2e-7 and 1.6e-7 off).
     inst, mech = solved_suite[name]
-    assert qsell.revenue_virtual(inst, mech) == pytest.approx(exact, abs=1e-9)
+    assert qsell.revenue_virtual(mech) == pytest.approx(exact, abs=1e-9)
 
 
 def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
-    direct = qsell.revenue_direct(inst, mech)
-    virtual = qsell.revenue_virtual(inst, mech)
+    direct = qsell.revenue_direct(mech)
+    virtual = qsell.revenue_virtual(mech)
     assert direct == pytest.approx(virtual, rel=1e-6)
 
 
@@ -83,8 +83,8 @@ def test_routes_agree_when_xi_crosses_and_touches_a_plateau_level(n_buyers):
     assert np.sum(xi == L) == 1 and np.sum((xi[:-1] - L) * (xi[1:] - L) < 0) == 3
     inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
-    direct = qsell.revenue_direct(inst, mech)
-    assert direct == pytest.approx(qsell.revenue_virtual(inst, mech), abs=1e-4)
+    direct = qsell.revenue_direct(mech)
+    assert direct == pytest.approx(qsell.revenue_virtual(mech), abs=1e-4)
 
 
 @pytest.mark.parametrize("n_buyers", [1, 2])
@@ -102,9 +102,28 @@ def test_tied_plateaus_refine_with_routes_agreeing_to_rounding(n_buyers):
         inst = qsell.ProblemInstance(buyers=(make_bimodal(m),) * n_buyers, quality=qm)
         mech = qsell.build_optimal_mechanism(inst)
         assert mech.curves[0].ironed_intervals
-        revenue[m] = qsell.revenue_direct(inst, mech)
-        assert abs(revenue[m] - qsell.revenue_virtual(inst, mech)) <= 1e-12, m
+        revenue[m] = qsell.revenue_direct(mech)
+        assert abs(revenue[m] - qsell.revenue_virtual(mech)) <= 1e-12, m
     assert abs(revenue[4097] - revenue[1025]) <= abs(revenue[1025] - revenue[257]) / 3.0
+
+
+def test_every_revenue_reader_reads_the_instance_the_mechanism_was_solved_on(two_uniform):
+    # Two uniform buyers, reserve 0.3: sell when max(t1, t2) >= 0.65, so the
+    # revenue is 0.3 + integral over [0.65, 1] of (2x - 1.3) * 2x dx.  Read
+    # with the reserve-0 mechanism, the three routes gave 0.5434, 0.7167
+    # and 0.4917.
+    inst, _ = two_uniform
+    reserved = dataclasses.replace(
+        inst, quality=qsell.make_quality_model(inst.quality.G, 1.0, 0.3)
+    )
+    mech = qsell.build_optimal_mechanism(reserved)
+    assert mech.inst is reserved
+    direct = qsell.revenue_direct(mech)
+    exact = 0.3 + (4.0 / 3.0 - 1.3) - (4.0 / 3.0 * 0.65**3 - 1.3 * 0.65**2)
+    assert direct == pytest.approx(exact, abs=1e-9)
+    assert abs(direct - qsell.revenue_virtual(mech)) <= 1e-12
+    rep = qsell.simulate(mech, 20_000, 3)
+    assert abs(rep.revenue_mean - direct) <= 5.0 * rep.revenue_stderr
 
 
 def test_degenerate_mechanism_revenue_is_retained_value():
@@ -112,8 +131,8 @@ def test_degenerate_mechanism_revenue_is_retained_value():
     mech = qsell.build_optimal_mechanism(inst)
     assert mech.degenerate
     # The item is always kept, so both routes return E[reserve] = 5.
-    assert qsell.revenue_direct(inst, mech) == pytest.approx(5.0, abs=1e-9)
-    assert qsell.revenue_virtual(inst, mech) == pytest.approx(5.0, abs=1e-9)
+    assert qsell.revenue_direct(mech) == pytest.approx(5.0, abs=1e-9)
+    assert qsell.revenue_virtual(mech) == pytest.approx(5.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +142,15 @@ def test_degenerate_mechanism_revenue_is_retained_value():
 
 def test_simulation_is_bit_identical_for_fixed_seed(two_uniform):
     inst, mech = two_uniform
-    a = qsell.simulate(inst, mech, n_samples=2000, seed=7)
-    b = qsell.simulate(inst, mech, n_samples=2000, seed=7)
+    a = qsell.simulate(mech, n_samples=2000, seed=7)
+    b = qsell.simulate(mech, n_samples=2000, seed=7)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 def test_simulation_depends_on_seed(two_uniform):
     inst, mech = two_uniform
-    a = qsell.simulate(inst, mech, n_samples=2000, seed=7)
-    b = qsell.simulate(inst, mech, n_samples=2000, seed=8)
+    a = qsell.simulate(mech, n_samples=2000, seed=7)
+    b = qsell.simulate(mech, n_samples=2000, seed=8)
     assert a.revenue_mean != b.revenue_mean
 
 
@@ -139,13 +158,13 @@ def test_simulation_depends_on_seed(two_uniform):
 def test_simulation_rejects_bad_sample_count_and_seed(two_uniform, n_samples, seed):
     inst, mech = two_uniform
     with pytest.raises(qsell.ValidationError):
-        qsell.simulate(inst, mech, n_samples=n_samples, seed=seed)
+        qsell.simulate(mech, n_samples=n_samples, seed=seed)
 
 
 def test_simulation_matches_exact_revenue(two_uniform):
     inst, mech = two_uniform
-    rep = qsell.simulate(inst, mech, n_samples=50_000, seed=11)
-    exact = qsell.revenue_direct(inst, mech)
+    rep = qsell.simulate(mech, n_samples=50_000, seed=11)
+    exact = qsell.revenue_direct(mech)
     assert abs(rep.revenue_mean - exact) < 4.0 * rep.revenue_stderr
     # P(sale) = P(max(t1, t2) >= 1/2) = 3/4; binomial four-sigma band.
     sale_se = math.sqrt(0.75 * 0.25 / rep.n_samples)
@@ -167,7 +186,7 @@ def test_simulation_matches_exact_revenue(two_uniform):
 def test_simulation_on_degenerate_instance_never_sells():
     inst = _degenerate_instance()
     mech = qsell.build_optimal_mechanism(inst)
-    rep = qsell.simulate(inst, mech, n_samples=500, seed=3)
+    rep = qsell.simulate(mech, n_samples=500, seed=3)
     assert rep.sale_frequency == 0.0
     assert rep.allocation_frequency == (1.0, 0.0)
     assert rep.per_buyer_utility_mean == (0.0,)
@@ -175,13 +194,14 @@ def test_simulation_on_degenerate_instance_never_sells():
     assert rep.revenue_stderr == 0.0
 
 
-def _simulate_by_interp(inst, m, n_samples, seed):
+def _simulate_by_interp(m, n_samples, seed):
     """The former sampling path, kept as the reference for ``simulate``.
 
     Every quantile and curve is its own np.interp, and the winner is the
     argmax of an (n_samples x n) level matrix.  Returns the allocation
     frequencies, the revenue mean and the per-buyer utility means.
     """
+    inst = m.inst
     n, qm = inst.n_buyers, inst.quality
     children = np.random.SeedSequence(seed).spawn(n + 1)
     u = [np.random.Generator(np.random.PCG64(c)).random(n_samples) for c in children]
@@ -194,7 +214,7 @@ def _simulate_by_interp(inst, m, n_samples, seed):
     )
     winners = np.argmax(levels, axis=1)
     best = levels[np.arange(n_samples), winners]
-    winners = np.where(best >= np.interp(q, qm.G.grid, m.quality.xi.vals), winners, -1)
+    winners = np.where(best >= np.interp(q, qm.G.grid, qm.xi.vals), winners, -1)
     revenue = np.interp(q, qm.G.grid, qm.reserve.vals)
     freq, util = [float(np.mean(winners < 0))], []
     for i in range(n):
@@ -203,7 +223,7 @@ def _simulate_by_interp(inst, m, n_samples, seed):
         t = types[mask, i]
         pay = _payment_at(*mechanism._columns(m)[i], t)
         revenue[mask] = pay
-        alpha = np.interp(q[mask], qm.G.grid, m.quality.alpha.vals)
+        alpha = np.interp(q[mask], qm.G.grid, qm.alpha.vals)
         util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)
     return freq, float(np.mean(revenue)), util
 
@@ -221,8 +241,8 @@ def _tied_bimodal_pair():
 def test_simulation_matches_the_interp_reference(solved_suite):
     cases = {**solved_suite, "tied-bimodal-pair": _tied_bimodal_pair()}
     for name, (inst, mech) in cases.items():
-        rep = qsell.simulate(inst, mech, n_samples=50_000, seed=5)
-        freq, mean, util = _simulate_by_interp(inst, mech, 50_000, 5)
+        rep = qsell.simulate(mech, n_samples=50_000, seed=5)
+        freq, mean, util = _simulate_by_interp(mech, 50_000, 5)
         assert list(rep.allocation_frequency) == freq, name
         assert abs(rep.revenue_mean - mean) <= 1e-12, name
         assert np.max(np.abs(np.subtract(rep.per_buyer_utility_mean, util))) <= 1e-12, name
@@ -315,7 +335,7 @@ def test_simulation_block_boundaries_are_invisible(two_uniform, monkeypatch, wor
             reports = []
             for block in (B, 1, default):
                 monkeypatch.setattr(revenue, "_SAMPLE_BLOCK", block)
-                reports.append(dataclasses.asdict(qsell.simulate(inst, mech, n, 4)))
+                reports.append(dataclasses.asdict(qsell.simulate(mech, n, 4)))
             assert reports[0] == reports[1] == reports[2], n
 
 
@@ -383,7 +403,7 @@ def test_simulation_reports_are_pinned_bit_for_bit(solved_suite, monkeypatch, co
     monkeypatch.setattr(revenue, "_usable_cores", lambda: cores)
     for (name, n, seed), want in _PINNED_REPORTS.items():
         inst, mech = solved_suite[name]
-        report = dataclasses.asdict(qsell.simulate(inst, mech, n, seed))
+        report = dataclasses.asdict(qsell.simulate(mech, n, seed))
         assert {key: _hexed(v) for key, v in report.items()} == want, (name, n, seed)
 
 
@@ -410,7 +430,7 @@ def test_simulation_threads_share_blocks_stop_and_raise(two_uniform, monkeypatch
     inst, mech = two_uniform
     monkeypatch.setattr(revenue, "_SAMPLE_BLOCK", 1_000)
     monkeypatch.setattr(revenue, "_usable_cores", lambda: 1)
-    serial = qsell.simulate(inst, mech, 10_007, 3)
+    serial = qsell.simulate(mech, 10_007, 3)
     # More threads than cores, switching as often as the interpreter allows:
     # a block run twice or skipped would change the report.
     monkeypatch.setattr(revenue, "_usable_cores", lambda: 8)
@@ -418,7 +438,7 @@ def test_simulation_threads_share_blocks_stop_and_raise(two_uniform, monkeypatch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _within(60, lambda: qsell.simulate(inst, mech, 10_007, 3)) == serial
+        assert _within(60, lambda: qsell.simulate(mech, 10_007, 3)) == serial
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -431,21 +451,15 @@ def test_simulation_threads_share_blocks_stop_and_raise(two_uniform, monkeypatch
 
     monkeypatch.setattr(revenue, "_payment_at", fail)
     with pytest.raises(PaymentFailed, match="inside a block"):
-        _within(60, lambda: qsell.simulate(inst, mech, 10_007, 3))
+        _within(60, lambda: qsell.simulate(mech, 10_007, 3))
     assert threading.active_count() == before
 
 
-def test_simulation_rejects_a_mechanism_on_other_grids(two_uniform):
+def test_a_mechanism_read_back_from_json_simulates_as_solved(two_uniform):
     inst, mech = two_uniform
-    coarse = qsell.ProblemInstance(
-        buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 2, quality=inst.quality
-    )
-    with pytest.raises(qsell.ValidationError):
-        qsell.simulate(coarse, mech, n_samples=100, seed=1)
-    # a mechanism read back from its JSON document keeps the instance's grids
     doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(mech)))
     loaded = qsell.mechanism_from_json_dict(doc, inst)
-    assert qsell.simulate(inst, loaded, 1_000, 1) == qsell.simulate(inst, mech, 1_000, 1)
+    assert qsell.simulate(loaded, 1_000, 1) == qsell.simulate(mech, 1_000, 1)
 
 
 def test_simulation_peak_memory(monkeypatch):
@@ -459,7 +473,7 @@ def test_simulation_peak_memory(monkeypatch):
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: q)
     inst = qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=257),) * 3, quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
-    assert traced_peak(lambda: qsell.simulate(inst, mech, 200_000, 7)) <= 8.5e6
+    assert traced_peak(lambda: qsell.simulate(mech, 200_000, 7)) <= 8.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +516,7 @@ def test_best_constant_price_two_uniform(two_uniform):
     assert base.price == pytest.approx(1.0 / math.sqrt(3.0), abs=2e-3)
     assert base.revenue == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), abs=1e-5)
     # Adaptive pricing strictly beats any single price here.
-    assert qsell.revenue_direct(inst, mech) > base.revenue + 0.01
+    assert qsell.revenue_direct(mech) > base.revenue + 0.01
 
 
 def test_best_constant_price_single_buyer_equals_optimum(posted_price):
@@ -512,7 +526,7 @@ def test_best_constant_price_single_buyer_equals_optimum(posted_price):
     # already optimal, so the benchmark ties the mechanism.
     assert base.price == pytest.approx(0.5, abs=2e-3)
     assert base.revenue == pytest.approx(0.25, abs=1e-5)
-    assert qsell.revenue_direct(inst, mech) >= base.revenue - 1e-9
+    assert qsell.revenue_direct(mech) >= base.revenue - 1e-9
 
 
 def _tied_cutoff_instance(reserve):
@@ -702,7 +716,7 @@ def test_best_constant_price_peak_memory():
 def test_optimal_mechanism_dominates_constant_price(solved_suite):
     for name, (inst, mech) in solved_suite.items():
         base = qsell.best_constant_price(inst)
-        assert qsell.revenue_direct(inst, mech) >= base.revenue - 1e-9, name
+        assert qsell.revenue_direct(mech) >= base.revenue - 1e-9, name
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +726,7 @@ def test_optimal_mechanism_dominates_constant_price(solved_suite):
 
 def test_ramp_revenue_matches_finite_oracle_at_200x200(solved_suite):
     inst, mech = solved_suite["reserve-ramp"]
-    exact = qsell.revenue_direct(inst, mech)
+    exact = qsell.revenue_direct(mech)
 
     # Midpoint discretization: 200 equiprobable type cells x 200 quality
     # cells of the same uniform model (alpha = 1, reserve(q) = q).

@@ -82,7 +82,7 @@ def _oracle_allocation_value(dinst, alloc):
 
 def test_built_mechanisms_are_feasible(solved_suite):
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.check_feasibility(inst, mech)
+        rep = qsell.check_feasibility(mech)
         assert rep.ok, (name, rep)
         assert rep.monotonicity_violation <= 1e-6, name
         assert rep.envelope_residual <= 1e-6, name
@@ -95,7 +95,7 @@ def test_feasibility_detects_underpaid_top_types(posted_price):
     grid = mech.payment[0].grid
     vals = mech.payment[0].vals - 0.1 * (grid > 0.9)
     broken = _with_payment(mech, 0, vals)
-    rep = qsell.check_feasibility(inst, broken)
+    rep = qsell.check_feasibility(broken)
     assert not rep.ok
     # Envelope off by the discount times the win probability (one here).
     assert rep.envelope_residual == pytest.approx(0.1, abs=5e-3)
@@ -117,7 +117,7 @@ def test_feasibility_reads_the_allocation_not_the_stored_win_weight():
     unironed = qsell.mechanism_from_json_dict(doc, inst)
     tab = qsell.interim_tables(inst, unironed.curves)[0]
     buyer["payment"] = [None if np.isnan(p) else p for p in tab.pay[tab.node_pos].tolist()]
-    rep = qsell.check_feasibility(inst, qsell.mechanism_from_json_dict(doc, inst))
+    rep = qsell.check_feasibility(qsell.mechanism_from_json_dict(doc, inst))
     assert not rep.ok
     # X = P(xi <= phi) = (phi + 0.1) / 0.3 falls with phi; the largest
     # fall between neighbouring nodes is 4.8e-2 (the stored copy reads 0)
@@ -143,8 +143,8 @@ def test_feasibility_detects_a_corrupted_level_table(posted_price):
         q, **{f: getattr(q, f) * double_B for f in ("weak", "strict", "coef")}
     )
     broken = _with_levels(mech, quality=bad_q)
-    assert qsell.check_feasibility(inst, mech).probability_violation == 0.0
-    rep = qsell.check_feasibility(inst, broken)
+    assert qsell.check_feasibility(mech).probability_violation == 0.0
+    rep = qsell.check_feasibility(broken)
     assert not rep.ok
     assert rep.probability_violation == pytest.approx(1.0, abs=1e-12)
     assert rep.per_buyer[0]["probability_violation"] == pytest.approx(1.0, abs=1e-12)
@@ -174,7 +174,7 @@ def test_feasibility_flags_a_falling_factor(two_uniform, case):
     else:
         strict[j] = mass.weak[j] + 0.05
         drop = 0.05
-    rep = qsell.check_feasibility(inst, _with_broken_mass(mech, coef=coef, strict=strict))
+    rep = qsell.check_feasibility(_with_broken_mass(mech, coef=coef, strict=strict))
     # buyer 0's mass is a factor of buyer 1's win probability only
     assert not rep.ok
     assert rep.largest_fall == pytest.approx(drop, abs=1e-12)
@@ -192,7 +192,7 @@ def test_feasibility_flags_a_factor_below_zero(two_uniform):
     broken = _with_broken_mass(
         mech, coef=mass.coef - shift, strict=mass.strict - 0.05, weak=mass.weak - 0.05
     )
-    rep = qsell.check_feasibility(inst, broken)
+    rep = qsell.check_feasibility(broken)
     assert not rep.ok
     assert rep.largest_fall <= 1e-15
     assert rep.per_buyer[1]["win_probability_range"][0] >= 0.0
@@ -206,7 +206,7 @@ def test_feasibility_certificate_matches_a_dense_read(solved_suite):
     # certified range and reaches both of its ends.
     rng = np.random.Generator(np.random.PCG64(20240816))
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.check_feasibility(inst, mech)
+        rep = qsell.check_feasibility(mech)
         assert rep.probability_violation <= 1e-15, name
         assert rep.largest_fall <= 1e-15, name
         for i, (d, tab) in enumerate(zip(inst.buyers, mech.tables)):
@@ -223,7 +223,7 @@ def test_feasibility_certificate_matches_a_dense_read(solved_suite):
 
 def test_feasibility_report_has_per_buyer_entries(two_uniform):
     inst, mech = two_uniform
-    rep = qsell.check_feasibility(inst, mech)
+    rep = qsell.check_feasibility(mech)
     assert len(rep.per_buyer) == 2
 
 
@@ -234,13 +234,13 @@ def test_feasibility_report_has_per_buyer_entries(two_uniform):
 
 def test_ic_holds_on_built_mechanisms(solved_suite):
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.ic_deviation_search(inst, mech, n_grid=101)
+        rep = qsell.ic_deviation_search(mech, n_grid=101)
         assert rep.max_regret <= 1e-3, (name, rep.max_regret)
 
 
 def test_posted_price_misreports_are_payoff_equivalent(posted_price):
     inst, mech = posted_price
-    rep = qsell.ic_deviation_search(inst, mech, n_grid=101)
+    rep = qsell.ic_deviation_search(mech, n_grid=101)
     # Constant payment on the winning region: any winning report costs
     # the same 1/2, so regret is numerically zero.
     assert rep.max_regret <= 1e-9
@@ -250,7 +250,7 @@ def test_ic_detects_underpriced_top_reports(posted_price):
     inst, mech = posted_price
     grid = mech.payment[0].grid
     broken = _with_payment(mech, 0, mech.payment[0].vals - 0.1 * (grid > 0.9))
-    rep = qsell.ic_deviation_search(inst, broken, n_grid=101)
+    rep = qsell.ic_deviation_search(broken, n_grid=101)
     # Types just below 0.9 over-report into the discount window.
     assert rep.max_regret == pytest.approx(0.1, abs=5e-3)
     assert rep.worst_buyer == 0
@@ -261,7 +261,7 @@ def test_ic_detects_full_surplus_extraction(posted_price):
     inst, mech = posted_price
     grid = mech.payment[0].grid
     broken = _with_payment(mech, 0, grid.copy())  # pay your report
-    rep = qsell.ic_deviation_search(inst, broken, n_grid=101)
+    rep = qsell.ic_deviation_search(broken, n_grid=101)
     # The top type reports the lowest winning type and keeps 1 - 1/2.
     assert rep.max_regret == pytest.approx(0.5, abs=5e-3)
     assert rep.max_regret > 0.1
@@ -274,7 +274,7 @@ def test_ic_detects_full_surplus_extraction(posted_price):
 
 def test_asked_buyers_want_to_buy(solved_suite):
     for name, (inst, mech) in solved_suite.items():
-        rep = qsell.obedience_check(inst, mech)
+        rep = qsell.obedience_check(mech)
         assert rep.min_surplus >= -1e-6, (name, rep.min_surplus)
 
 
@@ -283,7 +283,7 @@ def test_marginal_buyer_is_indifferent(solved_suite, name):
     # posted-price enters by a jump in the win probability at t = 1/2,
     # reserve-ramp (r(q) = q) by a continuous crossing at the same type
     inst, mech = solved_suite[name]
-    rep = qsell.obedience_check(inst, mech)
+    rep = qsell.obedience_check(mech)
     entry, surplus = rep.marginal[0]
     assert entry == pytest.approx(0.5, abs=1e-12)
     assert surplus == pytest.approx(0.0, abs=1e-9)
@@ -302,7 +302,7 @@ def test_types_just_above_a_node_entry_keep_their_surplus():
         buyers=(qsell.make_uniform(0.0, 1.0, m=257),),
         quality=_one_quality_model(257, 1.0, lambda q: np.asarray(q, float)),
     )
-    rep = qsell.obedience_check(inst, qsell.build_optimal_mechanism(inst))
+    rep = qsell.obedience_check(qsell.build_optimal_mechanism(inst))
     assert rep.min_surplus >= -1e-9
 
 
@@ -318,7 +318,7 @@ def test_entry_at_an_isolated_minimum_of_xi_is_indifferent():
             lambda q: np.asarray(q, float) * (1.0 + np.asarray(q, float)),
         ),
     )
-    rep = qsell.obedience_check(inst, qsell.build_optimal_mechanism(inst))
+    rep = qsell.obedience_check(qsell.build_optimal_mechanism(inst))
     entry, surplus = rep.marginal[0]
     assert entry == pytest.approx(0.5, abs=1e-12)
     assert abs(surplus) <= 1e-9
@@ -337,7 +337,7 @@ def test_stepped_reserve_leaves_no_profitable_misreport(n_buyers):
         buyers=(qsell.make_uniform(0.0, 1.0, m=m),) * n_buyers,
         quality=_one_quality_model(m, 1.0, qsell.GriddedFunction(q, steps)),
     )
-    rep = qsell.ic_deviation_search(inst, qsell.build_optimal_mechanism(inst), n_grid=101)
+    rep = qsell.ic_deviation_search(qsell.build_optimal_mechanism(inst), n_grid=101)
     assert rep.max_regret <= 1e-4
 
 
@@ -354,14 +354,14 @@ def test_kink_between_type_nodes_leaves_no_ic_residue():
     )
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
     mech = qsell.build_optimal_mechanism(inst)
-    assert qsell.ic_deviation_search(inst, mech).max_regret <= 1e-12
-    assert qsell.obedience_check(inst, mech).min_surplus >= 0.0
+    assert qsell.ic_deviation_search(mech).max_regret <= 1e-12
+    assert qsell.obedience_check(mech).min_surplus >= 0.0
 
 
 def _utility(inst, mech, i, t, r):
     """Interim utility of buyer i with linear value t reporting r."""
     opp, A, B, _ = mech.tables[i].levels.at(i, mech.curves[i].phi_ironed_at(r))
-    return t * opp * A - opp * B * qsell.payment(inst, mech, i, r)
+    return t * opp * A - opp * B * qsell.payment(mech, i, r)
 
 
 @pytest.mark.parametrize("n_buyers", [2, 3])
@@ -388,13 +388,13 @@ def test_types_at_the_ends_of_a_tied_plateau_gain_nothing_by_misreporting(n_buye
 def test_ic_search_needs_two_grid_points(posted_price, n_grid):
     inst, mech = posted_price
     with pytest.raises(qsell.ValidationError, match="n_grid"):
-        qsell.ic_deviation_search(inst, mech, n_grid=n_grid)
+        qsell.ic_deviation_search(mech, n_grid=n_grid)
 
 
 def test_obedience_detects_overcharging(posted_price):
     inst, mech = posted_price
     broken = _with_payment(mech, 0, mech.payment[0].vals + 0.05)
-    rep = qsell.obedience_check(inst, broken)
+    rep = qsell.obedience_check(broken)
     assert rep.min_surplus == pytest.approx(-0.05, abs=1e-3)
 
 
@@ -412,7 +412,7 @@ def test_obedience_detects_an_overcharge_at_one_node():
     mech = qsell.build_optimal_mechanism(inst)
     vals = mech.payment[0].vals.copy()
     vals[(m - 1) // 2 + 3] += 0.05
-    rep = qsell.obedience_check(inst, _with_payment(mech, 0, vals))
+    rep = qsell.obedience_check(_with_payment(mech, 0, vals))
     assert rep.min_surplus <= -0.04
 
 
@@ -420,7 +420,7 @@ def test_a_jump_entry_leaves_no_obedience_surplus(posted_price):
     # The win probability jumps at the entry t = 1/2, where the solve's
     # payment gives U = I = 0, so the least surplus U / W is 0.
     inst, mech = posted_price
-    assert abs(qsell.obedience_check(inst, mech).min_surplus) <= 1e-12
+    assert abs(qsell.obedience_check(mech).min_surplus) <= 1e-12
 
 
 @pytest.mark.parametrize("buyer", [0, 1])
@@ -439,10 +439,10 @@ def test_a_missing_price_where_a_buyer_is_asked_reaches_every_reader(node, buyer
     vals = mech.payment[buyer].vals.copy()
     vals[node] = np.nan
     broken = _with_payment(mech, buyer, vals)
-    assert not qsell.check_feasibility(inst, broken).ok
-    assert np.isnan(qsell.obedience_check(inst, broken).min_surplus)
-    assert np.isnan(qsell.revenue_direct(inst, broken))
-    ic = qsell.ic_deviation_search(inst, broken)
+    assert not qsell.check_feasibility(broken).ok
+    assert np.isnan(qsell.obedience_check(broken).min_surplus)
+    assert np.isnan(qsell.revenue_direct(broken))
+    ic = qsell.ic_deviation_search(broken)
     assert np.isnan(ic.max_regret)
     assert (ic.worst_buyer, ic.worst_true_type) == (buyer, node / 64)
 
@@ -451,8 +451,8 @@ def test_obedience_agrees_with_boundary_ir(solved_suite):
     # Non-negative posterior surplus should coincide with the boundary
     # utility check of feasibility on every solved instance.
     for name, (inst, mech) in solved_suite.items():
-        feas = qsell.check_feasibility(inst, mech)
-        obed = qsell.obedience_check(inst, mech)
+        feas = qsell.check_feasibility(mech)
+        obed = qsell.obedience_check(mech)
         assert (obed.min_surplus >= -1e-6) == (feas.boundary_utility <= 1e-6), name
 
 
