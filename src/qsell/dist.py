@@ -19,7 +19,7 @@ tables along the curve exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 EPS_DENSITY = 1e-12
+_CDF_BUCKETS = 4  # cdf guide buckets per cell
 
 
 def _as_float_array(x, name):
@@ -65,12 +66,24 @@ def _check_grid(grid):
         raise ValidationError("grid must be strictly increasing")
 
 
+def _equal_fields(self, other):
+    """Dataclass equality that compares numpy arrays by value, NaN equal to NaN."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs
+    )
+
+
 @dataclass(frozen=True)
 class GriddedFunction:
     """A function tabulated on a strictly increasing grid, interpolated linearly."""
 
     grid: np.ndarray
     vals: np.ndarray
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         grid = _as_float_array(self.grid, "grid")
@@ -101,6 +114,7 @@ class GriddedDistribution:
     pdf_vals: np.ndarray
     cdf_vals: np.ndarray
     norm_factor: float = field(default=1.0, compare=False)
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         grid = _as_float_array(self.grid, "grid")
@@ -236,42 +250,76 @@ def pdf(d, x):
     return _read(x, d.grid, d.pdf_vals)
 
 
-def _cdf_cell(cdf, u):
-    """Cell k and fraction w of each u in [0, 1] on a tabulated cdf.
+def _intervals(x):
+    """Each interval between sorted points x: its upper end (inf for the last), width (1 if 0)."""
+    nxt = x[1:].copy()
+    nxt[-1] = np.inf
+    width = np.diff(x)
+    return nxt, np.where(width > 0.0, width, 1.0)
 
-    k is the cell with cdf[k] <= u < cdf[k + 1], the one that
-    ``searchsorted(cdf, u, "right") - 1`` gives, clipped to the m - 1
-    cells; w is u's fraction of it, clipped to [0, 1].  k comes from a
-    guide table (Chen & Asau, 1974): bucket j of M = m - 1 starts at the
-    last node whose bucket ``int(cdf * M)`` is below j, which lies at or
-    before u's cell however ``int(u * M)`` rounds (bucket M holds u = 1),
-    and the points then step forward through their bucket, one
-    vectorised step at a time.
+
+def _guide(start, end):
+    """Guide table (Chen & Asau, 1974) (start, far) of buckets answered in [start, end].
+
+    ``far`` marks the buckets that span two or more intervals, None if none does.
     """
-    M = cdf.size - 1
-    start = np.searchsorted((cdf * M).astype(np.intp), np.arange(M + 1), side="left") - 1
-    k = np.clip(start, 0, M - 1)[(u * M).astype(np.intp)]
-    nxt = cdf[1:].copy()
-    nxt[-1] = np.inf  # the last cell takes everything above it
-    k += nxt[k] <= u  # one full step: a bucket holds about one node
-    move = np.flatnonzero(nxt[k] <= u)
-    while move.size:
-        k[move] += 1
-        move = move[nxt[k[move]] <= u[move]]
-    width = np.diff(cdf)
+    far = end - start > 1
+    return start, (far if far.any() else None)
+
+
+def _guided_index(nxt, x, guide, bucket):
+    """searchsorted(nxt, x, "right") for sorted nxt, through a ``_guide`` and each x's bucket.
+
+    One vectorised step moves every bucket start up by one interval at
+    most, and the few points of far buckets still short are searched.
+    """
+    start, far = guide
+    k = start[bucket]
+    k += nxt[k] <= x
+    if far is not None:
+        late = np.flatnonzero(far[bucket])
+        late = late[nxt[k[late]] <= x[late]]
+        k[late] = np.searchsorted(nxt, x[late], side="right")
+    return k
+
+
+def _cdf_guide(cdf):
+    """What ``_cdf_cell`` reads of a tabulated cdf: (guide, nxt, width, cdf, clip).
+
+    The guide has K = 4 (m - 1) buckets, so that few hold a node: bucket
+    j starts at the last node whose ``int(cdf * K)`` is below j, clipped
+    to the m - 1 cells, at or before the cell of each u with
+    ``int(u * K) = j``, which is at or before the next bucket's start.
+    ``clip`` is unset where the cdf runs exactly from 0 to 1.
+    """
+    M, K = cdf.size - 1, _CDF_BUCKETS * (cdf.size - 1)
+    start = np.clip(np.searchsorted((cdf * K).astype(np.intp), np.arange(K + 1)) - 1, 0, M - 1)
+    clip = not (cdf[0] <= 0.0 and cdf[-1] >= 1.0)
+    return _guide(start, np.append(start[1:], M - 1)), *_intervals(cdf), cdf, clip
+
+
+def _cdf_cell(guide, u):
+    """Cell k and fraction w of each u on a tabulated cdf, through its ``_cdf_guide``.
+
+    k is ``searchsorted(cdf, u, "right") - 1``, clipped to the m - 1
+    cells; w, u's fraction of it, lies in [0, 1] for u in [0, 1).
+    """
+    search, nxt, width, cdf, clip = guide
+    k = _guided_index(nxt, u, search, (u * (_CDF_BUCKETS * nxt.size)).astype(np.intp))
     w = cdf[k]
     np.subtract(u, w, out=w)
-    w /= np.where(width > 0.0, width, 1.0)[k]
-    return k, np.clip(w, 0.0, 1.0, out=w)
+    w /= width[k]
+    return k, (np.clip(w, 0.0, 1.0, out=w) if clip else w)
 
 
-def _cell_read(col, k, w):
+def _cell_read(col, step, k, w):
     """Column col, tabulated on a grid, read linearly at fraction w of cells k.
 
-    This is the one read behind ``quantile``: col[k] + (col[k + 1] -
-    col[k]) * w, rounded the same way for any subset of the (k, w) pairs.
+    ``step`` is ``np.diff(col)``.  This is the one read behind
+    ``quantile``: col[k] + (col[k + 1] - col[k]) * w, rounded the same
+    way for any subset of the (k, w) pairs.
     """
-    val = np.diff(col)[k]
+    val = step[k]
     val *= w
     val += col[k]
     return val
@@ -289,12 +337,13 @@ def quantile(d, u, *columns):
     u = _validated_query(u)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValidationError("quantile argument must lie in [0, 1]")
-    # _cdf_cell clamps: a u within rounding below 0 or above 1 reads an end node.
-    k, w = _cdf_cell(d.cdf_vals, u.ravel())
+    # a u within rounding below 0 or above 1 reads an end node
+    k, w = _cdf_cell(_cdf_guide(d.cdf_vals), u.ravel())
+    np.clip(w, 0.0, 1.0, out=w)
     shape = u.shape
     out = []
     for col in columns or (d.grid,):
-        val = _cell_read(col, k, w)
+        val = _cell_read(col, np.diff(col), k, w)
         out.append(float(val[0]) if not shape else val.reshape(shape))
     return tuple(out) if columns else out[0]
 
@@ -427,6 +476,7 @@ class LevelTable:
     weak: np.ndarray
     strict: np.ndarray
     coef: np.ndarray  # (3, ..., pieces): c0, c1, c2; piece j ends at breaks[j]
+    __eq__ = _equal_fields  # a rebuilt table equals the solve's
 
     @classmethod
     def build(cls, grid, level_vals, integrand_vals):
@@ -508,13 +558,6 @@ class LevelTable:
         jb = np.minimum(j, b.size - 1)
         side = np.where(weak, self.weak[..., jb], self.strict[..., jb])
         return np.where(b[jb] == key, side, val)[()]
-
-    def __eq__(self, other):
-        """Equal breaks and values: a rebuilt table equals the solve's."""
-        return isinstance(other, LevelTable) and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("breaks", "weak", "strict", "coef")
-        )
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

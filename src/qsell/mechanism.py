@@ -27,11 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dist
-from .errors import (
-    AssumptionViolationError,
-    UndefinedPaymentError,
-    ValidationError,
-)
+from .errors import AssumptionViolationError, UndefinedPaymentError, ValidationError
 from .virtual import VirtualValueCurve, iron
 
 __all__ = [
@@ -209,7 +205,9 @@ class ThresholdMechanism:
     buyer is asked; ``degenerate`` (no buyer has one, so nobody ever
     wins) is a valid mechanism, not an error.  The tables do not depend
     on the payments, so ``dataclasses.replace`` with new ones keeps them
-    valid, and the new node table is what the consumers read.
+    valid, and the new node table is what the consumers read.  ``==``
+    compares the rest by value, NaN payments equal: a JSON round trip
+    compares equal.
     """
 
     curves: list
@@ -248,11 +246,10 @@ def _winners(levels, xi, dtype=np.intp):
 
     ``levels`` yields one fresh array of levels per buyer, in buyer
     order; each but the first is overwritten with the running maximum.
-    The running leader changes only at a strictly higher level, so ties
-    go to the lowest index, and the leader is asked when its level is at
-    least xi, which ``xi()`` reads once the levels are spent.  The
-    winners have the signed integer ``dtype``, which must hold -1 and
-    every buyer index.
+    The leader changes only at a strictly higher level, so ties go to the
+    lowest index, and is asked when its level is at least xi, which
+    ``xi()`` reads once the levels are spent.  ``dtype``, signed, holds
+    -1 and every buyer index.
     """
     levels = iter(levels)
     best = next(levels)
@@ -491,73 +488,61 @@ def _charged(pay, W):
     return np.where(W > WIN_PROB_FLOOR, pay, 0.0)
 
 
-_GUIDE_STEPS = 8  # guide entries per type cell: sub-buckets int(w * 8)
+_GUIDE_STEPS = 32  # guide buckets per type cell: int(w * 32), w = 1 its own
 
 
-def _column_guide(tab, grid):
-    """A start for ``_column_index`` at each (type cell, sub-bucket) of ``grid``.
+def _payment_tables(tab, pay):
+    """(t, nxt, width, after_flat, pay, step): what ``_payment_at`` reads of pay on tab's points.
 
-    Entry 8 k + j is the column index of the type read at fraction j / 8
-    of cell k (``dist._cell_read``).  That read is non-decreasing in the
-    fraction, so a type read at any w in [j / 8, 1] of cell k has a
-    column index at or above it.  ``_guide_start`` gathers the entries.
+    The intervals are ``dist._intervals``, step is pay's rise across each.
     """
-    cells = np.arange(grid.size - 1).repeat(_GUIDE_STEPS)
-    frac = np.tile(np.arange(_GUIDE_STEPS) / _GUIDE_STEPS, grid.size - 1)
-    return _column_index(tab.t, dist._cell_read(grid, cells, frac))
+    return (tab.t, *dist._intervals(tab.t), tab.after_flat, pay, np.diff(pay))
 
 
-def _guide_start(guide, k, w):
-    """The guide's start for types read at fractions w of cells k."""
-    sub = (w * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
-    np.minimum(sub, _GUIDE_STEPS - 1, out=sub)  # w = 1 takes the last sub-bucket
-    sub += k * _GUIDE_STEPS
-    return guide[sub]
+def _column_guide(nxt, grid):
+    """A ``dist._guide`` to the column intervals ``nxt`` for types read on ``grid``.
 
-
-def _column_index(tc, t, start=None):
-    """searchsorted(tc, t, "right") - 1, clipped to the column's intervals.
-
-    With ``start`` at or below each answer (a ``_guide_start``), each
-    index steps forward from its start instead, one vectorised step at a
-    time, and lands on the same index.
+    Entry 33 k + j holds the interval of the type read at fraction j / 32
+    of cell k, j = 0, ..., 32.  That read never falls as the fraction rises, so one
+    at w in [j / 32, (j + 1) / 32) lies between entries j and j + 1, and
+    one at w = 1 in entry 32.
     """
-    last = tc.size - 2
-    if start is None:
-        return np.clip(np.searchsorted(tc, t, side="right") - 1, 0, last)
-    k = start.copy()
-    step = tc[k + 1] <= t
-    step &= k < last
-    move = np.flatnonzero(step)
-    while move.size:
-        k[move] += 1
-        move = move[k[move] < last]
-        move = move[tc[k[move] + 1] <= t[move]]
-    return k
+    S = _GUIDE_STEPS
+    cells = np.arange(grid.size - 1).repeat(S + 1)
+    frac = np.tile(np.arange(S + 1) / S, grid.size - 1)
+    start = np.searchsorted(nxt, dist._cell_read(grid, np.diff(grid), cells, frac), side="right")
+    end = np.append(start[1:], 0)
+    end[S :: S + 1] = start[S :: S + 1]  # w = 1 is a bucket of its own
+    return dist._guide(start, end)
 
 
-def _payment_at(tab, pay, t, start=None):
-    """The payment column pay on tab's points, interpolated at types t.
+def _payment_at(column, t, guide=None, cell=None):
+    """A payment column, as ``_payment_tables`` holds it, interpolated at types t.
 
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
-    ``start`` is an optional lower bound on each query's column index
-    (``_column_index``); it changes no result.
+    Its interval is one search of ``nxt``, or the same through a
+    ``_column_guide`` given each query's type cell and fraction, ``cell``.
     """
-    tc = tab.t
+    tc, nxt, width, after_flat, pay, step = column
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
-    k = _column_index(tc, t, start)
-    # a query at a node reads its node_pos entry: where that is the end of
-    # a flat piece, the entry after it shares its abscissa (so t0 stands)
+    if guide is None:
+        k = np.searchsorted(nxt, t, side="right")
+    else:
+        bucket = (cell[1] * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
+        bucket += cell[0] * (_GUIDE_STEPS + 1)
+        k = dist._guided_index(nxt, t, guide, bucket)
+    # a query at a node reads its node_pos entry, stepping back from the entry
+    # after a flat piece's end; on an interval of no width, t - t0 is 0
     t0 = tc[k]
-    k -= tab.after_flat[k] & (t0 == t)
-    k1 = k + 1
-    t1 = tc[k1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
-    p0 = pay[k]
-    return p0 + (pay[k1] - p0) * frac
+    k -= after_flat[k] & (t0 == t)
+    frac = t - t0
+    frac /= width[k]
+    val = step[k]
+    val *= frac
+    val += pay[k]
+    return val
 
 
 def payment(m, i, t_i):
@@ -572,7 +557,7 @@ def payment(m, i, t_i):
     ValidationError.
     """
     column = _column(m.tables[_buyer(m, i)], m.curves[i], m.payment[i])
-    pay = float(_payment_at(*column, dist._validated_query(t_i)))
+    pay = float(_payment_at(_payment_tables(*column), dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
     return pay

@@ -23,8 +23,8 @@ from .mechanism import (
     _charged,
     _column_guide,
     _columns,
-    _guide_start,
     _payment_at,
+    _payment_tables,
     _winners,
 )
 
@@ -168,15 +168,16 @@ def simulate(m, n_samples, seed):
     sequence.  The samples run in blocks of ``_SAMPLE_BLOCK``, on one
     thread per usable core; a block advances each stream to its first
     sample, so it draws exactly the stretch that one draw of the whole
-    stream would, and reports are bit-identical across runs with the
-    same arguments, whatever the block size or the number of cores.  Each stream's draws go through
-    one cdf cell lookup, and its cells k and fractions w are kept: every
-    value is read at (k, w) only where it is used.  xi and each buyer's
-    threshold level are read at every sample; the reserve at the samples
-    that keep the item; a winner's type and alpha, and its payment, at
-    that buyer's wins.  The payment's column index steps up from a
-    per-call guide entry for the winner's cell and sub-bucket
-    (``_column_guide``).
+    stream would, and reports are bit-identical whatever the block size
+    or the number of cores.  Every read-only table is built once per
+    call and shared by the blocks: each stream's cdf guide, the
+    differences of every column read in a cell, and each buyer's payment
+    tables and column guide.  A stream's draws go through one cdf cell
+    lookup, and each value is read at its cells k and fractions w only
+    where it is used: xi and each buyer's threshold level at every
+    sample, the reserve where the item is kept, a winner's type, alpha
+    and payment at that buyer's wins.  The payment's column interval
+    comes from the guide entry of the winner's cell and sub-bucket.
     """
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
@@ -185,8 +186,12 @@ def simulate(m, n_samples, seed):
     inst = m.inst
     qm, n = inst.quality, inst.n_buyers
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    columns = _columns(m)
-    guides = [_column_guide(tab, d.grid) for (tab, _), d in zip(columns, inst.buyers)]
+    streams = [dist._cdf_guide(d.cdf_vals) for d in (*inst.buyers, qm.G)]
+    levels = [(c.phi_ironed, np.diff(c.phi_ironed)) for c in m.curves]
+    grids = [(d.grid, np.diff(d.grid)) for d in inst.buyers]
+    xi, reserve, alpha = ((c.vals, np.diff(c.vals)) for c in (qm.xi, qm.reserve, qm.alpha))
+    columns = [_payment_tables(*column) for column in _columns(m)]
+    guides = [_column_guide(col[1], d.grid) for col, d in zip(columns, inst.buyers)]
     index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
     revenue = np.empty(n_samples)
@@ -197,33 +202,32 @@ def simulate(m, n_samples, seed):
         lo = b * _SAMPLE_BLOCK
         hi = min(lo + _SAMPLE_BLOCK, n_samples)
 
-        def cell(d, child):
+        def cell(guide, child):
             bits = np.random.PCG64(child).advance(lo)  # one output per double
-            return dist._cdf_cell(d.cdf_vals, np.random.Generator(bits).random(hi - lo))
+            return dist._cdf_cell(guide, np.random.Generator(bits).random(hi - lo))
 
-        cells = [cell(d, child) for d, child in zip(inst.buyers, children)]
-        kq, wq = cell(qm.G, children[n])
+        cells = [cell(guide, child) for guide, child in zip(streams, children)]
+        kq, wq = cells.pop()
         # each level is read when the leader loop reaches it, and xi after
         # them all, so the block never holds these columns side by side
-        levels = (dist._cell_read(c.phi_ironed, k, w) for c, (k, w) in zip(m.curves, cells))
-        winners = _winners(levels, lambda: dist._cell_read(qm.xi.vals, kq, wq), index_type)
+        reads = (dist._cell_read(*col, k, w) for col, (k, w) in zip(levels, cells))
+        winners = _winners(reads, lambda: dist._cell_read(*xi, kq, wq), index_type)
         rev = revenue[lo:hi]
 
         def quality_at(col, idx):
-            return dist._cell_read(col, kq[idx], wq[idx])
+            return dist._cell_read(*col, kq[idx], wq[idx])
 
         def sell(i, won):
             """Charge buyer i at the samples it wins; its reads die on return."""
             k, w = (a[won] for a in cells[i])
-            t = dist._cell_read(inst.buyers[i].grid, k, w)
-            pay = _payment_at(*columns[i], t, _guide_start(guides[i], k, w))
+            t = dist._cell_read(*grids[i], k, w)
+            pay = _payment_at(columns[i], t, guides[i], (k, w))
             rev[won] = pay
-            alpha = quality_at(qm.alpha.vals, won)
-            surplus[i][b] = inst.valuation.type_factor(t) * alpha - pay
+            surplus[i][b] = inst.valuation.type_factor(t) * quality_at(alpha, won) - pay
 
         kept = np.flatnonzero(winners < 0)
         wins[b, 0] = kept.size
-        rev[kept] = quality_at(qm.reserve.vals, kept)
+        rev[kept] = quality_at(reserve, kept)
         for i in range(n):
             won = np.flatnonzero(winners == i)
             wins[b, i + 1] = won.size
@@ -297,9 +301,7 @@ def myerson_baseline(inst):
     qm = inst.quality
     for name, curve in (("alpha", qm.alpha), ("reserve", qm.reserve)):
         if float(np.max(curve.vals) - np.min(curve.vals)) > 1e-12:
-            raise ValidationError(
-                f"quality-blind benchmark needs a constant {name} curve"
-            )
+            raise ValidationError(f"quality-blind benchmark needs a constant {name} curve")
     for d in inst.buyers:
         b = np.asarray(inst.valuation.type_factor(d.grid), dtype=float)
         bp = np.asarray(inst.valuation.type_factor_deriv(d.grid), dtype=float)
@@ -326,14 +328,8 @@ def myerson_baseline(inst):
         for j, dj in enumerate(inst.buyers):
             if j == i:
                 continue
-            tj = np.interp(
-                phi, phis[j], dj.grid, left=dj.grid[0] - 1.0, right=dj.grid[-1]
-            )
-            Fj = np.where(
-                tj < dj.grid[0],
-                0.0,
-                np.interp(tj, dj.grid, dj.cdf_vals),
-            )
+            tj = np.interp(phi, phis[j], dj.grid, left=dj.grid[0] - 1.0, right=dj.grid[-1])
+            Fj = np.where(tj < dj.grid[0], 0.0, np.interp(tj, dj.grid, dj.cdf_vals))
             opp = opp * Fj
         gain = alpha_bar * phi - reserve_bar
         integrand = np.where(phi >= xi_bar, d.pdf_vals * opp * gain, 0.0)

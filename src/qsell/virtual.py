@@ -17,13 +17,7 @@ import numpy as np
 from . import dist
 from .errors import ValidationError
 
-__all__ = [
-    "VirtualValueCurve",
-    "virtual_value",
-    "virtual_value_table",
-    "is_regular",
-    "iron",
-]
+__all__ = ["VirtualValueCurve", "virtual_value", "virtual_value_table", "is_regular", "iron"]
 
 MONOTONE_SLACK = 1e-9
 IRON_GAP_TOL = 1e-9
@@ -43,6 +37,7 @@ class VirtualValueCurve:
     phi_ironed: np.ndarray
     ironed_intervals: list
     regular: bool
+    __eq__ = dist._equal_fields
 
     def phi_at(self, t):
         return dist._read(t, self.type_grid, self.phi)

@@ -315,10 +315,12 @@ def _assert_cells_match(d, u):
     """The guide-table cell is clipped searchsorted's, and its reads are np.interp's."""
     u = np.asarray(u, dtype=float)
     cdf = d.cdf_vals
-    k, w = dist._cdf_cell(cdf, u)
+    k, w = dist._cdf_cell(dist._cdf_guide(cdf), u)
     expect = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2)
     assert np.array_equal(k, expect)
-    assert np.all((w >= 0.0) & (w <= 1.0))
+    # simulate's draws lie in [0, 1), where no fraction may leave [0, 1]
+    drawn = (u >= 0.0) & (u < 1.0)
+    assert np.all((w[drawn] >= 0.0) & (w[drawn] <= 1.0))
     t = qsell.quantile(d, u)
     tol = 4.0 * np.finfo(float).eps * np.max(np.abs(d.grid))
     assert np.max(np.abs(t - np.interp(u, cdf, d.grid))) <= tol
@@ -349,6 +351,9 @@ _LOOKUP_DISTS = {
         0.0, 5.0, np.arange(6.0), np.ones(6), np.array([0.0, 0.2, 0.2, 0.2, 0.7, 1.0])
     ),
     "exact-edges-101": lambda: _exact_edges(101),
+    "inexact-ends": lambda: dist.GriddedDistribution(
+        0.0, 3.0, np.arange(4.0), np.ones(4), np.array([1e-10, 0.3, 0.6, 1.0 - 1e-10])
+    ),
     "eps-stretch-1025": lambda: _eps_stretch(1025),
 }
 
@@ -358,7 +363,8 @@ def test_cdf_cell_at_the_ends_and_at_every_node(name):
     d = _LOOKUP_DISTS[name]()
     cdf = d.cdf_vals
     # quantile accepts u within 1e-12 outside [0, 1]: those read the end cells
-    _assert_cells_match(d, np.concatenate(([0.0, 1.0, -1e-12, 1.0 + 1e-12], cdf)))
+    ends = [0.0, 1.0, -1e-12, 1.0 + 1e-12, np.nextafter(1.0, 0.0)]
+    _assert_cells_match(d, np.concatenate((ends, cdf)))
     # u at a node that starts a cell of positive width reads that node exactly
     starts = np.nonzero(np.diff(cdf) > 0.0)[0]
     assert np.array_equal(qsell.quantile(d, cdf[starts]), d.grid[starts])

@@ -402,6 +402,24 @@ def test_json_roundtrip_bitexact(two_uniform):
     assert doc["tiebreak"] == "lowest-index"
 
 
+def test_mechanisms_compare_by_value(two_uniform):
+    # == reads arrays by value, NaN payments equal to NaN: a JSON round
+    # trip and a second solve compare equal, a changed payment or threshold
+    # curve unequal, and no comparison raises.
+    inst, m = two_uniform
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    m2 = qsell.mechanism_from_json_dict(doc, inst)
+    assert np.isnan(m.payment[0].vals).any()
+    assert m == m2 and m.curves[0] == m2.curves[0]
+    assert qsell.build_optimal_mechanism(qsell.ProblemInstance(inst.buyers, inst.quality)) == m
+    pay = m.payment[0].vals.copy()
+    pay[-1] += 1e-9
+    stated = qsell.GriddedFunction(m.payment[0].grid, pay)
+    assert m != dataclasses.replace(m, payment=[stated, m.payment[1]])
+    curve = dataclasses.replace(m.curves[0], phi_ironed=m.curves[0].phi_ironed + 1e-9)
+    assert curve != m.curves[0] and m != dataclasses.replace(m, curves=[curve, m.curves[1]])
+
+
 def test_json_rejects_wrong_schema(two_uniform):
     inst, m = two_uniform
     doc = qsell.mechanism_to_json_dict(m)

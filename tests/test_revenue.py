@@ -19,6 +19,7 @@ import math
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,11 +222,28 @@ def _simulate_by_interp(m, n_samples, seed):
         mask = winners == i
         freq.append(float(np.mean(mask)))
         t = types[mask, i]
-        pay = _payment_at(*mechanism._columns(m)[i], t)
+        pay = _payment_by_search(*mechanism._columns(m)[i], t)
         revenue[mask] = pay
         alpha = np.interp(q[mask], qm.G.grid, qm.alpha.vals)
         util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)
     return freq, float(np.mean(revenue)), util
+
+
+def _payment_by_search(tab, pay, t):
+    """The payment column pay read at types t through one search of the whole column.
+
+    The reference for ``_payment_at``: the interval from ``searchsorted``,
+    the flat-end rule, and the fraction from the interval's two ends.
+    """
+    tc = tab.t
+    t = np.clip(t, tc[0], tc[-1])
+    k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    t0 = tc[k]
+    k -= tab.after_flat[k] & (t0 == t)
+    t1 = tc[k + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
+    return pay[k] + (pay[k + 1] - pay[k]) * frac
 
 
 def _tied_bimodal_pair():
@@ -285,8 +303,24 @@ def _guided_queries(grid, tc):
     return k, w
 
 
+def _guided_column_reads(tab, pay, grid, k, w):
+    """A column's interval and payment at types read at (k, w) on grid, by guide and by search."""
+    column = mechanism._payment_tables(tab, pay)
+    tc, nxt = column[:2]
+    guide = mechanism._column_guide(nxt, grid)
+    t = np.clip(dist._cell_read(grid, np.diff(grid), k, w), tc[0], tc[-1])
+    bucket = (w * 32).astype(np.intp) + 33 * k  # sub-bucket int(w * 32), w = 1 its own
+    want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    assert np.all(guide[0][bucket] <= want)
+    assert np.array_equal(dist._guided_index(nxt, t, guide, bucket), want)
+    guided = _payment_at(column, t, guide, (k, w))
+    assert np.array_equal(guided, _payment_by_search(tab, pay, t), equal_nan=True)
+    assert np.array_equal(_payment_at(column, t), guided, equal_nan=True)
+    return guide, bucket, t, want
+
+
 def test_cell_guided_column_index_matches_searchsorted(solved_suite):
-    # A winner's column index steps up from the guide entry of its type
+    # A winner's column interval comes from the guide entry of its type
     # cell and sub-bucket; it must be the whole-column search's, and so
     # must the payment read through it, flat-end rule and all.
     cases = {
@@ -297,19 +331,26 @@ def test_cell_guided_column_index_matches_searchsorted(solved_suite):
     hit_points = hit_flat_ends = 0
     for name, (inst, mech) in cases.items():
         for d, (tab, pay) in zip(inst.buyers, mechanism._columns(mech)):
-            tc = tab.t
-            guide = mechanism._column_guide(tab, d.grid)
-            k, w = _guided_queries(d.grid, tc)
-            t = np.clip(dist._cell_read(d.grid, k, w), tc[0], tc[-1])
-            start = mechanism._guide_start(guide, k, w)
-            want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
-            assert np.array_equal(mechanism._column_index(tc, t, start), want), name
-            assert np.all(start <= want), name
-            guided = _payment_at(tab, pay, t, mechanism._guide_start(guide, k, w))
-            assert np.array_equal(guided, _payment_at(tab, pay, t), equal_nan=True), name
-            hit_points += int(np.count_nonzero(tc[want] == t))
-            hit_flat_ends += int(np.count_nonzero(tab.after_flat[want] & (tc[want] == t)))
+            k, w = _guided_queries(d.grid, tab.t)
+            *_, t, want = _guided_column_reads(tab, pay, d.grid, k, w)
+            hit_points += int(np.count_nonzero(tab.t[want] == t))
+            hit_flat_ends += int(np.count_nonzero(tab.after_flat[want] & (tab.t[want] == t)))
     assert hit_points > 0 and hit_flat_ends > 0
+
+
+def test_guided_column_index_searches_a_bucket_of_many_points():
+    # Thirty column points inside the first 1/32 of a type cell: that
+    # bucket spans them all, so its types are searched in full, and must
+    # land where the whole-column search does.
+    t = np.concatenate((np.linspace(0.0, 0.03, 31), [0.5, 0.5, 1.0]))
+    after_flat = np.zeros(t.size, dtype=bool)
+    after_flat[32] = True  # a flat piece ends at 0.5
+    tab = SimpleNamespace(t=t, after_flat=after_flat)
+    pay = np.random.default_rng(6).random(t.size)
+    grid = np.array([0.0, 1.0])
+    k, w = _guided_queries(grid, t)
+    guide, bucket, _, want = _guided_column_reads(tab, pay, grid, k, w)
+    assert guide[1] is not None and np.any(want - guide[0][bucket] >= 2)
 
 
 def test_column_index_steps_stop_at_the_last_interval():
@@ -320,7 +361,9 @@ def test_column_index_steps_stop_at_the_last_interval():
     start = np.array([0, 3, 4, 0, 2, 0])
     want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
     assert want.tolist() == [4, 4, 4, 4, 4, 0]
-    assert np.array_equal(mechanism._column_index(tc, t, start), want)
+    nxt = np.append(tc[1:-1], np.inf)
+    guide = dist._guide(start, want)
+    assert np.array_equal(dist._guided_index(nxt, t, guide, np.arange(t.size)), want)
 
 
 @pytest.mark.parametrize("workers", [1, None])
@@ -405,6 +448,28 @@ def test_simulation_reports_are_pinned_bit_for_bit(solved_suite, monkeypatch, co
         inst, mech = solved_suite[name]
         report = dataclasses.asdict(qsell.simulate(mech, n, seed))
         assert {key: _hexed(v) for key, v in report.items()} == want, (name, n, seed)
+
+
+def test_a_pinned_report_searches_stragglers_in_both_lookups(solved_suite, monkeypatch):
+    # The pins cover the full searches too: bimodal-inverse-v's draws reach
+    # cdf buckets and payment column buckets that start two or more
+    # entries short of their answer.
+    inst, mech = solved_suite["bimodal-inverse-v"]
+    cdf_sizes = {d.grid.size - 1 for d in (*inst.buyers, inst.quality.G)}
+    searched = {"cdf": 0, "column": 0}
+    guided_index = dist._guided_index
+
+    def counting(nxt, x, guide, bucket):
+        k = guided_index(nxt, x, guide, bucket)
+        searched["cdf" if nxt.size in cdf_sizes else "column"] += int(
+            np.count_nonzero(k - guide[0][bucket] >= 2)
+        )
+        return k
+
+    monkeypatch.setattr(dist, "_guided_index", counting)
+    monkeypatch.setattr(revenue, "_usable_cores", lambda: 1)  # one thread counts
+    qsell.simulate(mech, 32_769, 2)
+    assert searched["cdf"] > 0 and searched["column"] > 0
 
 
 def _within(seconds, fn):
