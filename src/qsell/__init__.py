@@ -81,7 +81,13 @@ from .verify import (
     obedience_check,
     posterior_belief,
 )
-from .virtual import VirtualValueCurve, iron, is_regular, virtual_value, virtual_value_table
+from .virtual import (
+    VirtualValueCurve,
+    iron,
+    is_regular,
+    virtual_value,
+    virtual_value_table,
+)
 
 __version__ = "0.1.0"
 

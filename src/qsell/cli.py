@@ -120,7 +120,9 @@ def load_instance(path, grid_override=None):
 
     try:
         if doc.get("schema_version") != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version: {doc.get('schema_version')!r}")
+            raise ConfigError(
+                f"unsupported schema_version: {doc.get('schema_version')!r}"
+            )
         buyers = tuple(
             _build_distribution(b["distribution"], grid_override)
             for b in doc["buyers"]
@@ -129,7 +131,9 @@ def load_instance(path, grid_override=None):
             raise ConfigError("config lists no buyers")
         qspec = doc["quality"]
         G = _build_distribution(qspec["distribution"], grid_override)
-        qm = make_quality_model(G, _build_curve(qspec["alpha"]), _build_curve(qspec["reserve"]))
+        qm = make_quality_model(
+            G, _build_curve(qspec["alpha"]), _build_curve(qspec["reserve"])
+        )
         valuation = _build_valuation(doc.get("valuation", {"kind": "linear"}))
         return ProblemInstance(buyers=buyers, quality=qm, valuation=valuation)
     except ConfigError:

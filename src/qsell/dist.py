@@ -284,32 +284,30 @@ def _guided_index(nxt, x, guide, bucket):
 
 
 def _cdf_guide(cdf):
-    """What ``_cdf_cell`` reads of a tabulated cdf: (guide, nxt, width, cdf, clip).
+    """What ``_cdf_cell`` reads of a tabulated cdf: (guide, nxt, width, cdf).
 
     The guide has K = 4 (m - 1) buckets, so that few hold a node: bucket
     j starts at the last node whose ``int(cdf * K)`` is below j, clipped
     to the m - 1 cells, at or before the cell of each u with
     ``int(u * K) = j``, which is at or before the next bucket's start.
-    ``clip`` is unset where the cdf runs exactly from 0 to 1.
     """
     M, K = cdf.size - 1, _CDF_BUCKETS * (cdf.size - 1)
     start = np.clip(np.searchsorted((cdf * K).astype(np.intp), np.arange(K + 1)) - 1, 0, M - 1)
-    clip = not (cdf[0] <= 0.0 and cdf[-1] >= 1.0)
-    return _guide(start, np.append(start[1:], M - 1)), *_intervals(cdf), cdf, clip
+    return _guide(start, np.append(start[1:], M - 1)), *_intervals(cdf), cdf
 
 
 def _cdf_cell(guide, u):
     """Cell k and fraction w of each u on a tabulated cdf, through its ``_cdf_guide``.
 
     k is ``searchsorted(cdf, u, "right") - 1``, clipped to the m - 1
-    cells; w, u's fraction of it, lies in [0, 1] for u in [0, 1).
+    cells; w is u's fraction of it, clipped to [0, 1].
     """
-    search, nxt, width, cdf, clip = guide
+    search, nxt, width, cdf = guide
     k = _guided_index(nxt, u, search, (u * (_CDF_BUCKETS * nxt.size)).astype(np.intp))
     w = cdf[k]
     np.subtract(u, w, out=w)
     w /= width[k]
-    return k, (np.clip(w, 0.0, 1.0, out=w) if clip else w)
+    return k, np.clip(w, 0.0, 1.0, out=w)
 
 
 def _cell_read(col, step, k, w):
@@ -337,9 +335,8 @@ def quantile(d, u, *columns):
     u = _validated_query(u)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValidationError("quantile argument must lie in [0, 1]")
-    # a u within rounding below 0 or above 1 reads an end node
+    # _cdf_cell clamps: a u within rounding below 0 or above 1 reads an end node.
     k, w = _cdf_cell(_cdf_guide(d.cdf_vals), u.ravel())
-    np.clip(w, 0.0, 1.0, out=w)
     shape = u.shape
     out = []
     for col in columns or (d.grid,):

@@ -29,6 +29,8 @@ class EnumerationSizeError(EngineError):
     """Brute-force search would exceed the enumeration guard."""
 
     def __init__(self, count, limit):
-        super().__init__(f"enumeration size {count} exceeds the guard of {limit}")
+        super().__init__(
+            f"enumeration size {count} exceeds the guard of {limit}"
+        )
         self.count = count
         self.limit = limit

@@ -27,7 +27,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dist
-from .errors import AssumptionViolationError, UndefinedPaymentError, ValidationError
+from .errors import (
+    AssumptionViolationError,
+    UndefinedPaymentError,
+    ValidationError,
+)
 from .virtual import VirtualValueCurve, iron
 
 __all__ = [
@@ -246,10 +250,11 @@ def _winners(levels, xi, dtype=np.intp):
 
     ``levels`` yields one fresh array of levels per buyer, in buyer
     order; each but the first is overwritten with the running maximum.
-    The leader changes only at a strictly higher level, so ties go to the
-    lowest index, and is asked when its level is at least xi, which
-    ``xi()`` reads once the levels are spent.  ``dtype``, signed, holds
-    -1 and every buyer index.
+    The running leader changes only at a strictly higher level, so ties
+    go to the lowest index, and the leader is asked when its level is at
+    least xi, which ``xi()`` reads once the levels are spent.  The
+    winners have the signed integer ``dtype``, which must hold -1 and
+    every buyer index.
     """
     levels = iter(levels)
     best = next(levels)
@@ -488,61 +493,64 @@ def _charged(pay, W):
     return np.where(W > WIN_PROB_FLOOR, pay, 0.0)
 
 
-_GUIDE_STEPS = 32  # guide buckets per type cell: int(w * 32), w = 1 its own
+_GUIDE_STEPS = 16  # guide buckets per type cell: int(w * 16), w = 1 its own
 
 
-def _payment_tables(tab, pay):
-    """(t, nxt, width, after_flat, pay, step): what ``_payment_at`` reads of pay on tab's points.
+def _column_guide(tab, pay, grid):
+    """What a guided ``_payment_at`` reads of the column pay, for types read on ``grid``.
 
-    The intervals are ``dist._intervals``, step is pay's rise across each.
+    (nxt, width, step, search): the column's intervals
+    (``dist._intervals(tab.t)``), pay's rise across each, and a
+    ``dist._guide`` to the intervals.  With S = ``_GUIDE_STEPS``, its
+    entry (S + 1) k + j holds the interval of the type read at fraction
+    j / S of cell k, j = 0, ..., S.  That read never falls as the
+    fraction rises, so one at w in [j / S, (j + 1) / S) lies between
+    entries j and j + 1, and one at w = 1 in entry S.
     """
-    return (tab.t, *dist._intervals(tab.t), tab.after_flat, pay, np.diff(pay))
-
-
-def _column_guide(nxt, grid):
-    """A ``dist._guide`` to the column intervals ``nxt`` for types read on ``grid``.
-
-    Entry 33 k + j holds the interval of the type read at fraction j / 32
-    of cell k, j = 0, ..., 32.  That read never falls as the fraction rises, so one
-    at w in [j / 32, (j + 1) / 32) lies between entries j and j + 1, and
-    one at w = 1 in entry 32.
-    """
+    nxt, width = dist._intervals(tab.t)
     S = _GUIDE_STEPS
-    cells = np.arange(grid.size - 1).repeat(S + 1)
-    frac = np.tile(np.arange(S + 1) / S, grid.size - 1)
-    start = np.searchsorted(nxt, dist._cell_read(grid, np.diff(grid), cells, frac), side="right")
-    end = np.append(start[1:], 0)
-    end[S :: S + 1] = start[S :: S + 1]  # w = 1 is a bucket of its own
-    return dist._guide(start, end)
+    # dist._cell_read at every (cell, fraction), rounded as it rounds
+    reads = np.diff(grid)[:, None] * (np.arange(S + 1) / S) + grid[:-1, None]
+    start = np.searchsorted(nxt, reads, side="right")
+    end = np.column_stack((start[:, 1:], start[:, S]))  # w = 1 is a bucket of its own
+    return nxt, width, np.diff(pay), dist._guide(start.ravel(), end.ravel())
 
 
-def _payment_at(column, t, guide=None, cell=None):
-    """A payment column, as ``_payment_tables`` holds it, interpolated at types t.
+def _payment_at(tab, pay, t, guide=None, cell=None):
+    """The payment column pay on tab's points, interpolated at types t.
 
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
-    Its interval is one search of ``nxt``, or the same through a
-    ``_column_guide`` given each query's type cell and fraction, ``cell``.
+    Each query's interval comes from one search of the column, and its
+    width and payment rise from the column's points.  Given the column's
+    ``_column_guide`` and each query's type cell and fraction, ``cell``,
+    they come from the guide and its tables instead, to the same bits:
+    the tables pay for themselves only over many queries.
     """
-    tc, nxt, width, after_flat, pay, step = column
+    tc = tab.t
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     if guide is None:
-        k = np.searchsorted(nxt, t, side="right")
+        k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
     else:
+        nxt, width, step, search = guide
         bucket = (cell[1] * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
         bucket += cell[0] * (_GUIDE_STEPS + 1)
-        k = dist._guided_index(nxt, t, guide, bucket)
+        k = dist._guided_index(nxt, t, search, bucket)
     # a query at a node reads its node_pos entry, stepping back from the entry
     # after a flat piece's end; on an interval of no width, t - t0 is 0
     t0 = tc[k]
-    k -= after_flat[k] & (t0 == t)
+    k -= tab.after_flat[k] & (t0 == t)
+    if guide is None:
+        width = tc[k + 1] - tc[k]
+        width, step = np.where(width > 0.0, width, 1.0), pay[k + 1] - pay[k]
+    else:
+        width, step = width[k], step[k]
     frac = t - t0
-    frac /= width[k]
-    val = step[k]
-    val *= frac
-    val += pay[k]
-    return val
+    frac /= width
+    step *= frac
+    step += pay[k]
+    return step
 
 
 def payment(m, i, t_i):
@@ -557,7 +565,7 @@ def payment(m, i, t_i):
     ValidationError.
     """
     column = _column(m.tables[_buyer(m, i)], m.curves[i], m.payment[i])
-    pay = float(_payment_at(_payment_tables(*column), dist._validated_query(t_i)))
+    pay = float(_payment_at(*column, dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
     return pay

@@ -24,7 +24,6 @@ from .mechanism import (
     _column_guide,
     _columns,
     _payment_at,
-    _payment_tables,
     _winners,
 )
 
@@ -190,8 +189,8 @@ def simulate(m, n_samples, seed):
     levels = [(c.phi_ironed, np.diff(c.phi_ironed)) for c in m.curves]
     grids = [(d.grid, np.diff(d.grid)) for d in inst.buyers]
     xi, reserve, alpha = ((c.vals, np.diff(c.vals)) for c in (qm.xi, qm.reserve, qm.alpha))
-    columns = [_payment_tables(*column) for column in _columns(m)]
-    guides = [_column_guide(col[1], d.grid) for col, d in zip(columns, inst.buyers)]
+    columns = _columns(m)
+    guides = [_column_guide(*col, d.grid) for col, d in zip(columns, inst.buyers)]
     index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
     revenue = np.empty(n_samples)
@@ -221,7 +220,7 @@ def simulate(m, n_samples, seed):
             """Charge buyer i at the samples it wins; its reads die on return."""
             k, w = (a[won] for a in cells[i])
             t = dist._cell_read(*grids[i], k, w)
-            pay = _payment_at(columns[i], t, guides[i], (k, w))
+            pay = _payment_at(*columns[i], t, guides[i], (k, w))
             rev[won] = pay
             surplus[i][b] = inst.valuation.type_factor(t) * quality_at(alpha, won) - pay
 
@@ -301,7 +300,9 @@ def myerson_baseline(inst):
     qm = inst.quality
     for name, curve in (("alpha", qm.alpha), ("reserve", qm.reserve)):
         if float(np.max(curve.vals) - np.min(curve.vals)) > 1e-12:
-            raise ValidationError(f"quality-blind benchmark needs a constant {name} curve")
+            raise ValidationError(
+                f"quality-blind benchmark needs a constant {name} curve"
+            )
     for d in inst.buyers:
         b = np.asarray(inst.valuation.type_factor(d.grid), dtype=float)
         bp = np.asarray(inst.valuation.type_factor_deriv(d.grid), dtype=float)
@@ -328,8 +329,14 @@ def myerson_baseline(inst):
         for j, dj in enumerate(inst.buyers):
             if j == i:
                 continue
-            tj = np.interp(phi, phis[j], dj.grid, left=dj.grid[0] - 1.0, right=dj.grid[-1])
-            Fj = np.where(tj < dj.grid[0], 0.0, np.interp(tj, dj.grid, dj.cdf_vals))
+            tj = np.interp(
+                phi, phis[j], dj.grid, left=dj.grid[0] - 1.0, right=dj.grid[-1]
+            )
+            Fj = np.where(
+                tj < dj.grid[0],
+                0.0,
+                np.interp(tj, dj.grid, dj.cdf_vals),
+            )
             opp = opp * Fj
         gain = alpha_bar * phi - reserve_bar
         integrand = np.where(phi >= xi_bar, d.pdf_vals * opp * gain, 0.0)

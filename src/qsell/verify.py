@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _payment_at, _payment_tables
+from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _payment_at
 
 __all__ = [
     "FeasibilityReport",
@@ -176,8 +176,7 @@ def _utility_matrix(m, i, column, true_types, reports):
     opp, A, B, _ = column[0].levels.at(i, m.curves[i].phi_ironed_at(reports))
     W = opp * B
     win_value = opp * A                      # multiplies b(true type)
-    pay = _payment_at(_payment_tables(*column), reports)
-    win_cost = W * _charged(pay, W)  # not of the true type
+    win_cost = W * _charged(_payment_at(*column, reports), W)  # not of the true type
     return np.outer(b_fn(true_types), win_value) - win_cost[None, :]
 
 
@@ -288,7 +287,7 @@ def obedience_check(m):
         W, U = _utility_column(m, tab, pay)
         asked = W > WIN_PROB_FLOOR
         surplus.append(U[asked] / W[asked])
-        solved, stated = (_payment_at(_payment_tables(tab, p), tab.entry) for p in (tab.pay, pay))
+        solved, stated = (_payment_at(tab, p, tab.entry) for p in (tab.pay, pay))
         marginal.append((tab.entry, float(solved - stated)))
 
     surplus = np.concatenate(surplus)
@@ -312,7 +311,9 @@ def posterior_belief(m, i, t):
     level = m.curves[i].phi_ironed_at(t)
     opp, _, B, _ = tab.levels.at(i, level)
     if opp * B <= WIN_PROB_FLOOR:
-        raise UndefinedPosteriorError(f"buyer {i} at type {t} is asked with probability ~0")
+        raise UndefinedPosteriorError(
+            f"buyer {i} at type {t} is asked with probability ~0"
+        )
     qm = m.inst.quality
     s = info.acceptance_set(qm, level)
     qgrid = qm.G.grid
@@ -474,7 +475,10 @@ class OracleAllocation:
 
     @property
     def never_sells(self):
-        return all(bool(np.all(cut == k)) for cut, k in zip(self.cutoffs, self.type_counts))
+        return all(
+            bool(np.all(cut == k))
+            for cut, k in zip(self.cutoffs, self.type_counts)
+        )
 
 
 def _dp_two_buyers(u1, p1, u2, p2):
@@ -545,7 +549,10 @@ def brute_force_oracle(dinst):
     guarded by the enumeration limit.
     """
     _guard(dinst)
-    phis = [discrete_virtual_values(g, p) for g, p in zip(dinst.type_grids, dinst.type_probs)]
+    phis = [
+        discrete_virtual_values(g, p)
+        for g, p in zip(dinst.type_grids, dinst.type_probs)
+    ]
     total = float(np.sum(dinst.quality_probs * dinst.reserve_vals))
     n_q = dinst.quality_vals.size
     if dinst.n_buyers == 1:

@@ -17,7 +17,13 @@ import numpy as np
 from . import dist
 from .errors import ValidationError
 
-__all__ = ["VirtualValueCurve", "virtual_value", "virtual_value_table", "is_regular", "iron"]
+__all__ = [
+    "VirtualValueCurve",
+    "virtual_value",
+    "virtual_value_table",
+    "is_regular",
+    "iron",
+]
 
 MONOTONE_SLACK = 1e-9
 IRON_GAP_TOL = 1e-9

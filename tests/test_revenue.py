@@ -305,18 +305,18 @@ def _guided_queries(grid, tc):
 
 def _guided_column_reads(tab, pay, grid, k, w):
     """A column's interval and payment at types read at (k, w) on grid, by guide and by search."""
-    column = mechanism._payment_tables(tab, pay)
-    tc, nxt = column[:2]
-    guide = mechanism._column_guide(nxt, grid)
+    tc, steps = tab.t, mechanism._GUIDE_STEPS
+    guide = mechanism._column_guide(tab, pay, grid)
+    nxt, search = guide[0], guide[-1]
     t = np.clip(dist._cell_read(grid, np.diff(grid), k, w), tc[0], tc[-1])
-    bucket = (w * 32).astype(np.intp) + 33 * k  # sub-bucket int(w * 32), w = 1 its own
+    bucket = (w * steps).astype(np.intp) + (steps + 1) * k  # w = 1 is a bucket of its own
     want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
-    assert np.all(guide[0][bucket] <= want)
-    assert np.array_equal(dist._guided_index(nxt, t, guide, bucket), want)
-    guided = _payment_at(column, t, guide, (k, w))
+    assert np.all(search[0][bucket] <= want)
+    assert np.array_equal(dist._guided_index(nxt, t, search, bucket), want)
+    guided = _payment_at(tab, pay, t, guide, (k, w))
     assert np.array_equal(guided, _payment_by_search(tab, pay, t), equal_nan=True)
-    assert np.array_equal(_payment_at(column, t), guided, equal_nan=True)
-    return guide, bucket, t, want
+    assert np.array_equal(_payment_at(tab, pay, t), guided, equal_nan=True)
+    return search, bucket, t, want
 
 
 def test_cell_guided_column_index_matches_searchsorted(solved_suite):
@@ -339,7 +339,7 @@ def test_cell_guided_column_index_matches_searchsorted(solved_suite):
 
 
 def test_guided_column_index_searches_a_bucket_of_many_points():
-    # Thirty column points inside the first 1/32 of a type cell: that
+    # Thirty column points inside the first sub-bucket of a type cell: that
     # bucket spans them all, so its types are searched in full, and must
     # land where the whole-column search does.
     t = np.concatenate((np.linspace(0.0, 0.03, 31), [0.5, 0.5, 1.0]))
@@ -349,8 +349,8 @@ def test_guided_column_index_searches_a_bucket_of_many_points():
     pay = np.random.default_rng(6).random(t.size)
     grid = np.array([0.0, 1.0])
     k, w = _guided_queries(grid, t)
-    guide, bucket, _, want = _guided_column_reads(tab, pay, grid, k, w)
-    assert guide[1] is not None and np.any(want - guide[0][bucket] >= 2)
+    search, bucket, _, want = _guided_column_reads(tab, pay, grid, k, w)
+    assert search[1] is not None and np.any(want - search[0][bucket] >= 2)
 
 
 def test_column_index_steps_stop_at_the_last_interval():
