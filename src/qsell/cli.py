@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,16 @@ def _build_distribution(spec, grid_override=None):
     raise ConfigError(f"unknown distribution family: {family!r}")
 
 
+class _Power(NamedTuple):
+    """t -> coeff * t ** expo, compared by value (a lambda compares by identity)."""
+
+    coeff: float
+    expo: float
+
+    def __call__(self, t):
+        return self.coeff * np.asarray(t, dtype=float) ** self.expo
+
+
 def _build_curve(spec):
     """Returns a scalar or callable usable by make_quality_model."""
     family = spec.get("family")
@@ -82,9 +93,7 @@ def _build_curve(spec):
         slope = float(spec.get("slope", 0.0))
         return lambda q: intercept + slope * np.asarray(q, dtype=float)
     if family == "power":
-        coeff = float(spec.get("coeff", 1.0))
-        expo = float(spec["exponent"])
-        return lambda q: coeff * np.asarray(q, dtype=float) ** expo
+        return _Power(float(spec.get("coeff", 1.0)), float(spec["exponent"]))
     if family == "table":
         grid = np.asarray(spec["grid"], dtype=float)
         vals = np.asarray(spec["values"], dtype=float)
@@ -102,8 +111,7 @@ def _build_valuation(spec):
         if expo <= 0.0:
             raise ConfigError("power valuations need a positive exponent")
         return GeneralValuation(
-            type_factor=lambda t: np.asarray(t, dtype=float) ** expo,
-            type_factor_deriv=lambda t: expo * np.asarray(t, dtype=float) ** (expo - 1.0),
+            type_factor=_Power(1.0, expo), type_factor_deriv=_Power(expo, expo - 1.0)
         )
     raise ConfigError(f"unknown valuation kind: {kind!r}")
 

@@ -101,15 +101,13 @@ class GriddedFunction:
 
 @dataclass(frozen=True)
 class GriddedDistribution:
-    """Bounded distribution on [support_lo, support_hi] with gridded pdf/cdf.
+    """Bounded distribution on [grid[0], grid[-1]] with gridded pdf/cdf.
 
     ``cdf_vals`` is the running trapezoid integral of ``pdf_vals``,
     renormalized so the endpoint is exactly 1.  ``norm_factor`` records the
     raw mass of the user-supplied density before renormalization.
     """
 
-    support_lo: float
-    support_hi: float
     grid: np.ndarray
     pdf_vals: np.ndarray
     cdf_vals: np.ndarray
@@ -123,8 +121,6 @@ class GriddedDistribution:
         cdf_vals = _as_float_array(self.cdf_vals, "cdf_vals")
         if pdf_vals.size != grid.size or cdf_vals.size != grid.size:
             raise ValidationError("pdf/cdf arrays must match the grid length")
-        if not (self.support_lo == grid[0] and self.support_hi == grid[-1]):
-            raise ValidationError("support endpoints must coincide with the grid ends")
         if np.any(pdf_vals < EPS_DENSITY):
             raise ValidationError(f"pdf values must be >= {EPS_DENSITY}")
         if abs(cdf_vals[0]) > 1e-9 or abs(cdf_vals[-1] - 1.0) > 1e-9:
@@ -136,7 +132,7 @@ class GriddedDistribution:
         object.__setattr__(self, "cdf_vals", cdf_vals)
 
 
-def _finalize(lo, hi, grid, raw_pdf):
+def _finalize(grid, raw_pdf):
     """Clamp, normalize and assemble a GriddedDistribution from raw samples."""
     if np.any(raw_pdf < 0):
         raise ValidationError("density is negative somewhere on the grid")
@@ -165,14 +161,7 @@ def _finalize(lo, hi, grid, raw_pdf):
         cdf_vals = raw_cdf / mass
     cdf_vals[0] = 0.0
     cdf_vals[-1] = 1.0
-    return GriddedDistribution(
-        support_lo=float(lo),
-        support_hi=float(hi),
-        grid=grid,
-        pdf_vals=pdf_vals,
-        cdf_vals=cdf_vals,
-        norm_factor=float(mass),
-    )
+    return GriddedDistribution(grid, pdf_vals, cdf_vals, norm_factor=float(mass))
 
 
 def make_uniform(lo, hi, m=1024):
@@ -183,7 +172,7 @@ def make_uniform(lo, hi, m=1024):
         raise ValidationError("need at least 2 grid nodes")
     grid = np.linspace(lo, hi, int(m))
     raw = np.full(int(m), 1.0 / (hi - lo))
-    return _finalize(lo, hi, grid, raw)
+    return _finalize(grid, raw)
 
 
 def make_from_density(lo, hi, density, m=1024):
@@ -198,7 +187,7 @@ def make_from_density(lo, hi, density, m=1024):
         raw = np.array([float(density(x)) for x in grid])
     if np.any(np.isnan(raw)):
         raise ValidationError("density evaluated to NaN")
-    return _finalize(lo, hi, grid, raw)
+    return _finalize(grid, raw)
 
 
 def make_from_table(grid, pdf_vals):
@@ -208,7 +197,7 @@ def make_from_table(grid, pdf_vals):
     raw = _as_float_array(pdf_vals, "pdf_vals")
     if raw.size != grid.size:
         raise ValidationError("pdf table must match the grid length")
-    return _finalize(grid[0], grid[-1], grid, raw)
+    return _finalize(grid, raw)
 
 
 def constant_curve(grid, value):
@@ -323,26 +312,15 @@ def _cell_read(col, step, k, w):
     return val
 
 
-def quantile(d, u, *columns):
-    """Inverse cdf by linear interpolation on the tabulated cdf.
-
-    Given columns tabulated on d's grid, returns instead each column
-    read at the quantiles of u, as a tuple: one cell lookup
-    (``_cdf_cell``) serves them all, since a curve on the same grid is
-    linear in the same cell.  ``quantile(d, u)`` is the column
-    ``d.grid``.
-    """
+def quantile(d, u):
+    """Inverse cdf by linear interpolation on the tabulated cdf."""
     u = _validated_query(u)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValidationError("quantile argument must lie in [0, 1]")
     # _cdf_cell clamps: a u within rounding below 0 or above 1 reads an end node.
     k, w = _cdf_cell(_cdf_guide(d.cdf_vals), u.ravel())
-    shape = u.shape
-    out = []
-    for col in columns or (d.grid,):
-        val = _cell_read(col, np.diff(col), k, w)
-        out.append(float(val[0]) if not shape else val.reshape(shape))
-    return tuple(out) if columns else out[0]
+    val = _cell_read(d.grid, np.diff(d.grid), k, w)
+    return float(val[0]) if not u.shape else val.reshape(u.shape)
 
 
 def integrate(f, lo, hi):

@@ -76,7 +76,11 @@ class QualityModel:
     G: dist.GriddedDistribution
     alpha: dist.GriddedFunction
     reserve: dist.GriddedFunction
-    xi: dist.GriddedFunction
+
+    @cached_property
+    def xi(self):
+        """reserve / alpha on G's grid."""
+        return dist.GriddedFunction(self.G.grid, self.reserve.vals / self.alpha.vals)
 
     @cached_property
     def integrands(self):
@@ -111,8 +115,7 @@ def make_quality_model(G, alpha, reserve):
             raise ValidationError(f"{name} must be finite on the quality grid")
     if np.any(alpha_f.vals <= 0.0):
         raise ValidationError("alpha must be strictly positive on the quality grid")
-    xi = dist.GriddedFunction(G.grid, reserve_f.vals / alpha_f.vals)
-    return QualityModel(G=G, alpha=alpha_f, reserve=reserve_f, xi=xi)
+    return QualityModel(G=G, alpha=alpha_f, reserve=reserve_f)
 
 
 @dataclass(frozen=True)
@@ -202,10 +205,10 @@ class ThresholdMechanism:
     there) but at an entry.  ``payment``, revenue, simulation and the
     verifiers all read it through the interim table's payment column, so
     they share one payment rule.  ``win_weight[i]`` is b' * X at the
-    nodes, written out for readers; the verifiers read X.  ``tables``
-    holds the per-buyer ``InterimTable`` objects, built once by the solve
-    or the loader from ``inst`` and the threshold curves; every consumer
-    reads them.  Each table's ``entry`` is the lowest type at which that
+    nodes, read off the tables on first use.  ``tables`` holds the
+    per-buyer ``InterimTable`` objects, built once by the solve or the
+    loader from ``inst`` and the threshold curves; every consumer reads
+    them.  Each table's ``entry`` is the lowest type at which that
     buyer is asked; ``degenerate`` (no buyer has one, so nobody ever
     wins) is a valid mechanism, not an error.  The tables do not depend
     on the payments, so ``dataclasses.replace`` with new ones keeps them
@@ -216,7 +219,6 @@ class ThresholdMechanism:
 
     curves: list
     inst: ProblemInstance
-    win_weight: list
     payment: list
     tables: tuple = field(compare=False, repr=False)
 
@@ -224,13 +226,31 @@ class ThresholdMechanism:
     def n_buyers(self):
         return len(self.curves)
 
+    @cached_property
+    def win_weight(self):
+        """Each buyer's b' * X at its grid nodes, as a GriddedFunction."""
+        bp_fn = self.inst.valuation.type_factor_deriv
+        return [
+            dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0][t.node_pos])
+            for d, t in zip(self.inst.buyers, self.tables)
+        ]
+
     @property
     def degenerate(self):
         return all(t.entry is None for t in self.tables)
 
 
+def _integer(x, name):
+    """x as an int, read through ``operator.index``; else ValidationError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _buyer(m, i):
-    """i, checked to index one of m's buyers: 0 <= i < n, else ValidationError."""
+    """i, checked to index one of m's buyers: an integer 0 <= i < n, else ValidationError."""
+    i = _integer(i, "buyer index")
     if not 0 <= i < m.n_buyers:
         raise ValidationError(f"buyer index {i} is out of range for {m.n_buyers} buyers")
     return i
@@ -616,7 +636,7 @@ def _threshold_curves(inst):
 
 
 def build_optimal_mechanism(inst):
-    """Solve the instance: threshold curves, interim tables, win weights, payments.
+    """Solve the instance: threshold curves, interim tables and payments.
 
     The instance and the interim tables stay on the returned mechanism.
     Ironing is applied per buyer exactly when their threshold curve w is
@@ -625,12 +645,6 @@ def build_optimal_mechanism(inst):
     """
     curves = _threshold_curves(inst)
     tables = interim_tables(inst, curves)
-
-    bp_fn = inst.valuation.type_factor_deriv
-    win_curves = [
-        dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0][t.node_pos])
-        for d, t in zip(inst.buyers, tables)
-    ]
     pay_curves = [
         dist.GriddedFunction(d.grid, t.pay[t.node_pos])
         for d, t in zip(inst.buyers, tables)
@@ -639,7 +653,6 @@ def build_optimal_mechanism(inst):
     return ThresholdMechanism(
         curves=curves,
         inst=inst,
-        win_weight=win_curves,
         payment=pay_curves,
         tables=tables,
     )
@@ -673,6 +686,7 @@ def mechanism_to_json_dict(m):
             "phi": _arr(c.phi),
             "phi_ironed": _arr(c.phi_ironed),
             "ironed_intervals": [[int(a), int(b)] for a, b in c.ironed_intervals],
+            # regular and win_weight are derived: written for readers, not read back
             "regular": bool(c.regular),
             "win_weight": _arr(m.win_weight[i].vals),
             "payment": pay,
@@ -706,8 +720,9 @@ def mechanism_from_json_dict(doc, inst):
     ``null`` (an undefined payment), every other one must hold finite
     numbers.  The type grids and the quality block must equal the
     instance's; the mechanism keeps ``inst`` and builds its interim
-    tables once, here.  Keys it does not read (``degenerate``,
-    ``active_from``, older writers' valuation fields) are ignored.
+    tables once, here.  Keys it does not read, the derived ``degenerate``,
+    ``regular``, ``win_weight`` and ``active_from`` and older writers'
+    valuation fields, are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("unsupported mechanism schema version")
@@ -722,14 +737,10 @@ def mechanism_from_json_dict(doc, inst):
     try:
         quality = {key: np.asarray(doc["quality"][key], dtype=float) for key in block}
         curves = []
-        win_curves = []
         pay_curves = []
         for i, entry in enumerate(doc["buyers"]):
             tg = np.asarray(entry["type_grid"], dtype=float)
-            cols = {
-                key: np.asarray(entry[key], dtype=float)
-                for key in ("phi", "phi_ironed", "win_weight")
-            }
+            cols = {key: np.asarray(entry[key], dtype=float) for key in ("phi", "phi_ironed")}
             for key, col in (("type_grid", tg), *cols.items()):
                 if not np.all(np.isfinite(col)):
                     raise ValidationError(f"buyer {i}: {key} must hold finite numbers")
@@ -746,10 +757,8 @@ def mechanism_from_json_dict(doc, inst):
                     phi=cols["phi"],
                     phi_ironed=cols["phi_ironed"],
                     ironed_intervals=intervals,
-                    regular=bool(entry["regular"]),
                 )
             )
-            win_curves.append(dist.GriddedFunction(tg, cols["win_weight"]))
             pay_curves.append(dist.GriddedFunction(tg, cols["payment"]))
     except ValidationError:
         raise
@@ -765,7 +774,6 @@ def mechanism_from_json_dict(doc, inst):
     return ThresholdMechanism(
         curves=curves,
         inst=inst,
-        win_weight=win_curves,
         payment=pay_curves,
         tables=interim_tables(inst, curves),
     )

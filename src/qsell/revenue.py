@@ -19,13 +19,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import (
-    _charged,
-    _column_guide,
-    _columns,
-    _payment_at,
-    _winners,
-)
+from .mechanism import _charged, _column_guide, _columns, _integer, _payment_at, _winners
 
 __all__ = [
     "revenue_direct",
@@ -178,6 +172,7 @@ def simulate(m, n_samples, seed):
     and payment at that buyer's wins.  The payment's column interval
     comes from the guide entry of the winner's cell and sub-bucket.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples <= 0:
         raise ValidationError("n_samples must be positive")
     if seed < 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _payment_at
+from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _integer, _payment_at
 
 __all__ = [
     "FeasibilityReport",
@@ -93,14 +93,13 @@ def _utility_column(m, tab, pay):
 def check_feasibility(m, tol=1e-6):
     """Verify the implementability side of a mechanism.
 
-    Checks that every win weight b' * X, read off the interim table at
-    the grid nodes (as the solve tabulates it, not the mechanism's stored
-    copy), is non-decreasing, that interim utility matches the integral
-    of the win weight (the envelope
-    identity) at every point of the payment column, that the lowest type
-    earns nothing, and that interim win probabilities are genuine
-    probabilities.  The last is a certificate read off the level tables:
-    buyer i's win probability W = opp * B is a product of factor tables,
+    Checks that every win weight b' * X at the grid nodes
+    (``m.win_weight``, read off the interim table) is non-decreasing,
+    that interim utility matches the integral of the win weight (the
+    envelope identity) at every point of the payment column, that the
+    lowest type earns nothing, and that interim win probabilities are
+    genuine probabilities.  The last is a certificate read off the
+    level tables: buyer i's win probability W = opp * B is a product of factor tables,
     the quality table's B and each rival's mass.  When every factor is
     non-negative and non-decreasing, W over the buyer's types spans
     exactly W at the least and the greatest ironed threshold level, read
@@ -114,11 +113,10 @@ def check_feasibility(m, tol=1e-6):
     mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in levels.mass]
 
     per_buyer = []
-    for i, (d, (tab, pay)) in enumerate(zip(m.inst.buyers, _columns(m))):
-        r_vals = m.inst.valuation.type_factor_deriv(d.grid) * tab.win[0][tab.node_pos]
+    for i, (r, (tab, pay)) in enumerate(zip(m.win_weight, _columns(m))):
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
-        mono_i = float(np.max([-np.min(np.diff(r_vals)), 0.0])) if r_vals.size > 1 else 0.0
+        mono_i = float(np.max([-np.min(np.diff(r.vals)), 0.0])) if r.vals.size > 1 else 0.0
 
         _, U = _utility_column(m, tab, pay)
         env_i = float(np.max(np.abs(U - tab.I)))
@@ -208,6 +206,7 @@ def ic_deviation_search(m, n_grid=101):
     shows up as a large positive regret, a sound one stays at
     numerical-noise level.
     """
+    n_grid = _integer(n_grid, "n_grid")
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]

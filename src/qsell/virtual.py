@@ -35,15 +35,19 @@ class VirtualValueCurve:
 
     ``ironed_intervals`` holds (lo_idx, hi_idx) index pairs into
     ``type_grid``; ``phi_ironed`` is constant on each of them and equal to
-    ``phi`` everywhere else.
+    ``phi`` everywhere else.  ``regular`` is read off both.
     """
 
     type_grid: np.ndarray
     phi: np.ndarray
     phi_ironed: np.ndarray
     ironed_intervals: list
-    regular: bool
     __eq__ = dist._equal_fields
+
+    @property
+    def regular(self):
+        """True when nothing is ironed and phi is non-decreasing, up to a 1e-9 slack."""
+        return not self.ironed_intervals and bool(np.all(np.diff(self.phi) >= -MONOTONE_SLACK))
 
     def phi_at(self, t):
         return dist._read(t, self.type_grid, self.phi)
@@ -183,11 +187,9 @@ def iron(d, psi):
             phi_ironed[lo : hi + 1] = L
             intervals.append((lo, hi))
 
-    regular = bool(np.all(np.diff(psi_vals) >= -MONOTONE_SLACK))
     return VirtualValueCurve(
         type_grid=d.grid.copy(),
         phi=psi_vals.copy(),
         phi_ironed=phi_ironed,
         ironed_intervals=intervals,
-        regular=regular and not intervals,
     )

@@ -440,6 +440,24 @@ def test_bad_config_value_exits_2(tmp_path, capsys, monkeypatch, edit, message):
     assert "Traceback" not in err
 
 
+def test_power_configs_load_equal_instances(tmp_path):
+    # a power valuation and a power curve compare by value, so one config
+    # read twice gives equal instances and equal solved mechanisms
+    doc = dict(
+        _small_config(),
+        buyers=[{"distribution": {"family": "uniform", "lo": 0.5, "hi": 1.5, "m": 65}}],
+        quality=_quality({"family": "power", "coeff": 0.5, "exponent": 2.0}, m=65),
+        valuation={"kind": "power", "exponent": 2.0},
+    )
+    cfg = _write(tmp_path, "power.json", doc)
+    a, b = cli.load_instance(cfg), cli.load_instance(cfg)
+    assert a == b
+    assert cli.build_optimal_mechanism(a) == cli.build_optimal_mechanism(b)
+    t = a.buyers[0].grid
+    assert np.array_equal(a.valuation.type_factor(t), t**2.0)
+    assert np.array_equal(a.valuation.type_factor_deriv(t), 2.0 * t**1.0)
+
+
 def test_power_reserve_curve_matches_its_linear_form(tmp_path, capsys):
     # 0.5 * q ** 1.0 and 0 + 0.5 * q are the same reserve, value for value
     printed = []

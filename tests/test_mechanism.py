@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
-from conftest import bimodal_density
+from conftest import bimodal_density, make_bimodal
 from qsell import dist, mechanism
 from qsell.errors import (
     AssumptionViolationError,
@@ -35,6 +35,11 @@ def test_quality_model_xi():
     # xi = q / (1 + q)
     assert qsell.xi_at(qm, 0.0) == pytest.approx(0.0)
     assert qsell.xi_at(qm, 1.0) == pytest.approx(0.5)
+    # xi is read off reserve and alpha: not a field, so no copy can disagree with them
+    direct = qsell.QualityModel(G, qm.alpha, qm.reserve)
+    assert direct == qm and np.array_equal(direct.xi.vals, qm.reserve.vals / qm.alpha.vals)
+    with pytest.raises(TypeError):
+        dataclasses.replace(qm, xi=qm.reserve)
 
 
 def test_quality_model_rejects_nonpositive_alpha():
@@ -222,17 +227,15 @@ def test_payment_nan_exactly_where_never_winning(two_uniform):
     assert np.array_equal(nan_mask, tab.win[1].ravel()[tab.node_pos] <= 1e-12)
 
 
-@pytest.mark.parametrize(
-    "read",
-    [
-        pytest.param(lambda m, i: qsell.win_weight(m, i, 0.8), id="win_weight"),
-        pytest.param(lambda m, i: qsell.payment(m, i, 0.8), id="payment"),
-        pytest.param(
-            lambda m, i: qsell.posterior_belief(m, i, 0.8), id="posterior_belief"
-        ),
-        pytest.param(lambda m, i: qsell.partition_summary(m, i), id="partition"),
-    ],
-)
+_BUYER_READS = [
+    pytest.param(lambda m, i: qsell.win_weight(m, i, 0.8), id="win_weight"),
+    pytest.param(lambda m, i: qsell.payment(m, i, 0.8), id="payment"),
+    pytest.param(lambda m, i: qsell.posterior_belief(m, i, 0.8), id="posterior_belief"),
+    pytest.param(lambda m, i: qsell.partition_summary(m, i), id="partition"),
+]
+
+
+@pytest.mark.parametrize("read", _BUYER_READS)
 @pytest.mark.parametrize("end", ["below", "above"])
 def test_a_buyer_index_outside_the_buyers_is_rejected(solved_suite, read, end):
     # -1 is not the last buyer: as buyer -1, the win weight counted the
@@ -241,6 +244,15 @@ def test_a_buyer_index_outside_the_buyers_is_rejected(solved_suite, read, end):
     read(m, 2)
     with pytest.raises(ValidationError, match="out of range"):
         read(m, -1 if end == "below" else m.n_buyers)
+
+
+@pytest.mark.parametrize("read", _BUYER_READS)
+def test_a_buyer_index_that_is_not_an_integer_is_rejected(solved_suite, read):
+    _, m = solved_suite["three-v-shape"]
+    read(m, np.int64(2))
+    for i in (0.5, 2.0, "1"):
+        with pytest.raises(ValidationError, match="buyer index must be an integer"):
+            read(m, i)
 
 
 def test_degenerate_mechanism_flagged():
@@ -420,6 +432,28 @@ def test_mechanisms_compare_by_value(two_uniform):
     assert curve != m.curves[0] and m != dataclasses.replace(m, curves=[curve, m.curves[1]])
 
 
+def test_json_derives_win_weight_and_regularity():
+    # a document's win weights and regularity are written for readers:
+    # ones that contradict its curves load as the solved mechanism, and
+    # the writer states the derived values again
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, 0.1)
+    buyers = (make_bimodal(257), qsell.make_uniform(0.0, 1.0, m=129))
+    inst = qsell.ProblemInstance(buyers=buyers, quality=qm)
+    m = qsell.build_optimal_mechanism(inst)
+    assert [c.regular for c in m.curves] == [False, True]
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(m)))
+    forged = json.loads(json.dumps(doc))
+    for entry in forged["buyers"]:
+        entry["win_weight"] = [5.0] * len(entry["win_weight"])
+        entry["regular"] = not entry["regular"]
+    m2 = qsell.mechanism_from_json_dict(forged, inst)
+    assert m2 == m
+    assert [c.regular for c in m2.curves] == [False, True]
+    assert json.loads(json.dumps(qsell.mechanism_to_json_dict(m2))) == doc
+    del forged["buyers"][0]["win_weight"], forged["buyers"][1]["regular"]
+    assert qsell.mechanism_from_json_dict(forged, inst) == m
+
+
 def test_json_rejects_wrong_schema(two_uniform):
     inst, m = two_uniform
     doc = qsell.mechanism_to_json_dict(m)
@@ -455,13 +489,11 @@ def test_json_rejects_missing_quality(two_uniform):
         pytest.param("buyer", "ironed_intervals", lambda v: v.append([5, 3]), id="interval-back"),
         pytest.param("buyer", "phi", list.pop, id="phi-short"),
         pytest.param("buyer", "phi_ironed", list.pop, id="phi_ironed-short"),
-        pytest.param("buyer", "win_weight", list.pop, id="win_weight-short"),
         pytest.param("buyer", "payment", list.pop, id="payment-short"),
         # only the payment may be null (undefined)
         pytest.param("buyer", "type_grid", lambda v: v.__setitem__(40, None), id="type_grid-null"),
         pytest.param("buyer", "phi", lambda v: v.__setitem__(40, None), id="phi-null"),
         pytest.param("buyer", "phi_ironed", lambda v: v.__setitem__(40, None), id="phi_ironed-null"),
-        pytest.param("buyer", "win_weight", lambda v: v.__setitem__(40, None), id="win_weight-null"),
     ],
 )
 def test_json_rejects_malformed_fields(two_uniform, where, key, edit):
@@ -675,8 +707,6 @@ def test_a_loaded_mechanism_builds_its_tables_once(solved_suite, monkeypatch):
 
 def test_win_weight_constant_on_ironed_plateau():
     # irregular buyer: R must be exactly constant across the plateau nodes
-    from conftest import make_bimodal
-
     G = qsell.make_uniform(0.0, 1.0, m=257)
     qm = qsell.make_quality_model(G, 1.0, lambda q: np.asarray(q, float))
     inst = qsell.ProblemInstance(buyers=(make_bimodal(1025),), quality=qm)

@@ -155,7 +155,9 @@ def test_simulation_depends_on_seed(two_uniform):
     assert a.revenue_mean != b.revenue_mean
 
 
-@pytest.mark.parametrize("n_samples, seed", [(0, 7), (2000, -1)])
+@pytest.mark.parametrize(
+    "n_samples, seed", [(0, 7), (2000, -1), (1000.5, 1), (2000.0, 7), (2000, 7.5)]
+)
 def test_simulation_rejects_bad_sample_count_and_seed(two_uniform, n_samples, seed):
     inst, mech = two_uniform
     with pytest.raises(qsell.ValidationError):

@@ -47,3 +47,15 @@ def test_every_mechanism_reader_takes_the_mechanism_first_and_no_instance():
 def test_a_mechanism_carries_its_instance():
     fields = {f.name for f in dataclasses.fields(qsell.ThresholdMechanism)}
     assert "inst" in fields and "quality" not in fields
+
+
+def test_derived_facts_are_not_fields():
+    # each is read off the fields it follows from, so no copy can drift from them
+    derived = {
+        qsell.GriddedDistribution: {"support_lo", "support_hi"},
+        qsell.QualityModel: {"xi"},
+        qsell.ThresholdMechanism: {"win_weight"},
+        qsell.VirtualValueCurve: {"regular"},
+    }
+    for cls, names in derived.items():
+        assert not names & {f.name for f in dataclasses.fields(cls)}, cls

@@ -104,7 +104,7 @@ def test_feasibility_detects_underpaid_top_types(posted_price):
 def test_feasibility_reads_the_allocation_not_the_stored_win_weight():
     # A bimodal buyer's document with its ironing undone: phi_ironed = phi
     # and the payments rebuilt as that allocation's envelope payments,
-    # while the stored win weights stay the ironed, monotone ones.  xi
+    # while the document's win weights stay the ironed, monotone ones.  xi
     # starts below phi's peak before its dip (-0.007), so X falls there.
     qm = qsell.make_quality_model(
         qsell.make_uniform(0.0, 1.0, m=129), 1.0, lambda q: 0.3 * np.asarray(q, float) - 0.1
@@ -120,7 +120,7 @@ def test_feasibility_reads_the_allocation_not_the_stored_win_weight():
     rep = qsell.check_feasibility(qsell.mechanism_from_json_dict(doc, inst))
     assert not rep.ok
     # X = P(xi <= phi) = (phi + 0.1) / 0.3 falls with phi; the largest
-    # fall between neighbouring nodes is 4.8e-2 (the stored copy reads 0)
+    # fall between neighbouring nodes is 4.8e-2 (the document's copy reads 0)
     assert rep.monotonicity_violation == pytest.approx(4.84e-2, abs=1e-4)
 
 
@@ -211,7 +211,7 @@ def test_feasibility_certificate_matches_a_dense_read(solved_suite):
         assert rep.largest_fall <= 1e-15, name
         for i, (d, tab) in enumerate(zip(inst.buyers, mech.tables)):
             phi = mech.curves[i].phi_ironed
-            (sampled,) = qsell.dist.quantile(d, rng.random(10_000), phi)
+            sampled = np.interp(qsell.quantile(d, rng.random(10_000)), d.grid, phi)
             c = np.concatenate((np.linspace(np.min(phi), np.max(phi), 10_000), sampled))
             opp, _, B, _ = tab.levels.at(i, c)
             W = opp * B
@@ -388,6 +388,13 @@ def test_types_at_the_ends_of_a_tied_plateau_gain_nothing_by_misreporting(n_buye
 def test_ic_search_needs_two_grid_points(posted_price, n_grid):
     inst, mech = posted_price
     with pytest.raises(qsell.ValidationError, match="n_grid"):
+        qsell.ic_deviation_search(mech, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("n_grid", [50.5, 101.0, "101"])
+def test_ic_search_needs_an_integer_grid(posted_price, n_grid):
+    inst, mech = posted_price
+    with pytest.raises(qsell.ValidationError, match="n_grid must be an integer"):
         qsell.ic_deviation_search(mech, n_grid=n_grid)
 
 

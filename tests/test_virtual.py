@@ -268,7 +268,7 @@ def test_ironing_where_the_bridge_extrapolates(cdf, psi):
     F = np.asarray(cdf, float) / cdf[-1]
     psi = np.asarray(psi)
     grid = np.linspace(0.0, 1.0, F.size)
-    curve = qsell.iron(qsell.GriddedDistribution(0.0, 1.0, grid, np.ones(F.size), F), psi)
+    curve = qsell.iron(qsell.GriddedDistribution(grid, np.ones(F.size), F), psi)
     assert curve.ironed_intervals
     assert np.all(np.diff(curve.phi_ironed) >= -1e-12)
     outside = np.ones(F.size, dtype=bool)
