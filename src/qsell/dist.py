@@ -54,7 +54,7 @@ def _as_float_array(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    if np.any(np.isnan(arr)):
+    if np.isnan(arr).any():
         raise ValidationError(f"{name} contains NaN")
     return arr
 
@@ -64,6 +64,11 @@ def _check_grid(grid):
         raise ValidationError("grid needs at least 2 nodes")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing")
+
+
+def _same_grid(a, b):
+    """True when a and b are the same grid, node for node; a shared array needs no compare."""
+    return a is b or np.array_equal(a, b)
 
 
 def _equal_fields(self, other):
@@ -164,24 +169,25 @@ def _finalize(grid, raw_pdf):
     return GriddedDistribution(grid, pdf_vals, cdf_vals, norm_factor=float(mass))
 
 
-def make_uniform(lo, hi, m=1024):
-    """Uniform distribution on [lo, hi] tabulated on m nodes."""
+def _even_grid(lo, hi, m):
+    """m evenly spaced nodes from lo to hi, both finite with lo < hi, m >= 2."""
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValidationError("need finite lo < hi")
     if m < 2:
         raise ValidationError("need at least 2 grid nodes")
-    grid = np.linspace(lo, hi, int(m))
+    return np.linspace(lo, hi, int(m))
+
+
+def make_uniform(lo, hi, m=1024):
+    """Uniform distribution on [lo, hi] tabulated on m nodes."""
+    grid = _even_grid(lo, hi, m)
     raw = np.full(int(m), 1.0 / (hi - lo))
     return _finalize(grid, raw)
 
 
 def make_from_density(lo, hi, density, m=1024):
     """Sample a density callable on m nodes over [lo, hi] and normalize it."""
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise ValidationError("need finite lo < hi")
-    if m < 2:
-        raise ValidationError("need at least 2 grid nodes")
-    grid = np.linspace(lo, hi, int(m))
+    grid = _even_grid(lo, hi, m)
     raw = np.asarray(density(grid), dtype=float)
     if raw.shape != grid.shape:
         raw = np.array([float(density(x)) for x in grid])

@@ -71,11 +71,23 @@ class QualityModel:
 
     ``xi = reserve / alpha`` is the only channel through which quality
     enters allocation decisions, so it is tabulated once on G's grid.
+    Construction checks that alpha and reserve are finite tables on
+    exactly that grid and that alpha > 0.
     """
 
     G: dist.GriddedDistribution
     alpha: dist.GriddedFunction
     reserve: dist.GriddedFunction
+
+    def __post_init__(self):
+        for name in ("alpha", "reserve"):
+            curve = getattr(self, name)
+            if not dist._same_grid(getattr(curve, "grid", None), self.G.grid):
+                raise ValidationError(f"{name} must be tabulated on the quality grid")
+            if not np.isfinite(curve.vals).all():
+                raise ValidationError(f"{name} must be finite on the quality grid")
+        if (self.alpha.vals <= 0.0).any():
+            raise ValidationError("alpha must be strictly positive on the quality grid")
 
     @cached_property
     def xi(self):
@@ -96,7 +108,7 @@ class QualityModel:
 
 def _curve_on(grid, curve, name):
     if isinstance(curve, dist.GriddedFunction):
-        if curve.grid.size == grid.size and np.array_equal(curve.grid, grid):
+        if dist._same_grid(curve.grid, grid):
             return curve
         return dist.GriddedFunction(grid, curve.value_at(grid))
     if callable(curve):
@@ -108,14 +120,7 @@ def _curve_on(grid, curve, name):
 
 def make_quality_model(G, alpha, reserve):
     """Assemble a QualityModel; alpha/reserve may be scalars, callables or tables."""
-    alpha_f = _curve_on(G.grid, alpha, "alpha")
-    reserve_f = _curve_on(G.grid, reserve, "reserve")
-    for name, curve in (("alpha", alpha_f), ("reserve", reserve_f)):
-        if not np.all(np.isfinite(curve.vals)):
-            raise ValidationError(f"{name} must be finite on the quality grid")
-    if np.any(alpha_f.vals <= 0.0):
-        raise ValidationError("alpha must be strictly positive on the quality grid")
-    return QualityModel(G=G, alpha=alpha_f, reserve=reserve_f)
+    return QualityModel(G, _curve_on(G.grid, alpha, "alpha"), _curve_on(G.grid, reserve, "reserve"))
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,8 @@ class ProblemInstance:
         for b in buyers:
             if not isinstance(b, dist.GriddedDistribution):
                 raise ValidationError("buyers must be GriddedDistribution objects")
+        if not isinstance(self.quality, QualityModel):
+            raise ValidationError("quality must be a QualityModel")
         if not all(
             callable(getattr(self.valuation, name, None))
             for name in ("type_factor", "type_factor_deriv")
@@ -214,17 +221,27 @@ class ThresholdMechanism:
     on the payments, so ``dataclasses.replace`` with new ones keeps them
     valid, and the new node table is what the consumers read.  ``==``
     compares the rest by value, NaN payments equal: a JSON round trip
-    compares equal.
+    compares equal.  Construction checks for one curve, one payment table
+    and one interim table per buyer, each curve and payment table on its
+    buyer's type grid, and keeps ``curves`` and ``payment`` as tuples.
     """
 
-    curves: list
+    curves: tuple
     inst: ProblemInstance
-    payment: list
+    payment: tuple
     tables: tuple = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "curves", tuple(self.curves))
+        object.__setattr__(self, "payment", tuple(self.payment))
+        _on_type_grids(self.inst, [c.type_grid for c in self.curves], "threshold curve")
+        _on_type_grids(self.inst, [p.grid for p in self.payment], "payment table")
+        if len(self.tables) != self.n_buyers:
+            raise ValidationError("need one interim table per buyer")
 
     @property
     def n_buyers(self):
-        return len(self.curves)
+        return self.inst.n_buyers
 
     @cached_property
     def win_weight(self):
@@ -238,6 +255,13 @@ class ThresholdMechanism:
     @property
     def degenerate(self):
         return all(t.entry is None for t in self.tables)
+
+
+def _on_type_grids(inst, grids, what):
+    """Raise unless ``grids`` holds one grid per buyer of inst, each the same as theirs."""
+    theirs = [d.grid for d in inst.buyers]
+    if len(grids) != len(theirs) or not all(map(dist._same_grid, grids, theirs)):
+        raise ValidationError(f"need one {what} per buyer, each on that buyer's type grid")
 
 
 def _integer(x, name):
@@ -396,7 +420,8 @@ class InterimTable:
 
 
 def interim_tables(inst, curves):
-    """Compute every buyer's interim table for the given threshold curves."""
+    """Compute every buyer's interim table for threshold curves, one per buyer on its type grid."""
+    _on_type_grids(inst, [c.type_grid for c in curves], "threshold curve")
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
     levels = InterimLevels.build(inst, curves)
     # n + 2 points: opp * A has degree n + 1, so Q gives the rent exactly,
@@ -650,12 +675,7 @@ def build_optimal_mechanism(inst):
         for d, t in zip(inst.buyers, tables)
     ]
 
-    return ThresholdMechanism(
-        curves=curves,
-        inst=inst,
-        payment=pay_curves,
-        tables=tables,
-    )
+    return ThresholdMechanism(curves, inst, pay_curves, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -703,26 +723,17 @@ def mechanism_to_json_dict(m):
     }
 
 
-def _index_pair(pair, size):
-    """An ironed interval read back: two node indices lo <= hi below size."""
-    lo, hi = (operator.index(k) for k in pair)
-    if not 0 <= lo <= hi < size:
-        raise ValidationError(f"ironed interval {list(pair)} is not a node range of the type grid")
-    return lo, hi
-
-
 def mechanism_from_json_dict(doc, inst):
     """Read ``mechanism_to_json_dict``'s document back against its instance.
 
-    Raises ValidationError for a document it cannot honour: another
-    schema, a tie-break rule other than lowest-index, or a missing or
-    malformed field; ``payment`` is the one per-buyer array that may hold
-    ``null`` (an undefined payment), every other one must hold finite
-    numbers.  The type grids and the quality block must equal the
-    instance's; the mechanism keeps ``inst`` and builds its interim
-    tables once, here.  Keys it does not read, the derived ``degenerate``,
-    ``regular``, ``win_weight`` and ``active_from`` and older writers'
-    valuation fields, are ignored.
+    It checks what is about the document: the schema, the kind, the
+    lowest-index tie-break and a quality block equal to the instance's.
+    The rest it parses into the model types, whose constructors check
+    every array; a ``null`` payment is undefined (NaN).  A failed check or
+    a missing or malformed field raises ValidationError.  The mechanism
+    keeps ``inst`` and builds its interim tables once, here.  Keys it
+    does not read, the derived ``degenerate``, ``regular``, ``win_weight``
+    and ``active_from`` and older writers' valuation fields, are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("unsupported mechanism schema version")
@@ -733,50 +744,18 @@ def mechanism_from_json_dict(doc, inst):
             f"unsupported tiebreak {doc.get('tiebreak')!r}; "
             f"only {TIEBREAK_LOWEST_INDEX!r} is implemented"
         )
-    block = _quality_block(inst.quality)
     try:
-        quality = {key: np.asarray(doc["quality"][key], dtype=float) for key in block}
-        curves = []
-        pay_curves = []
-        for i, entry in enumerate(doc["buyers"]):
-            tg = np.asarray(entry["type_grid"], dtype=float)
-            cols = {key: np.asarray(entry[key], dtype=float) for key in ("phi", "phi_ironed")}
-            for key, col in (("type_grid", tg), *cols.items()):
-                if not np.all(np.isfinite(col)):
-                    raise ValidationError(f"buyer {i}: {key} must hold finite numbers")
-            cols["payment"] = np.array(
-                [np.nan if v is None else float(v) for v in entry["payment"]]
-            )
-            for key, col in cols.items():
-                if col.shape != tg.shape:
-                    raise ValidationError(f"buyer {i}: {key} must match the type grid length")
-            intervals = [_index_pair(p, tg.size) for p in entry["ironed_intervals"]]
-            curves.append(
-                VirtualValueCurve(
-                    type_grid=tg,
-                    phi=cols["phi"],
-                    phi_ironed=cols["phi_ironed"],
-                    ironed_intervals=intervals,
-                )
-            )
-            pay_curves.append(dist.GriddedFunction(tg, cols["payment"]))
+        for key, vals in _quality_block(inst.quality).items():
+            if not np.array_equal(np.asarray(doc["quality"][key], dtype=float), vals):
+                raise ValidationError(f"the document's quality {key} differs from the instance's")
+        buyers, keys = doc["buyers"], ("type_grid", "phi", "phi_ironed", "ironed_intervals")
+        curves = [VirtualValueCurve(*(b[key] for key in keys)) for b in buyers]
+        pay = [dist.GriddedFunction(c.type_grid, b["payment"]) for c, b in zip(curves, buyers)]
     except ValidationError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
-    if len(curves) != inst.n_buyers or not all(
-        np.array_equal(c.type_grid, d.grid) for c, d in zip(curves, inst.buyers)
-    ):
-        raise ValidationError("the document's type grids differ from the instance's")
-    for key, vals in block.items():
-        if not np.array_equal(quality[key], vals):
-            raise ValidationError(f"the document's quality {key} differs from the instance's")
-    return ThresholdMechanism(
-        curves=curves,
-        inst=inst,
-        payment=pay_curves,
-        tables=interim_tables(inst, curves),
-    )
+    return ThresholdMechanism(curves, inst, pay, interim_tables(inst, curves))
 
 
 def write_mechanism_csv(m, path_for_buyer):

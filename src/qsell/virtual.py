@@ -10,6 +10,7 @@ segments of that envelope and is exactly the envelope's slope inside them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,23 @@ MONOTONE_SLACK = 1e-9
 IRON_GAP_TOL = 1e-9
 
 
-@dataclass
+def _index_pair(pair, size):
+    """An ironed interval: two node indices lo <= hi below size."""
+    lo, hi = (operator.index(k) for k in pair)
+    if not 0 <= lo <= hi < size:
+        raise ValidationError(f"ironed interval {list(pair)} is not a node range of the type grid")
+    return lo, hi
+
+
+@dataclass(frozen=True)
 class VirtualValueCurve:
     """A buyer's (possibly ironed) virtual value curve on their type grid.
 
     ``ironed_intervals`` holds (lo_idx, hi_idx) index pairs into
     ``type_grid``; ``phi_ironed`` is constant on each of them and equal to
-    ``phi`` everywhere else.  ``regular`` is read off both.
+    ``phi`` everywhere else.  ``regular`` is read off both.  Construction
+    checks for a 1-D grid without NaN, finite phi and phi_ironed of its
+    length, and intervals that are node ranges.
     """
 
     type_grid: np.ndarray
@@ -43,6 +54,17 @@ class VirtualValueCurve:
     phi_ironed: np.ndarray
     ironed_intervals: list
     __eq__ = dist._equal_fields
+
+    def __post_init__(self):
+        grid = dist._as_float_array(self.type_grid, "type_grid")
+        object.__setattr__(self, "type_grid", grid)
+        for name in ("phi", "phi_ironed"):
+            vals = np.asarray(getattr(self, name), dtype=float)
+            if vals.shape != grid.shape or not np.isfinite(vals).all():
+                raise ValidationError(f"{name} must hold a finite number at each type grid node")
+            object.__setattr__(self, name, vals)
+        intervals = [_index_pair(pair, grid.size) for pair in self.ironed_intervals]
+        object.__setattr__(self, "ironed_intervals", intervals)
 
     @property
     def regular(self):
@@ -119,7 +141,7 @@ def _bridge(ci, cj):
 
 
 def iron(d, psi):
-    """Iron a curve psi given on d's type grid.
+    """Iron psi, a table on d's type grid or a GriddedFunction on exactly that grid.
 
     Returns a VirtualValueCurve whose ``phi`` is psi sampled on the grid
     and whose ``phi_ironed`` is the slope of the exact lower convex
@@ -128,7 +150,7 @@ def iron(d, psi):
     below H are left alone.
     """
     if isinstance(psi, dist.GriddedFunction):
-        if psi.grid.size != d.grid.size or not np.allclose(psi.grid, d.grid):
+        if not dist._same_grid(psi.grid, d.grid):
             raise ValidationError("psi must be tabulated on the distribution's grid")
         psi_vals = psi.vals
     else:
@@ -188,7 +210,7 @@ def iron(d, psi):
             intervals.append((lo, hi))
 
     return VirtualValueCurve(
-        type_grid=d.grid.copy(),
+        type_grid=d.grid,
         phi=psi_vals.copy(),
         phi_ironed=phi_ironed,
         ironed_intervals=intervals,

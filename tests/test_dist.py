@@ -31,7 +31,9 @@ def test_uniform_cdf_pdf_quantile():
 
 def test_density_normalization():
     # unnormalized f(x) = x on [0,2] has mass 2; construction renormalizes
-    d = qsell.make_from_density(0.0, 2.0, lambda x: np.asarray(x, float), m=2001)
+    # f(0) = 0 is clamped up to the density floor, with a warning
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        d = qsell.make_from_density(0.0, 2.0, lambda x: np.asarray(x, float), m=2001)
     assert d.norm_factor == pytest.approx(2.0, rel=1e-6)
     # F(x) = x^2/4
     assert qsell.cdf(d, 1.0) == pytest.approx(0.25, abs=1e-6)

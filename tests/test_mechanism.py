@@ -61,6 +61,82 @@ def test_quality_model_rejects_nonpositive_alpha():
 
 
 # ---------------------------------------------------------------------------
+# every model type checks its own invariants when it is built
+
+
+@pytest.fixture(scope="module")
+def ramp():
+    """Two 65-node uniform buyers, alpha = 1, reserve = q: revenue 0.6458."""
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, lambda q: q)
+    inst = qsell.ProblemInstance((qsell.make_uniform(0.0, 1.0, m=65),) * 2, qm)
+    return qsell.build_optimal_mechanism(inst)
+
+
+def _on(grid, vals):
+    return qsell.GriddedFunction(grid, np.broadcast_to(vals, grid.shape))
+
+
+def _with_alpha(m, alpha):
+    """The ramp's quality model built directly, with this alpha table."""
+    return qsell.QualityModel(m.inst.quality.G, alpha, m.inst.quality.reserve)
+
+
+OTHER_65 = np.linspace(0.0, 2.0, 65)  # another grid of the quality grid's size
+
+
+# Each builds a malformed object.  Unchecked, most of them give wrong
+# numbers; the comments hold what the ramp instance reads without the checks.
+@pytest.mark.parametrize(
+    "build",
+    [
+        # revenue_direct 0.9959, against 0.8049 through make_quality_model
+        pytest.param(
+            lambda m: _with_alpha(m, _on(OTHER_65, 1.0 + OTHER_65)), id="alpha-other-grid"
+        ),
+        # revenue_direct -0.3542
+        pytest.param(
+            lambda m: _with_alpha(m, _on(m.inst.quality.G.grid, -1.0)), id="alpha-negative"
+        ),
+        # a numpy broadcast ValueError on the first read of xi
+        pytest.param(
+            lambda m: _with_alpha(m, _on(np.linspace(0.0, 1.0, 33), 1.0)), id="alpha-33-nodes"
+        ),
+        pytest.param(
+            lambda m: qsell.ProblemInstance(m.inst.buyers, "nope"), id="quality-not-a-model"
+        ),
+        # revenue_direct 0.5 against 0.6458, with every verifier passing
+        pytest.param(
+            lambda m: dataclasses.replace(m, payment=[m.payment[0]]), id="one-payment-table"
+        ),
+        # accepted: a payment table's own grid was never read
+        pytest.param(
+            lambda m: dataclasses.replace(
+                m, payment=[m.payment[0], _on(OTHER_65, m.payment[1].vals)]
+            ),
+            id="payment-other-grid",
+        ),
+        # n_buyers 4
+        pytest.param(lambda m: dataclasses.replace(m, curves=m.curves * 2), id="four-curves"),
+        # an IndexError
+        pytest.param(
+            lambda m: qsell.interim_tables(m.inst, m.curves[:1]), id="tables-of-one-curve"
+        ),
+        pytest.param(
+            lambda m: dataclasses.replace(m.curves[0], phi_ironed=m.curves[0].phi_ironed[:-1]),
+            id="short-phi-ironed",
+        ),
+        pytest.param(
+            lambda m: dataclasses.replace(m.curves[0], ironed_intervals=[(70, 2)]),
+            id="interval-off-the-grid",
+        ),
+    ],
+)
+def test_a_malformed_model_is_rejected_when_built(ramp, build):
+    with pytest.raises(ValidationError):
+        build(ramp)
+
+
+# ---------------------------------------------------------------------------
 # allocation
 
 

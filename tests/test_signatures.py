@@ -59,3 +59,19 @@ def test_derived_facts_are_not_fields():
     }
     for cls, names in derived.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls
+
+
+def test_model_types_are_frozen(two_uniform):
+    # each checks its invariants once, at construction, so none may change after
+    for cls in (
+        qsell.GriddedFunction,
+        qsell.GriddedDistribution,
+        qsell.QualityModel,
+        qsell.ProblemInstance,
+        qsell.VirtualValueCurve,
+        qsell.ThresholdMechanism,
+    ):
+        assert cls.__dataclass_params__.frozen, cls
+    _, m = two_uniform
+    repriced = dataclasses.replace(m, curves=list(m.curves), payment=list(m.payment))
+    assert type(repriced.curves) is tuple and type(repriced.payment) is tuple

@@ -112,6 +112,15 @@ def test_iron_mismatched_grid_rejected():
         qsell.iron(d, other)
 
 
+def test_iron_needs_psi_on_exactly_the_grid():
+    # a grid 1e-12 off is np.allclose to d's, but not the same grid
+    d = qsell.make_uniform(0.0, 1.0, m=101)
+    psi = qsell.virtual_value_table(d)
+    assert qsell.iron(d, qsell.GriddedFunction(d.grid.copy(), psi)).phi.tolist() == psi.tolist()
+    with pytest.raises(ValidationError, match="psi"):
+        qsell.iron(d, qsell.GriddedFunction(d.grid + 1e-12, psi))
+
+
 # ---------------------------------------------------------------------------
 # threshold curves of separable valuations and the checks on b
 
