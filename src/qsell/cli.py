@@ -28,6 +28,7 @@ from .mechanism import (
     GeneralValuation,
     LinearValuation,
     ProblemInstance,
+    _once_per_distinct,
     build_optimal_mechanism,
     make_quality_model,
     mechanism_to_json_dict,
@@ -131,10 +132,11 @@ def load_instance(path, grid_override=None):
             raise ConfigError(
                 f"unsupported schema_version: {doc.get('schema_version')!r}"
             )
-        buyers = tuple(
-            _build_distribution(b["distribution"], grid_override)
-            for b in doc["buyers"]
-        )
+        # buyers whose specs are equal dicts share one distribution object
+        buyers = tuple(_once_per_distinct(
+            (b["distribution"] for b in doc["buyers"]),
+            lambda spec: _build_distribution(spec, grid_override),
+        ))
         if not buyers:
             raise ConfigError("config lists no buyers")
         qspec = doc["quality"]

@@ -71,6 +71,12 @@ def _same_grid(a, b):
     return a is b or np.array_equal(a, b)
 
 
+def _frozen(a):
+    """a, made read-only: qsell allocated it and may share it between buyers."""
+    a.flags.writeable = False
+    return a
+
+
 def _equal_fields(self, other):
     """Dataclass equality that compares numpy arrays by value, NaN equal to NaN."""
     if other.__class__ is not self.__class__:
@@ -451,6 +457,7 @@ class LevelTable:
     fraction x, which meets the weak value at its left break and the
     strict value at its right break; below and above the breaks the
     integral is constant.  A stacked integrand has a leading row axis.
+    ``build``'s arrays are read-only, as buyers may share a table.
     """
 
     breaks: np.ndarray
@@ -509,12 +516,12 @@ class LevelTable:
         flat = count == 0
         strict = weak - _binsum(r_lo[flat], full[:, flat], n)
         shape = iv.shape[:-1]
-        return cls(
+        return cls(*map(_frozen, (
             breaks,
             weak.reshape(shape + (n,)),
             strict.reshape(shape + (n,)),
             coef.reshape((3,) + shape + (n + 1,)),
-        )
+        )))
 
     def at(self, c, weak=True, pieces=False):
         """The quantity at levels c: its weak or strict value at a break.

@@ -214,7 +214,8 @@ class ThresholdMechanism:
     they share one payment rule.  ``win_weight[i]`` is b' * X at the
     nodes, read off the tables on first use.  ``tables`` holds the
     per-buyer ``InterimTable`` objects, built once by the solve or the
-    loader from ``inst`` and the threshold curves; every consumer reads
+    loader from ``inst`` and the threshold curves (a run of value-equal
+    buyers holds one, see ``interim_tables``); every consumer reads
     them.  Each table's ``entry`` is the lowest type at which that
     buyer is asked; ``degenerate`` (no buyer has one, so nobody ever
     wins) is a valid mechanism, not an error.  The tables do not depend
@@ -262,6 +263,26 @@ def _on_type_grids(inst, grids, what):
     theirs = [d.grid for d in inst.buyers]
     if len(grids) != len(theirs) or not all(map(dist._same_grid, grids, theirs)):
         raise ValidationError(f"need one {what} per buyer, each on that buyer's type grid")
+
+
+def _once_per_distinct(keys, build):
+    """build(key) for each key, called once per distinct key (the same object or ``==``)."""
+    built, out = [], []
+    for key in keys:
+        value = next((v for k, v in built if k is key or k == key), None)
+        if value is None:
+            value = build(key)
+            built.append((key, value))
+        out.append(value)
+    return out
+
+
+def _per_run(keys, fn):
+    """[fn(i) for each index i of keys], called once per run of one key object and shared."""
+    out = []
+    for i, key in enumerate(keys):
+        out.append(out[-1] if i and key is keys[i - 1] else fn(i))
+    return out
 
 
 def _integer(x, name):
@@ -345,7 +366,8 @@ class InterimLevels:
     {xi <= c}), ``mass[j]`` buyer j's P(phi_ironed_j <= c).  Buyer i is
     asked exactly when the quality lies in {xi <= c} and every rival's
     threshold lies below c, so each interim quantity is a product of
-    lookups.  A solve builds these tables once.
+    lookups.  A solve builds these tables once, and buyers with equal
+    distributions and curves share one mass table.
     """
 
     quality: dist.LevelTable
@@ -353,11 +375,12 @@ class InterimLevels:
 
     @classmethod
     def build(cls, inst, curves):
-        mass = tuple(
-            dist.LevelTable.build(d.cdf_vals, c.phi_ironed, 1.0)
-            for d, c in zip(inst.buyers, curves)
-        )
-        return cls(inst.quality.level_table, mass)
+        def mass(pair):
+            d, curve = pair
+            return dist.LevelTable.build(d.cdf_vals, curve.phi_ironed, 1.0)
+
+        pairs = zip(inst.buyers, curves)
+        return cls(inst.quality.level_table, tuple(_once_per_distinct(pairs, mass)))
 
     def opp(self, i, c, pieces=False):
         """Product over the rivals j != i of their mass at c, under the tie rule.
@@ -365,12 +388,16 @@ class InterimLevels:
         A rival j < i reads the strict side ({phi_j < c}), one j > i the
         weak side; with i None every buyer is a rival and reads the strict
         side: the chance that nobody's threshold reaches c.  ``pieces``
-        reads c as the pieces of a cut curve (``LevelTable.at``).
+        reads c as the pieces of a cut curve (``LevelTable.at``).  Rivals
+        in a row that share a table and a side share one read.
         """
-        out = np.ones(np.shape(c))[()]
+        out, read = np.ones(np.shape(c))[()], (None, None, None)
         for j, mass in enumerate(self.mass):
             if j != i:
-                out = out * mass.at(c, i is not None and j > i, pieces)
+                weak = i is not None and j > i
+                if read[0] is not mass or read[1] != weak:
+                    read = (mass, weak, mass.at(c, weak, pieces))
+                out = out * read[2]
         return out
 
     def at(self, i, c, pieces=False):
@@ -405,6 +432,7 @@ class InterimTable:
     the flat there; ``after_flat`` marks the entry after each such end,
     which shares its abscissa, so a query there steps back to the end.
     ``levels`` holds the solve's level tables, shared by every buyer.
+    Every array is read-only: a run of buyers may share one table.
     """
 
     I: np.ndarray
@@ -420,7 +448,12 @@ class InterimTable:
 
 
 def interim_tables(inst, curves):
-    """Compute every buyer's interim table for threshold curves, one per buyer on its type grid."""
+    """Compute every buyer's interim table for threshold curves, each on its buyer's type grid.
+
+    Consecutive buyers with one mass table share one interim table if
+    their curve has no flat cell: each multiplies the same rivals in the
+    same order, and the tie rule reads no rival differently.
+    """
     _on_type_grids(inst, [c.type_grid for c in curves], "threshold curve")
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
     levels = InterimLevels.build(inst, curves)
@@ -430,6 +463,10 @@ def interim_tables(inst, curves):
     k = Q.shape[0]
     tables = []
     for i, d in enumerate(inst.buyers):
+        no_flat = (np.diff(curves[i].phi_ironed) > 0.0).all()
+        if i and no_flat and levels.mass[i] is levels.mass[i - 1]:
+            tables.append(tables[-1])
+            continue
         # W = opp * B turns positive once the level passes both the lowest
         # reserve ratio and every rival's lowest threshold (each table's
         # first break): below c_entry B or a rival's mass is zero.
@@ -478,20 +515,9 @@ def interim_tables(inst, curves):
         after_flat = np.zeros(t.size, dtype=bool)
         after_flat[pos + 1] = points[pos + 1] == points[pos]
         # rows of points per piece end here: the table stores each column flat
-        tables.append(
-            InterimTable(
-                I=I.ravel(),
-                t=points,
-                weight=weight.ravel(),
-                f=(np.diff(d.cdf_vals) / np.diff(d.grid))[cell].repeat(k),
-                win=win.reshape(3, -1),
-                pay=pay.ravel(),
-                node_pos=node_pos,
-                after_flat=after_flat,
-                entry=entry,
-                levels=levels,
-            )
-        )
+        f = (np.diff(d.cdf_vals) / np.diff(d.grid))[cell].repeat(k)
+        arrays = (I.ravel(), points, weight.ravel(), f, win.reshape(3, -1), pay.ravel(), node_pos)
+        tables.append(InterimTable(*map(dist._frozen, (*arrays, after_flat)), entry, levels))
     return tuple(tables)
 
 
@@ -510,10 +536,17 @@ def _column(tab, curve, stated):
 
 
 def _columns(m):
-    """Each buyer's (interim table, stated payment column), as ``_column`` builds it."""
-    return [
-        _column(tab, curve, stated) for tab, curve, stated in zip(m.tables, m.curves, m.payment)
-    ]
+    """Each buyer's (interim table, stated payment column), as ``_column`` builds it.
+
+    A buyer who shares the previous buyer's table and states an equal
+    payment table shares its pair, which readers then read once.
+    """
+    columns = []
+    for i, (tab, curve, stated) in enumerate(zip(m.tables, m.curves, m.payment)):
+        prev = m.payment[i - 1]
+        same = i and tab is m.tables[i - 1] and (stated is prev or stated == prev)
+        columns.append(columns[-1] if same else _column(tab, curve, stated))
+    return columns
 
 
 def win_weight(m, i, t_i):
@@ -649,15 +682,17 @@ def _threshold_curves(inst):
 
     A buyer with v = b(t) * alpha(q) is a linear buyer in s = b(t), and w
     is that buyer's virtual value, so it is ironed exactly like phi; for
-    the linear form b(t) = t, w is phi.
+    the linear form b(t) = t, w is phi.  Buyers with equal distributions
+    share one curve, checked and ironed once.
     """
     b_fn, bp_fn = inst.valuation.type_factor, inst.valuation.type_factor_deriv
-    curves = []
-    for d in inst.buyers:
+
+    def curve(d):
         b, bp = b_fn(d.grid), bp_fn(d.grid)
         _check_type_factor(d.grid, b, bp)
-        curves.append(iron(d, b - bp * (1.0 - d.cdf_vals) / d.pdf_vals))
-    return curves
+        return iron(d, b - bp * (1.0 - d.cdf_vals) / d.pdf_vals)
+
+    return _once_per_distinct(inst.buyers, curve)
 
 
 def build_optimal_mechanism(inst):
@@ -670,10 +705,9 @@ def build_optimal_mechanism(inst):
     """
     curves = _threshold_curves(inst)
     tables = interim_tables(inst, curves)
-    pay_curves = [
-        dist.GriddedFunction(d.grid, t.pay[t.node_pos])
-        for d, t in zip(inst.buyers, tables)
-    ]
+    pay_curves = _per_run(tables, lambda i: dist.GriddedFunction(
+        inst.buyers[i].grid, dist._frozen(tables[i].pay[tables[i].node_pos])
+    ))
 
     return ThresholdMechanism(curves, inst, pay_curves, tables)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import _charged, _column_guide, _columns, _integer, _payment_at, _winners
+from .mechanism import _charged, _column_guide, _columns, _integer, _payment_at, _per_run, _winners
 
 __all__ = [
     "revenue_direct",
@@ -58,12 +58,15 @@ def revenue_direct(m):
 
     Payments are the mechanism's payment column, read at the interim
     table's quadrature points and charged where the buyer is asked
-    (``_charged``): a NaN price there makes the revenue NaN.
+    (``_charged``): a NaN price there makes the revenue NaN.  A run that
+    shares a column (``_columns``) sums it once.
     """
-    total = _no_sale_quality_integral(m)
-    for tab, pay in _columns(m):
-        W = tab.win[1]
-        total += float(np.sum(tab.weight * tab.f * W * _charged(pay, W)))
+    total, columns = _no_sale_quality_integral(m), _columns(m)
+    for i, (tab, pay) in enumerate(columns):
+        if not (i and columns[i] is columns[i - 1]):
+            W = tab.win[1]
+            collected = float(np.sum(tab.weight * tab.f * W * _charged(pay, W)))
+        total += collected
     return total
 
 
@@ -73,15 +76,18 @@ def revenue_virtual(m):
     Buyer i's virtual surplus density is f * w * opp * A - f * opp * C
     with f * w = b * f - b' * (1 - F), the cdf F linear and the density f
     constant on each type cell; integrating the payments by parts gives
-    the same, so the routes must agree.
+    the same, so the routes must agree.  A run that shares an interim
+    table integrates it once.
     """
-    qm, val = m.inst.quality, m.inst.valuation
+    qm, val, tables = m.inst.quality, m.inst.valuation, m.tables
     total = float(np.trapezoid(qm.integrands[2], qm.G.grid))
-    for d, tab in zip(m.inst.buyers, m.tables):
-        X, _, Y = tab.win
-        fw = tab.f * val.type_factor(tab.t)
-        fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
-        total += float(np.sum(tab.weight * (fw * X - tab.f * Y)))
+    for i, (d, tab) in enumerate(zip(m.inst.buyers, tables)):
+        if not (i and tab is tables[i - 1]):
+            X, _, Y = tab.win
+            fw = tab.f * val.type_factor(tab.t)
+            fw -= val.type_factor_deriv(tab.t) * (1.0 - dist.cdf(d, tab.t))
+            allocated = float(np.sum(tab.weight * (fw * X - tab.f * Y)))
+        total += allocated
     return total
 
 
@@ -165,11 +171,11 @@ def simulate(m, n_samples, seed):
     or the number of cores.  Every read-only table is built once per
     call and shared by the blocks: each stream's cdf guide, the
     differences of every column read in a cell, and each buyer's payment
-    tables and column guide.  A stream's draws go through one cdf cell
-    lookup, and each value is read at its cells k and fractions w only
-    where it is used: xi and each buyer's threshold level at every
-    sample, the reserve where the item is kept, a winner's type, alpha
-    and payment at that buyer's wins.  The payment's column interval
+    tables and column guide, once for a run that shares them.  A stream's
+    draws go through one cdf cell lookup, and each value is read at its
+    cells k and fractions w only where it is used: xi and each buyer's
+    threshold level at every sample, the reserve where the item is kept,
+    a winner's type, alpha and payment at that buyer's wins.  The payment's column interval
     comes from the guide entry of the winner's cell and sub-bucket.
     """
     n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
@@ -180,12 +186,13 @@ def simulate(m, n_samples, seed):
     inst = m.inst
     qm, n = inst.quality, inst.n_buyers
     children = np.random.SeedSequence(seed).spawn(n + 1)
-    streams = [dist._cdf_guide(d.cdf_vals) for d in (*inst.buyers, qm.G)]
+    dists = (*inst.buyers, qm.G)
+    streams = _per_run(dists, lambda i: dist._cdf_guide(dists[i].cdf_vals))
     levels = [(c.phi_ironed, np.diff(c.phi_ironed)) for c in m.curves]
     grids = [(d.grid, np.diff(d.grid)) for d in inst.buyers]
     xi, reserve, alpha = ((c.vals, np.diff(c.vals)) for c in (qm.xi, qm.reserve, qm.alpha))
     columns = _columns(m)
-    guides = [_column_guide(*col, d.grid) for col, d in zip(columns, inst.buyers)]
+    guides = _per_run(columns, lambda i: _column_guide(*columns[i], inst.buyers[i].grid))
     index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
     revenue = np.empty(n_samples)

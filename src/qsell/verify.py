@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _integer, _payment_at
+from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _integer, _payment_at, _per_run
 
 __all__ = [
     "FeasibilityReport",
@@ -105,15 +105,21 @@ def check_feasibility(m, tol=1e-6):
     exactly W at the least and the greatest ironed threshold level, read
     under the tie rule.  ``largest_fall`` is the largest fall of any
     factor between two levels, and a negative factor value counts as a
-    probability violation.
+    probability violation.  A run that shares a column (``_columns``)
+    shares a row.
     """
-    levels = m.tables[0].levels
-    q = levels.quality
+    levels, columns = m.tables[0].levels, _columns(m)
+    q, mass = levels.quality, levels.mass
     quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
-    mass_falls = [_fall_and_floor(t.coef, t.strict, t.weak) for t in levels.mass]
+    mass_falls = _per_run(
+        mass, lambda j: _fall_and_floor(mass[j].coef, mass[j].strict, mass[j].weak)
+    )
 
     per_buyer = []
-    for i, (r, (tab, pay)) in enumerate(zip(m.win_weight, _columns(m))):
+    for i, (r, (tab, pay)) in enumerate(zip(m.win_weight, columns)):
+        if i and columns[i] is columns[i - 1]:
+            per_buyer.append({**per_buyer[-1], "buyer": i})
+            continue
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
         mono_i = float(np.max([-np.min(np.diff(r.vals)), 0.0])) if r.vals.size > 1 else 0.0
@@ -204,14 +210,20 @@ def ic_deviation_search(m, n_grid=101):
     point of the payment column (``_utility_column``), so a NaN price
     between the grid's types makes the regret NaN.  A broken mechanism
     shows up as a large positive regret, a sound one stays at
-    numerical-noise level.
+    numerical-noise level.  A run that shares a column (``_columns``) is
+    searched once.
     """
     n_grid = _integer(n_grid, "n_grid")
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]
-    per_buyer = []
-    for i, (d, column) in enumerate(zip(m.inst.buyers, _columns(m))):
+    per_buyer, columns = [], _columns(m)
+    for i, (d, column) in enumerate(zip(m.inst.buyers, columns)):
+        if i and column is columns[i - 1]:
+            regret.append(regret[-1])
+            where.append((i, *where[-1][1:]))
+            per_buyer.append({**per_buyer[-1], "buyer": i})
+            continue
         lo, hi = d.grid[0], d.grid[-1]
         tt = np.linspace(lo, hi, n_grid)
         best, r_t, r_r, truth = _best_misreport(m, i, column, tt)
@@ -275,13 +287,18 @@ def obedience_check(m):
     the entry type pays exactly its expected value of the item: the
     surplus there is the solve's payment less the stated one.  A NaN
     payment where a buyer is asked makes ``min_surplus`` NaN; with no
-    buyer asked anywhere it is 0.
+    buyer asked anywhere it is 0.  A run that shares a column
+    (``_columns``) is read once.
     """
     surplus = [np.zeros(0)]
-    marginal = []
-    for tab, pay in _columns(m):
+    marginal, columns = [], _columns(m)
+    for i, (tab, pay) in enumerate(columns):
         if tab.entry is None:
             marginal.append(None)
+            continue
+        if i and columns[i] is columns[i - 1]:
+            surplus.append(surplus[-1])
+            marginal.append(marginal[-1])
             continue
         W, U = _utility_column(m, tab, pay)
         asked = W > WIN_PROB_FLOOR

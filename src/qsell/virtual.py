@@ -42,7 +42,7 @@ def _index_pair(pair, size):
 class VirtualValueCurve:
     """A buyer's (possibly ironed) virtual value curve on their type grid.
 
-    ``ironed_intervals`` holds (lo_idx, hi_idx) index pairs into
+    ``ironed_intervals`` is a tuple of (lo_idx, hi_idx) index pairs into
     ``type_grid``; ``phi_ironed`` is constant on each of them and equal to
     ``phi`` everywhere else.  ``regular`` is read off both.  Construction
     checks for a 1-D grid without NaN, finite phi and phi_ironed of its
@@ -52,7 +52,7 @@ class VirtualValueCurve:
     type_grid: np.ndarray
     phi: np.ndarray
     phi_ironed: np.ndarray
-    ironed_intervals: list
+    ironed_intervals: tuple
     __eq__ = dist._equal_fields
 
     def __post_init__(self):
@@ -63,7 +63,7 @@ class VirtualValueCurve:
             if vals.shape != grid.shape or not np.isfinite(vals).all():
                 raise ValidationError(f"{name} must hold a finite number at each type grid node")
             object.__setattr__(self, name, vals)
-        intervals = [_index_pair(pair, grid.size) for pair in self.ironed_intervals]
+        intervals = tuple(_index_pair(pair, grid.size) for pair in self.ironed_intervals)
         object.__setattr__(self, "ironed_intervals", intervals)
 
     @property
@@ -147,7 +147,7 @@ def iron(d, psi):
     and whose ``phi_ironed`` is the slope of the exact lower convex
     envelope of H(w) = integral of psi(quantile(u)) du at every node a
     flat segment covers.  Flats whose envelope sits no more than 1e-9
-    below H are left alone.
+    below H are left alone.  Both tables are new, and read-only.
     """
     if isinstance(psi, dist.GriddedFunction):
         if not dist._same_grid(psi.grid, d.grid):
@@ -211,7 +211,7 @@ def iron(d, psi):
 
     return VirtualValueCurve(
         type_grid=d.grid,
-        phi=psi_vals.copy(),
-        phi_ironed=phi_ironed,
+        phi=dist._frozen(psi_vals.copy()),
+        phi_ironed=dist._frozen(phi_ironed),
         ironed_intervals=intervals,
     )

@@ -458,6 +458,16 @@ def test_power_configs_load_equal_instances(tmp_path):
     assert np.array_equal(a.valuation.type_factor_deriv(t), 2.0 * t**1.0)
 
 
+def test_equal_buyer_specs_load_one_distribution(tmp_path):
+    # specs that are equal dicts (0 == 0.0 in JSON numbers) build one object;
+    # another grid size builds another
+    other = {"distribution": {"family": "uniform", "lo": 0, "hi": 1.0, "m": 65.0}}
+    buyers = [_uniform_buyer(65), _uniform_buyer(33), other, _uniform_buyer(65)]
+    inst = cli.load_instance(_write(tmp_path, "four.json", dict(_small_config(), buyers=buyers)))
+    a, b, c, d = inst.buyers
+    assert a is c is d and b is not a and b.grid.size == 33
+
+
 def test_power_reserve_curve_matches_its_linear_form(tmp_path, capsys):
     # 0.5 * q ** 1.0 and 0 + 0.5 * q are the same reserve, value for value
     printed = []

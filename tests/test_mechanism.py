@@ -136,6 +136,43 @@ def test_a_malformed_model_is_rejected_when_built(ramp, build):
         build(ramp)
 
 
+def _zero_a_payment_table(m):
+    m.payment[1].vals[:] = 0.0  # unchecked: revenue_direct 0.5 against 0.6458
+
+
+def _add_an_interval(m):
+    m.curves[0].ironed_intervals.append((70, 2))  # unchecked: kept, and regular reads False
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [(_zero_a_payment_table, ValueError), (_add_an_interval, AttributeError)],
+    ids=["payment-table", "ironed-intervals"],
+)
+def test_an_in_place_write_is_rejected(ramp, write, error):
+    with pytest.raises(error):
+        write(ramp)
+    assert qsell.revenue_direct(ramp) == pytest.approx(0.6458, abs=1e-4)
+    assert ramp.curves[0].regular
+
+
+def test_what_the_solve_allocates_is_read_only():
+    d = qsell.make_uniform(0.0, 1.0, m=65)
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=33), 1.0, lambda q: q)
+    m = qsell.build_optimal_mechanism(qsell.ProblemInstance((d, d), qm))
+    levels = m.tables[0].levels
+    arrays = [a for c in m.curves for a in (c.phi, c.phi_ironed)]
+    arrays += [p.vals for p in m.payment]
+    arrays += [a for t in m.tables for a in vars(t).values() if isinstance(a, np.ndarray)]
+    arrays += [a for t in (levels.quality, *levels.mass) for a in vars(t).values()]
+    assert len(arrays) == 4 + 2 + 16 + 12
+    assert not any(a.flags.writeable for a in arrays)
+    # arrays the caller still holds stay as they are
+    assert d.grid.flags.writeable and m.curves[0].type_grid is d.grid
+    psi = qsell.virtual_value_table(d)
+    assert qsell.iron(d, psi).phi is not psi and psi.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # allocation
 

@@ -51,7 +51,7 @@ def test_iron_identity_on_regular():
     phi = qsell.virtual_value_table(d)
     curve = qsell.iron(d, phi)
     assert curve.regular
-    assert curve.ironed_intervals == []
+    assert curve.ironed_intervals == ()
     assert np.array_equal(curve.phi_ironed, phi)
 
 
@@ -80,7 +80,7 @@ def test_iron_tent_plateau_is_exact():
     # plateau is 1/2 with contacts where h = 1/2, at w = 1/8 and 5/8
     d = qsell.make_uniform(0.0, 1.0, m=5)
     curve = qsell.iron(d, np.array([0.0, 1.0, 0.0, 1.0, 2.0]))
-    assert curve.ironed_intervals == [(1, 2)]
+    assert curve.ironed_intervals == ((1, 2),)
     assert np.max(np.abs(curve.phi_ironed - [0.0, 0.5, 0.5, 1.0, 2.0])) <= 1e-12
 
 
@@ -89,7 +89,7 @@ def test_iron_idempotent():
     curve = qsell.iron(d, qsell.virtual_value_table(d))
     again = qsell.iron(d, curve.phi_ironed)
     assert np.allclose(again.phi_ironed, curve.phi_ironed, atol=1e-9)
-    assert again.ironed_intervals == []
+    assert again.ironed_intervals == ()
 
 
 def test_iron_plateau_value_averages_raw_curve():
