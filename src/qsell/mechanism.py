@@ -763,11 +763,12 @@ def mechanism_from_json_dict(doc, inst):
     It checks what is about the document: the schema, the kind, the
     lowest-index tie-break and a quality block equal to the instance's.
     The rest it parses into the model types, whose constructors check
-    every array; a ``null`` payment is undefined (NaN).  A failed check or
-    a missing or malformed field raises ValidationError.  The mechanism
-    keeps ``inst`` and builds its interim tables once, here.  Keys it
-    does not read, the derived ``degenerate``, ``regular``, ``win_weight``
-    and ``active_from`` and older writers' valuation fields, are ignored.
+    every array, and makes the curves and payments read-only; a ``null``
+    payment is undefined (NaN).  A failed check or a missing or malformed
+    field raises ValidationError.  The mechanism keeps ``inst`` and builds
+    its interim tables once, here.  Keys it does not read, the derived
+    ``degenerate``, ``regular``, ``win_weight`` and ``active_from`` and
+    older writers' valuation fields, are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("unsupported mechanism schema version")
@@ -789,6 +790,8 @@ def mechanism_from_json_dict(doc, inst):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed mechanism document: {exc!r}") from exc
+    for arr in [a for c in curves for a in (c.phi, c.phi_ironed)] + [p.vals for p in pay]:
+        dist._frozen(arr)  # parsed here, so no caller holds them
     return ThresholdMechanism(curves, inst, pay, interim_tables(inst, curves))
 
 

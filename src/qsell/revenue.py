@@ -402,31 +402,49 @@ def _no_buyer_chance(buyers, x):
     return prob
 
 
-def _constant_price_revenue(buyers, prices, A1, B1, C1, A_tot, C_tot):
-    """Revenue matrix, cutoffs by prices, after announcing whether xi(q) <= cutoff.
+def _constant_price_sides(A1, B1, C1, A_tot, C_tot):
+    """Each side's mass m, retained value r and price-row key, by cutoff.
 
-    ``buyers`` pairs each buyer's distribution with b on its grid.  A1,
-    B1 and C1 hold the quality side's A, B and C at each cutoff; A_tot
-    and C_tot are A and C over the whole quality support.  A side of the
-    announcement with mass at most 1e-12 adds nothing, and one whose
-    mean alpha is not positive sells to nobody.  The chance that nobody
-    buys depends on a side only through its mean alpha, so it is looked
-    up once per distinct mean and gathered into the rows.
+    A1, B1 and C1 hold the quality side's A, B and C at each cutoff, A_tot
+    and C_tot over the whole support; row 0 is the side xi(q) <= cutoff.
+    A side of mass at most 1e-12 is unseen: m = r = 0.  No sale depends on
+    a side only through its mean alpha: keys index ``means``, the distinct
+    positive ones, and ``means.size`` marks a side that sells to nobody.
     """
-    sides, keys = [], []
-    for mass, alpha_sum, retained in ((B1, A1, C1), (1.0 - B1, A_tot - A1, C_tot - C1)):
-        seen = mass > 1e-12
-        alpha_mean = np.where(seen, alpha_sum / np.where(seen, mass, 1.0), 0.0)
-        sells = alpha_mean > 0.0
-        sides.append((seen, sells, mass, retained))
-        keys.append(np.where(sells, alpha_mean, 1.0))
-    means, row = np.unique(np.concatenate(keys), return_inverse=True)
-    no_buyer = _no_buyer_chance(buyers, prices / means[:, None])
-    total = np.zeros((A1.size, prices.size))
-    for rows, (seen, sells, mass, retained) in zip(np.split(row, 2), sides):
-        prob_no_buyer = np.where(sells[:, None], no_buyer[rows], 1.0)
-        side = prices * (1.0 - prob_no_buyer) * mass[:, None] + prob_no_buyer * retained[:, None]
-        total += np.where(seen[:, None], side, 0.0)
+    mass, alpha_sum = np.stack((B1, 1.0 - B1)), np.stack((A1, A_tot - A1))
+    seen = mass > 1e-12
+    alpha_mean = np.where(seen, alpha_sum / np.where(seen, mass, 1.0), 0.0)
+    sells = alpha_mean > 0.0
+    means = np.unique(alpha_mean[sells])
+    keys = np.where(sells, np.searchsorted(means, alpha_mean), means.size)
+    retained = np.where(seen, np.stack((C1, C_tot - C1)), 0.0)
+    return np.where(seen, mass, 0.0), retained, keys, means
+
+
+def _price_rows(buyers, prices, means):
+    """Rows U = p (1 - P0) and V = P0 per mean alpha, then U = 0, V = 1 for no sale."""
+    V = np.ones((means.size + 1, prices.size))
+    V[:-1] = _no_buyer_chance(buyers, prices / means[:, None])
+    return prices * (1.0 - V), V
+
+
+def _constant_price_block(U, V, rows, mass, retained, out):
+    """Revenues, cutoffs by prices: U[dL] mL + V[dL] rL + U[dH] mH + V[dH] rH.
+
+    ``rows`` holds the sides' price rows dL and dH, ``mass`` and ``retained``
+    their m and r; out[0], of scratch shaped (3, >= cutoffs, prices), gets
+    the revenues.  They keep the bits of the per-cutoff sum of p (1 - P0)
+    m + P0 r over the seen sides: (p (1 - P0)) m is U m; an unseen side
+    adds an exact 0; and a side that does not sell adds 0 m + 1 r = r.
+    """
+    total, side, term = out[:, : rows.shape[1]]
+    for s, acc in enumerate((total, side)):
+        np.take(U, rows[s], axis=0, out=acc, mode="clip")
+        acc *= mass[s, :, None]
+        np.take(V, rows[s], axis=0, out=term, mode="clip")
+        term *= retained[s, :, None]
+        acc += term
+    total += side
     return total
 
 
@@ -439,8 +457,9 @@ def best_constant_price(inst):
     incentive compatible, hence never better than the optimal mechanism.
     Cutoffs whose revenues agree to a relative 1e-12 count as tied, and
     the lowest tied cutoff is reported, so the choice does not hinge on
-    rounding.  Each sweep evaluates blocks of cutoffs against the whole
-    price grid, at most ``_PRICE_BLOCK`` revenues at a time.
+    rounding.  Each sweep runs blocks of cutoffs against the whole price
+    grid, a block and its price rows at most ``_PRICE_BLOCK`` entries.
+    A block reuses the last one's price rows if they hold all its means.
     """
     table = inst.quality.level_table
     buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
@@ -448,7 +467,7 @@ def best_constant_price(inst):
     cutoffs = np.concatenate(([table.breaks[0] - 1.0], table.breaks, [table.breaks[-1] + 1.0]))
     A1, B1, C1 = table.at(cutoffs)
     # the last cutoff lies above xi everywhere: A and C over the whole support
-    A_tot, C_tot = A1[-1], C1[-1]
+    mass, retained, keys, means = _constant_price_sides(A1, B1, C1, A1[-1], C1[-1])
     alpha_max = float(np.max(inst.quality.alpha.vals))
     p_hi = max(float(np.max(b_vals)) for _, b_vals in buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, CONSTANT_PRICE_GRID)
@@ -456,11 +475,19 @@ def best_constant_price(inst):
     def sweep(price_grid, best=None):
         top = np.empty(cutoffs.size)
         arg = np.empty(cutoffs.size, dtype=int)
-        rows = max(1, _PRICE_BLOCK // price_grid.size)
+        fit = _PRICE_BLOCK // price_grid.size - 1  # rows, less the no-sale row
+        rows = max(1, fit // 3, fit - means.size)  # a cutoff needs up to 2 price rows
+        out = np.empty((3, min(rows, cutoffs.size), price_grid.size))
+        slot = np.full(means.size + 1, -1)  # each key's price row, -1 where none
         for lo in range(0, cutoffs.size, rows):
             blk = slice(lo, lo + rows)
-            revs = _constant_price_revenue(
-                buyers, price_grid, A1[blk], B1[blk], C1[blk], A_tot, C_tot
+            if slot[keys[:, blk]].min() < 0:
+                held = np.union1d(keys[:, blk], means.size)  # the no-sale key last
+                U, V = _price_rows(buyers, price_grid, means[held[:-1]])
+                slot[:] = -1
+                slot[held] = np.arange(held.size)
+            revs = _constant_price_block(
+                U, V, slot[keys[:, blk]], mass[:, blk], retained[:, blk], out
             )
             arg[blk] = np.argmax(revs, axis=1)
             top[blk] = revs[np.arange(revs.shape[0]), arg[blk]]

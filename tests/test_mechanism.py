@@ -156,6 +156,24 @@ def test_an_in_place_write_is_rejected(ramp, write, error):
     assert ramp.curves[0].regular
 
 
+def _overwrite_a_threshold_curve(m):
+    m.curves[0].phi_ironed[:] = 1.0  # unchecked: simulate gives buyer 0 every sale
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_overwrite_a_threshold_curve, _zero_a_payment_table],
+    ids=["threshold-curve", "payment-table"],
+)
+def test_a_loaded_mechanism_rejects_an_in_place_write(ramp, write):
+    doc = json.loads(json.dumps(qsell.mechanism_to_json_dict(ramp)))
+    m = qsell.mechanism_from_json_dict(doc, ramp.inst)
+    with pytest.raises(ValueError):
+        write(m)
+    assert qsell.revenue_direct(m) == qsell.revenue_direct(ramp)
+    assert qsell.simulate(m, 2_000, 5) == qsell.simulate(ramp, 2_000, 5)
+
+
 def test_what_the_solve_allocates_is_read_only():
     d = qsell.make_uniform(0.0, 1.0, m=65)
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=33), 1.0, lambda q: q)

@@ -737,7 +737,10 @@ def test_constant_price_revenue_matrix_matches_the_rows(constant_price_cases):
     for name, inst in constant_price_cases.items():
         cutoffs, A1, B1, C1, prices = _constant_price_setup(inst)
         buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
-        got = qsell.revenue._constant_price_revenue(buyers, prices, A1, B1, C1, A1[-1], C1[-1])
+        mass, retained, keys, means = revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])
+        U, V = revenue._price_rows(buyers, prices, means)
+        out = np.empty((3, cutoffs.size, prices.size))
+        got = revenue._constant_price_block(U, V, keys, mass, retained, out)
         want = np.stack(
             [
                 _constant_price_row(inst, prices, A1[k], B1[k], C1[k], A1[-1], C1[-1])
@@ -753,9 +756,82 @@ def test_best_constant_price_matches_the_per_cutoff_loop(constant_price_cases):
         assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst), name
 
 
+def _random_constant_price_instance(rng):
+    """1-3 buyers, linear or power b, smooth or stepped alpha, a reserve
+    that goes negative, and at times a density floor above q = 0.9, where
+    xi is highest, so a side has mass <= 1e-12."""
+    mq = int(rng.choice([33, 65, 129]))
+    grid = np.linspace(0.0, 1.0, mq)
+    pdf = rng.uniform(0.5, 2.0, mq)
+    thin = rng.random() < 0.5
+    if thin:
+        pdf[grid > 0.9] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        G = qsell.make_from_table(grid, pdf)
+    if rng.random() < 0.5:
+        alpha = 1.0 + rng.uniform(0.2, 1.0) * np.sin(rng.uniform(1.0, 6.0) * grid) ** 2
+    else:
+        alpha = rng.uniform(0.5, 2.0, 4)[np.minimum((4.0 * grid).astype(int), 3)]
+    xi = rng.uniform(-0.3, 0.0) + rng.uniform(0.3, 1.0) * grid  # below 0 at q = 0
+    if not thin:
+        xi = xi + rng.uniform(0.0, 0.4) * np.cos(rng.uniform(2.0, 9.0) * grid)
+    qm = qsell.make_quality_model(G, *(dist.GriddedFunction(grid, v) for v in (alpha, xi * alpha)))
+    buyers = []
+    for _ in range(int(rng.integers(1, 4))):
+        lo = rng.uniform(0.0, 0.5)
+        tgrid = np.linspace(lo, lo + rng.uniform(0.5, 1.5), int(rng.choice([17, 33, 65])))
+        buyers.append(qsell.make_from_table(tgrid, rng.uniform(0.5, 2.0, tgrid.size)))
+    valuation = qsell.LinearValuation()
+    if rng.random() < 0.5:
+        k = rng.uniform(1.2, 2.0)
+        valuation = qsell.GeneralValuation(
+            type_factor=lambda t: np.asarray(t, float) ** k,
+            type_factor_deriv=lambda t: k * np.asarray(t, float) ** (k - 1.0),
+        )
+    return qsell.ProblemInstance(buyers=tuple(buyers), quality=qm, valuation=valuation)
+
+
+@pytest.mark.parametrize("block", [64, 2_000, 8_192], ids=lambda b: f"block-{b}")
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_sweeps_match_the_per_cutoff_reference(monkeypatch, seed, block):
+    # Every block the kernel returns is gathered into each sweep's matrix,
+    # which must equal the reference rows bit for bit; a 64-entry block
+    # is smaller than one row of either price grid.
+    inst = _random_constant_price_instance(np.random.default_rng([20261020, seed]))
+    grids, blocks = [], []
+    kernel, price_rows = revenue._constant_price_block, revenue._price_rows
+
+    def record_rows(buyers, prices, means):
+        if not any(g is prices for g in grids):
+            grids.append(prices)
+        return price_rows(buyers, prices, means)
+
+    def record_block(*args):
+        blocks.append(kernel(*args).copy())
+        return blocks[-1]
+
+    monkeypatch.setattr(revenue, "_PRICE_BLOCK", block)
+    monkeypatch.setattr(revenue, "_price_rows", record_rows)
+    monkeypatch.setattr(revenue, "_constant_price_block", record_block)
+    base = qsell.best_constant_price(inst)
+    assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst)
+    cutoffs, A1, B1, C1, _ = _constant_price_setup(inst)
+    assert [g.size for g in grids] == [revenue.CONSTANT_PRICE_GRID, 81]
+    for prices in grids:
+        got = np.concatenate([b for b in blocks if b.shape[1] == prices.size])
+        want = np.stack(
+            [
+                _constant_price_row(inst, prices, A1[k], B1[k], C1[k], A1[-1], C1[-1])
+                for k in range(cutoffs.size)
+            ]
+        )
+        assert np.array_equal(got, want)
+
+
 def test_no_buyer_chance_is_looked_up_once_per_side_mean(monkeypatch):
-    # alpha is constant, so every side of every cutoff has the same mean
-    # and each block looks the chance up for one row only
+    # alpha is constant, so every seen side of every cutoff has the same
+    # mean, and each sweep looks the chance up once, for one row
     inst = _tied_cutoff_instance(lambda q: q)
     rows = []
 
@@ -766,18 +842,21 @@ def test_no_buyer_chance_is_looked_up_once_per_side_mean(monkeypatch):
     no_buyer_chance = revenue._no_buyer_chance
     monkeypatch.setattr(revenue, "_no_buyer_chance", record)
     qsell.best_constant_price(inst)
-    cutoffs = inst.quality.level_table.breaks.size + 2
-    blocks = sum(
-        -(-cutoffs // max(1, revenue._PRICE_BLOCK // k)) for k in (revenue.CONSTANT_PRICE_GRID, 81)
-    )
-    assert rows == [1] * blocks
+    assert rows == [1, 1]
+
+
+def _mid_audit_shaped_instance():
+    """Constant alpha, a linear xi on 1 025 quality nodes and two 513-node uniform buyers."""
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=1025), 1.0, lambda q: 0.9 * q)
+    return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=513),) * 2, quality=qm)
 
 
 def test_best_constant_price_peak_memory():
-    # The blocked sweep holds a few blocks of at most _PRICE_BLOCK entries;
-    # one (cutoffs x prices) matrix at 1 027 cutoffs would take about 17 MB.
-    inst = _fine_xi_instance()
-    assert traced_peak(lambda: qsell.best_constant_price(inst)) <= 1e6
+    # The blocked sweep holds a block of at most _PRICE_BLOCK entries with
+    # its price rows; one (cutoffs x prices) matrix at 1 027 cutoffs would
+    # take about 2 MB, and the smooth alpha's price rows twice as much.
+    for inst in (_fine_xi_instance(), _mid_audit_shaped_instance()):
+        assert traced_peak(lambda: qsell.best_constant_price(inst)) <= 1e6
 
 
 def test_optimal_mechanism_dominates_constant_price(solved_suite):
