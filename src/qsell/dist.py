@@ -497,20 +497,26 @@ class LevelTable:
         count = r_hi - r_lo
         k = np.repeat(np.arange(count.size), count)
         piece = np.repeat(r_lo + 1 - (np.cumsum(count) - count), count) + np.arange(k.size)
-        rising = rank[k + 1] > rank[k]
-        w_lo = np.where(rising, w[:, k], w[:, k + 1])
-        slope = np.where(rising, w[:, k + 1], w[:, k]) - w_lo
+        low = k + (rank[:-1] > rank[1:])[k]  # each pair's node at its cell's lower level
+        w_lo = w[:, low]
+        slope = w[:, 2 * k + 1 - low] - w_lo
         lo = breaks[r_lo[k]]
         span = breaks[r_hi[k]] - lo
         lam = (breaks[piece - 1] - lo) / span  # the cell's fraction at the piece's left break
         dlam = (breaks[piece] - breaks[piece - 1]) / span
         h = dq[k]
-        quad = (
-            h * lam * (w_lo + 0.5 * slope * lam),
-            h * dlam * (w_lo + slope * lam),
-            0.5 * h * slope * dlam * dlam,
-        )
-        coef = np.stack([_binsum(piece, q, n + 1) for q in quad])
+        # c0 = h lam (w_lo + slope lam / 2), c1 = h dlam (w_lo + slope lam),
+        # c2 = h slope dlam^2 / 2, each rounded as written, summed by piece
+        quad = np.empty((3,) + slope.shape)
+        np.multiply(0.5 * slope, lam, out=quad[0])
+        quad[0] += w_lo
+        quad[0] *= h * lam
+        np.multiply(slope, lam, out=quad[1])
+        quad[1] += w_lo
+        quad[1] *= h * dlam
+        np.multiply(0.5 * h * slope, dlam, out=quad[2])
+        quad[2] *= dlam
+        coef = _binsum(piece, quad.reshape(3 * len(w), -1), n + 1).reshape(3, -1, n + 1)
         coef[0, :, 1:] += np.cumsum(_binsum(r_hi, full, n), axis=1)
         weak = coef[0, :, 1:]
         flat = count == 0
@@ -526,26 +532,39 @@ class LevelTable:
     def at(self, c, weak=True, pieces=False):
         """The quantity at levels c: its weak or strict value at a break.
 
-        ``weak`` picks the side read at a break.  One ``searchsorted``
-        finds each level's piece, one Horner step reads it.
-        With ``pieces`` c holds the pieces of a cut curve, shape (pieces,
-        k), with no break inside a piece (``cut_quadrature``): each reads
-        the table piece holding its middle level, so its ends read the
-        limits from inside it, and a flat piece at a break reads a side.
-        A NaN level is a validation error.
+        ``weak`` (a bool, or bools shaped like c) picks the side read at
+        a break.  With ``pieces`` c holds the pieces of a cut curve,
+        shape (pieces, k), with no break inside a piece (``cut_quadrature``):
+        each reads the table piece holding its middle level, so its ends
+        read the limits from inside it, and a flat piece at a break reads
+        a side.  The read is point-major: one ``searchsorted`` per key (a
+        level, or a piece's middle level), one gather and one Horner step
+        over the flat points, and a side written only where a key sits on
+        a break.  A NaN level is a validation error.
         """
         c = _validated_query(c)
-        key = 0.5 * (c[:, :1] + c[:, -1:]) if pieces else c
+        k = c.shape[-1] if pieces else 1  # points per key
+        key = 0.5 * (c[:, 0] + c[:, -1]) if pieces else c.ravel()
         b = self.breaks
-        j = np.searchsorted(b, key)  # the piece ending at the first break >= key
-        lo = b[np.maximum(j - 1, 0)]
-        width = np.append(1.0, np.append(np.diff(b), 1.0))[j]
-        x = np.clip((c - lo) / width, 0.0, 1.0)
-        c0, c1, c2 = self.coef[..., j]
-        val = c0 + x * (c1 + x * c2)
+        j = b.searchsorted(key)  # the piece ending at the first break >= key
         jb = np.minimum(j, b.size - 1)
-        side = np.where(weak, self.weak[..., jb], self.strict[..., jb])
-        return np.where(b[jb] == key, side, val)[()]
+        hi, lo = b[jb], b[np.maximum(j - 1, 0)]
+        width = hi - lo  # 0 only below and above the breaks, where c0 alone counts
+        width[width == 0.0] = 1.0
+        x = c.ravel() - lo.repeat(k)
+        x /= width.repeat(k)
+        np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)  # the fraction, clipped to [0, 1]
+        c0, c1, c2 = self.coef.take(j.repeat(k), axis=-1)
+        val = c2 * x
+        val += c1
+        val *= x
+        val += c0
+        points = np.flatnonzero((hi == key).repeat(k))  # the points of keys on a break
+        if points.size:
+            side = np.ravel(weak)[points] if np.ndim(weak) else weak
+            jb = jb[points // k]
+            val[..., points] = np.where(side, self.weak[..., jb], self.strict[..., jb])
+        return val.reshape(val.shape[:-1] + c.shape)[()]
 
 
 def sublevel_mass(d, curve_vals, c, include_equal=True):

@@ -206,25 +206,25 @@ class ThresholdMechanism:
 
     ``inst`` is the ``ProblemInstance`` it was solved on or read back
     against: every reader takes the mechanism alone and reads the buyers,
-    the quality model and the valuation there.  ``payment[i]`` is buyer
-    i's envelope payment tabulated on their type grid; it holds NaN where
-    the interim win probability is at most 1e-12 (payments are undefined
-    there) but at an entry.  ``payment``, revenue, simulation and the
-    verifiers all read it through the interim table's payment column, so
-    they share one payment rule.  ``win_weight[i]`` is b' * X at the
-    nodes, read off the tables on first use.  ``tables`` holds the
-    per-buyer ``InterimTable`` objects, built once by the solve or the
+    the quality model and the valuation there.  ``payment[i]`` is buyer i's
+    envelope payment tabulated on their type grid; it holds NaN where the
+    interim win probability is at most 1e-12 (payments are undefined there)
+    but at an entry.  ``payment``, revenue, simulation and the verifiers all
+    read it through the interim table's payment column, so they share one
+    payment rule.  ``win_weight[i]`` is b' * X at the nodes and
+    ``columns[i]`` that column, both built on first use.  ``tables`` holds
+    the per-buyer ``InterimTable`` objects, built once by the solve or the
     loader from ``inst`` and the threshold curves (a run of value-equal
-    buyers holds one, see ``interim_tables``); every consumer reads
-    them.  Each table's ``entry`` is the lowest type at which that
-    buyer is asked; ``degenerate`` (no buyer has one, so nobody ever
-    wins) is a valid mechanism, not an error.  The tables do not depend
-    on the payments, so ``dataclasses.replace`` with new ones keeps them
-    valid, and the new node table is what the consumers read.  ``==``
-    compares the rest by value, NaN payments equal: a JSON round trip
-    compares equal.  Construction checks for one curve, one payment table
-    and one interim table per buyer, each curve and payment table on its
-    buyer's type grid, and keeps ``curves`` and ``payment`` as tuples.
+    buyers holds one, see ``interim_tables``); every consumer reads them.
+    Each table's ``entry`` is the lowest type at which that buyer is asked;
+    ``degenerate`` (no buyer has one, so nobody ever wins) is a valid
+    mechanism, not an error.  The tables do not depend on the payments, so
+    ``dataclasses.replace`` with new ones keeps them valid, and the new node
+    table is what the consumers read.  ``==`` compares the rest by value,
+    NaN payments equal: a JSON round trip compares equal.  Construction
+    checks for one curve, one payment table and one interim table per buyer,
+    each curve and payment table on its buyer's type grid, and keeps
+    ``curves`` and ``payment`` as tuples.
     """
 
     curves: tuple
@@ -252,6 +252,20 @@ class ThresholdMechanism:
             dist.GriddedFunction(d.grid, bp_fn(d.grid) * t.win[0][t.node_pos])
             for d, t in zip(self.inst.buyers, self.tables)
         ]
+
+    @cached_property
+    def columns(self):
+        """Each buyer's (interim table, stated payment column), as ``_column`` builds it.
+
+        A buyer who shares the previous buyer's table and states an equal
+        payment table shares its pair, which readers then read once.
+        """
+        columns = []
+        for i, (tab, curve, stated) in enumerate(zip(self.tables, self.curves, self.payment)):
+            prev = self.payment[i - 1]
+            same = i and tab is self.tables[i - 1] and (stated is prev or stated == prev)
+            columns.append(columns[-1] if same else _column(tab, curve, stated))
+        return tuple(columns)
 
     @property
     def degenerate(self):
@@ -391,14 +405,14 @@ class InterimLevels:
         reads c as the pieces of a cut curve (``LevelTable.at``).  Rivals
         in a row that share a table and a side share one read.
         """
-        out, read = np.ones(np.shape(c))[()], (None, None, None)
+        out, read = None, (None, None, None)
         for j, mass in enumerate(self.mass):
             if j != i:
                 weak = i is not None and j > i
                 if read[0] is not mass or read[1] != weak:
                     read = (mass, weak, mass.at(c, weak, pieces))
-                out = out * read[2]
-        return out
+                out = read[2] if out is None else out * read[2]
+        return np.ones(np.shape(c))[()] if out is None else out  # a lone buyer has no rival
 
     def at(self, i, c, pieces=False):
         """(opp, A, B, C) of buyer i at levels c; the quality side is weak at a tie."""
@@ -476,10 +490,16 @@ def interim_tables(inst, curves):
         t, c, weight, cell = dist.cut_quadrature(
             d.grid, curves[i].phi_ironed, cuts[cuts >= c_entry], k
         )
-        opp, A, B, C = np.zeros((4,) + c.shape)
-        on = np.maximum(c[:, 0], c[:, -1]) >= c_entry  # the pieces that can win
-        opp[on], A[on], B[on], C[on] = levels.at(i, c[on], pieces=True)
-        win = np.stack((opp * A, opp * B, opp * C))
+        # the pieces that can win read the tables (the quality side weak at
+        # a tie, as in ``InterimLevels.at``); the others a zero piece at the end
+        on = np.flatnonzero(np.maximum(c[:, 0], c[:, -1]) >= c_entry)
+        c_on = c.take(on, axis=0)
+        opp, ABC = levels.opp(i, c_on, pieces=True), levels.quality.at(c_on, True, pieces=True)
+        win = np.zeros((3, on.size + 1, k))
+        np.multiply(ABC, opp, out=win[:, :-1])
+        slot = np.full(c.shape[0], on.size)
+        slot[on] = np.arange(on.size)
+        win = win.take(slot, axis=1)
         X, W, _ = win
         points = t.ravel()
         b, bp = (fn(points).reshape(t.shape) for fn in (b_fn, bp_fn))
@@ -498,8 +518,9 @@ def interim_tables(inst, curves):
             # isolated minimum of xi (B = 0 there), A and B both start
             # linearly on the quality table's first piece, and A / B tends
             # to the ratio of their slopes.
-            if B[p, 0] > 0.0:
-                ratio = A[p, 0] / B[p, 0]
+            A_p, B_p = ABC[:2, slot[p], 0]
+            if B_p > 0.0:
+                ratio = A_p / B_p
             else:
                 ratio = levels.quality.coef[1, 0, 1] / levels.quality.coef[1, 1, 1]
             if np.isnan(pay[p, 0]):
@@ -532,21 +553,7 @@ def _column(tab, curve, stated):
     shift = np.nan_to_num(stated.vals - tab.pay[tab.node_pos])
     pay = tab.pay + np.interp(tab.t, curve.type_grid, shift)
     pay[tab.node_pos] = stated.vals
-    return tab, pay
-
-
-def _columns(m):
-    """Each buyer's (interim table, stated payment column), as ``_column`` builds it.
-
-    A buyer who shares the previous buyer's table and states an equal
-    payment table shares its pair, which readers then read once.
-    """
-    columns = []
-    for i, (tab, curve, stated) in enumerate(zip(m.tables, m.curves, m.payment)):
-        prev = m.payment[i - 1]
-        same = i and tab is m.tables[i - 1] and (stated is prev or stated == prev)
-        columns.append(columns[-1] if same else _column(tab, curve, stated))
-    return columns
+    return tab, dist._frozen(pay)
 
 
 def win_weight(m, i, t_i):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dist
 from .errors import ValidationError
-from .mechanism import _charged, _column_guide, _columns, _integer, _payment_at, _per_run, _winners
+from .mechanism import _charged, _column_guide, _integer, _payment_at, _per_run, _winners
 
 __all__ = [
     "revenue_direct",
@@ -59,9 +59,9 @@ def revenue_direct(m):
     Payments are the mechanism's payment column, read at the interim
     table's quadrature points and charged where the buyer is asked
     (``_charged``): a NaN price there makes the revenue NaN.  A run that
-    shares a column (``_columns``) sums it once.
+    shares a column (``m.columns``) sums it once.
     """
-    total, columns = _no_sale_quality_integral(m), _columns(m)
+    total, columns = _no_sale_quality_integral(m), m.columns
     for i, (tab, pay) in enumerate(columns):
         if not (i and columns[i] is columns[i - 1]):
             W = tab.win[1]
@@ -191,7 +191,7 @@ def simulate(m, n_samples, seed):
     levels = [(c.phi_ironed, np.diff(c.phi_ironed)) for c in m.curves]
     grids = [(d.grid, np.diff(d.grid)) for d in inst.buyers]
     xi, reserve, alpha = ((c.vals, np.diff(c.vals)) for c in (qm.xi, qm.reserve, qm.alpha))
-    columns = _columns(m)
+    columns = m.columns
     guides = _per_run(columns, lambda i: _column_guide(*columns[i], inst.buyers[i].grid))
     index_type = np.min_scalar_type(-n)  # the smallest that holds -1 and each buyer
     n_blocks = -(-n_samples // _SAMPLE_BLOCK)
@@ -379,27 +379,27 @@ class ConstantPriceBaseline:
 
 _CUTOFF_TIE_RTOL = 1e-12
 CONSTANT_PRICE_GRID = 241  # coarse price grid, refined once around its best point
-_PRICE_BLOCK = 8192  # entries per (cutoffs x prices) block: bounds the sweep's memory
+_PRICE_BLOCK = 16_384  # entries per (cutoffs x prices) block: bounds the sweep's memory
 
 
 def _no_buyer_chance(buyers, x):
-    """Chance that no buyer's type clears x, the price over the mean alpha.
+    """Chance that no buyer's type clears x, the price over the mean alpha, written over x.
 
-    ``buyers`` pairs each buyer's distribution with b on its grid; x may
-    have any shape.  A buyer buys when b(t) >= x, so each factor is F at
-    the smallest type whose b clears x.
+    ``buyers`` pairs each buyer's distribution with b on its grid; x is a
+    float array of any shape, returned.  A buyer buys when b(t) >= x, so
+    each factor is F at the smallest type whose b clears x; the factors
+    are multiplied in buyer order, in place.
     """
-    prob = np.ones_like(x)
+    prob = None
     for d, b_vals in buyers:
         # smallest type whose expected value clears each price
         tau = np.interp(x, b_vals, d.grid, left=d.grid[0], right=d.grid[-1] + 1.0)
-        f_tau = np.where(
-            tau > d.grid[-1],
-            1.0,
-            np.interp(np.clip(tau, d.grid[0], d.grid[-1]), d.grid, d.cdf_vals),
-        )
-        prob = prob * f_tau
-    return prob
+        above = tau > d.grid[-1]
+        f_tau = np.interp(np.clip(tau, d.grid[0], d.grid[-1], out=tau), d.grid, d.cdf_vals)
+        f_tau[above] = 1.0
+        prob = f_tau if prob is None else np.multiply(prob, f_tau, out=prob)
+    x[...] = prob
+    return x
 
 
 def _constant_price_sides(A1, B1, C1, A_tot, C_tot):
@@ -424,7 +424,7 @@ def _constant_price_sides(A1, B1, C1, A_tot, C_tot):
 def _price_rows(buyers, prices, means):
     """Rows U = p (1 - P0) and V = P0 per mean alpha, then U = 0, V = 1 for no sale."""
     V = np.ones((means.size + 1, prices.size))
-    V[:-1] = _no_buyer_chance(buyers, prices / means[:, None])
+    _no_buyer_chance(buyers, np.divide(prices, means[:, None], out=V[:-1]))
     return prices * (1.0 - V), V
 
 

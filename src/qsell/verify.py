@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dist, info
 from .errors import EnumerationSizeError, UndefinedPosteriorError, ValidationError
-from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _columns, _integer, _payment_at, _per_run
+from .mechanism import WIN_PROB_FLOOR, _buyer, _charged, _integer, _payment_at, _per_run
 
 __all__ = [
     "FeasibilityReport",
@@ -105,10 +105,10 @@ def check_feasibility(m, tol=1e-6):
     exactly W at the least and the greatest ironed threshold level, read
     under the tie rule.  ``largest_fall`` is the largest fall of any
     factor between two levels, and a negative factor value counts as a
-    probability violation.  A run that shares a column (``_columns``)
+    probability violation.  A run that shares a column (``m.columns``)
     shares a row.
     """
-    levels, columns = m.tables[0].levels, _columns(m)
+    levels, columns = m.tables[0].levels, m.columns
     q, mass = levels.quality, levels.mass
     quality_fall = _fall_and_floor(q.coef[:, 1], q.strict[1], q.weak[1])
     mass_falls = _per_run(
@@ -210,14 +210,14 @@ def ic_deviation_search(m, n_grid=101):
     point of the payment column (``_utility_column``), so a NaN price
     between the grid's types makes the regret NaN.  A broken mechanism
     shows up as a large positive regret, a sound one stays at
-    numerical-noise level.  A run that shares a column (``_columns``) is
+    numerical-noise level.  A run that shares a column (``m.columns``) is
     searched once.
     """
     n_grid = _integer(n_grid, "n_grid")
     if n_grid < 2:
         raise ValidationError(f"n_grid must be at least 2, got {n_grid}")
     regret, where = [0.0], [(-1, float("nan"), float("nan"))]
-    per_buyer, columns = [], _columns(m)
+    per_buyer, columns = [], m.columns
     for i, (d, column) in enumerate(zip(m.inst.buyers, columns)):
         if i and column is columns[i - 1]:
             regret.append(regret[-1])
@@ -288,10 +288,10 @@ def obedience_check(m):
     surplus there is the solve's payment less the stated one.  A NaN
     payment where a buyer is asked makes ``min_surplus`` NaN; with no
     buyer asked anywhere it is 0.  A run that shares a column
-    (``_columns``) is read once.
+    (``m.columns``) is read once.
     """
     surplus = [np.zeros(0)]
-    marginal, columns = [], _columns(m)
+    marginal, columns = [], m.columns
     for i, (tab, pay) in enumerate(columns):
         if tab.entry is None:
             marginal.append(None)

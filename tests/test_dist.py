@@ -272,6 +272,67 @@ def test_sublevel_integral_matches_dense_oracle(shape, m, seed):
         )
 
 
+def _at_by_broadcast(table, c, weak=True, pieces=False):
+    """``LevelTable.at`` as a (pieces, k) broadcast, the reference for its point-major read.
+
+    Each key's piece, left break and width stay (pieces, 1) against the
+    (pieces, k) levels, and two full-size wheres pick the side at a break.
+    """
+    c = np.asarray(c, dtype=float)
+    key = 0.5 * (c[:, :1] + c[:, -1:]) if pieces else c
+    b = table.breaks
+    j = np.searchsorted(b, key)
+    lo = b[np.maximum(j - 1, 0)]
+    width = np.append(1.0, np.append(np.diff(b), 1.0))[j]
+    x = np.clip((c - lo) / width, 0.0, 1.0)
+    c0, c1, c2 = table.coef[..., j]
+    val = c0 + x * (c1 + x * c2)
+    jb = np.minimum(j, b.size - 1)
+    side = np.where(weak, table.weak[..., jb], table.strict[..., jb])
+    return np.where(b[jb] == key, side, val)[()]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    shape=st.sampled_from(LEVEL_SHAPES),
+    m=st.integers(2, 80),
+    k=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_table_reads_match_the_broadcast_reference_bit_for_bit(shape, m, k, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.01, 1.0, m)) / m
+    lv = level_curve(shape, rng, m)
+    d = qsell.make_from_table(grid, rng.uniform(0.1, 2.0, m))
+    stack = np.stack((rng.uniform(-0.5, 2.0, m), np.ones(m), rng.uniform(-1.0, 1.0, m)))
+    breaks = np.unique(lv)
+    span = breaks[-1] - breaks[0] + 1.0
+    levels = np.concatenate((
+        breaks,  # exactly at the breaks
+        0.5 * (breaks[:-1] + breaks[1:]),
+        [breaks[0] - span, breaks[-1] + span, -np.inf, np.inf],
+        rng.uniform(breaks[0] - 0.1 * span, breaks[-1] + 0.1 * span, 9),
+    ))
+    # the curve cut at its own breaks: every piece ends on a break, and a
+    # flat of the curve is a flat piece at a break
+    _, cut, _, _ = dist.cut_quadrature(grid, lv, breaks, k)
+    queries = [(float(x), False) for x in levels[:: max(1, levels.size // 5)]]
+    queries += [(levels, False), (levels.reshape(-1, 1), False), (cut, True), (cut[:0], True)]
+    tables = (dist.LevelTable.build(d.cdf_vals, lv, 1.0), dist.LevelTable.build(grid, lv, stack))
+    for table in tables:
+        for c, pieces in queries:
+            for weak in (True, False, rng.uniform(size=np.shape(c)) < 0.5):
+                got = table.at(c, weak, pieces)
+                want = _at_by_broadcast(table, c, weak, pieces)
+                assert np.shape(got) == np.shape(want) and type(got) is type(want)
+                assert np.array_equal(got, want)
+        nan_queries = (np.nan, False), (np.append(levels, np.nan), False)
+        nan_queries += ((np.full((2, k), np.nan), True),)
+        for c, pieces in nan_queries:
+            with pytest.raises(ValidationError):
+                table.at(c, True, pieces)
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(
     shape=st.sampled_from(LEVEL_SHAPES),

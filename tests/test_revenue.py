@@ -224,7 +224,7 @@ def _simulate_by_interp(m, n_samples, seed):
         mask = winners == i
         freq.append(float(np.mean(mask)))
         t = types[mask, i]
-        pay = _payment_by_search(*mechanism._columns(m)[i], t)
+        pay = _payment_by_search(*m.columns[i], t)
         revenue[mask] = pay
         alpha = np.interp(q[mask], qm.G.grid, qm.alpha.vals)
         util.append(float(np.sum(inst.valuation.type_factor(t) * alpha - pay)) / n_samples)
@@ -332,7 +332,7 @@ def test_cell_guided_column_index_matches_searchsorted(solved_suite):
     }
     hit_points = hit_flat_ends = 0
     for name, (inst, mech) in cases.items():
-        for d, (tab, pay) in zip(inst.buyers, mechanism._columns(mech)):
+        for d, (tab, pay) in zip(inst.buyers, mech.columns):
             k, w = _guided_queries(d.grid, tab.t)
             *_, t, want = _guided_column_reads(tab, pay, d.grid, k, w)
             hit_points += int(np.count_nonzero(tab.t[want] == t))

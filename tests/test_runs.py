@@ -43,6 +43,19 @@ def _alternating():
     return qsell.ProblemInstance((u, b, u, b, u), _low_xi())
 
 
+def _power():
+    """b = t ** 1.5 on two uniform buyers of positive types, so b' != 1 in the rent."""
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=65), lambda q: 1.0 + 0.5 * q, lambda q: 0.2 + 0.5 * q
+    )
+    power = qsell.GeneralValuation(
+        type_factor=lambda t: np.asarray(t, float) ** 1.5,
+        type_factor_deriv=lambda t: 1.5 * np.asarray(t, float) ** 0.5,
+    )
+    buyers = (qsell.make_uniform(0.5, 1.5, m=129), qsell.make_uniform(0.25, 1.25, m=257))
+    return qsell.ProblemInstance(buyers=buyers, quality=qm, valuation=power)
+
+
 def _instances():
     suite = build_suite()
     return {
@@ -52,6 +65,7 @@ def _instances():
         "iid-uniform-20": _iid_uniform(20),
         "bimodal-pair": _bimodal_pair(),
         "alternating": _alternating(),
+        "power-1.5": _power(),
     }
 
 
@@ -88,7 +102,8 @@ def fingerprint(m):
     }
 
 
-# computed before runs were shared: float hex, and digests of float hex
+# computed before runs were shared: float hex, and digests of float hex; the
+# power case, the one with b' != 1, was added later and pinned as the code then stood
 PINNED = {
     "alternating": {
         "revenue_direct": "0x1.62153c90782cfp-1",
@@ -125,6 +140,15 @@ PINNED = {
         "feasibility": "56a9f26d697fcf41",
         "ic": "c1601fc6b74d68b4",
         "obedience": "dea013108e8ef549",
+    },
+    "power-1.5": {
+        "revenue_direct": "0x1.fe28c3c99b00fp-1",
+        "revenue_virtual": "0x1.fe28c3c99b012p-1",
+        "payment": "a40c9269819e5e11",
+        "win_weight": "4f9a20d4d4300f24",
+        "feasibility": "05059615168ead29",
+        "ic": "856646322e500c76",
+        "obedience": "3a37da7cc5b4794f",
     },
     "three-v-shape": {
         "revenue_direct": "0x1.2a33333333334p-1",
@@ -172,7 +196,7 @@ def test_iid_buyers_are_solved_and_read_once(monkeypatch):
     m = qsell.build_optimal_mechanism(inst)
     assert len(irons) == 1 and len(builds) == 1
     assert m.tables[0] is m.tables[19] and m.payment[0] is m.payment[19]
-    columns = mechanism._columns(m)
+    columns = m.columns
     assert all(c is columns[0] for c in columns)
 
     # the loader reads curves that compare equal and shares the same way
@@ -184,14 +208,41 @@ def test_iid_buyers_are_solved_and_read_once(monkeypatch):
 def test_an_equal_payment_table_shares_the_column_and_another_does_not(solved):
     m = solved["two-uniform"]
     copies = [qsell.GriddedFunction(p.grid, p.vals.copy()) for p in m.payment]
-    columns = mechanism._columns(replace(m, payment=copies))
+    columns = replace(m, payment=copies).columns
     assert columns[0] is columns[1]
     copies[1] = qsell.GriddedFunction(m.payment[1].grid, m.payment[1].vals + 0.01)
     changed = replace(m, payment=copies)
-    columns = mechanism._columns(changed)
+    columns = changed.columns
     assert columns[0] is not columns[1]
     rows = qsell.check_feasibility(changed).per_buyer
     assert rows[0]["envelope_residual"] < 1e-12 < rows[1]["envelope_residual"]
+    assert qsell.revenue_direct(changed) > qsell.revenue_direct(m)
+
+
+def test_the_verifiers_build_the_stated_columns_once(solved, monkeypatch):
+    m = replace(solved["alternating"])  # a fresh mechanism: no column is built yet
+    builds = _counted(monkeypatch, mechanism, "_column")
+    reports = [f(m) for f in (qsell.check_feasibility, qsell.ic_deviation_search,
+                              qsell.obedience_check, qsell.revenue_direct)]
+    # one build of every buyer's column, read by all four
+    assert m.columns is m.columns
+    assert len(builds) == len({id(col) for col in m.columns}) == m.n_buyers
+    assert [_digest(r) for r in reports[:3]] == [
+        PINNED["alternating"][key] for key in ("feasibility", "ic", "obedience")
+    ]
+    assert not any(pay.flags.writeable for _, pay in m.columns)
+
+
+def test_a_replaced_payment_table_reads_its_new_column(solved):
+    m = solved["two-uniform"]
+    m.columns  # built on the solved mechanism first
+    copies = list(m.payment)
+    copies[1] = qsell.GriddedFunction(m.payment[1].grid, m.payment[1].vals + 0.01)
+    changed = replace(m, payment=copies)
+    (tab0, pay0), (tab1, pay1) = changed.columns
+    assert np.array_equal(pay0, m.columns[0][1], equal_nan=True)
+    assert np.array_equal(pay1[tab1.node_pos], copies[1].vals, equal_nan=True)
+    assert not np.array_equal(pay1, m.columns[1][1], equal_nan=True)
     assert qsell.revenue_direct(changed) > qsell.revenue_direct(m)
 
 
