@@ -5,8 +5,11 @@ V-shaped / inverse-V reserve-ratio curves, and regular as well as
 irregular (bimodal) type distributions.
 """
 
+import importlib.util
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,16 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 LEVEL_SHAPES = ["increasing", "decreasing", "v", "plateaued", "wiggly", "repeats"]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """``bench/<name>.py`` loaded by file path, as ``qsell_bench_<name>``; nothing is written."""
+    spec = importlib.util.spec_from_file_location(f"qsell_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def bimodal_density(x, s=0.08):

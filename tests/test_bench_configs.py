@@ -6,35 +6,24 @@ so that name is bound for the test only.  Nothing under ``bench/`` is
 written.
 """
 
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import load_bench
 from qsell.cli import main
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"qsell_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    return _load("workloads")
+    return load_bench("workloads")
 
 
 @pytest.fixture
 def checks(workloads, monkeypatch):
     monkeypatch.setitem(sys.modules, "workloads", workloads)
-    return _load("checks")
+    return load_bench("checks")
 
 
 def _config(tmp_path, inst):

@@ -26,6 +26,7 @@ import pytest
 
 import qsell
 from conftest import make_bimodal, traced_peak, xi_meeting_the_plateau
+from full_disclosure import full_disclosure_revenue
 from qsell import dist, mechanism, revenue
 from qsell.mechanism import _payment_at
 
@@ -65,6 +66,21 @@ def test_virtual_route_is_exact_on_uniform_grids(solved_suite, name, exact):
     # the nodes were 3.2e-7 and 1.6e-7 off).
     inst, mech = solved_suite[name]
     assert qsell.revenue_virtual(mech) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("posted-price", 1e-9), ("reserve-ramp", 1e-9), ("bimodal-ramp", 1.07e-7)]
+)
+def test_full_disclosure_witness_reaches_the_one_buyer_revenue(solved_suite, name, bound):
+    # For one buyer, posting the best price at each disclosed quality is
+    # optimal, and the witness reads only the cdf and the quality tables:
+    # no phi, no ironing, no interim table.  The bimodal buyer stays
+    # 1.07e-7 above revenue_direct: its threshold curve is tabulated at the
+    # nodes, not solved on the piecewise model the routes integrate, and
+    # the bound holds the solve at what it reaches.
+    inst, mech = solved_suite[name]
+    gap = full_disclosure_revenue(inst.buyers[0], inst.quality) - qsell.revenue_direct(mech)
+    assert -1e-9 <= gap <= bound
 
 
 def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):

@@ -1,13 +1,18 @@
 """Virtual values, ironing, and the checks on a valuation's type factor."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsell
+from qsell import mechanism, virtual
+from qsell.cli import load_instance
 from qsell.errors import AssumptionViolationError, ValidationError
-from conftest import make_bimodal
+from conftest import LEVEL_SHAPES, level_curve, load_bench, make_bimodal
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +230,9 @@ def test_ironed_curve_is_monotone_and_below_nothing(vals):
     d = qsell.make_from_table(grid, np.asarray(vals))
     phi = qsell.virtual_value_table(d)
     curve = qsell.iron(d, phi)
-    # wobbles below the run-detection tolerance survive ironing, so the
-    # monotonicity guarantee is tol/cell-width, not exact
+    # a flat whose envelope sits within IRON_GAP_TOL of H is left alone, so
+    # wobbles that shallow survive ironing: the monotonicity guarantee is
+    # about IRON_GAP_TOL / cell width, not exact
     assert np.all(np.diff(curve.phi_ironed) >= -5e-6)
     # ironing only changes values inside declared intervals
     outside = np.ones(len(vals), dtype=bool)
@@ -270,8 +276,11 @@ def _h_integral_by_cell(F, psi, a, b):
         # -5.6e-17, so the root search runs past every slope (the
         # ``for ... else`` exit)
         ([0, 1, 3, 5], [0.0, 2.0, 3.0, 0.0]),
+        # two nodes and one falling cell: both ends are lone nodes, and
+        # the flat is the cell's chord
+        ([0, 1], [1.0, -1.0]),
     ],
-    ids=["tied-cdf-root-below", "root-above"],
+    ids=["tied-cdf-root-below", "root-above", "two-nodes"],
 )
 def test_ironing_where_the_bridge_extrapolates(cdf, psi):
     F = np.asarray(cdf, float) / cdf[-1]
@@ -298,3 +307,182 @@ def test_iron_idempotent_property(vals):
     curve = qsell.iron(d, qsell.virtual_value_table(d))
     again = qsell.iron(d, curve.phi_ironed)
     assert np.allclose(again.phi_ironed, curve.phi_ironed, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the run chain against the cell chain it replaced
+
+
+def _iron_by_cells(d, psi):
+    """``iron`` as a monotone chain over every type cell: the reference for the run chain.
+
+    It drops zero-width cells, so it is exact only where the cdf does not
+    tie.  Returns (phi_ironed, ironed_intervals).
+    """
+    phi_ironed, intervals = psi.copy(), []
+    if not np.any(np.diff(psi) < 0.0):
+        return phi_ironed, ()
+    F = d.cdf_vals
+    dF = np.diff(F)
+    H = np.concatenate(([0.0], np.cumsum(0.5 * (psi[1:] + psi[:-1]) * dF)))
+    width = np.where(dF > 0.0, dF, 1.0)
+    s = np.maximum(np.diff(psi), 0.0) / width
+    chord = np.diff(H) / width
+    lam_lo, lam_hi = np.where(s > 0.0, psi[:-1], chord), np.where(s > 0.0, psi[1:], chord)
+    cells = [c for c, w in zip(zip(*(a.tolist() for a in (F[:-1], F[1:], H[:-1], H[1:], psi[:-1],
+                                                           psi[1:], s, lam_lo, lam_hi))), dF) if w > 0.0]
+    stack = []
+    for c in cells:
+        L = None
+        while stack:
+            L = virtual._bridge(stack[-1][0], c)
+            if len(stack) > 1 and stack[-1][1] >= L:
+                stack.pop()
+            else:
+                break
+        stack.append((c, L))
+    m = F.size
+    for (ci, _), (cj, L) in zip(stack[:-1], stack[1:]):
+        c0, a, _ = virtual._cell_support(ci, L)
+        b = virtual._cell_support(cj, L)[1]
+        if b <= a:
+            continue
+        lo = 0 if a <= F[0] else int(np.searchsorted(F, a, side="right"))
+        hi = m - 1 if b >= F[-1] else int(np.searchsorted(F, b, side="left")) - 1
+        if hi < lo:
+            continue
+        w = np.append(F[lo : hi + 1], F[lo:hi] + 0.5 * dF[lo:hi])
+        half = dF[lo:hi] * (3.0 * psi[lo:hi] + psi[lo + 1 : hi + 1]) / 8.0
+        if np.max(np.append(H[lo : hi + 1], H[lo:hi] + half) - (c0 + L * w)) <= virtual.IRON_GAP_TOL:
+            continue
+        phi_ironed[lo : hi + 1] = L
+        intervals.append((lo, hi))
+    return phi_ironed, tuple(intervals)
+
+
+def _same_as_cells(d, psi):
+    curve, (want, intervals) = qsell.iron(d, psi), _iron_by_cells(d, np.asarray(psi, dtype=float))
+    assert np.array_equal(curve.phi_ironed, want)
+    assert curve.ironed_intervals == intervals
+    return bool(intervals)
+
+
+def _on_cdf(F):
+    return qsell.GriddedDistribution(np.linspace(0.0, 1.0, F.size), np.ones(F.size), F)
+
+
+def _random_cdf(rng, m, tied=0.0):
+    """A cdf on m nodes from random steps, a share ``tied`` of them zero."""
+    steps = rng.uniform(0.05, 1.0, m - 1) * (rng.random(m - 1) >= tied)
+    if not steps.any():
+        steps[0] = 1.0
+    F = np.concatenate(([0.0], np.cumsum(steps)))
+    return F / F[-1]
+
+
+def test_run_chain_matches_the_cell_chain_on_random_curves():
+    rng = np.random.default_rng(20261020)
+    ironed = 0
+    for _ in range(3000):
+        m = int(rng.integers(8, 61))
+        x = np.linspace(0.0, 1.0, m)
+        psi = [rng.normal(size=m), np.cumsum(rng.normal(0.1, 0.5, m)),
+               np.sin(rng.uniform(3.0, 20.0) * x) + x][int(rng.integers(0, 3))]
+        if rng.random() < 1.0 / 3.0:
+            psi = np.round(psi, 1)  # equal neighbours: flat cells
+        if rng.random() < 0.25:
+            psi[0] = psi[1] + rng.uniform(0.01, 2.0)  # the first cell falls
+        if rng.random() < 0.25:
+            psi[-1] = psi[-2] - rng.uniform(0.01, 2.0)  # the last cell falls
+        ironed += _same_as_cells(_on_cdf(_random_cdf(rng, m)), psi)
+    assert ironed > 2500
+
+
+@pytest.mark.parametrize("shape", LEVEL_SHAPES)
+def test_run_chain_matches_the_cell_chain_on_level_shapes(shape):
+    rng = np.random.default_rng(7)
+    for m in (8, 33, 129, 513):
+        for _ in range(4):
+            _same_as_cells(_on_cdf(_random_cdf(rng, m)), level_curve(shape, rng, m))
+
+
+def _bench_instances():
+    """Every instance of benchmark seeds 1-3, by workload and seed."""
+    workloads = load_bench("workloads")
+    return {(name, seed): workloads.build(name, seed).instances
+            for name in workloads.WORKLOADS for seed in (1, 2, 3)}
+
+
+def _loaded(inst, tmp_path):
+    path = tmp_path / f"{inst.name}.json"
+    path.write_text(json.dumps(inst.doc))
+    return load_instance(str(path))
+
+
+def test_run_chain_matches_the_cell_chain_on_benchmark_buyers(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(mechanism, "iron", lambda d, psi: seen.append((d, psi)) or qsell.iron(d, psi))
+    for instances in _bench_instances().values():
+        for inst in instances.values():
+            mechanism._threshold_curves(_loaded(inst, tmp_path))
+    assert sum(_same_as_cells(d, psi) for d, psi in seen) >= 20
+
+
+def test_the_bimodal_benchmark_buyer_is_ironed_in_a_few_bridges(monkeypatch, tmp_path):
+    # The count: calls of virtual._bridge, the closed-form common tangent of
+    # two cells, in one iron of mid-audit's 513-node bimodal buyer.  The cell
+    # chain made 726; the run chain bridges its two runs once.
+    inst = _bench_instances()[("mid-audit", 1)]["bimodal-uniform-v-513"]
+    d = _loaded(inst, tmp_path).buyers[0]
+    calls, bridge = [], virtual._bridge
+    monkeypatch.setattr(virtual, "_bridge", lambda ci, cj: calls.append(ci) or bridge(ci, cj))
+    curve = qsell.iron(d, qsell.virtual_value_table(d))
+    assert len(curve.ironed_intervals) == 1
+    assert len(calls) <= 3
+
+
+def test_ironing_a_tied_cdf_follows_the_hull():
+    # h jumps down at F = 5/7 (psi -1 to -3 is a falling cell, then a tie
+    # from -3 up to 1, then a fall): the lower hull of H has slope -1.4 up
+    # to 5/7 and 0 after it, and the tied nodes 2 and 3 take one each
+    F = np.array([0.0, 2.0, 5.0, 5.0, 7.0]) / 7.0
+    curve = qsell.iron(_on_cdf(F), np.array([0.0, -1.0, -3.0, 1.0, -1.0]))
+    assert np.allclose(curve.phi_ironed, [-1.4, -1.4, -1.4, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert curve.ironed_intervals == ((0, 2), (3, 4))
+
+
+def test_a_shallow_drop_at_a_tie_is_ironed():
+    # h drops by 1e-3 at F = 1e-3 between two cells rising at slope ~1000:
+    # H bulges 1.3e-10 above the flat, under IRON_GAP_TOL, yet the flat is
+    # kept; its level L has equal areas of h - L on both sides,
+    # (1 - L)^2 / 1000 = (L - 0.999)^2 / 1001
+    F = np.array([0.0, 1e-3, 1e-3, 2e-3, 1.0])
+    curve = qsell.iron(_on_cdf(F), np.array([0.0, 1.0, 0.999, 2.0, 3.0]))
+    r = math.sqrt(1000.0 / 1001.0)
+    assert curve.ironed_intervals == ((1, 2),)
+    assert curve.phi_ironed[1] == pytest.approx((1.0 + 0.999 * r) / (1.0 + r), abs=1e-12)
+
+
+def test_ironing_random_tied_cdfs_is_monotone_and_exact():
+    rng = np.random.default_rng(30)
+    ironed = 0
+    for _ in range(3000):
+        m = int(rng.integers(4, 10))
+        F = _random_cdf(rng, m, tied=0.35)
+        psi = rng.integers(-3, 4, m).astype(float) if rng.random() < 0.5 else rng.normal(size=m)
+        curve = qsell.iron(_on_cdf(F), psi)
+        assert np.all(np.diff(curve.phi_ironed) >= -1e-12)
+        outside = np.ones(m, dtype=bool)
+        for lo, hi in curve.ironed_intervals:
+            outside[lo : hi + 1] = False
+            L = curve.phi_ironed[lo]
+            assert np.all(curve.phi_ironed[lo : hi + 1] == L)
+            # the plateau is the mean of h between its contacts, where h
+            # crosses L in the cells bracketing it (at the tie itself when
+            # that cell has zero width)
+            a = 0.0 if lo == 0 else _contact(F, psi, lo - 1, lo, L)
+            b = 1.0 if hi == m - 1 else _contact(F, psi, hi, hi + 1, L)
+            assert abs(_h_integral_by_cell(F, psi, a, b) - L * (b - a)) <= 1e-12
+        assert np.array_equal(curve.phi_ironed[outside], psi[outside])
+        ironed += bool(curve.ironed_intervals)
+    assert ironed > 2500
