@@ -23,12 +23,13 @@ import numpy as np
 
 from . import dist
 from .errors import AssumptionViolationError, EngineError, ValidationError
-from .info import classify_structure, partition_summary, partition_summary_csv
+from .info import _partition_rows, classify_structure, partition_summary_csv
 from .mechanism import (
     GeneralValuation,
     LinearValuation,
     ProblemInstance,
     _once_per_distinct,
+    _threshold_curves,
     build_optimal_mechanism,
     make_quality_model,
     mechanism_to_json_dict,
@@ -308,8 +309,12 @@ def _cmd_info(args):
     inst = load_instance(args.config, args.grid)
     if not 0 <= args.buyer < inst.n_buyers:
         raise ConfigError(f"buyer index {args.buyer} out of range")
-    m = build_optimal_mechanism(inst)
-    rows = partition_summary(m, args.buyer, types=types, n_types=args.n_types)
+    lo, hi = inst.buyers[args.buyer].grid[[0, -1]]
+    if types is not None and not np.all((lo <= types) & (types <= hi)):
+        raise ConfigError(f"--types must lie in buyer {args.buyer}'s type support "
+                          f"[{lo:g}, {hi:g}], got {args.types}")
+    curve = _threshold_curves(inst)[args.buyer]  # no interim or payment table
+    rows = _partition_rows(curve, inst.quality, types, args.n_types)
     if args.out:
         partition_summary_csv(rows, args.out)
     print(f"reserve_shape: {classify_structure(inst.quality)}")

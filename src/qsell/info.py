@@ -58,6 +58,9 @@ class IntervalUnion:
         return any(a - tol <= q <= b + tol for a, b in self.intervals)
 
 
+_LEVEL_BLOCK = 256  # levels per (levels x cells) pass of _acceptance_sets
+
+
 def acceptance_set(qm, v):
     """Qualities cleared for sale at threshold level v.
 
@@ -65,33 +68,47 @@ def acceptance_set(qm, v):
     endpoints located by linear interpolation inside grid cells.
     Boundary points with xi(q) = v exactly are included, matching the
     weak inequality used by the allocation rule.  A NaN v raises
-    ValidationError.
+    ValidationError.  This is ``_acceptance_sets`` at one level.
     """
-    qgrid, xi, c = qm.xi.grid, qm.xi.vals, float(dist._validated_query(v))
-    # An interval starts in a cell that enters {xi <= c} (a > c >= b) and
-    # ends in one that leaves it (a <= c < b), at the crossing on the
-    # cell's line; an entry whose right node sits on c starts at that node
-    # (the leaving formula gives the left node exactly).
-    inside = xi <= c
-    k = np.flatnonzero(inside[:-1] != inside[1:])
-    a, b, x0, x1 = xi[k], xi[k + 1], qgrid[k], qgrid[k + 1]
-    enter = inside[k + 1]
-    frac = np.where(enter, (a - c) / (a - b), (c - a) / (b - a))
-    t = np.where(enter & (b == c), x1, x0 + frac * (x1 - x0))
-    starts = np.append(qgrid[:1] if inside[0] else [], t[enter])
-    ends = np.append(t[~enter], qgrid[-1:] if inside[-1] else [])
-    if not starts.size:
-        return IntervalUnion(intervals=())
-    intervals = [(float(a), float(b)) for a, b in zip(starts, ends)]
+    return _acceptance_sets(qm, [v])[0]
 
-    # merge intervals that touch through numerical coincidence
-    merged = [intervals[0]]
-    for a, b in intervals[1:]:
-        if a <= merged[-1][1] + 1e-15:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return IntervalUnion(intervals=tuple(merged))
+
+def _acceptance_sets(qm, levels):
+    """``acceptance_set`` at each level of a 1-D array, from one (levels x cells) pass.
+
+    A level's interval ends alternate start, end along the grid: a grid
+    end inside {xi <= c}, or the crossing on a boundary cell's line (a
+    cell entering the set whose right node sits on c starts there).
+    Only the merge of intervals that touch by rounding loops per level.
+    Levels go _LEVEL_BLOCK at a time, which bounds the pass's memory.
+    """
+    qgrid, xi = qm.xi.grid, qm.xi.vals
+    c = dist._validated_query(levels)
+    if c.size > _LEVEL_BLOCK:
+        blocks = range(0, c.size, _LEVEL_BLOCK)
+        return [s for lo in blocks for s in _acceptance_sets(qm, c[lo:lo + _LEVEL_BLOCK])]
+    inside = xi <= c[:, None]
+    # an edge j sits before node j: 0 and m are the grid's ends, else cell j - 1
+    row, j = np.nonzero(np.diff(inside, axis=1, prepend=False, append=False))
+    edges = np.where(j == 0, qgrid[0], qgrid[-1])
+    cell = (j > 0) & (j < xi.size)
+    r, k = row[cell], j[cell] - 1
+    a, b, x0, x1, ck = xi[k], xi[k + 1], qgrid[k], qgrid[k + 1], c[r]
+    enter = inside[r, k + 1]
+    frac = np.where(enter, (a - ck) / (a - b), (ck - a) / (b - a))
+    edges[cell] = np.where(enter & (b == ck), x1, x0 + frac * (x1 - x0))
+    bounds = np.searchsorted(row[::2], np.arange(c.size + 1)).tolist()
+    starts, ends = edges[::2].tolist(), edges[1::2].tolist()
+    sets = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged = []
+        for start, end in zip(starts[lo:hi], ends[lo:hi]):
+            if merged and start <= merged[-1][1] + 1e-15:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+            else:
+                merged.append((start, end))
+        sets.append(IntervalUnion(intervals=tuple(merged)))
+    return sets
 
 
 def classify_structure(qm):
@@ -114,34 +131,38 @@ def partition_summary(m, i=0, types=None, n_types=21):
 
     One row per type: the threshold level, the acceptance set written
     as "lo:hi" segments, its prior mass, and the posterior mean quality
-    (NaN when the type is never asked).  Mass and mean come from one
-    stacked sublevel integral of g and q * g over every probed level.
+    (NaN when the type is never asked).  The rows read only buyer i's
+    ironed threshold curve and the quality model (``_partition_rows``),
+    none of the interim or payment tables.
     """
-    curve = m.curves[_buyer(m, i)]
+    return _partition_rows(m.curves[_buyer(m, i)], m.inst.quality, types, n_types)
+
+
+def _partition_rows(curve, qm, types=None, n_types=21):
+    """``partition_summary``'s rows from one threshold curve and a quality model.
+
+    Mass and mean come from one stacked sublevel integral of g and q * g
+    over every probed level, the sets from one ``_acceptance_sets`` pass.
+    """
     if types is None:
         types = np.linspace(curve.type_grid[0], curve.type_grid[-1], n_types)
     types = np.asarray(types, dtype=float)
     levels = curve.phi_ironed_at(types)
-    qm = m.inst.quality
     g = qm.G.pdf_vals
     masses, moments = dist.sublevel_integral(
         qm.G.grid, qm.xi.vals, np.stack((g, qm.G.grid * g)), levels, True
     )
-    rows = []
-    for t, level, mass, moment in zip(types, levels, masses, moments):
-        s = acceptance_set(qm, level)
-        rows.append(
-            {
-                "type": float(t),
-                "phi_bar": float(level),
-                "segment_list": ";".join(
-                    f"{a:.12g}:{b:.12g}" for a, b in s.intervals
-                ),
-                "mass": float(mass),
-                "posterior_mean": float(moment / mass) if mass > 1e-15 else math.nan,
-            }
-        )
-    return rows
+    sets = _acceptance_sets(qm, levels)
+    return [
+        {
+            "type": float(t),
+            "phi_bar": float(level),
+            "segment_list": ";".join(f"{a:.12g}:{b:.12g}" for a, b in s.intervals),
+            "mass": float(mass),
+            "posterior_mean": float(moment / mass) if mass > 1e-15 else math.nan,
+        }
+        for t, level, mass, moment, s in zip(types, levels, masses, moments, sets)
+    ]
 
 
 def partition_summary_csv(rows, path):

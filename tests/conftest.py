@@ -71,6 +71,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def counted(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def level_curve(shape, rng, m):
     """Node values of a level curve of one of ``LEVEL_SHAPES`` on m nodes."""
     x = np.linspace(0.0, 1.0, m)

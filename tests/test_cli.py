@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bimodal_density
-from qsell import cli
+import qsell
+from conftest import bimodal_density, build_suite, counted
+from qsell import cli, mechanism
 from qsell.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -338,17 +339,101 @@ def _no_solve(inst):
         ["--types", "0.5,inf"],
         ["--n-types", "0"],
         ["--n-types", "-1"],
+        ["--types", "0.5,2.0"],
+        ["--types", "1e308"],
+        ["--types", "-0.25"],
     ],
     ids=[
         "buyer-5", "buyer-neg", "types-abc", "types-empty-item",
         "types-nan", "types-inf", "n-types-0", "n-types-neg",
+        "types-above-support", "types-huge", "types-below-support",
     ],
 )
 def test_info_bad_buyer_index_exits_2(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    monkeypatch.setattr(cli, "_threshold_curves", _no_solve)
     cfg = _two_uniform_config(tmp_path)
     assert main(["info", "--config", cfg, *flags]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_info_takes_types_on_the_support_and_no_other(capsys):
+    # a type above the grid once read the top type's threshold and exited 0
+    cfg = str(ROOT / "demos" / "configs" / "two_uniform.json")
+    assert main(["info", "--config", cfg, "--types", "2.0"]) == 2
+    assert "--types must lie in buyer 0's type support [0, 1]" in capsys.readouterr().err
+    assert main(["info", "--config", cfg, "--types", "0,1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4  # shape, header and two rows
+
+
+def test_info_keeps_every_exit_path_and_builds_no_table(tmp_path, capsys, monkeypatch):
+    tables = counted(monkeypatch, mechanism, "interim_tables")
+    levels = counted(monkeypatch, mechanism.InterimLevels, "build")
+    loaded = []
+    load = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    concave = dict(
+        _small_config(),
+        buyers=[{"distribution": {"family": "uniform", "lo": 0.1, "hi": 1.1, "m": 257}}],
+        valuation={"kind": "power", "exponent": 0.5},
+    )
+    assert main(["info", "--config", _write(tmp_path, "concave.json", concave)]) == 3
+    assert "assumption violation" in capsys.readouterr().err
+    cfg = _bimodal_ramp_config(tmp_path)
+    assert main(["info", "--config", cfg, "--buyer", "1"]) == 2
+    assert "config error: buyer index 1 out of range" in capsys.readouterr().err
+    assert main(["info", "--config", cfg]) == 0
+    assert "reserve_shape: lower" in capsys.readouterr().out
+    assert not tables and not levels
+    assert len(loaded) == 3 and not any("level_table" in vars(i.quality) for i in loaded)
+    # the counters see a solve
+    assert main(["solve", "--config", cfg]) == 0
+    assert len(tables) == len(levels) == 1 and "level_table" in vars(loaded[-1].quality)
+
+
+def _table_config(tmp_path, name, inst):
+    """A config of table families that loads as inst's grids and tables."""
+    def table(d):
+        return {"family": "table", "grid": d.grid.tolist(), "pdf": d.pdf_vals.tolist()}
+
+    def curve(f):
+        return {"family": "table", "grid": f.grid.tolist(), "values": f.vals.tolist()}
+
+    qm = inst.quality
+    doc = {
+        "schema_version": 1,
+        "buyers": [{"distribution": table(d)} for d in inst.buyers],
+        "quality": {"distribution": table(qm.G), "alpha": curve(qm.alpha),
+                    "reserve": curve(qm.reserve)},
+    }
+    return _write(tmp_path, f"{name}.json", doc)
+
+
+def _info_stdout(inst, rows):
+    """What ``qsell info`` prints for rows of ``partition_summary``."""
+    lines = [f"reserve_shape: {qsell.classify_structure(inst.quality)}",
+             f"{'type':>12} {'phi_bar':>12} {'mass':>10} {'post_mean':>10}  segments"]
+    for row in rows:
+        pm = row["posterior_mean"]
+        pm_s = "n/a" if np.isnan(pm) else f"{pm:10.6f}"
+        lines.append(f"{row['type']:12.6f} {row['phi_bar']:12.6f} "
+                     f"{row['mass']:10.6f} {pm_s:>10}  {row['segment_list']}")
+    return "\n".join(lines) + "\n"
+
+
+def test_info_prints_the_rows_of_the_solved_mechanism(tmp_path, capsys):
+    # info reads the threshold curves alone; its table is the solved
+    # mechanism's partition summary, on every suite instance and demo config
+    configs = [_table_config(tmp_path, name, inst) for name, inst in build_suite().items()]
+    configs += sorted(str(p) for p in (ROOT / "demos" / "configs").glob("*.json"))
+    for cfg in configs:
+        inst = cli.load_instance(cfg)
+        m = qsell.build_optimal_mechanism(inst)
+        for i in range(inst.n_buyers):
+            for flags, kwargs in (([], {}), (["--n-types", "7"], {"n_types": 7})):
+                assert main(["info", "--config", cfg, "--buyer", str(i), *flags]) == 0
+                want = _info_stdout(inst, qsell.partition_summary(m, i, **kwargs))
+                assert capsys.readouterr().out == want, (cfg, i, flags)
 
 
 @pytest.mark.parametrize(
@@ -504,13 +589,10 @@ def test_the_shared_parser_keeps_no_flags_between_calls(tmp_path, capsys, monkey
     assert main(["simulate", "--config", cfg]) == 0
     assert "samples: 100000  seed: 0" in capsys.readouterr().out
 
+    # info hands the rows function buyer i's curve; index stand-ins show which
     buyers = []
-
-    def summary(m, buyer, **kwargs):
-        buyers.append(buyer)
-        return []
-
-    monkeypatch.setattr(cli, "partition_summary", summary)
+    monkeypatch.setattr(cli, "_threshold_curves", lambda inst: list(range(inst.n_buyers)))
+    monkeypatch.setattr(cli, "_partition_rows", lambda curve, *a: buyers.append(curve) or [])
     assert main(["info", "--config", cfg, "--buyer", "1"]) == 0
     assert main(["info", "--config", cfg]) == 0
     assert buyers == [1, 0]
@@ -522,8 +604,9 @@ def test_the_shared_parser_keeps_no_flags_between_calls(tmp_path, capsys, monkey
         (["verify"], 0, "stdout", "[PASS]", 6),
         (["simulate", "--samples", "0"], 2, "stderr", "config error", 1),
         (["verify", "--bad"], 2, "stderr", "error: unrecognized arguments: --bad", 1),
+        (["info", "--n-types", "5"], 0, "stdout", "\n", 7),
     ],
-    ids=["verify-passes", "samples-0", "unknown-flag"],
+    ids=["verify-passes", "samples-0", "unknown-flag", "info-rows"],
 )
 def test_the_entry_point_in_a_fresh_process(argv, code, stream, text, count):
     # one process per call, as from a shell

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import qsell
 from conftest import LEVEL_SHAPES, level_curve
+from qsell import info
 
 G = qsell.make_uniform(0.0, 1.0, m=1001)
 QM_RAMP = qsell.make_quality_model(G, alpha=1.0, reserve=lambda q: q)
@@ -245,6 +246,73 @@ def test_acceptance_set_matches_node_walk_on_random_curves(shape, m, seed):
     vals = level_curve(shape, rng, m)
     for c in np.concatenate((rng.choice(vals, 3), rng.uniform(-1.0, 1.5, 3))):
         _acceptance_on(x, vals, float(c))
+
+
+def _acceptance_by_level(qgrid, xi, c):
+    """The former one-level acceptance set, kept as a bit-for-bit reference."""
+    inside = xi <= c
+    k = np.flatnonzero(inside[:-1] != inside[1:])
+    a, b, x0, x1 = xi[k], xi[k + 1], qgrid[k], qgrid[k + 1]
+    enter = inside[k + 1]
+    frac = np.where(enter, (a - c) / (a - b), (c - a) / (b - a))
+    t = np.where(enter & (b == c), x1, x0 + frac * (x1 - x0))
+    starts = np.append(qgrid[:1] if inside[0] else [], t[enter])
+    ends = np.append(t[~enter], qgrid[-1:] if inside[-1] else [])
+    merged = []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if merged and a <= merged[-1][1] + 1e-15:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
+def _assert_stacked_matches_one_level(qm, levels):
+    got = info._acceptance_sets(qm, np.asarray(levels, dtype=float))
+    assert len(got) == len(levels)
+    for level, s in zip(levels, got):
+        assert s.intervals == qsell.acceptance_set(qm, float(level)).intervals, level
+        assert s.intervals == _acceptance_by_level(qm.xi.grid, qm.xi.vals, level), level
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    shape=st.sampled_from(LEVEL_SHAPES + ["stepped"]),
+    m=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_acceptance_sets_equal_one_level_sets(shape, m, seed):
+    # interval for interval and bit for bit: levels below and above xi,
+    # at node values (on the flats of a stepped xi too) and between them,
+    # in a shuffled order with repeats
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, m))
+    x = (x - x[0]) / (x[-1] - x[0])
+    if shape == "stepped":
+        vals = np.repeat(rng.uniform(0.0, 1.0, m), rng.integers(1, 4, m))[:m]
+    else:
+        vals = level_curve(shape, rng, m)
+    qm = qsell.make_quality_model(
+        qsell.make_from_table(x, np.ones(m)), 1.0, qsell.GriddedFunction(x, vals)
+    )
+    xi = qm.xi.vals
+    levels = np.concatenate((
+        [xi.min() - 1.0, xi.min(), xi.max(), xi.max() + 1.0],
+        rng.choice(xi, 4), rng.uniform(xi.min(), xi.max(), 4),
+    ))
+    rng.shuffle(levels)
+    _assert_stacked_matches_one_level(qm, levels)
+    _assert_stacked_matches_one_level(qm, levels[:1])
+    assert info._acceptance_sets(qm, np.empty(0)) == []
+
+
+@pytest.mark.parametrize("qm", [QM_RAMP, QM_FALL, QM_DECR, QM_V, QM_INV_V, QM_CONST])
+def test_stacked_acceptance_sets_on_the_canonical_shapes(qm):
+    # more levels than one block: the blocks keep every level's set in order
+    levels = np.concatenate((np.linspace(-0.5, 1.5, 41), qm.xi.vals[::50]))
+    _assert_stacked_matches_one_level(qm, np.tile(levels, info._LEVEL_BLOCK // levels.size + 2))
+    with pytest.raises(qsell.ValidationError, match="NaN"):
+        info._acceptance_sets(qm, np.array([0.5, np.nan]))
 
 
 @given(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qsell
-from conftest import build_suite, make_bimodal
+from conftest import build_suite, counted, make_bimodal
 from qsell import dist, mechanism
 
 
@@ -181,18 +181,11 @@ def test_reports_are_pinned_bit_for_bit(solved, name):
     assert fingerprint(solved[name]) == PINNED[name]
 
 
-def _counted(monkeypatch, owner, name):
-    """Replace owner.name with a wrapper that records each call's arguments."""
-    calls, fn = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
-    return calls
-
-
 def test_iid_buyers_are_solved_and_read_once(monkeypatch):
     inst = _iid_uniform(20)
     inst.quality.level_table  # built once per quality model, before any solve
-    irons = _counted(monkeypatch, mechanism, "iron")
-    builds = _counted(monkeypatch, dist.LevelTable, "build")
+    irons = counted(monkeypatch, mechanism, "iron")
+    builds = counted(monkeypatch, dist.LevelTable, "build")
     m = qsell.build_optimal_mechanism(inst)
     assert len(irons) == 1 and len(builds) == 1
     assert m.tables[0] is m.tables[19] and m.payment[0] is m.payment[19]
@@ -221,7 +214,7 @@ def test_an_equal_payment_table_shares_the_column_and_another_does_not(solved):
 
 def test_the_verifiers_build_the_stated_columns_once(solved, monkeypatch):
     m = replace(solved["alternating"])  # a fresh mechanism: no column is built yet
-    builds = _counted(monkeypatch, mechanism, "_column")
+    builds = counted(monkeypatch, mechanism, "_column")
     reports = [f(m) for f in (qsell.check_feasibility, qsell.ic_deviation_search,
                               qsell.obedience_check, qsell.revenue_direct)]
     # one build of every buyer's column, read by all four
