@@ -54,8 +54,8 @@ def _as_float_array(x, name):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
-    if np.isnan(arr).any():
-        raise ValidationError(f"{name} contains NaN")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains NaN or an infinite value")
     return arr
 
 
@@ -143,10 +143,22 @@ class GriddedDistribution:
         object.__setattr__(self, "cdf_vals", cdf_vals)
 
 
+def _trapezoid_cdf(grid, pdf):
+    return np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+
+
 def _finalize(grid, raw_pdf):
-    """Clamp, normalize and assemble a GriddedDistribution from raw samples."""
+    """Clamp, normalize and assemble a GriddedDistribution from raw samples.
+
+    The raw density must be non-negative with a finite trapezoid mass of
+    at least 1e-12 before any value is clamped.
+    """
     if np.any(raw_pdf < 0):
         raise ValidationError("density is negative somewhere on the grid")
+    with np.errstate(over="ignore"):
+        raw_cdf = _trapezoid_cdf(grid, raw_pdf)
+    if not (np.isfinite(raw_cdf[-1]) and raw_cdf[-1] >= 1e-12):
+        raise ValidationError("density integrates to (numerically) zero or infinite mass")
     if np.any(raw_pdf < EPS_DENSITY):
         warnings.warn(
             "density values below 1e-12 were clamped up to keep the grid usable",
@@ -154,19 +166,13 @@ def _finalize(grid, raw_pdf):
             stacklevel=3,
         )
         raw_pdf = np.maximum(raw_pdf, EPS_DENSITY)
-    raw_cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (raw_pdf[1:] + raw_pdf[:-1]) * np.diff(grid)))
-    )
+        raw_cdf = _trapezoid_cdf(grid, raw_pdf)
     mass = raw_cdf[-1]
-    if mass < 1e-12:
-        raise ValidationError("density integrates to (numerically) zero mass")
     pdf_vals = raw_pdf / mass
     if np.any(pdf_vals < EPS_DENSITY):
         # normalization can push clamped values back under the floor
         pdf_vals = np.maximum(pdf_vals, EPS_DENSITY)
-        cdf_vals = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (pdf_vals[1:] + pdf_vals[:-1]) * np.diff(grid)))
-        )
+        cdf_vals = _trapezoid_cdf(grid, pdf_vals)
         cdf_vals = cdf_vals / cdf_vals[-1]
     else:
         cdf_vals = raw_cdf / mass
@@ -251,14 +257,6 @@ def pdf(d, x):
     return _read(x, d.grid, d.pdf_vals)
 
 
-def _intervals(x):
-    """Each interval between sorted points x: its upper end (inf for the last), width (1 if 0)."""
-    nxt = x[1:].copy()
-    nxt[-1] = np.inf
-    width = np.diff(x)
-    return nxt, np.where(width > 0.0, width, 1.0)
-
-
 def _guide(start, end):
     """Guide table (Chen & Asau, 1974) (start, far) of buckets answered in [start, end].
 
@@ -294,7 +292,8 @@ def _cdf_guide(cdf):
     """
     M, K = cdf.size - 1, _CDF_BUCKETS * (cdf.size - 1)
     start = np.clip(np.searchsorted((cdf * K).astype(np.intp), np.arange(K + 1)) - 1, 0, M - 1)
-    return _guide(start, np.append(start[1:], M - 1)), *_intervals(cdf), cdf
+    nxt, width = np.append(cdf[1:-1], np.inf), np.diff(cdf)  # the cells' upper ends, inf last
+    return _guide(start, np.append(start[1:], M - 1)), nxt, np.where(width > 0.0, width, 1.0), cdf
 
 
 def _cdf_cell(guide, u):
@@ -478,7 +477,7 @@ class LevelTable:
         from its lower-level end: a quadratic in the piece's fraction.
         For m nodes this costs O(m log m + P), where P counts the (sloped
         cell, piece) pairs, at most breaks x monotone runs of the curve.
-        Tables that do not match the grid, or a NaN level, are
+        Tables that do not match the grid, or a NaN or infinite level, are
         validation errors.
         """
         grid = _as_float_array(grid, "grid")

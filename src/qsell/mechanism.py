@@ -443,8 +443,8 @@ class InterimTable:
     ``node_pos`` maps grid node k to the column entry a query at it
     reads: the right-hand one, but the end of the piece it closes where
     that piece is flat and asked, since the threshold level still sits on
-    the flat there; ``after_flat`` marks the entry after each such end,
-    which shares its abscissa, so a query there steps back to the end.
+    the flat there.  ``ends`` holds each interval's upper end, inf for
+    the last, with that rule folded in (``_interval_ends``).
     ``levels`` holds the solve's level tables, shared by every buyer.
     Every array is read-only: a run of buyers may share one table.
     """
@@ -456,7 +456,7 @@ class InterimTable:
     win: np.ndarray
     pay: np.ndarray
     node_pos: np.ndarray
-    after_flat: np.ndarray
+    ends: np.ndarray
     entry: Optional[float]
     levels: InterimLevels
 
@@ -532,14 +532,26 @@ def interim_tables(inst, curves):
         closes = np.zeros(t.size, dtype=bool)
         closes[k::k] = (c[:-1, 0] == c[:-1, -1]) & (W[:-1, -1] > WIN_PROB_FLOOR)
         node_pos -= closes[node_pos]
-        pos = node_pos[:-1]
-        after_flat = np.zeros(t.size, dtype=bool)
-        after_flat[pos + 1] = points[pos + 1] == points[pos]
         # rows of points per piece end here: the table stores each column flat
         f = (np.diff(d.cdf_vals) / np.diff(d.grid))[cell].repeat(k)
         arrays = (I.ravel(), points, weight.ravel(), f, win.reshape(3, -1), pay.ravel(), node_pos)
-        tables.append(InterimTable(*map(dist._frozen, (*arrays, after_flat)), entry, levels))
+        ends = _interval_ends(points, node_pos)
+        tables.append(InterimTable(*map(dist._frozen, (*arrays, ends)), entry, levels))
     return tuple(tables)
+
+
+def _interval_ends(points, node_pos):
+    """Each interval's upper end between a column's points, inf for the last.
+
+    Where a node's entry shares its abscissa x with the next point but
+    not with the one after, the zero-width interval between them ends
+    just above x, so a search at x stops on the node's entry.
+    """
+    ends, pos = np.append(points[1:-1], np.inf), node_pos[:-1]
+    x = points[pos]
+    fold = pos[(ends[pos] == x) & (np.append(ends[1:], np.inf)[pos] > x)]
+    ends[fold] = np.nextafter(points[fold], np.inf)
+    return ends
 
 
 def _column(tab, curve, stated):
@@ -548,7 +560,7 @@ def _column(tab, curve, stated):
     A node table that differs from the solve's shifts the column by the
     difference, linear between nodes (none where either is undefined),
     and is written over the node positions.  The column keeps tab's
-    points, so ``after_flat`` stays valid.
+    points, so ``ends`` stays valid.
     """
     shift = np.nan_to_num(stated.vals - tab.pay[tab.node_pos])
     pay = tab.pay + np.interp(tab.t, curve.type_grid, shift)
@@ -584,21 +596,21 @@ _GUIDE_STEPS = 16  # guide buckets per type cell: int(w * 16), w = 1 its own
 def _column_guide(tab, pay, grid):
     """What a guided ``_payment_at`` reads of the column pay, for types read on ``grid``.
 
-    (nxt, width, step, search): the column's intervals
-    (``dist._intervals(tab.t)``), pay's rise across each, and a
-    ``dist._guide`` to the intervals.  With S = ``_GUIDE_STEPS``, its
-    entry (S + 1) k + j holds the interval of the type read at fraction
-    j / S of cell k, j = 0, ..., S.  That read never falls as the
-    fraction rises, so one at w in [j / S, (j + 1) / S) lies between
-    entries j and j + 1, and one at w = 1 in entry S.
+    (width, step, search): each column interval's width (1 where it has
+    none), pay's rise across it, and a ``dist._guide`` to ``tab.ends``.
+    With S = ``_GUIDE_STEPS``, its entry (S + 1) k + j holds the interval
+    of the type read at fraction j / S of cell k, j = 0, ..., S.  That
+    read never falls as the fraction rises, so one at w in
+    [j / S, (j + 1) / S) lies between entries j and j + 1, and one at
+    w = 1 in entry S.
     """
-    nxt, width = dist._intervals(tab.t)
     S = _GUIDE_STEPS
     # dist._cell_read at every (cell, fraction), rounded as it rounds
     reads = np.diff(grid)[:, None] * (np.arange(S + 1) / S) + grid[:-1, None]
-    start = np.searchsorted(nxt, reads, side="right")
+    start = tab.ends.searchsorted(reads, side="right")
     end = np.column_stack((start[:, 1:], start[:, S]))  # w = 1 is a bucket of its own
-    return nxt, width, np.diff(pay), dist._guide(start.ravel(), end.ravel())
+    width = np.diff(tab.t)
+    return np.where(width > 0.0, width, 1.0), np.diff(pay), dist._guide(start.ravel(), end.ravel())
 
 
 def _payment_at(tab, pay, t, guide=None, cell=None):
@@ -607,31 +619,26 @@ def _payment_at(tab, pay, t, guide=None, cell=None):
     A query at a cut reads the right-hand value, except at a node that
     closes an asked flat piece, which reads that piece's end (``node_pos``);
     below the entry, and for a buyer who never wins, the result is NaN.
-    Each query's interval comes from one search of the column, and its
-    width and payment rise from the column's points.  Given the column's
-    ``_column_guide`` and each query's type cell and fraction, ``cell``,
-    they come from the guide and its tables instead, to the same bits:
-    the tables pay for themselves only over many queries.
+    Each query's interval comes from one search of ``tab.ends``, which
+    holds that rule, and its width and payment rise from the column's
+    points.  Given the column's ``_column_guide`` and each query's type
+    cell and fraction, ``cell``, they come from the guide and its tables
+    instead, to the same bits: the tables pay for themselves only over
+    many queries.
     """
     tc = tab.t
     t = np.clip(np.asarray(t, dtype=float), tc[0], tc[-1])
     if guide is None:
-        k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
-    else:
-        nxt, width, step, search = guide
-        bucket = (cell[1] * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
-        bucket += cell[0] * (_GUIDE_STEPS + 1)
-        k = dist._guided_index(nxt, t, search, bucket)
-    # a query at a node reads its node_pos entry, stepping back from the entry
-    # after a flat piece's end; on an interval of no width, t - t0 is 0
-    t0 = tc[k]
-    k -= tab.after_flat[k] & (t0 == t)
-    if guide is None:
+        k = tab.ends.searchsorted(t, side="right")
         width = tc[k + 1] - tc[k]
         width, step = np.where(width > 0.0, width, 1.0), pay[k + 1] - pay[k]
     else:
+        width, step, search = guide
+        bucket = (cell[1] * _GUIDE_STEPS).astype(np.intp)  # exact: the scale is a power of two
+        bucket += cell[0] * (_GUIDE_STEPS + 1)
+        k = dist._guided_index(tab.ends, t, search, bucket)
         width, step = width[k], step[k]
-    frac = t - t0
+    frac = t - tc[k]  # 0 on an interval of no width
     frac /= width
     step *= frac
     step += pay[k]
@@ -649,8 +656,7 @@ def payment(m, i, t_i):
     below the entry it is undefined and raises; a NaN type raises
     ValidationError.
     """
-    column = _column(m.tables[_buyer(m, i)], m.curves[i], m.payment[i])
-    pay = float(_payment_at(*column, dist._validated_query(t_i)))
+    pay = float(_payment_at(*m.columns[_buyer(m, i)], dist._validated_query(t_i)))
     if np.isnan(pay):
         raise UndefinedPaymentError(f"buyer {i} is not asked at type {t_i}")
     return pay

@@ -6,6 +6,7 @@ irregular (bimodal) type distributions.
 """
 
 import importlib.util
+import json
 import sys
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import settings
 
 import qsell
+from qsell.cli import load_instance
 
 # Property tests draw the same examples on every run, so the suite's
 # verdict does not depend on the run; each test keeps its own settings.
@@ -33,6 +35,20 @@ def load_bench(name):
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def bench_instances():
+    """Every instance of benchmark seeds 1-3, by workload and seed."""
+    workloads = load_bench("workloads")
+    return {(name, seed): workloads.build(name, seed).instances
+            for name in workloads.WORKLOADS for seed in (1, 2, 3)}
+
+
+def load_bench_instance(inst, tmp_path):
+    """A benchmark instance written as its config under tmp_path and loaded as the CLI loads it."""
+    path = tmp_path / f"{inst.name}.json"
+    path.write_text(json.dumps(inst.doc))
+    return load_instance(str(path))
 
 
 def bimodal_density(x, s=0.08):

@@ -31,8 +31,8 @@ def posted_price_revenue(t, F, xi):
     return np.maximum(best, vertex.max(axis=1, initial=-np.inf))
 
 
-def full_disclosure_revenue(buyer, quality, points=16, chunk=128):
-    """Integral over q of g(q) alpha(q) posted_price_revenue at xi(q).
+def quality_integral(quality, best, points=16, chunk=128):
+    """Integral over q of g(q) alpha(q) best(xi(q)), best read for a 1-D array of xi.
 
     g, alpha and xi are read linearly between the quality nodes, and each
     quality cell takes ``points`` Gauss-Legendre points.  The (quality
@@ -47,6 +47,12 @@ def full_disclosure_revenue(buyer, quality, points=16, chunk=128):
     xi = np.interp(Q, q, quality.reserve.vals / quality.alpha.vals)
     total = 0.0
     for k in range(0, Q.size, chunk):
-        best = posted_price_revenue(buyer.grid, buyer.cdf_vals, xi[k : k + chunk])
-        total += float(weight[k : k + chunk] @ best)
+        total += float(weight[k : k + chunk] @ best(xi[k : k + chunk]))
     return total
+
+
+def full_disclosure_revenue(buyer, quality, points=16, chunk=128):
+    """Integral over q of g(q) alpha(q) posted_price_revenue at xi(q) (``quality_integral``)."""
+    return quality_integral(
+        quality, lambda xi: posted_price_revenue(buyer.grid, buyer.cdf_vals, xi), points, chunk
+    )

@@ -481,6 +481,28 @@ def test_non_finite_reserve_table_exits_2(tmp_path, capsys, monkeypatch):
     assert "config error" in err and "reserve" in err
 
 
+@pytest.mark.parametrize(
+    "grid, pdf, message",
+    [
+        ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], "zero or infinite mass"),
+        ([0.0, 0.25, 0.5, 1.0], [1.0, 1e308, 1e308, 1.0], "zero or infinite mass"),
+        ([0.0, 0.5, 1e999], [1.0, 1.0, 1.0], "NaN or an infinite value"),
+    ],
+    ids=["all-zero-pdf", "pdf-mass-overflows", "infinite-grid-node"],
+)
+def test_a_table_density_without_a_finite_mass_exits_2(tmp_path, capsys, monkeypatch, grid, pdf,
+                                                       message):
+    monkeypatch.setattr(cli, "build_optimal_mechanism", _no_solve)
+    buyer = {"distribution": {"family": "table", "grid": grid, "pdf": pdf}}
+    text = json.dumps({"schema_version": 1, "buyers": [buyer],
+                       "quality": _quality({"family": "constant", "value": 0.0})})
+    path = tmp_path / "bad_density.json"
+    path.write_text(text.replace("Infinity", "1e999"))  # json reads 1e999 as inf
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def _small_config():
     return {
         "schema_version": 1,

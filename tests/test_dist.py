@@ -51,6 +51,37 @@ def test_tiny_density_clamped_with_warning():
     assert d.pdf_vals[0] == dist.EPS_DENSITY
 
 
+@pytest.mark.parametrize(
+    "pdf",
+    [np.zeros(5), np.array([0.0, 1e-13, 0.0, 1e-13, 0.0]), np.array([1.0, 1e308, 1e308, 1.0, 1.0])],
+    ids=["all-zero", "below-the-floor", "mass-overflows"],
+)
+def test_a_table_without_a_finite_positive_mass_is_rejected(pdf):
+    # the raw mass is checked before any value is clamped, so no warning
+    # comes first and the clamp cannot turn nothing into a uniform density
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="zero or infinite mass"):
+            qsell.make_from_table(np.linspace(0.0, 1.0, 5), pdf)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_tables_must_be_finite(bad):
+    grid, vals = np.linspace(0.0, 1.0, 5), np.ones(5)
+    for build in (
+        lambda: qsell.make_from_table(np.append(grid[:-1], bad), vals),
+        lambda: qsell.make_from_table(grid, np.append(vals[:-1], bad)),
+        lambda: qsell.make_from_density(0.0, 1.0, lambda x: np.where(x > 0.5, bad, 1.0), m=5),
+        lambda: qsell.GriddedFunction(np.append(grid[:-1], bad), vals),
+        lambda: dist.LevelTable.build(grid, np.append(vals[:-1], bad), vals),
+    ):
+        with pytest.raises(ValidationError, match="NaN|mass|negative"):
+            build()
+    # queries still read an end node outside the support, infinitely far too
+    d = qsell.make_uniform(0.0, 1.0, m=5)
+    assert qsell.cdf(d, [-np.inf, np.inf]).tolist() == [0.0, 1.0]
+
+
 def test_table_distribution_roundtrip():
     grid = np.linspace(0.0, 1.0, 11)
     d = qsell.make_from_table(grid, np.full(11, 3.0))  # renormalized to uniform

@@ -25,8 +25,15 @@ import numpy as np
 import pytest
 
 import qsell
-from conftest import make_bimodal, traced_peak, xi_meeting_the_plateau
+from conftest import (
+    bench_instances,
+    load_bench_instance,
+    make_bimodal,
+    traced_peak,
+    xi_meeting_the_plateau,
+)
 from full_disclosure import full_disclosure_revenue
+from second_price import second_price_revenue
 from qsell import dist, mechanism, revenue
 from qsell.mechanism import _payment_at
 
@@ -81,6 +88,64 @@ def test_full_disclosure_witness_reaches_the_one_buyer_revenue(solved_suite, nam
     inst, mech = solved_suite[name]
     gap = full_disclosure_revenue(inst.buyers[0], inst.quality) - qsell.revenue_direct(mech)
     assert -1e-9 <= gap <= bound
+
+
+@pytest.mark.parametrize("name", ["posted-price", "reserve-ramp", "bimodal-ramp"])
+def test_second_price_witness_is_the_posted_price_witness_for_one_buyer(solved_suite, name):
+    inst, _ = solved_suite[name]
+    buyer, qm = inst.buyers[0], inst.quality
+    assert abs(second_price_revenue(buyer, qm, 1) - full_disclosure_revenue(buyer, qm)) <= 1e-12
+
+
+def _iid(buyer, n):
+    """n buyers like ``buyer``; 257 uniform quality nodes, alpha = 1 and r(q) = q."""
+    qm = qsell.make_quality_model(
+        qsell.make_uniform(0.0, 1.0, m=257), 1.0, lambda q: np.asarray(q, dtype=float)
+    )
+    return qsell.ProblemInstance((buyer,) * n, qm)
+
+
+def _second_price_gap(inst):
+    """The second-price witness minus revenue_direct, for an instance of iid buyers."""
+    assert all(d == inst.buyers[0] for d in inst.buyers)
+    witness = second_price_revenue(inst.buyers[0], inst.quality, inst.n_buyers)
+    return witness - qsell.revenue_direct(qsell.build_optimal_mechanism(inst))
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_second_price_witness_reaches_iid_uniform_revenue(n):
+    # Uniform buyers are regular, so a second-price auction with the best
+    # reserve at each disclosed quality is optimal; the witness reads only
+    # the cdf and the quality tables.
+    inst = _iid(qsell.make_uniform(0.0, 1.0, m=513), n)
+    assert abs(_second_price_gap(inst)) <= 1e-9
+    if n == 2:
+        assert second_price_revenue(inst.buyers[0], inst.quality, 2) == pytest.approx(
+            31.0 / 48.0, abs=1e-12
+        )
+
+
+def test_second_price_witness_reaches_the_mid_audit_iid_revenue(tmp_path):
+    # seeds 1-3; only the linear reserve's slope changes with the seed
+    specs = {json.dumps(spec.doc): spec for (workload, _), instances in bench_instances().items()
+             if workload == "mid-audit" for spec in instances.values()}
+    checked = 0
+    for spec in specs.values():
+        inst = load_bench_instance(spec, tmp_path)
+        if all(d == inst.buyers[0] for d in inst.buyers):
+            assert abs(_second_price_gap(inst)) <= 1e-9, spec.name
+            checked += 1
+    assert checked == 5  # five-twelfths, three-uniform-steps and three linear slopes
+
+
+@pytest.mark.parametrize("n, bound", [(2, 4.8e-7), (3, 4.1e-7)])
+def test_second_price_witness_on_iid_bimodal_buyers(n, bound):
+    # Bimodal buyers are irregular, so the witness is only a mechanism of
+    # the same model and should not beat the solve.  It does, by 4.79e-7
+    # (n = 2) and 4.06e-7 (n = 3): the threshold curve is tabulated at the
+    # nodes, not solved on the piecewise model the routes integrate.  The
+    # bounds hold the solve at what it reaches.
+    assert _second_price_gap(_iid(make_bimodal(513), n)) <= bound
 
 
 def test_direct_and_virtual_routes_agree_on_ramp(solved_suite):
@@ -247,18 +312,38 @@ def _simulate_by_interp(m, n_samples, seed):
     return freq, float(np.mean(revenue)), util
 
 
+def _raw_index(tc, t):
+    """The interval of each type t (clipped to the column) by one search of the points tc."""
+    return np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+
+
+def _index_by_search(tab, t):
+    """The column interval each type t reads, by the flat-end rule as the points state it.
+
+    The whole-column search's interval, stepped back by one where the
+    type sits on the point after a node's entry that shares the entry's
+    abscissa (the end of an asked flat piece).  The marks come from
+    ``node_pos`` and the abscissae alone, not from ``tab.ends``.
+    """
+    tc, pos = tab.t, tab.node_pos[:-1]
+    after_flat = np.zeros(tc.size, dtype=bool)
+    after_flat[pos + 1] = tc[pos + 1] == tc[pos]
+    t = np.clip(t, tc[0], tc[-1])
+    k = _raw_index(tc, t)
+    return k - (after_flat[k] & (tc[k] == t))
+
+
 def _payment_by_search(tab, pay, t):
     """The payment column pay read at types t through one search of the whole column.
 
     The reference for ``_payment_at``: the interval from ``searchsorted``,
-    the flat-end rule, and the fraction from the interval's two ends.
+    the flat-end rule (``_index_by_search``), and the fraction from the
+    interval's two ends.
     """
     tc = tab.t
     t = np.clip(t, tc[0], tc[-1])
-    k = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
-    t0 = tc[k]
-    k -= tab.after_flat[k] & (t0 == t)
-    t1 = tc[k + 1]
+    k = _index_by_search(tab, t)
+    t0, t1 = tc[k], tc[k + 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
     return pay[k] + (pay[k + 1] - pay[k]) * frac
@@ -325,12 +410,13 @@ def _guided_column_reads(tab, pay, grid, k, w):
     """A column's interval and payment at types read at (k, w) on grid, by guide and by search."""
     tc, steps = tab.t, mechanism._GUIDE_STEPS
     guide = mechanism._column_guide(tab, pay, grid)
-    nxt, search = guide[0], guide[-1]
+    search = guide[-1]
     t = np.clip(dist._cell_read(grid, np.diff(grid), k, w), tc[0], tc[-1])
     bucket = (w * steps).astype(np.intp) + (steps + 1) * k  # w = 1 is a bucket of its own
-    want = np.clip(np.searchsorted(tc, t, side="right") - 1, 0, tc.size - 2)
+    want = _index_by_search(tab, t)
     assert np.all(search[0][bucket] <= want)
-    assert np.array_equal(dist._guided_index(nxt, t, search, bucket), want)
+    assert np.array_equal(dist._guided_index(tab.ends, t, search, bucket), want)
+    assert np.array_equal(tab.ends.searchsorted(t, side="right"), want)
     guided = _payment_at(tab, pay, t, guide, (k, w))
     assert np.array_equal(guided, _payment_by_search(tab, pay, t), equal_nan=True)
     assert np.array_equal(_payment_at(tab, pay, t), guided, equal_nan=True)
@@ -352,8 +438,14 @@ def test_cell_guided_column_index_matches_searchsorted(solved_suite):
             k, w = _guided_queries(d.grid, tab.t)
             *_, t, want = _guided_column_reads(tab, pay, d.grid, k, w)
             hit_points += int(np.count_nonzero(tab.t[want] == t))
-            hit_flat_ends += int(np.count_nonzero(tab.after_flat[want] & (tab.t[want] == t)))
+            hit_flat_ends += int(np.count_nonzero(want != _raw_index(tab.t, t)))
     assert hit_points > 0 and hit_flat_ends > 0
+
+
+def _synthetic_column(t, node_pos):
+    """A column on points t whose nodes read ``node_pos``; the solve's helper builds its ends."""
+    node_pos = np.asarray(node_pos)
+    return SimpleNamespace(t=t, node_pos=node_pos, ends=mechanism._interval_ends(t, node_pos))
 
 
 def test_guided_column_index_searches_a_bucket_of_many_points():
@@ -361,14 +453,55 @@ def test_guided_column_index_searches_a_bucket_of_many_points():
     # bucket spans them all, so its types are searched in full, and must
     # land where the whole-column search does.
     t = np.concatenate((np.linspace(0.0, 0.03, 31), [0.5, 0.5, 1.0]))
-    after_flat = np.zeros(t.size, dtype=bool)
-    after_flat[32] = True  # a flat piece ends at 0.5
-    tab = SimpleNamespace(t=t, after_flat=after_flat)
+    tab = _synthetic_column(t, [0, 31, 33])  # a flat piece ends at 0.5, on point 31
     pay = np.random.default_rng(6).random(t.size)
     grid = np.array([0.0, 1.0])
     k, w = _guided_queries(grid, t)
-    search, bucket, _, want = _guided_column_reads(tab, pay, grid, k, w)
+    search, bucket, t, want = _guided_column_reads(tab, pay, grid, k, w)
     assert search[1] is not None and np.any(want - search[0][bucket] >= 2)
+    assert np.any(want != _raw_index(tab.t, t))  # the flat end is read
+
+
+@pytest.mark.parametrize(
+    "points, node_pos, stepped",
+    [
+        # a flat end at 0.5 (point 2) followed by an interval of positive width
+        pytest.param([0.0, 0.25, 0.5, 0.5, 0.75, 1.0], [0, 2, 5], True, id="flat-then-width"),
+        # followed by a zero-width piece: the search lands past the end, and stays
+        pytest.param([0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0], [0, 2, 6], False, id="three-equal"),
+        # the point after the flat end is the column's last
+        pytest.param([0.0, 0.25, 0.5, 0.75, 1.0, 1.0], [0, 4, 5], False, id="end-at-last-point"),
+        # three equal at the column's end: the clipped search lands after the end
+        pytest.param([0.0, 0.25, 0.5, 1.0, 1.0, 1.0], [0, 3, 5], True, id="three-equal-at-end"),
+    ],
+)
+def test_folded_interval_ends_read_as_the_flat_end_rule(points, node_pos, stepped):
+    # Every column point, both of its float neighbours, types beyond both
+    # ends and the guided reads of two type grids: the folded ends, guided
+    # and not, must read where the search-then-step-back rule does.
+    t = np.asarray(points)
+    tab = _synthetic_column(t, node_pos)
+    assert np.all(np.diff(tab.ends) >= 0.0) and tab.ends[-1] == np.inf
+    pay = np.random.default_rng(7).random(t.size)
+    pay[0] = np.nan  # below the entry
+    queries = np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [-1.0, 2.0]))
+    want = _index_by_search(tab, queries)
+    assert np.array_equal(tab.ends.searchsorted(np.clip(queries, t[0], t[-1]), side="right"), want)
+    assert bool(np.any(want != _raw_index(t, np.clip(queries, t[0], t[-1])))) == stepped
+    reference = _payment_by_search(tab, pay, queries)
+    assert np.array_equal(_payment_at(tab, pay, queries), reference, equal_nan=True)
+    for grid in (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])):
+        _guided_column_reads(tab, pay, grid, *_guided_queries(grid, t))
+
+
+def test_every_solved_column_has_sorted_interval_ends(solved_suite, tmp_path):
+    tables = [tab for _, mech in solved_suite.values() for tab in mech.tables]
+    for instances in bench_instances().values():
+        for inst in instances.values():
+            tables += qsell.build_optimal_mechanism(load_bench_instance(inst, tmp_path)).tables
+    for tab in tables:
+        assert tab.ends.size == tab.t.size - 1 and tab.ends[-1] == np.inf
+        assert np.all(np.diff(tab.ends) >= 0.0)
 
 
 def test_column_index_steps_stop_at_the_last_interval():

@@ -1,6 +1,5 @@
 """Virtual values, ironing, and the checks on a valuation's type factor."""
 
-import json
 import math
 
 import numpy as np
@@ -10,9 +9,8 @@ from hypothesis import strategies as st
 
 import qsell
 from qsell import mechanism, virtual
-from qsell.cli import load_instance
 from qsell.errors import AssumptionViolationError, ValidationError
-from conftest import LEVEL_SHAPES, level_curve, load_bench, make_bimodal
+from conftest import LEVEL_SHAPES, bench_instances, level_curve, load_bench_instance, make_bimodal
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +404,12 @@ def test_run_chain_matches_the_cell_chain_on_level_shapes(shape):
             _same_as_cells(_on_cdf(_random_cdf(rng, m)), level_curve(shape, rng, m))
 
 
-def _bench_instances():
-    """Every instance of benchmark seeds 1-3, by workload and seed."""
-    workloads = load_bench("workloads")
-    return {(name, seed): workloads.build(name, seed).instances
-            for name in workloads.WORKLOADS for seed in (1, 2, 3)}
-
-
-def _loaded(inst, tmp_path):
-    path = tmp_path / f"{inst.name}.json"
-    path.write_text(json.dumps(inst.doc))
-    return load_instance(str(path))
-
-
 def test_run_chain_matches_the_cell_chain_on_benchmark_buyers(monkeypatch, tmp_path):
     seen = []
     monkeypatch.setattr(mechanism, "iron", lambda d, psi: seen.append((d, psi)) or qsell.iron(d, psi))
-    for instances in _bench_instances().values():
+    for instances in bench_instances().values():
         for inst in instances.values():
-            mechanism._threshold_curves(_loaded(inst, tmp_path))
+            mechanism._threshold_curves(load_bench_instance(inst, tmp_path))
     assert sum(_same_as_cells(d, psi) for d, psi in seen) >= 20
 
 
@@ -432,8 +417,8 @@ def test_the_bimodal_benchmark_buyer_is_ironed_in_a_few_bridges(monkeypatch, tmp
     # The count: calls of virtual._bridge, the closed-form common tangent of
     # two cells, in one iron of mid-audit's 513-node bimodal buyer.  The cell
     # chain made 726; the run chain bridges its two runs once.
-    inst = _bench_instances()[("mid-audit", 1)]["bimodal-uniform-v-513"]
-    d = _loaded(inst, tmp_path).buyers[0]
+    inst = bench_instances()[("mid-audit", 1)]["bimodal-uniform-v-513"]
+    d = load_bench_instance(inst, tmp_path).buyers[0]
     calls, bridge = [], virtual._bridge
     monkeypatch.setattr(virtual, "_bridge", lambda ci, cj: calls.append(ci) or bridge(ci, cj))
     curve = qsell.iron(d, qsell.virtual_value_table(d))
