@@ -25,7 +25,6 @@ def bimodal_density(x, s=0.08):
 
 def main():
     d = qsell.make_from_density(0.0, 1.0, bimodal_density, m=1025)
-    print(f"is_regular(bimodal): {qsell.is_regular(d)}")
 
     quality = qsell.make_quality_model(
         qsell.make_uniform(0.0, 1.0, m=513),
@@ -35,6 +34,7 @@ def main():
     inst = qsell.ProblemInstance(buyers=(d,), quality=quality)
     mech = qsell.build_optimal_mechanism(inst)
     curve = mech.curves[0]
+    print(f"solved curve regular: {curve.regular}")
 
     print(f"ironed intervals: {len(curve.ironed_intervals)}")
     for a, b in curve.ironed_intervals:

@@ -14,11 +14,9 @@ from .dist import (
     cdf,
     constant_curve,
     curve_from_callable,
-    integrate,
     make_from_density,
     make_from_table,
     make_uniform,
-    pdf,
     quantile,
     sublevel_integral,
     sublevel_mass,
@@ -55,7 +53,6 @@ from .mechanism import (
     payment,
     win_weight,
     write_mechanism_csv,
-    xi_at,
 )
 from .revenue import (
     ConstantPriceBaseline,
@@ -81,13 +78,7 @@ from .verify import (
     obedience_check,
     posterior_belief,
 )
-from .virtual import (
-    VirtualValueCurve,
-    iron,
-    is_regular,
-    virtual_value,
-    virtual_value_table,
-)
+from .virtual import VirtualValueCurve, iron
 
 __version__ = "0.1.0"
 
@@ -102,15 +93,10 @@ __all__ = [
     "constant_curve",
     "curve_from_callable",
     "cdf",
-    "pdf",
     "quantile",
-    "integrate",
     "sublevel_integral",
     "sublevel_mass",
     # virtual values
-    "virtual_value",
-    "virtual_value_table",
-    "is_regular",
     "iron",
     "VirtualValueCurve",
     # mechanism
@@ -121,7 +107,6 @@ __all__ = [
     "ProblemInstance",
     "Signal",
     "ThresholdMechanism",
-    "xi_at",
     "allocate",
     "allocate_many",
     "win_weight",

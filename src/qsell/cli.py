@@ -403,6 +403,9 @@ def main(argv=None):
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a grid, sample or type count too large to allocate
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

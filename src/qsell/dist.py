@@ -36,9 +36,7 @@ __all__ = [
     "constant_curve",
     "curve_from_callable",
     "cdf",
-    "pdf",
     "quantile",
-    "integrate",
     "sublevel_integral",
     "sublevel_mass",
     "lobatto",
@@ -252,11 +250,6 @@ def cdf(d, x):
     return _read(x, d.grid, d.cdf_vals)
 
 
-def pdf(d, x):
-    """f(x) by linear interpolation; queries outside the support clamp."""
-    return _read(x, d.grid, d.pdf_vals)
-
-
 def _guide(start, end):
     """Guide table (Chen & Asau, 1974) (start, far) of buckets answered in [start, end].
 
@@ -332,30 +325,6 @@ def quantile(d, u):
     k, w = _cdf_cell(_cdf_guide(d.cdf_vals), u.ravel())
     val = _cell_read(d.grid, np.diff(d.grid), k, w)
     return float(val[0]) if not u.shape else val.reshape(u.shape)
-
-
-def integrate(f, lo, hi):
-    """Composite trapezoid integral of a GriddedFunction over [lo, hi].
-
-    End cells are handled by interpolating the integrand at lo and hi, so
-    the bounds need not be grid nodes.  lo > hi is a validation error.
-    """
-    if np.isnan(lo) or np.isnan(hi):
-        raise ValidationError("integration bound is NaN")
-    if lo > hi:
-        raise ValidationError("integrate() needs lo <= hi")
-    g0, g1 = f.grid[0], f.grid[-1]
-    if lo < g0 - 1e-9 or hi > g1 + 1e-9:
-        raise ValidationError("integration bounds outside the grid span")
-    lo = min(max(lo, g0), g1)
-    hi = min(max(hi, g0), g1)
-    if lo == hi:
-        return 0.0
-    i0 = np.searchsorted(f.grid, lo, side="right")
-    i1 = np.searchsorted(f.grid, hi, side="left")
-    xs = np.concatenate(([lo], f.grid[i0:i1], [hi]))
-    ys = np.concatenate(([f.value_at(lo)], f.vals[i0:i1], [f.value_at(hi)]))
-    return float(np.trapezoid(ys, xs))
 
 
 def sublevel_integral(grid, level_vals, integrand_vals, c, include_equal=True):

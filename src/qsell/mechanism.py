@@ -44,7 +44,6 @@ __all__ = [
     "ProblemInstance",
     "Signal",
     "ThresholdMechanism",
-    "xi_at",
     "allocate",
     "allocate_many",
     "win_weight",
@@ -319,11 +318,6 @@ def _buyer(m, i):
 # pointwise operations
 
 
-def xi_at(qm, q):
-    """reserve(q) / alpha(q), interpolated on the quality grid."""
-    return qm.xi.value_at(q)
-
-
 def _winners(levels, xi, dtype=np.intp):
     """Winner per sample, -1 for no sale, from each buyer's threshold level.
 
@@ -355,7 +349,7 @@ def allocate_many(m, types, qualities):
     """
     types = np.asarray(types, dtype=float)
     levels = (c.phi_ironed_at(types[:, i]) for i, c in enumerate(m.curves))
-    xi = xi_at(m.inst.quality, qualities)
+    xi = m.inst.quality.xi.value_at(qualities)
     return _winners(levels, lambda: xi)
 
 

@@ -1,4 +1,4 @@
-"""Virtual values, regularity detection, and ironing.
+"""Virtual value curves and their ironing.
 
 Ironing works in quantile space: h(w) = psi(quantile(w)) is linear on
 every type cell, so its integral H is piecewise quadratic, and the lower
@@ -20,13 +20,7 @@ import numpy as np
 from . import dist
 from .errors import ValidationError
 
-__all__ = [
-    "VirtualValueCurve",
-    "virtual_value",
-    "virtual_value_table",
-    "is_regular",
-    "iron",
-]
+__all__ = ["VirtualValueCurve", "iron"]
 
 MONOTONE_SLACK = 1e-9
 IRON_GAP_TOL = 1e-9
@@ -78,23 +72,6 @@ class VirtualValueCurve:
 
     def phi_ironed_at(self, t):
         return dist._read(t, self.type_grid, self.phi_ironed)
-
-
-def virtual_value(d, t):
-    """phi(t) = t - (1 - F(t)) / f(t) from the gridded cdf and pdf."""
-    t_arr = np.asarray(t, dtype=float)
-    out = t_arr - (1.0 - dist.cdf(d, t_arr)) / dist.pdf(d, t_arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def virtual_value_table(d):
-    """phi evaluated at every node of d's grid."""
-    return d.grid - (1.0 - d.cdf_vals) / d.pdf_vals
-
-
-def is_regular(d):
-    """True when phi is non-decreasing on the grid, up to a 1e-9 slack."""
-    return bool(np.all(np.diff(virtual_value_table(d)) >= -MONOTONE_SLACK))
 
 
 def _cell_support(cell, L):

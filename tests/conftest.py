@@ -18,6 +18,7 @@ from hypothesis import settings
 
 import qsell
 from qsell.cli import load_instance
+from qsell.errors import ValidationError
 
 # Property tests draw the same examples on every run, so the suite's
 # verdict does not depend on the run; each test keeps its own settings.
@@ -49,6 +50,35 @@ def load_bench_instance(inst, tmp_path):
     path = tmp_path / f"{inst.name}.json"
     path.write_text(json.dumps(inst.doc))
     return load_instance(str(path))
+
+
+def node_psi(d):
+    """The virtual value t - (1 - F(t)) / f(t) at each node of d's grid, from its node tables."""
+    return d.grid - (1.0 - d.cdf_vals) / d.pdf_vals
+
+
+def integrate(f, lo, hi):
+    """Composite trapezoid integral of a GriddedFunction over [lo, hi].
+
+    End cells are handled by interpolating the integrand at lo and hi, so
+    the bounds need not be grid nodes.  lo > hi is a validation error.
+    """
+    if np.isnan(lo) or np.isnan(hi):
+        raise ValidationError("integration bound is NaN")
+    if lo > hi:
+        raise ValidationError("integrate() needs lo <= hi")
+    g0, g1 = f.grid[0], f.grid[-1]
+    if lo < g0 - 1e-9 or hi > g1 + 1e-9:
+        raise ValidationError("integration bounds outside the grid span")
+    lo = min(max(lo, g0), g1)
+    hi = min(max(hi, g0), g1)
+    if lo == hi:
+        return 0.0
+    i0 = np.searchsorted(f.grid, lo, side="right")
+    i1 = np.searchsorted(f.grid, hi, side="left")
+    xs = np.concatenate(([lo], f.grid[i0:i1], [hi]))
+    ys = np.concatenate(([f.value_at(lo)], f.vals[i0:i1], [f.value_at(hi)]))
+    return float(np.trapezoid(ys, xs))
 
 
 def bimodal_density(x, s=0.08):
@@ -119,7 +149,7 @@ def xi_meeting_the_plateau(mq):
     cell and rise through it again.
     """
     buyer = make_bimodal(1025)
-    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
+    vals = qsell.iron(buyer, node_psi(buyer)).phi_ironed
     (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
     table = qsell.GriddedFunction(
         np.linspace(0.0, 1.0, 9),

@@ -503,6 +503,33 @@ def test_a_table_density_without_a_finite_mass_exits_2(tmp_path, capsys, monkeyp
     assert err.startswith("config error: ") and message in err
 
 
+_TOO_MANY = str(10**13)  # 72.8 TiB of float64: the first allocation fails, none is touched
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--grid", _TOO_MANY],
+        ["simulate", "--samples", _TOO_MANY],
+        ["verify", "--ic-grid", _TOO_MANY],
+        ["info", "--n-types", _TOO_MANY],
+    ],
+    ids=["config-m", "solve-grid", "simulate-samples", "verify-ic-grid", "info-n-types"],
+)
+def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
+    cfg = str(ROOT / "demos" / "configs" / "two_uniform.json")
+    if argv == ["solve"]:
+        cfg = _write(tmp_path, "huge.json", {
+            "schema_version": 1,
+            "buyers": [_uniform_buyer(int(_TOO_MANY))],
+            "quality": _quality({"family": "constant", "value": 0.0}),
+        })
+    assert main([*argv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+
+
 def _small_config():
     return {
         "schema_version": 1,

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
-from conftest import LEVEL_SHAPES, level_curve
+from conftest import LEVEL_SHAPES, integrate, level_curve
 from qsell import info
 
 G = qsell.make_uniform(0.0, 1.0, m=1001)
@@ -326,7 +326,7 @@ def test_acceptance_mass_monotone_in_level(v1, v2):
 
     def mass(v):
         s = qsell.acceptance_set(QM_INV_V, v)
-        return sum(qsell.integrate(g, a, b) for a, b in s.intervals)
+        return sum(integrate(g, a, b) for a, b in s.intervals)
 
     assert mass(lo) <= mass(hi) + 1e-12
 
@@ -403,10 +403,10 @@ def test_partition_rows_match_acceptance_sets(solved_suite):
             expect = ";".join(f"{a:.12g}:{b:.12g}" for a, b in s.intervals)
             assert row["segment_list"] == expect
             seen_segments = max(seen_segments, len(s.intervals))
-            mass = sum(qsell.integrate(g, a, b) for a, b in s.intervals)
+            mass = sum(integrate(g, a, b) for a, b in s.intervals)
             assert row["mass"] == pytest.approx(mass, abs=1e-12)
             if mass > 1e-9:
-                mean = sum(qsell.integrate(qg, a, b) for a, b in s.intervals) / mass
+                mean = sum(integrate(qg, a, b) for a, b in s.intervals) / mass
                 assert row["posterior_mean"] == pytest.approx(mean, abs=1e-12)
         assert seen_segments >= 1
 

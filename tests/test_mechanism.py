@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsell
-from conftest import bimodal_density, make_bimodal
+from conftest import bimodal_density, make_bimodal, node_psi
 from qsell import dist, mechanism
 from qsell.errors import (
     AssumptionViolationError,
@@ -33,8 +33,8 @@ def test_quality_model_xi():
         G, lambda q: 1.0 + np.asarray(q, float), lambda q: np.asarray(q, float)
     )
     # xi = q / (1 + q)
-    assert qsell.xi_at(qm, 0.0) == pytest.approx(0.0)
-    assert qsell.xi_at(qm, 1.0) == pytest.approx(0.5)
+    assert qm.xi.value_at(0.0) == pytest.approx(0.0)
+    assert qm.xi.value_at(1.0) == pytest.approx(0.5)
     # xi is read off reserve and alpha: not a field, so no copy can disagree with them
     direct = qsell.QualityModel(G, qm.alpha, qm.reserve)
     assert direct == qm and np.array_equal(direct.xi.vals, qm.reserve.vals / qm.alpha.vals)
@@ -187,7 +187,7 @@ def test_what_the_solve_allocates_is_read_only():
     assert not any(a.flags.writeable for a in arrays)
     # arrays the caller still holds stay as they are
     assert d.grid.flags.writeable and m.curves[0].type_grid is d.grid
-    psi = qsell.virtual_value_table(d)
+    psi = node_psi(d)
     assert qsell.iron(d, psi).phi is not psi and psi.flags.writeable
 
 
@@ -864,7 +864,7 @@ def test_at_most_one_buyer_asked(t1, t2, q):
     if sig.buyer is not None:
         # the asked buyer's level clears the reserve ratio and the opponent's
         lev = [m.curves[i].phi_ironed_at([t1, t2][i]) for i in range(2)]
-        assert lev[sig.buyer] >= qsell.xi_at(m.inst.quality, q) - 1e-12
+        assert lev[sig.buyer] >= m.inst.quality.xi.value_at(q) - 1e-12
         assert lev[sig.buyer] >= max(lev) - 1e-12
 
 

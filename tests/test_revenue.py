@@ -14,6 +14,7 @@ Oracles used here:
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from conftest import (
     bench_instances,
     load_bench_instance,
     make_bimodal,
+    node_psi,
     traced_peak,
     xi_meeting_the_plateau,
 )
@@ -369,10 +371,58 @@ def test_simulation_matches_the_interp_reference(solved_suite):
         assert np.max(np.abs(np.subtract(rep.per_buyer_utility_mean, util))) <= 1e-12, name
 
 
+@pytest.mark.parametrize("n_buyers", [2, 3])
+def test_sampled_types_on_the_nodes_of_a_tied_plateau_pay_the_stated_price(monkeypatch, n_buyers):
+    # Every draw is a cdf node value, so each sampled type and quality is a
+    # node abscissa (fraction 0 of its cell), which seeded draws never hit.
+    # For every buyer but the first, the node closing the tied plateau is
+    # asked on a flat piece and pays that piece's end, not the start of the
+    # rising piece after it; buyer 0 wins every tie, so its two coincide.
+    _, qm, _ = xi_meeting_the_plateau(513)
+    buyer = make_bimodal(1025)
+    inst = qsell.ProblemInstance(buyers=(buyer,) * n_buyers, quality=qm)
+    m = qsell.build_optimal_mechanism(inst)
+    ((lo, hi),) = m.curves[0].ironed_intervals
+    for tab in m.tables[1:]:
+        p = tab.node_pos[hi]
+        assert tab.t[p + 1] == buyer.grid[hi] and tab.pay[p] != tab.pay[p + 1]
+    nodes = [lo - 1, lo, (lo + hi) // 2, hi, hi + 1, 900]
+    q_nodes = [0, 128, 192, 384]  # xi = L - 0.2, L + 0.3, L, L - 0.3
+    picks = np.array(list(itertools.product(*[nodes] * n_buyers, q_nodes)))
+    draws = iter([buyer.cdf_vals[picks[:, i]] for i in range(n_buyers)]
+                 + [qm.G.cdf_vals[picks[:, -1]]])  # in stream order: buyers, then quality
+
+    class Draws:
+        def __init__(self, bits):
+            self.u = next(draws)
+
+        def random(self, size):
+            assert size == self.u.size
+            return self.u.copy()
+
+    monkeypatch.setattr(revenue.np.random, "Generator", Draws)
+    rep = qsell.simulate(m, n_samples=len(picks), seed=0)
+
+    types, q = buyer.grid[picks[:, :-1]], qm.G.grid[picks[:, -1]]
+    winners = qsell.allocate_many(m, types, q)
+    assert all(((winners == i) & (picks[:, i] == hi)).any() for i in range(1, n_buyers))
+    charged, util = qm.reserve.vals[picks[:, -1]], []
+    for i in range(n_buyers):
+        won = winners == i
+        stated = m.payment[i].vals[picks[won, i]]
+        charged[won] = stated
+        util.append(float(np.sum(types[won, i] * qm.alpha.vals[picks[won, -1]] - stated)) / len(picks))
+        assert [qsell.payment(m, i, t) for t in types[won, i]] == stated.tolist()
+    freq = [float(np.mean(winners == i)) for i in range(-1, n_buyers)]
+    assert list(rep.allocation_frequency) == freq
+    assert abs(rep.revenue_mean - float(np.mean(charged))) <= 1e-12
+    assert np.max(np.abs(np.subtract(rep.per_buyer_utility_mean, util))) <= 1e-12
+
+
 def _stepped_xi_pair():
     """A bimodal and a uniform buyer; xi steps through the bimodal plateau level."""
     buyer = make_bimodal(257)
-    vals = qsell.iron(buyer, qsell.virtual_value_table(buyer)).phi_ironed
+    vals = qsell.iron(buyer, node_psi(buyer)).phi_ironed
     (L,) = np.unique(vals[:-1][vals[:-1] == vals[1:]])
     steps = qsell.GriddedFunction(
         np.linspace(0.0, 1.0, 8), L + np.array([-0.2, -0.2, 0.0, 0.0, 0.3, 0.3, 0.0, 0.0])

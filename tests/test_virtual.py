@@ -10,21 +10,28 @@ from hypothesis import strategies as st
 import qsell
 from qsell import mechanism, virtual
 from qsell.errors import AssumptionViolationError, ValidationError
-from conftest import LEVEL_SHAPES, bench_instances, level_curve, load_bench_instance, make_bimodal
+from conftest import (
+    LEVEL_SHAPES,
+    bench_instances,
+    level_curve,
+    load_bench_instance,
+    make_bimodal,
+    node_psi,
+)
 
 
 # ---------------------------------------------------------------------------
-# virtual values: analytic oracles
+# virtual values: analytic oracles, read off the solved curve
 
 
 def test_uniform_virtual_value():
     # F(t) = t on [0,1]: phi(t) = t - (1-t)/1 = 2t - 1
-    d = qsell.make_uniform(0.0, 1.0, m=1001)
-    assert qsell.virtual_value(d, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert qsell.virtual_value(d, 1.0) == pytest.approx(1.0, abs=1e-12)
+    curve = _threshold_curve(qsell.make_uniform(0.0, 1.0, m=1001), qsell.LinearValuation())
+    assert curve.phi_at(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert curve.phi_at(1.0) == pytest.approx(1.0, abs=1e-12)
     t = np.array([0.2, 0.7])
-    assert np.allclose(qsell.virtual_value(d, t), 2 * t - 1, atol=1e-12)
-    assert qsell.is_regular(d)
+    assert np.allclose(curve.phi_at(t), 2 * t - 1, atol=1e-12)
+    assert curve.regular
 
 
 def test_rising_density_virtual_value():
@@ -34,15 +41,16 @@ def test_rising_density_virtual_value():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         d = qsell.make_from_density(0.0, 1.0, lambda t: 2.0 * np.asarray(t, float), m=2001)
-    assert qsell.virtual_value(d, 0.5) == pytest.approx(-0.25, abs=1e-5)
-    assert qsell.virtual_value(d, 1.0) == pytest.approx(1.0, abs=1e-5)
-    assert qsell.is_regular(d)
+    curve = _threshold_curve(d, qsell.LinearValuation())
+    assert curve.phi_at(0.5) == pytest.approx(-0.25, abs=1e-5)
+    assert curve.phi_at(1.0) == pytest.approx(1.0, abs=1e-5)
+    assert curve.regular
 
 
 def test_shifted_uniform_virtual_value():
     # uniform on [1, 3]: phi(t) = t - (3 - t)/1 = 2t - 3
-    d = qsell.make_uniform(1.0, 3.0, m=1001)
-    assert qsell.virtual_value(d, 2.0) == pytest.approx(1.0, abs=1e-10)
+    curve = _threshold_curve(qsell.make_uniform(1.0, 3.0, m=1001), qsell.LinearValuation())
+    assert curve.phi_at(2.0) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +59,7 @@ def test_shifted_uniform_virtual_value():
 
 def test_iron_identity_on_regular():
     d = qsell.make_uniform(0.0, 1.0, m=513)
-    phi = qsell.virtual_value_table(d)
+    phi = node_psi(d)
     curve = qsell.iron(d, phi)
     assert curve.regular
     assert curve.ironed_intervals == ()
@@ -60,8 +68,8 @@ def test_iron_identity_on_regular():
 
 def test_iron_bimodal_single_plateau():
     d = make_bimodal(1025)
-    phi = qsell.virtual_value_table(d)
-    assert not qsell.is_regular(d)
+    phi = node_psi(d)
+    assert np.diff(phi).min() < -virtual.MONOTONE_SLACK
     curve = qsell.iron(d, phi)
     assert not curve.regular
     assert len(curve.ironed_intervals) == 1
@@ -89,7 +97,7 @@ def test_iron_tent_plateau_is_exact():
 
 def test_iron_idempotent():
     d = make_bimodal(1025)
-    curve = qsell.iron(d, qsell.virtual_value_table(d))
+    curve = qsell.iron(d, node_psi(d))
     again = qsell.iron(d, curve.phi_ironed)
     assert np.allclose(again.phi_ironed, curve.phi_ironed, atol=1e-9)
     assert again.ironed_intervals == ()
@@ -98,7 +106,7 @@ def test_iron_idempotent():
 def test_iron_plateau_value_averages_raw_curve():
     # chord-slope plateau = F-conditional mean of the raw curve on the interval
     d = make_bimodal(1025)
-    phi = qsell.virtual_value_table(d)
+    phi = node_psi(d)
     curve = qsell.iron(d, phi)
     lo, hi = curve.ironed_intervals[0]
     # conditional mean of phi over [t_lo, t_hi] under the type density
@@ -118,7 +126,7 @@ def test_iron_mismatched_grid_rejected():
 def test_iron_needs_psi_on_exactly_the_grid():
     # a grid 1e-12 off is np.allclose to d's, but not the same grid
     d = qsell.make_uniform(0.0, 1.0, m=101)
-    psi = qsell.virtual_value_table(d)
+    psi = node_psi(d)
     assert qsell.iron(d, qsell.GriddedFunction(d.grid.copy(), psi)).phi.tolist() == psi.tolist()
     with pytest.raises(ValidationError, match="psi"):
         qsell.iron(d, qsell.GriddedFunction(d.grid + 1e-12, psi))
@@ -145,7 +153,7 @@ def _power(expo):
 def test_generalized_matches_linear_for_alpha_one():
     # b(t) = t: the threshold curve is phi itself, bit for bit
     d = qsell.make_uniform(0.0, 1.0, m=501)
-    want = qsell.virtual_value_table(d)
+    want = node_psi(d)
     assert np.array_equal(_threshold_curve(d, qsell.LinearValuation()).phi, want)
     assert np.array_equal(_threshold_curve(d, _power(1.0)).phi, want)
 
@@ -226,7 +234,7 @@ def _h_integral(F, psi, a, b):
 def test_ironed_curve_is_monotone_and_below_nothing(vals):
     grid = np.linspace(0.0, 1.0, len(vals))
     d = qsell.make_from_table(grid, np.asarray(vals))
-    phi = qsell.virtual_value_table(d)
+    phi = node_psi(d)
     curve = qsell.iron(d, phi)
     # a flat whose envelope sits within IRON_GAP_TOL of H is left alone, so
     # wobbles that shallow survive ironing: the monotonicity guarantee is
@@ -302,7 +310,7 @@ def test_ironing_where_the_bridge_extrapolates(cdf, psi):
 def test_iron_idempotent_property(vals):
     grid = np.linspace(0.0, 1.0, len(vals))
     d = qsell.make_from_table(grid, np.asarray(vals))
-    curve = qsell.iron(d, qsell.virtual_value_table(d))
+    curve = qsell.iron(d, node_psi(d))
     again = qsell.iron(d, curve.phi_ironed)
     assert np.allclose(again.phi_ironed, curve.phi_ironed, atol=1e-7)
 
@@ -421,7 +429,7 @@ def test_the_bimodal_benchmark_buyer_is_ironed_in_a_few_bridges(monkeypatch, tmp
     d = load_bench_instance(inst, tmp_path).buyers[0]
     calls, bridge = [], virtual._bridge
     monkeypatch.setattr(virtual, "_bridge", lambda ci, cj: calls.append(ci) or bridge(ci, cj))
-    curve = qsell.iron(d, qsell.virtual_value_table(d))
+    curve = qsell.iron(d, node_psi(d))
     assert len(curve.ironed_intervals) == 1
     assert len(calls) <= 3
 
