@@ -113,8 +113,10 @@ class GriddedDistribution:
     """Bounded distribution on [grid[0], grid[-1]] with gridded pdf/cdf.
 
     ``cdf_vals`` is the running trapezoid integral of ``pdf_vals``,
-    renormalized so the endpoint is exactly 1.  ``norm_factor`` records the
-    raw mass of the user-supplied density before renormalization.
+    renormalized; ends within 1e-9 of 0 and 1 are stored as exactly 0.0
+    and 1.0, interior values as given, and every cdf read relies on that.
+    ``norm_factor`` records the raw mass of the user-supplied density
+    before renormalization.
     """
 
     grid: np.ndarray
@@ -134,6 +136,7 @@ class GriddedDistribution:
             raise ValidationError(f"pdf values must be >= {EPS_DENSITY}")
         if abs(cdf_vals[0]) > 1e-9 or abs(cdf_vals[-1] - 1.0) > 1e-9:
             raise ValidationError("cdf must run from 0 to 1")
+        cdf_vals = np.concatenate(([0.0], cdf_vals[1:-1], [1.0]))
         if np.any(np.diff(cdf_vals) < 0):
             raise ValidationError("cdf must be non-decreasing")
         object.__setattr__(self, "grid", grid)
@@ -174,8 +177,6 @@ def _finalize(grid, raw_pdf):
         cdf_vals = cdf_vals / cdf_vals[-1]
     else:
         cdf_vals = raw_cdf / mass
-    cdf_vals[0] = 0.0
-    cdf_vals[-1] = 1.0
     return GriddedDistribution(grid, pdf_vals, cdf_vals, norm_factor=float(mass))
 
 
@@ -279,12 +280,13 @@ def _cdf_guide(cdf):
     """What ``_cdf_cell`` reads of a tabulated cdf: (guide, nxt, width, cdf).
 
     The guide has K = 4 (m - 1) buckets, so that few hold a node: bucket
-    j starts at the last node whose ``int(cdf * K)`` is below j, clipped
-    to the m - 1 cells, at or before the cell of each u with
-    ``int(u * K) = j``, which is at or before the next bucket's start.
+    j starts at the last node whose ``int(cdf * K)`` is below j, or at
+    node 0, at or before the cell of each u with ``int(u * K) = j``, which
+    is at or before the next bucket's start.  That node is never the last,
+    whose ``int(cdf * K)`` is exactly K, as the cdf ends at exactly 1.
     """
     M, K = cdf.size - 1, _CDF_BUCKETS * (cdf.size - 1)
-    start = np.clip(np.searchsorted((cdf * K).astype(np.intp), np.arange(K + 1)) - 1, 0, M - 1)
+    start = np.maximum(np.searchsorted((cdf * K).astype(np.intp), np.arange(K + 1)) - 1, 0)
     nxt, width = np.append(cdf[1:-1], np.inf), np.diff(cdf)  # the cells' upper ends, inf last
     return _guide(start, np.append(start[1:], M - 1)), nxt, np.where(width > 0.0, width, 1.0), cdf
 
@@ -293,14 +295,15 @@ def _cdf_cell(guide, u):
     """Cell k and fraction w of each u on a tabulated cdf, through its ``_cdf_guide``.
 
     k is ``searchsorted(cdf, u, "right") - 1``, clipped to the m - 1
-    cells; w is u's fraction of it, clipped to [0, 1].
+    cells; w is u's fraction of it, unclamped: for u in [0, 1], the cdf's
+    exact ends keep u - cdf[k] rounded between 0 and the cell's width.
     """
     search, nxt, width, cdf = guide
     k = _guided_index(nxt, u, search, (u * (_CDF_BUCKETS * nxt.size)).astype(np.intp))
     w = cdf[k]
     np.subtract(u, w, out=w)
     w /= width[k]
-    return k, np.clip(w, 0.0, 1.0, out=w)
+    return k, w
 
 
 def _cell_read(col, step, k, w):
@@ -317,12 +320,11 @@ def _cell_read(col, step, k, w):
 
 
 def quantile(d, u):
-    """Inverse cdf by linear interpolation on the tabulated cdf."""
+    """Inverse cdf by linear interpolation; u up to 1e-12 outside [0, 1] is clamped, once."""
     u = _validated_query(u)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValidationError("quantile argument must lie in [0, 1]")
-    # _cdf_cell clamps: a u within rounding below 0 or above 1 reads an end node.
-    k, w = _cdf_cell(_cdf_guide(d.cdf_vals), u.ravel())
+    k, w = _cdf_cell(_cdf_guide(d.cdf_vals), np.clip(u.ravel(), 0.0, 1.0))
     val = _cell_read(d.grid, np.diff(d.grid), k, w)
     return float(val[0]) if not u.shape else val.reshape(u.shape)
 

@@ -277,14 +277,8 @@ class QualityBlindBaseline:
 
     def allocate_many(self, types):
         types = np.asarray(types, dtype=float)
-        levels = np.column_stack(
-            [
-                np.interp(
-                    np.clip(types[:, i], g[0], g[-1]), g, p
-                )
-                for i, (g, p) in enumerate(zip(self.type_grids, self.phi_tables))
-            ]
-        )
+        tables = zip(self.type_grids, self.phi_tables)
+        levels = np.column_stack([np.interp(types[:, i], g, p) for i, (g, p) in enumerate(tables)])
         winners = np.argmax(levels, axis=1)
         best = levels[np.arange(levels.shape[0]), winners]
         return np.where(best >= self.xi_bar, winners, -1)
@@ -387,16 +381,14 @@ def _no_buyer_chance(buyers, x):
 
     ``buyers`` pairs each buyer's distribution with b on its grid; x is a
     float array of any shape, returned.  A buyer buys when b(t) >= x, so
-    each factor is F at the smallest type whose b clears x; the factors
-    are multiplied in buyer order, in place.
+    each factor is F at the smallest type whose b clears x, and exactly 1
+    where no type clears it (the cdf's exact end); the factors are
+    multiplied in buyer order, in place.
     """
     prob = None
     for d, b_vals in buyers:
-        # smallest type whose expected value clears each price
-        tau = np.interp(x, b_vals, d.grid, left=d.grid[0], right=d.grid[-1] + 1.0)
-        above = tau > d.grid[-1]
-        f_tau = np.interp(np.clip(tau, d.grid[0], d.grid[-1], out=tau), d.grid, d.cdf_vals)
-        f_tau[above] = 1.0
+        # smallest type whose expected value clears each price, the top type above b's range
+        f_tau = np.interp(np.interp(x, b_vals, d.grid), d.grid, d.cdf_vals)
         prob = f_tau if prob is None else np.multiply(prob, f_tau, out=prob)
     x[...] = prob
     return x

@@ -122,7 +122,7 @@ def check_feasibility(m, tol=1e-6):
             continue
         # numpy folds keep a NaN; np.max returns the last of equal values,
         # so with 0.0 last a zero figure reads +0.0
-        mono_i = float(np.max([-np.min(np.diff(r.vals)), 0.0])) if r.vals.size > 1 else 0.0
+        mono_i = float(np.max([-np.min(np.diff(r.vals)), 0.0]))
 
         _, U = _utility_column(m, tab, pay)
         env_i = float(np.max(np.abs(U - tab.I)))

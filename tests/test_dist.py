@@ -1,5 +1,6 @@
 """Grids, distributions, quadrature, and sublevel-set primitives."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -406,11 +407,15 @@ def test_level_table_memory_stays_linear():
 
 
 def _assert_cells_match(d, u):
-    """The guide-table cell is clipped searchsorted's, and its reads are np.interp's."""
+    """The guide-table cell is clipped searchsorted's, and its reads are np.interp's.
+
+    ``_cdf_cell`` gets u clamped to [0, 1], as ``quantile`` hands it on;
+    ``quantile`` itself reads the raw u.
+    """
     u = np.asarray(u, dtype=float)
-    cdf = d.cdf_vals
-    k, w = dist._cdf_cell(dist._cdf_guide(cdf), u)
-    expect = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2)
+    cdf, clamped = d.cdf_vals, np.clip(u, 0.0, 1.0)
+    k, w = dist._cdf_cell(dist._cdf_guide(cdf), clamped)
+    expect = np.clip(np.searchsorted(cdf, clamped, side="right") - 1, 0, cdf.size - 2)
     assert np.array_equal(k, expect)
     assert np.all((w >= 0.0) & (w <= 1.0))
     t = qsell.quantile(d, u)
@@ -483,6 +488,74 @@ def test_cdf_cell_just_below_each_bucket_edge(m):
         below = np.nextafter(edge, 0.0)
         assert np.any((below * M).astype(int) == np.arange(1, M + 1))
         _assert_cells_match(d, np.concatenate((below, edge, np.nextafter(edge, 2.0).clip(0, 1))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    vals=st.lists(
+        st.one_of(st.floats(0.05, 10.0), st.just(0.0), st.floats(1e-13, 1e-9)),
+        min_size=2,
+        max_size=40,
+    ),
+    tied=st.booleans(),
+    ends=st.tuples(st.floats(-9e-10, 9e-10), st.floats(-9e-10, 9e-10)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cdf_ends_are_exact_and_cells_need_no_clamp(vals, tied, ends, seed):
+    grid = np.linspace(0.0, 1.0, len(vals))
+    vals = np.asarray(vals)
+    vals[-1] = max(vals[-1], 1.0)  # some mass, whatever else is clamped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        d = qsell.make_from_table(grid, vals)  # zeros become density-floor stretches
+    assert d.cdf_vals[0] == 0.0 and d.cdf_vals[-1] == 1.0
+    if tied:  # a zero cell is a tie
+        raw = np.concatenate(([0.0], np.cumsum(vals[1:])))
+        raw /= raw[-1]
+    else:
+        raw = d.cdf_vals.copy()
+    # ends moved off by up to 1e-9, the table still non-decreasing
+    raw[0], raw[-1] = min(ends[0], raw[1]), max(1.0 + ends[1], raw[-2])
+    given_cdf = raw.copy()
+    e = dist.GriddedDistribution(grid, d.pdf_vals, raw)
+    cdf = e.cdf_vals
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert np.array_equal(cdf[1:-1], given_cdf[1:-1])
+    assert np.array_equal(raw, given_cdf)  # the caller's table is not written to
+
+    # no clamp: random draws, every node and its float neighbours in [0, 1]
+    u = np.concatenate((
+        np.random.default_rng(seed).random(200),
+        cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+    ))
+    u = u[(u >= 0.0) & (u <= 1.0)]
+    k, w = dist._cdf_cell(dist._cdf_guide(cdf), u)
+    assert np.array_equal(k, np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2))
+    assert np.all((w >= 0.0) & (w <= 1.0))
+
+
+def test_an_inexact_end_buyer_reads_like_its_exact_twin():
+    exact = qsell.make_from_density(0.0, 1.0, lambda x: 1.0 + 2.0 * x, m=257)
+    cdf = exact.cdf_vals.copy()
+    cdf[0], cdf[-1] = 1e-10, 1.0 - 1e-10
+    inexact = dist.GriddedDistribution(exact.grid, exact.pdf_vals, cdf)
+    assert inexact == exact
+    u = np.concatenate(([0.0, 1.0], exact.cdf_vals))
+    assert np.array_equal(qsell.quantile(inexact, u), qsell.quantile(exact, u))
+    for end in (0.0, 1.0):
+        assert qsell.quantile(inexact, end) == qsell.quantile(exact, end)
+
+    qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=129), 1.0, lambda q: 0.4 * q)
+    other = qsell.make_uniform(0.0, 1.0, m=129)
+    reports = [
+        qsell.simulate(
+            qsell.build_optimal_mechanism(qsell.ProblemInstance(buyers=(b, other), quality=qm)),
+            20_000,
+            5,
+        )
+        for b in (inexact, exact)
+    ]
+    assert dataclasses.asdict(reports[0]) == dataclasses.asdict(reports[1])
 
 
 # ---------------------------------------------------------------------------
