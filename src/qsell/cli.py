@@ -65,8 +65,10 @@ class ConfigError(ValueError):
 def _build_distribution(spec, grid_override=None):
     family = spec.get("family")
     if family == "uniform":
-        m = int(grid_override if grid_override is not None else spec.get("m", 1024))
-        return dist.make_uniform(float(spec["lo"]), float(spec["hi"]), m=m)
+        m = grid_override if grid_override is not None else spec.get("m", 1024)
+        if isinstance(m, float) and not m.is_integer():
+            raise ConfigError(f"uniform grid size m must be a whole number, got {m!r}")
+        return dist.make_uniform(float(spec["lo"]), float(spec["hi"]), m=int(m))
     if family == "table":
         return dist.make_from_table(
             np.asarray(spec["grid"], dtype=float),

@@ -452,15 +452,26 @@ def best_constant_price(inst):
     rounding.  Each sweep runs blocks of cutoffs against the whole price
     grid, a block and its price rows at most ``_PRICE_BLOCK`` entries.
     A block reuses the last one's price rows if they hold all its means.
+
+    With a constant alpha (every ``alpha.vals`` equal) both sweeps price
+    only the lowest cutoff, the announcement that discloses nothing: no
+    announcement moves a buyer's value alpha b(t), so every cutoff earns
+    U(p) + V(p) C_tot in exact arithmetic and ties with the lowest, the
+    one the tie rule reports.  Side means are no test of this: a constant
+    alpha on a table whose mass is not exactly 1 gives means that differ
+    in their last bits.
     """
     table = inst.quality.level_table
     buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
     # every distinct xi value, and one cutoff below and one above them all
     cutoffs = np.concatenate(([table.breaks[0] - 1.0], table.breaks, [table.breaks[-1] + 1.0]))
-    A1, B1, C1 = table.at(cutoffs)
-    # the last cutoff lies above xi everywhere: A and C over the whole support
-    mass, retained, keys, means = _constant_price_sides(A1, B1, C1, A1[-1], C1[-1])
-    alpha_max = float(np.max(inst.quality.alpha.vals))
+    alpha = inst.quality.alpha.vals
+    if np.all(alpha == alpha[0]):
+        cutoffs = cutoffs[:1]  # every cutoff ties with the lowest, which discloses nothing
+    # the swept cutoffs, then one above xi everywhere: A and C over the whole support
+    A1, B1, C1 = table.at(np.append(cutoffs, table.breaks[-1] + 1.0))
+    mass, retained, keys, means = _constant_price_sides(A1[:-1], B1[:-1], C1[:-1], A1[-1], C1[-1])
+    alpha_max = float(np.max(alpha))
     p_hi = max(float(np.max(b_vals)) for _, b_vals in buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, CONSTANT_PRICE_GRID)
 

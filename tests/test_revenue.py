@@ -796,7 +796,7 @@ def test_best_constant_price_single_buyer_equals_optimum(posted_price):
 
 
 def _tied_cutoff_instance(reserve):
-    """Every cutoff ties: constant xi, or constant alpha (ties up to rounding)."""
+    """Every cutoff ties: constant xi, or constant alpha (no cutoff moves the buyers' value)."""
     qm = qsell.make_quality_model(qsell.make_uniform(0.0, 1.0, m=65), 1.0, reserve)
     return qsell.ProblemInstance(buyers=(qsell.make_uniform(0.0, 1.0, m=129),) * 2, quality=qm)
 
@@ -807,8 +807,8 @@ def _tied_cutoff_instance(reserve):
 def test_best_constant_price_reports_the_lowest_tied_cutoff(reserve):
     # With constant xi every cutoff pools all qualities into one
     # announcement; with constant alpha no announcement moves the buyers'
-    # expected value.  Either way all cutoffs tie (the second only up to
-    # rounding), and the lowest one must be reported.
+    # expected value, so only the lowest cutoff is priced.  Either way all
+    # cutoffs tie, and the lowest one must be reported.
     inst = _tied_cutoff_instance(reserve)
     base = qsell.best_constant_price(inst)
     assert base.cutoff == float(np.min(inst.quality.xi.vals)) - 1.0
@@ -897,12 +897,31 @@ def _power_instance():
     qm = qsell.make_quality_model(
         qsell.make_uniform(0.0, 1.0, m=65), lambda q: 1.0 + 0.5 * q, lambda q: 0.2 + 0.5 * q
     )
-    power = qsell.GeneralValuation(
-        type_factor=lambda t: np.asarray(t, float) ** 1.5,
-        type_factor_deriv=lambda t: 1.5 * np.asarray(t, float) ** 0.5,
-    )
     buyers = (qsell.make_uniform(0.5, 1.5, m=129), qsell.make_uniform(0.0, 1.0, m=257))
-    return qsell.ProblemInstance(buyers=buyers, quality=qm, valuation=power)
+    return qsell.ProblemInstance(buyers=buyers, quality=qm, valuation=_power_valuation(1.5))
+
+
+def _constant_alpha_instance(G, alpha, reserve, valuation=None):
+    """A constant alpha: every cutoff ties with the lowest, which alone is priced."""
+    qm = qsell.make_quality_model(G, alpha, reserve)
+    buyers = (qsell.make_uniform(0.5, 1.5, m=129), qsell.make_uniform(0.0, 1.0, m=257))
+    return qsell.ProblemInstance(
+        buyers=buyers, quality=qm, valuation=valuation or qsell.LinearValuation()
+    )
+
+
+def _skewed_quality():
+    """A non-uniform table G whose mass is not exactly 1: side means of a constant
+    alpha differ in their last bits from cutoff to cutoff."""
+    grid = np.linspace(0.0, 1.0, 97)
+    return qsell.make_from_table(grid, 0.3 + np.exp(-3.0 * grid) + grid**2)
+
+
+def _power_valuation(k):
+    return qsell.GeneralValuation(
+        type_factor=lambda t: np.asarray(t, float) ** k,
+        type_factor_deriv=lambda t: k * np.asarray(t, float) ** (k - 1.0),
+    )
 
 
 def _stepped_alpha_instance():
@@ -929,6 +948,16 @@ def constant_price_cases(suite):
     cases["thin-top"] = _thin_top_instance()
     cases["power-1.5"] = _power_instance()
     cases["stepped-alpha"] = _stepped_alpha_instance()
+    cases["constant-alpha-skewed-G"] = _constant_alpha_instance(
+        _skewed_quality(), 0.7, lambda q: 0.7 * (0.1 + 0.6 * np.asarray(q, float))
+    )
+    cases["constant-alpha-negative-reserve"] = _constant_alpha_instance(
+        qsell.make_uniform(0.0, 1.0, m=129), 1.2, lambda q: -0.3 + 0.9 * np.asarray(q, float)
+    )
+    cases["constant-alpha-power-b"] = _constant_alpha_instance(
+        qsell.make_uniform(0.0, 1.0, m=65), 1.3, lambda q: 0.4 * np.asarray(q, float),
+        _power_valuation(1.5),
+    )
     return cases
 
 
@@ -955,10 +984,10 @@ def test_best_constant_price_matches_the_per_cutoff_loop(constant_price_cases):
         assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst), name
 
 
-def _random_constant_price_instance(rng):
-    """1-3 buyers, linear or power b, smooth or stepped alpha, a reserve
-    that goes negative, and at times a density floor above q = 0.9, where
-    xi is highest, so a side has mass <= 1e-12."""
+def _random_constant_price_instance(rng, constant_alpha=False):
+    """1-3 buyers, linear or power b, smooth, stepped or (``constant_alpha``)
+    constant alpha, a reserve that goes negative, and at times a density
+    floor above q = 0.9, where xi is highest, so a side has mass <= 1e-12."""
     mq = int(rng.choice([33, 65, 129]))
     grid = np.linspace(0.0, 1.0, mq)
     pdf = rng.uniform(0.5, 2.0, mq)
@@ -968,7 +997,9 @@ def _random_constant_price_instance(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         G = qsell.make_from_table(grid, pdf)
-    if rng.random() < 0.5:
+    if constant_alpha:
+        alpha = np.full(mq, rng.uniform(0.5, 2.0))
+    elif rng.random() < 0.5:
         alpha = 1.0 + rng.uniform(0.2, 1.0) * np.sin(rng.uniform(1.0, 6.0) * grid) ** 2
     else:
         alpha = rng.uniform(0.5, 2.0, 4)[np.minimum((4.0 * grid).astype(int), 3)]
@@ -983,11 +1014,7 @@ def _random_constant_price_instance(rng):
         buyers.append(qsell.make_from_table(tgrid, rng.uniform(0.5, 2.0, tgrid.size)))
     valuation = qsell.LinearValuation()
     if rng.random() < 0.5:
-        k = rng.uniform(1.2, 2.0)
-        valuation = qsell.GeneralValuation(
-            type_factor=lambda t: np.asarray(t, float) ** k,
-            type_factor_deriv=lambda t: k * np.asarray(t, float) ** (k - 1.0),
-        )
+        valuation = _power_valuation(rng.uniform(1.2, 2.0))
     return qsell.ProblemInstance(buyers=tuple(buyers), quality=qm, valuation=valuation)
 
 
@@ -1028,9 +1055,51 @@ def test_seeded_sweeps_match_the_per_cutoff_reference(monkeypatch, seed, block):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_constant_alpha_sweeps_match_the_per_cutoff_reference(seed):
+    # the reference prices every cutoff; the sweep prices the lowest alone
+    inst = _random_constant_price_instance(np.random.default_rng([20261022, seed]), True)
+    base = qsell.best_constant_price(inst)
+    assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst)
+
+
+@pytest.mark.parametrize(
+    "case, min_means",
+    [("linear-xi-constant-alpha", 1), ("thin-top", 2), ("constant-alpha-skewed-G", 2)],
+)
+def test_a_constant_alpha_sweep_prices_one_cutoff(
+    constant_price_cases, monkeypatch, case, min_means
+):
+    # alpha is tested for constancy itself: on thin-top and the skewed G the
+    # side means of a constant alpha differ in their last bits across cutoffs
+    inst = constant_price_cases[case]
+    cutoffs, A1, B1, C1, _ = _constant_price_setup(inst)
+    assert revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])[3].size >= min_means
+    assert cutoffs.size > 60
+    calls = []
+    kernel, price_rows = revenue._constant_price_block, revenue._price_rows
+
+    def record_rows(buyers, prices, means):
+        calls.append(("rows", prices.size, means.size))
+        return price_rows(buyers, prices, means)
+
+    def record_block(U, V, rows, mass, retained, out):
+        calls.append(("block", U.shape[1], rows.shape[1]))
+        return kernel(U, V, rows, mass, retained, out)
+
+    monkeypatch.setattr(revenue, "_price_rows", record_rows)
+    monkeypatch.setattr(revenue, "_constant_price_block", record_block)
+    base = qsell.best_constant_price(inst)
+    assert base.cutoff == cutoffs[0]
+    assert calls == [
+        ("rows", revenue.CONSTANT_PRICE_GRID, 1), ("block", revenue.CONSTANT_PRICE_GRID, 1),
+        ("rows", 81, 1), ("block", 81, 1),
+    ]
+
+
 def test_no_buyer_chance_is_looked_up_once_per_side_mean(monkeypatch):
-    # alpha is constant, so every seen side of every cutoff has the same
-    # mean, and each sweep looks the chance up once, for one row
+    # alpha is constant, so each sweep prices one cutoff, whose one seen
+    # side holds the whole support, and looks the chance up once, for one row
     inst = _tied_cutoff_instance(lambda q: q)
     rows = []
 
