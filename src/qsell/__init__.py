@@ -41,9 +41,7 @@ from .mechanism import (
     LinearValuation,
     ProblemInstance,
     QualityModel,
-    Signal,
     ThresholdMechanism,
-    allocate,
     allocate_many,
     build_optimal_mechanism,
     interim_tables,
@@ -105,9 +103,7 @@ __all__ = [
     "LinearValuation",
     "GeneralValuation",
     "ProblemInstance",
-    "Signal",
     "ThresholdMechanism",
-    "allocate",
     "allocate_many",
     "win_weight",
     "payment",

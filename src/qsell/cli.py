@@ -66,9 +66,7 @@ def _build_distribution(spec, grid_override=None):
     family = spec.get("family")
     if family == "uniform":
         m = grid_override if grid_override is not None else spec.get("m", 1024)
-        if isinstance(m, float) and not m.is_integer():
-            raise ConfigError(f"uniform grid size m must be a whole number, got {m!r}")
-        return dist.make_uniform(float(spec["lo"]), float(spec["hi"]), m=int(m))
+        return dist.make_uniform(float(spec["lo"]), float(spec["hi"]), m=m)
     if family == "table":
         return dist.make_from_table(
             np.asarray(spec["grid"], dtype=float),

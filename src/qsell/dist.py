@@ -18,6 +18,7 @@ tables along the curve exactly.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -181,9 +182,12 @@ def _finalize(grid, raw_pdf):
 
 
 def _even_grid(lo, hi, m):
-    """m evenly spaced nodes from lo to hi, both finite with lo < hi, m >= 2."""
+    """m evenly spaced nodes from lo to hi, both finite with lo < hi, m a whole number >= 2."""
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValidationError("need finite lo < hi")
+    whole = isinstance(m, numbers.Integral) or isinstance(m, numbers.Real) and float(m).is_integer()
+    if not whole:
+        raise ValidationError(f"grid size m must be a whole number, got {m!r}")
     if m < 2:
         raise ValidationError("need at least 2 grid nodes")
     return np.linspace(lo, hi, int(m))
@@ -192,7 +196,7 @@ def _even_grid(lo, hi, m):
 def make_uniform(lo, hi, m=1024):
     """Uniform distribution on [lo, hi] tabulated on m nodes."""
     grid = _even_grid(lo, hi, m)
-    raw = np.full(int(m), 1.0 / (hi - lo))
+    raw = np.full(grid.size, 1.0 / (hi - lo))
     return _finalize(grid, raw)
 
 

@@ -42,9 +42,7 @@ __all__ = [
     "LinearValuation",
     "GeneralValuation",
     "ProblemInstance",
-    "Signal",
     "ThresholdMechanism",
-    "allocate",
     "allocate_many",
     "win_weight",
     "payment",
@@ -178,25 +176,6 @@ class ProblemInstance:
     @property
     def n_buyers(self):
         return len(self.buyers)
-
-
-@dataclass(frozen=True)
-class Signal:
-    """Outcome of one experiment draw: ask one buyer, or keep the item."""
-
-    buyer: Optional[int]
-
-    @staticmethod
-    def no_sale():
-        return Signal(buyer=None)
-
-    @staticmethod
-    def ask(i):
-        return Signal(buyer=int(i))
-
-    @property
-    def is_sale(self):
-        return self.buyer is not None
 
 
 @dataclass(frozen=True)
@@ -348,18 +327,11 @@ def allocate_many(m, types, qualities):
     equality with xi(q).
     """
     types = np.asarray(types, dtype=float)
+    if types.ndim != 2 or types.shape[1] != m.n_buyers:
+        raise ValidationError("types need one row per sample and one column per buyer")
     levels = (c.phi_ironed_at(types[:, i]) for i, c in enumerate(m.curves))
     xi = m.inst.quality.xi.value_at(qualities)
     return _winners(levels, lambda: xi)
-
-
-def allocate(m, t_profile, q):
-    """Run the experiment at one profile: ``allocate_many`` on one row, as a Signal."""
-    t_profile = np.asarray(t_profile, dtype=float)
-    if t_profile.size != m.n_buyers:
-        raise ValidationError("profile length must match the number of buyers")
-    winner = int(allocate_many(m, t_profile.reshape(1, -1), [q])[0])
-    return Signal.ask(winner) if winner >= 0 else Signal.no_sale()
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ class ConstantPriceBaseline:
 
 _CUTOFF_TIE_RTOL = 1e-12
 CONSTANT_PRICE_GRID = 241  # coarse price grid, refined once around its best point
-_PRICE_BLOCK = 16_384  # entries per (cutoffs x prices) block: bounds the sweep's memory
+_PRICE_BLOCK = 16_384  # entries per (sides x cutoffs x prices) block: bounds the sweep's memory
 
 
 def _no_buyer_chance(buyers, x):
@@ -395,49 +395,34 @@ def _no_buyer_chance(buyers, x):
 
 
 def _constant_price_sides(A1, B1, C1, A_tot, C_tot):
-    """Each side's mass m, retained value r and price-row key, by cutoff.
+    """Each side's mass m, mean alpha and retained value r, by cutoff.
 
     A1, B1 and C1 hold the quality side's A, B and C at each cutoff, A_tot
     and C_tot over the whole support; row 0 is the side xi(q) <= cutoff.
-    A side of mass at most 1e-12 is unseen: m = r = 0.  No sale depends on
-    a side only through its mean alpha: keys index ``means``, the distinct
-    positive ones, and ``means.size`` marks a side that sells to nobody.
+    A side of mass at most 1e-12 is unseen: its m, mean alpha and r are 0.
     """
     mass, alpha_sum = np.stack((B1, 1.0 - B1)), np.stack((A1, A_tot - A1))
     seen = mass > 1e-12
     alpha_mean = np.where(seen, alpha_sum / np.where(seen, mass, 1.0), 0.0)
-    sells = alpha_mean > 0.0
-    means = np.unique(alpha_mean[sells])
-    keys = np.where(sells, np.searchsorted(means, alpha_mean), means.size)
     retained = np.where(seen, np.stack((C1, C_tot - C1)), 0.0)
-    return np.where(seen, mass, 0.0), retained, keys, means
+    return np.where(seen, mass, 0.0), alpha_mean, retained
 
 
-def _price_rows(buyers, prices, means):
-    """Rows U = p (1 - P0) and V = P0 per mean alpha, then U = 0, V = 1 for no sale."""
-    V = np.ones((means.size + 1, prices.size))
-    _no_buyer_chance(buyers, np.divide(prices, means[:, None], out=V[:-1]))
-    return prices * (1.0 - V), V
+def _constant_price_block(buyers, prices, alpha_mean, mass, retained):
+    """Revenues, cutoffs by prices: p (1 - P0) m + P0 r on the low side plus the high side.
 
-
-def _constant_price_block(U, V, rows, mass, retained, out):
-    """Revenues, cutoffs by prices: U[dL] mL + V[dL] rL + U[dH] mH + V[dH] rH.
-
-    ``rows`` holds the sides' price rows dL and dH, ``mass`` and ``retained``
-    their m and r; out[0], of scratch shaped (3, >= cutoffs, prices), gets
-    the revenues.  They keep the bits of the per-cutoff sum of p (1 - P0)
-    m + P0 r over the seen sides: (p (1 - P0)) m is U m; an unseen side
-    adds an exact 0; and a side that does not sell adds 0 m + 1 r = r.
+    ``alpha_mean``, ``mass`` and ``retained`` hold the two sides' rows,
+    by cutoff.  P0, the chance that no buyer buys, is read at the price
+    over the side's mean alpha, and at x = inf for a side whose mean is
+    not positive, where it is exactly 1: such a side adds 0 m + 1 r, an
+    exact 0 where it is unseen and r where it is seen but sells to nobody.
+    The revenues keep the bits of the per-cutoff sum over the seen sides.
     """
-    total, side, term = out[:, : rows.shape[1]]
-    for s, acc in enumerate((total, side)):
-        np.take(U, rows[s], axis=0, out=acc, mode="clip")
-        acc *= mass[s, :, None]
-        np.take(V, rows[s], axis=0, out=term, mode="clip")
-        term *= retained[s, :, None]
-        acc += term
-    total += side
-    return total
+    a = alpha_mean[:, :, None]
+    x = np.full((2, a.shape[1], prices.size), np.inf)
+    P0 = _no_buyer_chance(buyers, np.divide(prices, a, out=x, where=a > 0.0))
+    side = prices * (1.0 - P0) * mass[:, :, None] + P0 * retained[:, :, None]
+    return side[0] + side[1]
 
 
 def best_constant_price(inst):
@@ -450,16 +435,15 @@ def best_constant_price(inst):
     Cutoffs whose revenues agree to a relative 1e-12 count as tied, and
     the lowest tied cutoff is reported, so the choice does not hinge on
     rounding.  Each sweep runs blocks of cutoffs against the whole price
-    grid, a block and its price rows at most ``_PRICE_BLOCK`` entries.
-    A block reuses the last one's price rows if they hold all its means.
+    grid, both sides of a block at most ``_PRICE_BLOCK`` entries.
 
     With a constant alpha (every ``alpha.vals`` equal) both sweeps price
     only the lowest cutoff, the announcement that discloses nothing: no
     announcement moves a buyer's value alpha b(t), so every cutoff earns
-    U(p) + V(p) C_tot in exact arithmetic and ties with the lowest, the
-    one the tie rule reports.  Side means are no test of this: a constant
-    alpha on a table whose mass is not exactly 1 gives means that differ
-    in their last bits.
+    p (1 - P0) + P0 C_tot in exact arithmetic and ties with the lowest,
+    the one the tie rule reports.  Side means are no test of this: a
+    constant alpha on a table whose mass is not exactly 1 gives means
+    that differ in their last bits.
     """
     table = inst.quality.level_table
     buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
@@ -470,7 +454,7 @@ def best_constant_price(inst):
         cutoffs = cutoffs[:1]  # every cutoff ties with the lowest, which discloses nothing
     # the swept cutoffs, then one above xi everywhere: A and C over the whole support
     A1, B1, C1 = table.at(np.append(cutoffs, table.breaks[-1] + 1.0))
-    mass, retained, keys, means = _constant_price_sides(A1[:-1], B1[:-1], C1[:-1], A1[-1], C1[-1])
+    mass, alpha_mean, retained = _constant_price_sides(A1[:-1], B1[:-1], C1[:-1], A1[-1], C1[-1])
     alpha_max = float(np.max(alpha))
     p_hi = max(float(np.max(b_vals)) for _, b_vals in buyers) * alpha_max
     prices = np.linspace(0.0, p_hi, CONSTANT_PRICE_GRID)
@@ -478,19 +462,11 @@ def best_constant_price(inst):
     def sweep(price_grid, best=None):
         top = np.empty(cutoffs.size)
         arg = np.empty(cutoffs.size, dtype=int)
-        fit = _PRICE_BLOCK // price_grid.size - 1  # rows, less the no-sale row
-        rows = max(1, fit // 3, fit - means.size)  # a cutoff needs up to 2 price rows
-        out = np.empty((3, min(rows, cutoffs.size), price_grid.size))
-        slot = np.full(means.size + 1, -1)  # each key's price row, -1 where none
+        rows = max(1, _PRICE_BLOCK // (2 * price_grid.size))  # a cutoff prices both its sides
         for lo in range(0, cutoffs.size, rows):
             blk = slice(lo, lo + rows)
-            if slot[keys[:, blk]].min() < 0:
-                held = np.union1d(keys[:, blk], means.size)  # the no-sale key last
-                U, V = _price_rows(buyers, price_grid, means[held[:-1]])
-                slot[:] = -1
-                slot[held] = np.arange(held.size)
             revs = _constant_price_block(
-                U, V, slot[keys[:, blk]], mass[:, blk], retained[:, blk], out
+                buyers, price_grid, alpha_mean[:, blk], mass[:, blk], retained[:, blk]
             )
             arg[blk] = np.argmax(revs, axis=1)
             top[blk] = revs[np.arange(revs.shape[0]), arg[blk]]

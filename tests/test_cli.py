@@ -558,9 +558,9 @@ def _table_reserve(values):
         (lambda d: d.update(valuation={"kind": "power", "exponent": -1.0}), "positive exponent"),
         (lambda d: d.update(buyers=[]), "config lists no buyers"),
         (lambda d: d["buyers"][0]["distribution"].update(m=64.7),
-         "uniform grid size m must be a whole number, got 64.7"),
+         "grid size m must be a whole number, got 64.7"),
         (lambda d: d["quality"]["distribution"].update(m=float("inf")),
-         "uniform grid size m must be a whole number, got inf"),
+         "grid size m must be a whole number, got inf"),
     ],
     ids=[
         "hi-not-a-number", "alpha-value-not-a-number", "reserve-table-not-numbers",

@@ -1,6 +1,7 @@
 """Grids, distributions, quadrature, and sublevel-set primitives."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -44,6 +45,25 @@ def test_density_normalization():
 def test_negative_density_rejected():
     with pytest.raises(ValidationError):
         qsell.make_from_density(0.0, 1.0, lambda x: np.asarray(x, float) - 0.5, m=101)
+
+
+@pytest.mark.parametrize("m", [64.7, 9.9, float("nan"), float("inf"), "64"])
+@pytest.mark.parametrize("make", ["uniform", "density"])
+def test_a_grid_size_that_is_not_a_whole_number_is_rejected(m, make):
+    # no truncation to a whole number of nodes, and no bare ValueError or
+    # OverflowError from converting NaN or inf
+    message = re.escape(f"grid size m must be a whole number, got {m!r}")
+    with pytest.raises(ValidationError, match=message):
+        if make == "uniform":
+            qsell.make_uniform(0.0, 1.0, m=m)
+        else:
+            qsell.make_from_density(0.0, 1.0, lambda x: np.ones_like(x), m=m)
+
+
+@pytest.mark.parametrize("m", [65, 65.0, np.int64(65), np.float64(65.0)])
+def test_a_whole_grid_size_builds_that_many_nodes(m):
+    assert qsell.make_uniform(0.0, 1.0, m=m).grid.size == 65
+    assert qsell.make_from_density(0.0, 1.0, lambda x: np.ones_like(x), m=m).grid.size == 65
 
 
 def test_tiny_density_clamped_with_warning():

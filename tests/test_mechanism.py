@@ -195,21 +195,22 @@ def test_what_the_solve_allocates_is_read_only():
 # allocation
 
 
+def _winner(m, t_profile, q):
+    """allocate_many on one profile: the buyer asked, -1 for no sale."""
+    return int(qsell.allocate_many(m, [t_profile], [q])[0])
+
+
 def test_allocate_matches_threshold_logic(two_uniform):
     inst, m = two_uniform
     # phi(t) = 2t - 1, xi == 0: ask the higher type iff its phi >= 0
-    sig = qsell.allocate(m, [0.8, 0.6], 0.5)
-    assert sig.is_sale and sig.buyer == 0
-    sig = qsell.allocate(m, [0.6, 0.8], 0.5)
-    assert sig.buyer == 1
-    sig = qsell.allocate(m, [0.4, 0.3], 0.5)
-    assert not sig.is_sale and sig.buyer is None
+    assert _winner(m, [0.8, 0.6], 0.5) == 0
+    assert _winner(m, [0.6, 0.8], 0.5) == 1
+    assert _winner(m, [0.4, 0.3], 0.5) == -1
 
 
 def test_allocate_tie_goes_to_lowest_index(two_uniform):
     inst, m = two_uniform
-    sig = qsell.allocate(m, [0.7, 0.7], 0.2)
-    assert sig.buyer == 0
+    assert _winner(m, [0.7, 0.7], 0.2) == 0
 
 
 def test_allocate_sells_at_equality():
@@ -218,8 +219,7 @@ def test_allocate_sells_at_equality():
     d = qsell.make_uniform(0.0, 1.0, m=1025)
     inst = qsell.ProblemInstance(buyers=(d,), quality=qm)
     m = qsell.build_optimal_mechanism(inst)
-    sig = qsell.allocate(m, [0.5], 0.3)  # phi(0.5) = 0 == xi
-    assert sig.is_sale
+    assert _winner(m, [0.5], 0.3) == 0  # phi(0.5) = 0 == xi
 
 
 def test_allocate_many_vectorized(two_uniform):
@@ -232,8 +232,10 @@ def test_allocate_many_vectorized(two_uniform):
 
 def test_allocate_profile_length_checked(two_uniform):
     inst, m = two_uniform
-    with pytest.raises(ValidationError):
-        qsell.allocate(m, [0.5], 0.5)
+    with pytest.raises(ValidationError, match="one column per buyer"):
+        _winner(m, [0.5], 0.5)
+    with pytest.raises(ValidationError, match="one column per buyer"):
+        qsell.allocate_many(m, [0.5, 0.5], [0.5])  # a profile, not a row of profiles
 
 
 def test_a_nan_type_is_rejected_not_read_as_a_level(two_uniform):
@@ -242,7 +244,7 @@ def test_a_nan_type_is_rejected_not_read_as_a_level(two_uniform):
     with pytest.raises(ValidationError, match="NaN"):
         qsell.allocate_many(m, [[np.nan, 0.9], [0.1, 0.9]], [0.5, 0.5])
     with pytest.raises(ValidationError, match="NaN"):
-        qsell.allocate(m, [np.nan, 0.9], 0.5)
+        _winner(m, [np.nan, 0.9], 0.5)
     with pytest.raises(ValidationError, match="NaN"):
         qsell.payment(m, 0, float("nan"))
     with pytest.raises(ValidationError, match="NaN"):
@@ -397,8 +399,7 @@ def test_degenerate_mechanism_flagged():
     assert np.all(np.isnan(m.payment[0].vals))
     with pytest.raises(UndefinedPaymentError):
         qsell.payment(m, 0, 0.9)
-    sig = qsell.allocate(m, [1.0], 0.5)
-    assert not sig.is_sale
+    assert _winner(m, [1.0], 0.5) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +860,13 @@ def test_win_weight_constant_on_ironed_plateau():
 )
 def test_at_most_one_buyer_asked(t1, t2, q):
     inst, m = _ALLOC_FIXTURE
-    sig = qsell.allocate(m, [t1, t2], q)
-    assert sig.buyer in (None, 0, 1)
-    if sig.buyer is not None:
+    buyer = _winner(m, [t1, t2], q)
+    assert buyer in (-1, 0, 1)
+    if buyer >= 0:
         # the asked buyer's level clears the reserve ratio and the opponent's
         lev = [m.curves[i].phi_ironed_at([t1, t2][i]) for i in range(2)]
-        assert lev[sig.buyer] >= m.inst.quality.xi.value_at(q) - 1e-12
-        assert lev[sig.buyer] >= max(lev) - 1e-12
+        assert lev[buyer] >= m.inst.quality.xi.value_at(q) - 1e-12
+        assert lev[buyer] >= max(lev) - 1e-12
 
 
 def _make_alloc_fixture():

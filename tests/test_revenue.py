@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 import sys
 import threading
 import warnings
@@ -36,7 +37,7 @@ from conftest import (
 )
 from full_disclosure import full_disclosure_revenue
 from second_price import second_price_revenue
-from qsell import dist, mechanism, revenue
+from qsell import cli, dist, mechanism, revenue
 from qsell.mechanism import _payment_at
 
 
@@ -965,10 +966,8 @@ def test_constant_price_revenue_matrix_matches_the_rows(constant_price_cases):
     for name, inst in constant_price_cases.items():
         cutoffs, A1, B1, C1, prices = _constant_price_setup(inst)
         buyers = [(d, inst.valuation.type_factor(d.grid)) for d in inst.buyers]
-        mass, retained, keys, means = revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])
-        U, V = revenue._price_rows(buyers, prices, means)
-        out = np.empty((3, cutoffs.size, prices.size))
-        got = revenue._constant_price_block(U, V, keys, mass, retained, out)
+        mass, alpha_mean, retained = revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])
+        got = revenue._constant_price_block(buyers, prices, alpha_mean, mass, retained)
         want = np.stack(
             [
                 _constant_price_row(inst, prices, A1[k], B1[k], C1[k], A1[-1], C1[-1])
@@ -1026,19 +1025,15 @@ def test_seeded_sweeps_match_the_per_cutoff_reference(monkeypatch, seed, block):
     # is smaller than one row of either price grid.
     inst = _random_constant_price_instance(np.random.default_rng([20261020, seed]))
     grids, blocks = [], []
-    kernel, price_rows = revenue._constant_price_block, revenue._price_rows
+    kernel = revenue._constant_price_block
 
-    def record_rows(buyers, prices, means):
+    def record_block(buyers, prices, *sides):
         if not any(g is prices for g in grids):
             grids.append(prices)
-        return price_rows(buyers, prices, means)
-
-    def record_block(*args):
-        blocks.append(kernel(*args).copy())
+        blocks.append(kernel(buyers, prices, *sides))
         return blocks[-1]
 
     monkeypatch.setattr(revenue, "_PRICE_BLOCK", block)
-    monkeypatch.setattr(revenue, "_price_rows", record_rows)
     monkeypatch.setattr(revenue, "_constant_price_block", record_block)
     base = qsell.best_constant_price(inst)
     assert (base.price, base.cutoff, base.revenue) == _best_constant_price_by_loop(inst)
@@ -1074,43 +1069,70 @@ def test_a_constant_alpha_sweep_prices_one_cutoff(
     # side means of a constant alpha differ in their last bits across cutoffs
     inst = constant_price_cases[case]
     cutoffs, A1, B1, C1, _ = _constant_price_setup(inst)
-    assert revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])[3].size >= min_means
+    alpha_mean = revenue._constant_price_sides(A1, B1, C1, A1[-1], C1[-1])[1]
+    assert np.unique(alpha_mean[alpha_mean > 0.0]).size >= min_means
     assert cutoffs.size > 60
     calls = []
-    kernel, price_rows = revenue._constant_price_block, revenue._price_rows
+    kernel = revenue._constant_price_block
 
-    def record_rows(buyers, prices, means):
-        calls.append(("rows", prices.size, means.size))
-        return price_rows(buyers, prices, means)
+    def record_block(buyers, prices, alpha_mean, mass, retained):
+        calls.append((prices.size, alpha_mean.shape))
+        return kernel(buyers, prices, alpha_mean, mass, retained)
 
-    def record_block(U, V, rows, mass, retained, out):
-        calls.append(("block", U.shape[1], rows.shape[1]))
-        return kernel(U, V, rows, mass, retained, out)
-
-    monkeypatch.setattr(revenue, "_price_rows", record_rows)
     monkeypatch.setattr(revenue, "_constant_price_block", record_block)
     base = qsell.best_constant_price(inst)
     assert base.cutoff == cutoffs[0]
-    assert calls == [
-        ("rows", revenue.CONSTANT_PRICE_GRID, 1), ("block", revenue.CONSTANT_PRICE_GRID, 1),
-        ("rows", 81, 1), ("block", 81, 1),
-    ]
+    assert calls == [(revenue.CONSTANT_PRICE_GRID, (2, 1)), (81, (2, 1))]
 
 
-def test_no_buyer_chance_is_looked_up_once_per_side_mean(monkeypatch):
-    # alpha is constant, so each sweep prices one cutoff, whose one seen
-    # side holds the whole support, and looks the chance up once, for one row
+def test_no_buyer_chance_is_looked_up_once_per_sweep(monkeypatch):
+    # alpha is constant, so each sweep prices one cutoff and looks the
+    # chance up once, for that cutoff's two sides against the price grid
     inst = _tied_cutoff_instance(lambda q: q)
-    rows = []
+    shapes = []
 
     def record(buyers, x):
-        rows.append(x.shape[0])
+        shapes.append(x.shape)
         return no_buyer_chance(buyers, x)
 
     no_buyer_chance = revenue._no_buyer_chance
     monkeypatch.setattr(revenue, "_no_buyer_chance", record)
     qsell.best_constant_price(inst)
-    assert rows == [1, 1]
+    assert shapes == [(2, 1, revenue.CONSTANT_PRICE_GRID), (2, 1, 81)]
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2, 3])
+@pytest.mark.parametrize("k", [None, 1.5], ids=["linear-b", "power-b"])
+def test_no_buyer_chance_is_exactly_1_at_infinity(n_buyers, k):
+    # an unseen side is read at x = inf: nobody buys there, and its
+    # revenue p (1 - P0) m + P0 r is then an exact 0 m + 1 r
+    grid = np.linspace(0.0, 1.0, 33)
+    buyers = (
+        qsell.make_from_table(grid, 0.3 + np.exp(-3.0 * grid)),
+        qsell.make_uniform(0.5, 1.5, m=129),
+        qsell.make_uniform(0.0, 1.0, m=257),
+    )[:n_buyers]
+    valuation = _power_valuation(k) if k else qsell.LinearValuation()
+    tabled = [(d, valuation.type_factor(d.grid)) for d in buyers]
+    x = np.full((2, 3, 5), np.inf)
+    assert np.array_equal(revenue._no_buyer_chance(tabled, x), np.ones((2, 3, 5)))
+
+
+# (price, cutoff, revenue) as float hex; mixed_decreasing's varying alpha
+# prices all 259 cutoffs, the two constant-alpha configs one each
+_PINNED_CONSTANT_PRICES = {
+    "mixed_decreasing": ("0x1.5206d3a06d3a0p+0", "0x1.a41a41a41a41ap-1", "0x1.14f231a8a42fcp+0"),
+    "reserve_ramp": ("0x1.8000000000000p-1", "-0x1.0000000000000p+0", "0x1.2000000000000p-1"),
+    "two_uniform": ("0x1.27a06d3a06d3ap-1", "-0x1.0000000000000p+0", "0x1.8a23458e3ced8p-2"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PINNED_CONSTANT_PRICES))
+def test_best_constant_price_is_pinned_on_the_demo_configs(config):
+    path = pathlib.Path(__file__).parent.parent / "demos" / "configs" / f"{config}.json"
+    base = qsell.best_constant_price(cli.load_instance(str(path)))
+    got = tuple(_hexed(v) for v in (base.price, base.cutoff, base.revenue))
+    assert got == _PINNED_CONSTANT_PRICES[config]
 
 
 def _mid_audit_shaped_instance():

@@ -20,7 +20,6 @@ READERS = (
     "partition_summary",
     "win_weight",
     "payment",
-    "allocate",
     "allocate_many",
 )
 
