@@ -110,7 +110,7 @@ def _build_valuation(spec):
         return LinearValuation()
     if kind == "power":
         expo = float(spec["exponent"])
-        if expo <= 0.0:
+        if not 0.0 < expo < math.inf:  # NaN fails both comparisons
             raise ConfigError("power valuations need a positive exponent")
         return GeneralValuation(
             type_factor=_Power(1.0, expo), type_factor_deriv=_Power(expo, expo - 1.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -76,24 +76,88 @@ def _frozen(a):
     return a
 
 
-def _equal_fields(self, other):
-    """Dataclass equality that compares numpy arrays by value, NaN equal to NaN."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
-    return all(
-        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-        for a, b in pairs
-    )
+class _Factory:
+    """Default of a field with a ``default_factory``, as a dataclass shows it."""
+
+    def __repr__(self):
+        return "<factory>"
 
 
-@dataclass(frozen=True)
-class GriddedFunction:
+_FACTORY = _Factory()
+
+
+class _Record:
+    """Base of qsell's records: frozen dataclasses that compile only ``__init__``.
+
+    A subclass is made a dataclass without generated methods, so
+    ``dataclasses.fields``, ``replace`` and ``asdict`` apply, and gets one
+    ``__init__`` with a frozen dataclass's signature (the fields in order,
+    their defaults, a fresh ``default_factory`` value per call) that stores
+    the fields, then calls ``__post_init__``.  The rest is shared.  No
+    attribute can be set or deleted; ``==`` compares the compare-fields,
+    numpy arrays by value with NaN equal to NaN and the rest as a tuple
+    would; ``hash`` hashes them, and ``repr`` shows the repr-fields.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        flds = fields(cls)
+        cls._compared = tuple(f.name for f in flds if f.compare)
+        cls._shown = tuple(f.name for f in flds if f.repr)
+        env = {"_FACTORY": _FACTORY}
+        params, body = ["self"], []
+        for f in flds:
+            if f.default is not MISSING:
+                env[f"_default_{f.name}"] = f.default
+                params.append(f"{f.name}=_default_{f.name}")
+            elif f.default_factory is not MISSING:
+                env[f"_factory_{f.name}"] = f.default_factory
+                params.append(f"{f.name}=_FACTORY")
+                body.append(f"if {f.name} is _FACTORY: {f.name} = _factory_{f.name}()")
+            else:
+                params.append(f.name)
+        # one statement for every field: it compiles and runs faster than a
+        # setattr per field, and no field name is a descriptor on the class
+        body.append(f"self.__dict__.update({', '.join(f'{f.name}={f.name}' for f in flds)})")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
+        init = env["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+        cls.__init__ = init
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._compared:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is b:
+                continue
+            if not (np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._compared))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class GriddedFunction(_Record):
     """A function tabulated on a strictly increasing grid, interpolated linearly."""
 
     grid: np.ndarray
     vals: np.ndarray
-    __eq__ = _equal_fields
 
     def __post_init__(self):
         grid = _as_float_array(self.grid, "grid")
@@ -109,8 +173,7 @@ class GriddedFunction:
         return _read(x, self.grid, self.vals)
 
 
-@dataclass(frozen=True)
-class GriddedDistribution:
+class GriddedDistribution(_Record):
     """Bounded distribution on [grid[0], grid[-1]] with gridded pdf/cdf.
 
     ``cdf_vals`` is the running trapezoid integral of ``pdf_vals``,
@@ -124,7 +187,6 @@ class GriddedDistribution:
     pdf_vals: np.ndarray
     cdf_vals: np.ndarray
     norm_factor: float = field(default=1.0, compare=False)
-    __eq__ = _equal_fields
 
     def __post_init__(self):
         grid = _as_float_array(self.grid, "grid")
@@ -421,8 +483,7 @@ def _binsum(idx, vals, n):
     return out.astype(float, copy=False)  # integers when there is no entry
 
 
-@dataclass(frozen=True, eq=False)
-class LevelTable:
+class LevelTable(_Record):
     """A sublevel integral as an exact piecewise quadratic in its level c.
 
     ``breaks`` are the level curve's sorted unique node values; ``weak``
@@ -438,7 +499,6 @@ class LevelTable:
     weak: np.ndarray
     strict: np.ndarray
     coef: np.ndarray  # (3, ..., pieces): c0, c1, c2; piece j ends at breaks[j]
-    __eq__ = _equal_fields  # a rebuilt table equals the solve's
 
     @classmethod
     def build(cls, grid, level_vals, integrand_vals):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(dist._Record):
     """Disjoint closed intervals, sorted by left endpoint."""
 
     intervals: tuple

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -62,8 +62,7 @@ SCHEMA_VERSION = 1
 # model types
 
 
-@dataclass(frozen=True)
-class QualityModel:
+class QualityModel(dist._Record):
     """Quality distribution plus its scaling and reserve curves.
 
     ``xi = reserve / alpha`` is the only channel through which quality
@@ -120,8 +119,7 @@ def make_quality_model(G, alpha, reserve):
     return QualityModel(G, _curve_on(G.grid, alpha, "alpha"), _curve_on(G.grid, reserve, "reserve"))
 
 
-@dataclass(frozen=True)
-class GeneralValuation:
+class GeneralValuation(dist._Record):
     """v(t, q) = type_factor(t) * alpha(q), with b = type_factor and b' its derivative.
 
     Separability keeps the ranking of buyers independent of q, which is
@@ -147,8 +145,7 @@ def LinearValuation():
     return GeneralValuation(type_factor=_identity, type_factor_deriv=_unit)
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(dist._Record):
     """Buyers' type distributions, the quality model, and the valuation form."""
 
     buyers: tuple
@@ -178,8 +175,7 @@ class ProblemInstance:
         return len(self.buyers)
 
 
-@dataclass(frozen=True)
-class ThresholdMechanism:
+class ThresholdMechanism(dist._Record):
     """A solved mechanism: threshold curves plus tabulated interim data.
 
     ``inst`` is the ``ProblemInstance`` it was solved on or read back
@@ -338,8 +334,7 @@ def allocate_many(m, types, qualities):
 # interim quantities at threshold levels
 
 
-@dataclass(frozen=True)
-class InterimLevels:
+class InterimLevels(dist._Record):
     """Every factor of the interim quantities as a table in the level c.
 
     ``quality`` holds A, B and C (alpha * g, g and reserve * g over
@@ -389,8 +384,7 @@ class InterimLevels:
 # interim tables
 
 
-@dataclass(frozen=True)
-class InterimTable:
+class InterimTable(dist._Record):
     """Per-buyer interim quantities on the cut pieces of the type grid.
 
     Each type cell is cut where the threshold curve meets a level-table

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +96,7 @@ def revenue_virtual(m):
 _SAMPLE_BLOCK = 32_768  # samples per block: a block's arrays stay cache-sized
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(dist._Record):
     """Empirical summary of running a mechanism on sampled profiles.
 
     ``allocation_frequency`` lists the no-sale frequency first, then one
@@ -259,8 +257,7 @@ def simulate(m, n_samples, seed):
 # benchmark: quality-blind auction (no disclosure, constant quality curves)
 
 
-@dataclass(frozen=True)
-class QualityBlindBaseline:
+class QualityBlindBaseline(dist._Record):
     """Optimal auction computed as if quality were fixed at its known level.
 
     Valid only when alpha and reserve are constant, in which case
@@ -362,8 +359,7 @@ def myerson_baseline(inst):
 # benchmark: best constant posted price with binary disclosure
 
 
-@dataclass(frozen=True)
-class ConstantPriceBaseline:
+class ConstantPriceBaseline(dist._Record):
     """Best single posted price with a public pass/fail quality signal."""
 
     price: float

@@ -9,8 +9,6 @@ finite instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dist, info
@@ -40,8 +38,7 @@ ENUMERATION_LIMIT = 10_000_000
 # feasibility
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(dist._Record):
     """Worst-case diagnostics over all buyers; ok means within tolerances."""
 
     ok: bool
@@ -163,8 +160,7 @@ def check_feasibility(m, tol=1e-6):
 # incentive compatibility
 
 
-@dataclass(frozen=True)
-class ICReport:
+class ICReport(dist._Record):
     """Largest gain any type can get from misreporting or walking away."""
 
     max_regret: float
@@ -267,8 +263,7 @@ def ic_deviation_search(m, n_grid=101):
 # obedience
 
 
-@dataclass(frozen=True)
-class ObedienceReport:
+class ObedienceReport(dist._Record):
     """Do asked buyers want to buy, and is the entry type close to indifferent?"""
 
     min_surplus: float
@@ -365,8 +360,7 @@ def posterior_belief(m, i, t):
 # discrete oracle
 
 
-@dataclass(frozen=True)
-class DiscreteInstance:
+class DiscreteInstance(dist._Record):
     """Fully finite instance: type atoms, quality atoms, curve values."""
 
     type_grids: tuple     # per buyer: increasing type values
@@ -476,8 +470,7 @@ def _best_suffix_argmax(weights):
     return sbest, abest
 
 
-@dataclass(frozen=True)
-class OracleAllocation:
+class OracleAllocation(dist._Record):
     """Cutoff description of an allocation found by the finite oracle.
 
     ``cutoffs[i]`` has one row per quality level and one column per

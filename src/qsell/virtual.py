@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +33,7 @@ def _index_pair(pair, size):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class VirtualValueCurve:
+class VirtualValueCurve(dist._Record):
     """A buyer's (possibly ironed) virtual value curve on their type grid.
 
     ``ironed_intervals`` is a tuple of (lo_idx, hi_idx) index pairs into
@@ -49,7 +47,6 @@ class VirtualValueCurve:
     phi: np.ndarray
     phi_ironed: np.ndarray
     ironed_intervals: tuple
-    __eq__ = dist._equal_fields
 
     def __post_init__(self):
         grid = dist._as_float_array(self.type_grid, "type_grid")

@@ -5,8 +5,11 @@ V-shaped / inverse-V reserve-ratio curves, and regular as well as
 irregular (bimodal) type distributions.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 import json
+import pkgutil
 import sys
 import tracemalloc
 import warnings
@@ -50,6 +53,19 @@ def load_bench_instance(inst, tmp_path):
     path = tmp_path / f"{inst.name}.json"
     path.write_text(json.dumps(inst.doc))
     return load_instance(str(path))
+
+
+def qsell_records():
+    """Every dataclass defined in one of qsell's modules."""
+    found = []
+    for info in pkgutil.iter_modules(qsell.__path__):
+        module = importlib.import_module(f"qsell.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+            and dataclasses.is_dataclass(obj)
+        ]
+    return found
 
 
 def node_psi(d):

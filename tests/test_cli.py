@@ -556,6 +556,10 @@ def _table_reserve(values):
         (lambda d: d.update(valuation={"kind": "log"}), "unknown valuation kind: 'log'"),
         (lambda d: d.update(valuation={"kind": "power", "exponent": 0.0}), "positive exponent"),
         (lambda d: d.update(valuation={"kind": "power", "exponent": -1.0}), "positive exponent"),
+        (lambda d: d.update(valuation={"kind": "power", "exponent": float("nan")}),
+         "positive exponent"),
+        (lambda d: d.update(valuation={"kind": "power", "exponent": float("inf")}),
+         "positive exponent"),
         (lambda d: d.update(buyers=[]), "config lists no buyers"),
         (lambda d: d["buyers"][0]["distribution"].update(m=64.7),
          "grid size m must be a whole number, got 64.7"),
@@ -565,8 +569,8 @@ def _table_reserve(values):
     ids=[
         "hi-not-a-number", "alpha-value-not-a-number", "reserve-table-not-numbers",
         "top-level-array", "unknown-distribution", "unknown-curve", "unknown-valuation",
-        "power-exponent-0", "power-exponent-neg", "no-buyers", "m-not-whole",
-        "m-infinite",
+        "power-exponent-0", "power-exponent-neg", "power-exponent-nan", "power-exponent-inf",
+        "no-buyers", "m-not-whole", "m-infinite",
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, monkeypatch, edit, message):
